@@ -926,7 +926,6 @@ let calibrate_wall () =
 let reset_workspace () =
   Faults.deactivate_all ();
   Nnsmith_smt.Solver.set_cache_enabled true;
-  Nnsmith_smt.Solver.set_batch_enabled true;
   Nnsmith_smt.Solver.set_prescreen_enabled true;
   Nnsmith_exec.Plan.set_enabled true;
   Nnsmith_smt.Solver.cache_clear ();
@@ -938,7 +937,7 @@ let reset_workspace () =
 let counter_seed = 20230325
 
 (* One generation pass over [n] index-pure seeds — the campaign shape the
-   solver-cache and batch benches time. *)
+   solver-cache bench times. *)
 let gen_seed_pass ~n () =
   for i = 0 to n - 1 do
     let tseed = Nnsmith_parallel.Splitmix.derive ~root:counter_seed ~index:i in
@@ -948,8 +947,8 @@ let gen_seed_pass ~n () =
 
 let campaign_n () = max 40 (int_of_float (!budget_ms /. 20.))
 
-(* The pre-screening workloads use deeper graphs than the cache/batch
-   campaigns: more candidate probes per test relative to the shared
+(* The pre-screening workloads use deeper graphs than the solver-cache
+   campaign: more candidate probes per test relative to the shared
    generation cost, which is the regime the screen targets.  Depth 20 is
    where the steady-state on/off ratio peaked in the workload sweep. *)
 let prescreen_nodes = 20
@@ -1018,13 +1017,6 @@ let counter_experiments =
           let n = campaign_n () in
           gen_seed_pass ~n ();
           gen_seed_pass ~n ());
-    };
-    (* warm-cache replay only — the batched frames' headline workload *)
-    {
-      ce_name = "batch";
-      ce_workload = (fun () -> Printf.sprintf "replay=%d" (campaign_n ()));
-      ce_prepare = (fun () -> gen_seed_pass ~n:(campaign_n ()) ());
-      ce_body = (fun () -> gen_seed_pass ~n:(campaign_n ()) ());
     };
     (* cold-cache campaign with the interval screen on — the
        pre-screening headline workload (deeper graphs, see
@@ -1222,133 +1214,9 @@ let bench_solver_cache () =
     ~tests_per_sec:on_tps ~digest:(string_of_int !d_on) ()
 
 (* ------------------------------------------------------------------ *)
-(* Batched engine: the same campaign + replay workload as the solver-   *)
-(* cache bench, batched incremental frames on vs off (caches on in both *)
-(* modes — batching is measured on top of the cached engine), appended  *)
-(* to BENCH_batch.json.  Also asserts bit-identical graphs across       *)
-(* modes — the batched engine's core correctness guarantee.             *)
-
-let bench_batch () =
-  section
-    "Batched engine: campaign + corpus replay, batch on vs off \
-     (BENCH_batch.json)";
-  let module Solver = Nnsmith_smt.Solver in
-  Faults.deactivate_all ();
-  Tel.reset ();
-  let seed = 20230325 in
-  let n = max 40 (int_of_float (!budget_ms /. 20.)) in
-  let digest = ref 0 in
-  (* One pass over the [n] fixed seeds; the digest accumulates across
-     passes so replayed graphs must match the campaign's bit for bit. *)
-  let gen_pass () =
-    let t0 = cpu_ms () in
-    for i = 0 to n - 1 do
-      let tseed = Nnsmith_parallel.Splitmix.derive ~root:seed ~index:i in
-      match
-        Gen.generate { Config.default with seed = tseed; max_nodes = 10 }
-      with
-      | exception Gen.Gen_failure _ -> ()
-      | g ->
-          digest :=
-            ((!digest * 31) + Hashtbl.hash (Graph.to_string g)) land max_int
-    done;
-    cpu_ms () -. t0
-  in
-  let batch_was = Solver.batch_enabled () in
-  (* Each round times the campaign pass (cold caches) and the replay pass
-     (fully warmed caches) separately: the batched frames' headline win is
-     replay throughput, where every component solve is answered from the
-     canonical cache and batching removes the per-constraint probe walk. *)
-  let run batched =
-    Solver.set_batch_enabled batched;
-    (* caches stay on and start cold each round, as in the solver-cache
-       bench's cache-on arm: the off arm here IS that baseline *)
-    Solver.cache_clear ();
-    digest := 0;
-    let c0 = calibrate () in
-    let campaign_ms = gen_pass () in
-    let replay_ms = gen_pass () in
-    let c1 = calibrate () in
-    let k = calib_reference_ms /. ((c0 +. c1) /. 2.) in
-    ((campaign_ms +. replay_ms) *. k, replay_ms *. k, !digest)
-  in
-  ignore (run true);  (* warm up allocator and op registry *)
-  let on = ref infinity and off = ref infinity in
-  let rep_on = ref infinity and rep_off = ref infinity in
-  let d_on = ref 0 and d_off = ref 0 in
-  let stale = ref 0 in
-  let rounds = ref 0 in
-  while !rounds < 24 && (!rounds < 6 || !stale < 6) do
-    incr rounds;
-    let first_on = !rounds land 1 = 1 in
-    let a_ms, a_rep, a_d = run first_on in
-    let b_ms, b_rep, b_d = run (not first_on) in
-    let (on_ms, on_rep, on_d), (off_ms, off_rep, off_d) =
-      if first_on then ((a_ms, a_rep, a_d), (b_ms, b_rep, b_d))
-      else ((b_ms, b_rep, b_d), (a_ms, a_rep, a_d))
-    in
-    if
-      on_ms < !on *. 0.98
-      || off_ms < !off *. 0.98
-      || on_rep < !rep_on *. 0.98
-    then stale := 0
-    else incr stale;
-    on := Float.min !on on_ms;
-    off := Float.min !off off_ms;
-    rep_on := Float.min !rep_on on_rep;
-    rep_off := Float.min !rep_off off_rep;
-    d_on := on_d;
-    d_off := off_d
-  done;
-  (* one final batch-on round for allocation per test *)
-  let (final_ms, final_rep, _), gc =
-    gc_per_test ~tests:(2 * n) (fun () -> run true)
-  in
-  on := Float.min !on final_ms;
-  rep_on := Float.min !rep_on final_rep;
-  Solver.set_batch_enabled batch_was;
-  if !d_on <> !d_off then begin
-    Printf.printf
-      "FAIL: batch-on and batch-off generated different graphs (digest %d \
-       vs %d)\n"
-      !d_on !d_off;
-    exit 1
-  end;
-  Printf.printf "determinism: batch-on/off graphs bit-identical (digest ok)\n";
-  let tests = 2 * n in
-  let on_tps = float_of_int tests /. (!on /. 1000.) in
-  let off_tps = float_of_int tests /. (!off /. 1000.) in
-  let rep_on_tps = float_of_int n /. (!rep_on /. 1000.) in
-  let rep_off_tps = float_of_int n /. (!rep_off /. 1000.) in
-  let speedup = on_tps /. Float.max 1e-9 off_tps in
-  Printf.printf "%-14s %5d tests in %7.0f norm-ms = %7.1f tests/s\n"
-    "batch-off" tests !off off_tps;
-  Printf.printf "%-14s %5d tests in %7.0f norm-ms = %7.1f tests/s (%.2fx)\n"
-    "batch-on" tests !on on_tps speedup;
-  Printf.printf "%-14s %5d tests in %7.0f norm-ms = %7.1f tests/s\n"
-    "replay-off" n !rep_off rep_off_tps;
-  Printf.printf
-    "%-14s %5d tests in %7.0f norm-ms = %7.1f tests/s (%.2fx vs 284/s \
-     solver-cache replay baseline)\n"
-    "replay-on" n !rep_on rep_on_tps (rep_on_tps /. 284.);
-  let line =
-    Printf.sprintf
-      "{\"bench\":\"batch\",\"workload_tests\":%d,\"replay\":true,\"seed\":%d,\"batch_off_tests_per_sec\":%.2f,\"batch_on_tests_per_sec\":%.2f,\"speedup\":%.3f,\"replay_off_tests_per_sec\":%.2f,\"replay_tests_per_sec\":%.2f,\"replay_speedup_vs_baseline\":%.3f,\"tests_per_sec\":%.2f}"
-      tests seed off_tps on_tps speedup rep_off_tps rep_on_tps
-      (rep_on_tps /. 284.) on_tps
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_batch.json" in
-  output_string oc (line ^ "\n");
-  close_out oc;
-  Printf.printf "appended to BENCH_batch.json\n";
-  let counters, workload = counter_capture "batch" in
-  record_bench ~gc ~counters ~workload ~experiment:"batch"
-    ~tests_per_sec:rep_on_tps ~digest:(string_of_int !d_on) ()
-
-(* ------------------------------------------------------------------ *)
 (* Constraint pre-screening: fixed-seed campaign + replay, screen on vs  *)
-(* off (both arms keep the solve caches and batched frames on, so the    *)
-(* baseline is the engine at its previous best), appended to             *)
+(* off (both arms keep the solve caches on, so the baseline is the       *)
+(* engine at its previous best), appended to                             *)
 (* BENCH_prescreen.json.  Asserts bit-identical graphs across modes and  *)
 (* reports the fraction of per-candidate solver checks the screen        *)
 (* eliminated, from the deterministic counter capture.                   *)
@@ -1909,7 +1777,6 @@ let experiments =
     ("parallel", bench_parallel);
     ("fleet", bench_fleet);
     ("solver_cache", bench_solver_cache);
-    ("batch", bench_batch);
     ("prescreen", bench_prescreen);
     ("gradsearch", bench_gradsearch);
   ]

@@ -67,22 +67,7 @@ let no_plan_t =
            interpreter (results are bit-identical either way; useful for A/B \
            benchmarking and debugging).")
 
-(* ---- batched-engine escape hatches -------------------------------- *)
-
-let apply_engine no_batch cohort_size =
-  Nnsmith_smt.Solver.set_batch_enabled (not no_batch);
-  Option.iter Nnsmith_exec.Plan.set_cohort_size cohort_size
-
-let no_batch_t =
-  Arg.(
-    value
-    & flag
-    & info [ "no-batch" ]
-        ~doc:
-          "Disable batched incremental solver frames and probe each \
-           candidate operator's constraints individually (results are \
-           bit-identical either way; useful for A/B benchmarking and \
-           debugging).")
+(* ---- pre-screening escape hatch and cohort pool size -------------- *)
 
 let apply_no_prescreen no_prescreen =
   Nnsmith_smt.Solver.set_prescreen_enabled (not no_prescreen)
@@ -110,11 +95,11 @@ let cohort_size_t =
 
 (* ---- generate ----------------------------------------------------- *)
 
-let generate seed nodes count search out no_cache no_plan no_batch
-    cohort_size no_prescreen =
+let generate seed nodes count search out no_cache no_plan cohort_size
+    no_prescreen =
   apply_no_cache no_cache;
   apply_no_plan no_plan;
-  apply_engine no_batch cohort_size;
+  Option.iter Nnsmith_exec.Plan.set_cohort_size cohort_size;
   apply_no_prescreen no_prescreen;
   let failures = ref 0 in
   Option.iter mkdir_p out;
@@ -173,7 +158,7 @@ let generate_cmd =
     (Cmd.info "generate" ~doc:"Generate valid random models and print them")
     Term.(
       const generate $ seed_t $ nodes_t $ count_t $ search_t $ gen_out_t
-      $ no_cache_t $ no_plan_t $ no_batch_t $ cohort_size_t $ no_prescreen_t)
+      $ no_cache_t $ no_plan_t $ cohort_size_t $ no_prescreen_t)
 
 (* ---- fuzz --------------------------------------------------------- *)
 
@@ -304,10 +289,10 @@ let print_corpus_line report_dir (r : D.Pfuzz.result) =
     report_dir
 
 let fuzz system_name budget_s tests jobs bugs seed telemetry report_dir
-    journal_dir progress no_cache no_plan no_batch cohort_size no_prescreen =
+    journal_dir progress no_cache no_plan cohort_size no_prescreen =
   apply_no_cache no_cache;
   apply_no_plan no_plan;
-  apply_engine no_batch cohort_size;
+  Option.iter Nnsmith_exec.Plan.set_cohort_size cohort_size;
   apply_no_prescreen no_prescreen;
   match system_of_name system_name with
   | None ->
@@ -379,7 +364,7 @@ let fuzz_cmd =
     Term.(
       const fuzz $ system_t $ budget_t $ tests_t $ jobs_t $ bugs_t $ seed_t
       $ telemetry_t $ report_dir_t $ journal_t $ progress_t $ no_cache_t
-      $ no_plan_t $ no_batch_t $ cohort_size_t $ no_prescreen_t)
+      $ no_plan_t $ cohort_size_t $ no_prescreen_t)
 
 (* ---- replay / triage ----------------------------------------------- *)
 
@@ -450,10 +435,10 @@ let triage_cmd =
 (* ---- cov ---------------------------------------------------------- *)
 
 let cov budget_s tests jobs seed telemetry journal_dir progress no_cache
-    no_plan no_batch cohort_size no_prescreen =
+    no_plan cohort_size no_prescreen =
   apply_no_cache no_cache;
   apply_no_plan no_plan;
-  apply_engine no_batch cohort_size;
+  Option.iter Nnsmith_exec.Plan.set_cohort_size cohort_size;
   apply_no_prescreen no_prescreen;
   Faults.deactivate_all ();
   let write_failed = ref false in
@@ -513,16 +498,16 @@ let cov_cmd =
     (Cmd.info "cov" ~doc:"Coverage comparison of all fuzzers on all systems")
     Term.(
       const cov $ budget_t $ tests_t $ jobs_t $ seed_t $ telemetry_t
-      $ journal_t $ progress_t $ no_cache_t $ no_plan_t $ no_batch_t
-      $ cohort_size_t $ no_prescreen_t)
+      $ journal_t $ progress_t $ no_cache_t $ no_plan_t $ cohort_size_t
+      $ no_prescreen_t)
 
 (* ---- hunt --------------------------------------------------------- *)
 
 let hunt budget_s tests jobs seed telemetry report_dir journal_dir progress
-    no_cache no_plan no_batch cohort_size no_prescreen =
+    no_cache no_plan cohort_size no_prescreen =
   apply_no_cache no_cache;
   apply_no_plan no_plan;
-  apply_engine no_batch cohort_size;
+  Option.iter Nnsmith_exec.Plan.set_cohort_size cohort_size;
   apply_no_prescreen no_prescreen;
   Tel.reset ();
   let report_dir = default_report_dir report_dir journal_dir in
@@ -554,17 +539,15 @@ let hunt_cmd =
     Term.(
       const hunt $ budget_t $ tests_t $ jobs_t $ seed_t $ telemetry_t
       $ report_dir_t $ journal_t $ progress_t $ no_cache_t $ no_plan_t
-      $ no_batch_t $ cohort_size_t $ no_prescreen_t)
+      $ cohort_size_t $ no_prescreen_t)
 
 (* ---- fleet -------------------------------------------------------- *)
 
+(* Workers are fresh processes configured only by [Proto.worker_config],
+   so the fleet takes none of the in-process engine switches: they would
+   reach the supervisor alone and leave every test on the default engine. *)
 let fleet dir tests procs hunt bugs seed system_names resume max_nodes
-    hb_timeout_s checkpoint_every dashboard_every_s progress no_cache no_plan
-    no_batch cohort_size no_prescreen =
-  apply_no_cache no_cache;
-  apply_no_plan no_plan;
-  apply_engine no_batch cohort_size;
-  apply_no_prescreen no_prescreen;
+    hb_timeout_s checkpoint_every dashboard_every_s progress =
   Tel.reset ();
   let systems =
     match system_names with
@@ -730,8 +713,7 @@ let fleet_cmd =
     Term.(
       const fleet $ fleet_dir_t $ fleet_tests_t $ procs_t $ fleet_hunt_t
       $ bugs_t $ seed_t $ fleet_systems_t $ resume_t $ max_nodes_t
-      $ hb_timeout_t $ checkpoint_every_t $ dashboard_every_t $ progress_t
-      $ no_cache_t $ no_plan_t $ no_batch_t $ cohort_size_t $ no_prescreen_t)
+      $ hb_timeout_t $ checkpoint_every_t $ dashboard_every_t $ progress_t)
 
 (* ---- journal tail ------------------------------------------------- *)
 

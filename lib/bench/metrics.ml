@@ -56,10 +56,15 @@ let capture f =
       (* [quick_stat] word counters only refresh at collection boundaries
          (OCaml 5 aggregates per-domain stats at GC points), so a round
          that ends between collections would under-report.  [minor_words]
-         samples the allocation pointer directly and is exact. *)
+         samples the allocation pointer directly and is exact.  The major
+         and promoted counters are read after one more full collection:
+         read mid-cycle they lag by an amount that moves with GC pacing
+         from round to round, while the words that collection promotes
+         count in both and cancel out of [alloc_words]. *)
       let m0 = Gc.minor_words () in
       let x = f () in
       let m1 = Gc.minor_words () in
+      Gc.full_major ();
       let g1 = Gc.quick_stat () in
       let after = gated (Tel.snapshot ()) in
       let base = Hashtbl.create 32 in

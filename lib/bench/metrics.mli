@@ -14,7 +14,9 @@
     [capture f] brackets one deterministic round: it forces a major GC so
     the minor-heap fill at entry cannot shift promotion points between
     otherwise identical runs, snapshots [Gc.quick_stat] and the current
-    domain's telemetry counters, runs [f], and returns the deltas.  Only
+    domain's telemetry counters, runs [f], forces another major GC so the
+    closing [Gc.quick_stat] is read at a collection boundary, and returns
+    the deltas.  Only
     counters under {!work_prefixes} are kept — time-driven counters
     (journal heartbeats, best-effort channel sheds) are excluded because
     they are {e not} functions of the workload. *)

@@ -1,5 +1,4 @@
 module Imap = Map.Make (Int)
-module ISet = Set.Make (Int)
 module Tel = Nnsmith_telemetry.Telemetry
 
 type result = Sat | Unsat | Unknown
@@ -10,49 +9,6 @@ type l1_entry = {
   l1_result : result;
   l1_steps : int;
   l1_model : Model.t option;  (* the model found on Sat *)
-}
-
-(* One connected component of the assertion set.  [cs_items] pairs each
-   formula (multiplicity preserved) with its global position in the
-   assertion order — canonical keys serialize formulas in order, so the
-   interleaving must survive component merges.  [cs_out] is the
-   component's canonical solve outcome (result, model, steps, from-cache);
-   [None] marks a component restructured by a merge since it was last
-   solved.  Solving is a pure function of the component's canonical form,
-   so a missing outcome can be recomputed on demand without changing any
-   verdict, model or step count. *)
-type comp_state = {
-  mutable cs_items : (Formula.t * int) list;  (* ascending by position *)
-  mutable cs_vars : ISet.t;  (* variable ids; empty = the var-free bucket *)
-  mutable cs_out : (result * Model.t option * int * bool) option;
-}
-
-(* Memo of the component decomposition of the current assertion set,
-   valid only while [bm_epoch] matches the solver's epoch (same epoch =
-   same assertion content).  Seeded by a full Sat [check], then maintained
-   incrementally: model-reuse and L1-hit merges restructure the touched
-   components without solving anything, and a batched probe re-solves only
-   the components sharing variables with the probed constraints.
-
-   [bm_index] maps every variable of every memoized component to its
-   (current) component, and [bm_varfree] points at the variable-free
-   bucket, so finding the components a probe touches costs one lookup per
-   probe variable instead of a scan of the whole decomposition — the scan
-   dominated replay profiles.  [bm_comps] is kept newest-first (descending
-   by first position): the hot append path is then a prepend, and walks
-   reverse it once per probe. *)
-type batch_memo = {
-  mutable bm_epoch : int;
-  mutable bm_comps : comp_state list;  (* descending by first position *)
-  mutable bm_count : int;  (* assertions covered = next free position *)
-  bm_index : (int, comp_state) Hashtbl.t;  (* var id -> owning component *)
-  mutable bm_varfree : comp_state option;  (* the variable-free bucket *)
-  mutable bm_pending : (Formula.t * int) list;
-      (* committed but not yet decomposed, newest first: commits that
-         needed no solving (model reuse, L1 hits, bare asserts) queue
-         here in O(1), and the queue folds into [bm_comps] only when a
-         probe actually has to solve — the common all-reuse streak pays
-         nothing for memo upkeep *)
 }
 
 type t = {
@@ -68,14 +24,13 @@ type t = {
   mutable epoch_src : int;
   mutable epoch_stack : int list;  (* epochs saved by [push] *)
   l1 : (int * Formula.t list, l1_entry) Hashtbl.t;
-  mutable memo : batch_memo option;  (* decomposition of the current epoch *)
   (* Model-validity chain: while [vchain] matches [epoch], the assertion
      set is (a validated prefix that [cached_model] satisfies and whose
      variables it binds) plus [pending] (asserted since, newest first).
      Model reuse then only needs to evaluate [pending] and the probe —
      the same decision, and the same extended model, as evaluating the
-     whole assertion list.  Maintained whether or not batching is on: it
-     is a pure shortcut inside the reuse step, not a semantic change. *)
+     whole assertion list.  It is a pure shortcut inside the reuse step,
+     not a semantic change. *)
   mutable vchain : int;
   mutable pending : Formula.t list;
   (* Screen domains: an interval over-approximation of the values every
@@ -107,7 +62,6 @@ let create ?(max_steps = 2000) ?seed:_ () =
     epoch_src = 0;
     epoch_stack = [];
     l1 = Hashtbl.create 64;
-    memo = None;
     vchain = -1;
     pending = [];
     sd = Imap.empty;
@@ -673,13 +627,6 @@ let cache_flag = Atomic.make true
 let set_cache_enabled b = Atomic.set cache_flag b
 let cache_enabled () = Atomic.get cache_flag
 
-(* Batched incremental frames: like the caches, the switch is global (one
-   [--no-batch] flag governs every worker domain) while the memoized
-   decompositions live on individual solvers. *)
-let batch_flag = Atomic.make true
-let set_batch_enabled b = Atomic.set batch_flag b
-let batch_enabled () = Atomic.get batch_flag
-
 (* Interval pre-screening (and the concrete model fast path): same global
    switch pattern as the caches — one [--no-prescreen] flag governs every
    worker domain, while the screen domains live on individual solvers.
@@ -1035,176 +982,20 @@ let finish_check s ~t0 ~bucket result =
   end;
   result
 
-let vars_of_comp comp =
-  List.fold_left
-    (fun acc f ->
-      List.fold_left
-        (fun acc (v : Expr.var) -> ISet.add v.id acc)
-        acc (fvars f))
-    ISet.empty comp
-
-let cs_pos c = match c.cs_items with (_, p) :: _ -> p | [] -> max_int
-
-(* Decompose positioned formulas into component states (outcomes unset).
-   Component order, per-component formula order and multiplicity all match
-   [components] on the bare formula list; duplicate physical formulas land
-   in the same bucket, so the first-wins index is total. *)
-let comp_states_of_items (items : (Formula.t * int) list) : comp_state list =
-  let buckets = components (List.map fst items) in
-  let idx : int FPhys.t = FPhys.create 32 in
-  List.iteri
-    (fun i b ->
-      List.iter (fun f -> if not (FPhys.mem idx f) then FPhys.add idx f i) b)
-    buckets;
-  let arr = Array.make (List.length buckets) [] in
-  List.iter
-    (fun ((f, _) as it) ->
-      let i = FPhys.find idx f in
-      arr.(i) <- it :: arr.(i))
-    items;
-  List.init (Array.length arr) (fun i ->
-      let its = List.rev arr.(i) in
-      {
-        cs_items = its;
-        cs_vars = vars_of_comp (List.map fst its);
-        cs_out = None;
-      })
-
-(* Point every variable of [c] (and the var-free slot, if [c] is the
-   var-free bucket) at [c].  Registering a merged component overwrites the
-   stale entries of the components it replaced — variables never leave the
-   assertion set, so no entry ever needs deleting. *)
-let register bm c =
-  if ISet.is_empty c.cs_vars then bm.bm_varfree <- Some c
-  else ISet.iter (fun id -> Hashtbl.replace bm.bm_index id c) c.cs_vars
-
-(* The components sharing a variable with the probe (plus the var-free
-   bucket for a probe with a var-free formula), via the index: one lookup
-   per probe variable.  Physical dedup — a component owns many vars. *)
-let touched_comps bm pvars p_varfree =
-  let acc = ref [] in
-  ISet.iter
-    (fun id ->
-      match Hashtbl.find_opt bm.bm_index id with
-      | Some c -> if not (List.memq c !acc) then acc := c :: !acc
-      | None -> ())
-    pvars;
-  (match bm.bm_varfree with
-  | Some c when p_varfree -> if not (List.memq c !acc) then acc := c :: !acc
-  | _ -> ());
-  !acc
-
-(* Insert into a descending-by-first-position list. *)
-let rec insert_desc c = function
-  | [] -> [ c ]
-  | hd :: tl as l -> if cs_pos c >= cs_pos hd then c :: l else hd :: insert_desc c tl
-
-(* Positioned sub-decomposition input for merging [touched] with the probe:
-   global assertion order (touched prefix formulas interleaved by position,
-   then the probe), so canonical keys — which number variables by first
-   occurrence — match the full check's. *)
-let sub_items_of touched probe_items =
-  List.sort
-    (fun ((_ : Formula.t), a) (_, b) -> compare (a : int) b)
-    (List.concat_map (fun c -> c.cs_items) touched)
-  @ probe_items
-
-let memo_of_states s states count =
-  let bm =
-    {
-      bm_epoch = s.epoch;
-      bm_comps = List.rev states;
-      bm_count = count;
-      bm_index = Hashtbl.create 64;
-      bm_varfree = None;
-      bm_pending = [];
-    }
-  in
-  List.iter (register bm) states;
-  bm
-
-(* O(1) memo upkeep for a commit that required no solving: assign the
-   new formulas their global positions and queue them.  The expensive
-   part — connectivity, variable sets, list surgery — is deferred to
-   [memo_flush], which runs only when a later probe actually needs the
-   decomposition.  Replay-shaped workloads commit long streaks of
-   model-reuse probes between solves, and eagerly decomposing each one
-   cost more than the unbatched path's whole check. *)
-let memo_defer s bm fs =
-  let items = List.mapi (fun i f -> (f, bm.bm_count + i)) fs in
-  bm.bm_pending <- List.rev_append items bm.bm_pending;
-  bm.bm_count <- bm.bm_count + List.length fs;
-  bm.bm_epoch <- s.epoch
-
-(* Fold the queued commits into the decomposition without solving:
-   components sharing variables with the queue merge with it (and lose
-   their outcome — it no longer describes the merged component), the
-   rest carry over untouched with their memoized outcomes.  Folding the
-   whole queue at once yields the same decomposition as absorbing each
-   commit as it happened — [comp_states_of_items] computes the exact
-   connected components of whatever it is given, and every queued
-   position exceeds every memoized one. *)
-let memo_flush bm =
-  match bm.bm_pending with
-  | [] -> ()
-  | pending ->
-      Tel.with_span "smt/absorb" @@ fun () ->
-      let items = List.rev pending in
-      bm.bm_pending <- [];
-      let fs = List.map fst items in
-      let pvars = vars_of_comp fs in
-      let p_varfree = List.exists (fun f -> fvars f = []) fs in
-      (match (touched_comps bm pvars p_varfree, items) with
-      | [], [ it ] ->
-          (* fresh single assert (placeholder dims): one new component,
-             highest position — prepend *)
-          let c = { cs_items = [ it ]; cs_vars = pvars; cs_out = None } in
-          register bm c;
-          bm.bm_comps <- c :: bm.bm_comps
-      | [], _ ->
-          let cs = comp_states_of_items items in
-          List.iter (register bm) cs;
-          bm.bm_comps <- List.rev_append cs bm.bm_comps
-      | [ c0 ], [ it ] ->
-          (* single assert into one existing component: the union is
-             connected, the new position exceeds all of [c0]'s, and
-             [c0]'s first position (its place in the walk order) is
-             unchanged — extend the component in place, no list surgery *)
-          c0.cs_items <- c0.cs_items @ [ it ];
-          c0.cs_vars <- ISet.union c0.cs_vars pvars;
-          c0.cs_out <- None;
-          ISet.iter (fun id -> Hashtbl.replace bm.bm_index id c0) pvars
-      | touched, _ ->
-          bm.bm_comps <-
-            List.filter (fun c -> not (List.memq c touched)) bm.bm_comps;
-          let cs = comp_states_of_items (sub_items_of touched items) in
-          List.iter (register bm) cs;
-          bm.bm_comps <-
-            List.fold_left (fun l c -> insert_desc c l) bm.bm_comps cs)
-
-(* [assert_] lives below the memo machinery so unchecked asserts can keep
-   both incremental structures alive: the formula extends the validity
-   chain's [pending] delta (the model has not been re-validated against
-   it) and is absorbed into the component decomposition without solving. *)
+(* An unchecked assert keeps the validity chain alive: the formula
+   extends its [pending] delta (the model has not been re-validated
+   against it). *)
 let assert_ s f =
   Tel.incr "smt/assert";
   match s.frames with
   | frame :: rest ->
       let chain = s.vchain = s.epoch in
-      let memo =
-        if batch_enabled () then
-          match s.memo with
-          | Some bm when bm.bm_epoch = s.epoch -> Some bm
-          | _ -> None
-        else None
-      in
       s.frames <- (f :: frame) :: rest;
       s.epoch <- fresh_epoch s;
       if chain then begin
         s.pending <- f :: s.pending;
         s.vchain <- s.epoch
       end;
-      (match memo with Some bm -> memo_defer s bm [ f ] | None -> ());
       screen_absorb1 s f
   | [] -> assert false
 
@@ -1236,36 +1027,16 @@ let check_impl ~skip_reuse s =
           s.last_steps <- 0;
           validate s;
           Tel.incr "smt/model_reuse";
-          (* Reuse proves [cached_model] satisfies the whole set — enough
-             to seed the batch memo structurally.  Outcomes stay unset;
-             later probes solve components on demand. *)
-          (if batch_enabled () then
-             match s.memo with
-             | Some bm when bm.bm_epoch = s.epoch -> ()
-             | _ ->
-                 let fs = assertions s in
-                 s.memo <-
-                   Some
-                     (memo_of_states s
-                        (comp_states_of_items (List.mapi (fun i f -> (f, i)) fs))
-                        (List.length fs)));
           finish_check s ~t0 ~bucket:"hit" Sat
       | None ->
-          let fs = assertions s in
           let dc = dcache () in
           (* Components are solved in deterministic order; the first
              non-Sat one decides the verdict.  Component models are
              variable-disjoint, so their union satisfies the whole set. *)
-          let states =
-            comp_states_of_items (List.mapi (fun i f -> (f, i)) fs)
-          in
           let rec go model steps all_hit = function
             | [] -> (Sat, Some model, steps, all_hit)
-            | c :: rest -> (
-                let ((r, m, st, hit) as out) =
-                  solve_component s dc (List.map fst c.cs_items)
-                in
-                c.cs_out <- Some out;
+            | comp :: rest -> (
+                let r, m, st, hit = solve_component s dc comp in
                 match r with
                 | Sat ->
                     let model =
@@ -1279,14 +1050,12 @@ let check_impl ~skip_reuse s =
                     go model (steps + st) (all_hit && hit) rest
                 | _ -> (r, None, steps + st, all_hit && hit))
           in
-          let result, m, steps, all_hit = go Model.empty 0 true states in
+          let result, m, steps, all_hit =
+            go Model.empty 0 true (components (assertions s))
+          in
           s.last_steps <- steps;
           (match m with Some _ -> s.cached_model <- m | None -> ());
           if result = Sat then validate s;
-          (* Memoize only on Sat: the memo's probe fast path assumes
-             [cached_model] satisfies the whole assertion set. *)
-          if result = Sat && batch_enabled () then
-            s.memo <- Some (memo_of_states s states (List.length fs));
           finish_check s ~t0 ~bucket:(if all_hit then "hit" else "miss") result)
 
 let check s = check_impl ~skip_reuse:false s
@@ -1318,141 +1087,6 @@ let commit_probe s fs =
   s.epoch <- fresh_epoch s;
   screen_absorb s fs
 
-(* Batched incremental probe: answer a [try_add_constraints] miss against
-   the memoized component decomposition of the shared frame prefix,
-   re-solving only the components that share variables with the probed
-   constraints instead of re-decomposing and re-solving the whole
-   assertion set.  Bit-identity with the unbatched push/check/pop path
-   rests on the same facts as the solve caches: components are
-   variable-disjoint, a component's solve is a pure function of its
-   canonical form, and the full model is the union of the component
-   models — so the verdict, the resulting model, the step count and the
-   L1 entry recorded here are exactly what the full re-check would have
-   produced.  Handles all solver-state updates itself and returns the
-   [try_add_constraints] verdict. *)
-let batched_probe ?(skip_reuse = false) s (bm : batch_memo) fs epoch0 =
-  Tel.with_span "smt/check" (fun () ->
-      Tel.incr "smt/check";
-      Tel.incr "smt/batched_probe";
-      let t0 = if Tel.is_enabled () then Tel.now_ms () else 0. in
-      (* Reuse the cached model over the probe plus the validity chain's
-         pending delta — the same decision, and the same extended model,
-         as the unbatched path's reuse over the whole assertion list.
-         [skip_reuse] as in [check_impl]: the screen already saw this
-         exact attempt fail. *)
-      let reuse =
-        if skip_reuse then None
-        else
-          let reuse_fs =
-            if s.vchain = s.epoch then List.rev_append s.pending fs
-            else assertions s @ fs
-          in
-          reuse_model s.cached_model reuse_fs
-      in
-      match reuse with
-      | Some m ->
-          s.cached_model <- Some m;
-          s.last_steps <- 0;
-          Tel.incr "smt/model_reuse";
-          ignore (finish_check s ~t0 ~bucket:"hit" Sat);
-          commit_probe s fs;
-          memo_defer s bm fs;
-          validate s;
-          l1_record s epoch0 fs Sat;
-          true
-      | None ->
-          let dc = dcache () in
-          memo_flush bm;
-          let pvars = vars_of_comp fs in
-          let p_varfree = List.exists (fun f -> fvars f = []) fs in
-          let touched = touched_comps bm pvars p_varfree in
-          let untouched =
-            match touched with
-            | [] -> bm.bm_comps
-            | _ -> List.filter (fun c -> not (List.memq c touched)) bm.bm_comps
-          in
-          let probe_items = List.mapi (fun i f -> (f, bm.bm_count + i)) fs in
-          let news = comp_states_of_items (sub_items_of touched probe_items) in
-          (* full walk order: ascending merge of the untouched components
-             (kept descending) with the merged sub-decomposition *)
-          let rec merge_asc a b =
-            match (a, b) with
-            | [], l | l, [] -> l
-            | x :: xs, y :: ys ->
-                if cs_pos x <= cs_pos y then x :: merge_asc xs b
-                else y :: merge_asc a ys
-          in
-          let all = merge_asc (List.rev untouched) news in
-          (* Walk every component in full assertion order, exactly as the
-             unbatched check's component loop: memoized outcomes answer
-             for the components the probe left alone, everything else
-             (merged by the probe, or dirtied by an earlier merge) solves
-             now and records its canonical outcome.  The first non-Sat
-             component decides, and on-demand solves stop there too. *)
-          let rec walk model steps all_hit = function
-            | [] -> (Sat, Some model, steps, all_hit)
-            | c :: rest -> (
-                let r, m, st, hit =
-                  match c.cs_out with
-                  | Some out -> out
-                  | None ->
-                      let out =
-                        solve_component s dc (List.map fst c.cs_items)
-                      in
-                      c.cs_out <- Some out;
-                      out
-                in
-                match r with
-                | Sat ->
-                    let model =
-                      match m with
-                      | None -> model
-                      | Some m ->
-                          List.fold_left
-                            (fun acc (v, n) -> Model.add v n acc)
-                            model (Model.bindings m)
-                    in
-                    walk model (steps + st) (all_hit && hit) rest
-                | _ -> (r, None, steps + st, all_hit && hit))
-          in
-          let result, m, steps, all_hit = walk Model.empty 0 true all in
-          s.last_steps <- steps;
-          let bucket = if all_hit then "hit" else "miss" in
-          (match result with
-          | Sat ->
-              (match m with Some _ -> s.cached_model <- m | None -> ());
-              ignore (finish_check s ~t0 ~bucket Sat);
-              commit_probe s fs;
-              (* Successor memo: the walk already solved the merged
-                 components, so [all] is the fully-solved decomposition of
-                 the merged assertion set. *)
-              bm.bm_comps <- List.rev all;
-              List.iter (register bm) news;
-              bm.bm_count <- bm.bm_count + List.length fs;
-              bm.bm_epoch <- s.epoch;
-              validate s;
-              l1_record s epoch0 fs Sat;
-              true
-          | (Unsat | Unknown) as r ->
-              (* Probe rolled back: prefix components (including any just
-                 solved on demand — their outcomes are prefix facts) stay
-                 memoized; the merged sub components are discarded with
-                 [all]. *)
-              ignore (finish_check s ~t0 ~bucket r);
-              l1_record s epoch0 fs r;
-              false))
-
-(* Satellite fix for the batch-on campaign regression: a single-component
-   prefix gives the batched walk nothing to reuse — a probe either merges
-   with the lone component (re-solving exactly what the unbatched check
-   would) or starts a disjoint sub-solve, so the decomposition bookkeeping
-   is pure overhead on the small probes that dominate generation-heavy
-   workloads.  Probe those the plain way; the memo reseeds on the next
-   full Sat check and batching resumes once the prefix grows. *)
-let single_component bm =
-  bm.bm_pending = []
-  && (match bm.bm_comps with [] | [ _ ] -> true | _ -> false)
-
 (* The pre-screening layer: answer a probe without entering the check
    machinery when the answer provably matches the full solve's.
    - Concrete fast path: extend the cached model over the probe — exactly
@@ -1462,7 +1096,7 @@ let single_component bm =
      the screen domains proves prefix + probe UNSAT, so the rolled-back
      [false] verdict is forced.
    Returns [None] when the screen cannot decide (counted as a miss). *)
-let prescreen s memo fs epoch0 =
+let prescreen s fs epoch0 =
   let reuse_fs =
     if s.vchain = s.epoch then List.rev_append s.pending fs
     else assertions s @ fs
@@ -1473,7 +1107,6 @@ let prescreen s memo fs epoch0 =
       s.cached_model <- Some m;
       s.last_steps <- 0;
       commit_probe s fs;
-      (match memo with Some bm -> memo_defer s bm fs | None -> ());
       validate s;
       l1_record s epoch0 fs Sat;
       Some true
@@ -1505,50 +1138,26 @@ let try_add_constraints s fs =
           (match e.l1_model with
           | Some m -> s.cached_model <- Some m
           | None -> ());
-          let memo =
-            if batch_enabled () then
-              match s.memo with
-              | Some bm when bm.bm_epoch = s.epoch -> Some bm
-              | _ -> None
-            else None
-          in
           commit_probe s fs;
           (* The L1 model was recorded against this same epoch + probe, so
              the new [cached_model] satisfies the merged set (and binds
-             its variables): the memo can absorb the probe structurally
-             and the validity chain restarts here. *)
-          (match (memo, e.l1_model) with
-          | Some bm, Some _ -> memo_defer s bm fs
-          | _ -> ());
+             its variables): the validity chain restarts here. *)
           (match e.l1_model with Some _ -> validate s | None -> ());
           true
       | Unsat | Unknown -> false)
   | None -> (
       let epoch0 = s.epoch in
-      let memo =
-        if batch_enabled () then
-          match s.memo with
-          | Some bm when bm.bm_epoch = epoch0 -> Some bm
-          | _ -> None
-        else None
-      in
       let screening = prescreen_enabled () in
-      let screened = if screening then prescreen s memo fs epoch0 else None in
+      let screened = if screening then prescreen s fs epoch0 else None in
       match screened with
       | Some verdict -> verdict
       | None -> (
-      (* a screen miss already ran (and failed) the model-reuse attempt
-         over exactly this assertion set; don't pay for it twice *)
-      let skip_reuse = screening in
-      match memo with
-      | Some bm when not (single_component bm) ->
-          batched_probe ~skip_reuse s bm fs epoch0
-      | _ -> (
           let vchain0 = s.vchain and pending0 = s.pending in
           push s;
           assert_all s fs;
-          let espec = s.epoch in
-          match check_impl ~skip_reuse s with
+          (* a screen miss already ran (and failed) the model-reuse attempt
+             over exactly this assertion set; don't pay for it twice *)
+          match check_impl ~skip_reuse:screening s with
           | Sat ->
               (* merge the tentative frame into its parent so the
                  constraints stay; drop (without restoring) the epoch saved
@@ -1568,11 +1177,7 @@ let try_add_constraints s fs =
               | [] -> ());
               s.epoch <- fresh_epoch s;
               (* the merge leaves the assertion set the check just proved,
-                 so a memo recorded by that check stays valid under the new
-                 epoch, and the model it validated stays validated *)
-              (match s.memo with
-              | Some bm when bm.bm_epoch = espec -> bm.bm_epoch <- s.epoch
-              | _ -> ());
+                 so the model it validated stays validated *)
               validate s;
               l1_record s epoch0 fs Sat;
               true
@@ -1583,7 +1188,7 @@ let try_add_constraints s fs =
               s.vchain <- vchain0;
               s.pending <- pending0;
               l1_record s epoch0 fs r;
-              false)))
+              false))
 
 let model s = s.cached_model
 let check_steps s = s.last_steps

@@ -85,17 +85,6 @@ val set_cache_enabled : bool -> unit
 
 val cache_enabled : unit -> bool
 
-val set_batch_enabled : bool -> unit
-(** Enable/disable batched incremental frames globally (default: enabled;
-    the CLI's [--no-batch]).  When on, each solver memoizes the component
-    decomposition of its asserted prefix, and a {!try_add_constraints}
-    probe re-solves only the components sharing variables with the probed
-    constraints, reusing the memoized verdicts/models/step counts for the
-    rest.  Like the solve caches this is semantically invisible: verdicts,
-    models and step counts are bit-identical with batching on or off. *)
-
-val batch_enabled : unit -> bool
-
 val set_prescreen_enabled : bool -> unit
 (** Enable/disable the constraint pre-screening layer globally (default:
     enabled; the CLI's [--no-prescreen]).  When on, each solver maintains

@@ -201,26 +201,6 @@ let test_diverse_ops_across_seeds () =
     true
     (Hashtbl.length names >= 30)
 
-let test_batch_on_off_identical_graphs () =
-  (* Batched incremental solver frames must be semantically invisible:
-     generation over the same seeds yields bit-identical graphs. *)
-  let module S = Nnsmith_smt.Solver in
-  let render batch seed =
-    let was = S.batch_enabled () in
-    S.set_batch_enabled batch;
-    Fun.protect
-      ~finally:(fun () -> S.set_batch_enabled was)
-      (fun () ->
-        match gen ~max_nodes:10 seed with
-        | exception Gen.Gen_failure e -> "fail:" ^ e
-        | g -> Graph.to_string g)
-  in
-  for seed = 1500 to 1530 do
-    Alcotest.(check string)
-      (Printf.sprintf "seed %d" seed)
-      (render false seed) (render true seed)
-  done
-
 let qcheck_generated_valid =
   QCheck.Test.make ~name:"every generated model type checks" ~count:40
     QCheck.(int_range 1 100000)
@@ -248,7 +228,6 @@ let () =
           tc "larger models" `Quick test_larger_models;
           tc "restricted templates" `Quick test_restricted_template_set;
           tc "multi dtype" `Quick test_multi_dtype_generation;
-          tc "batch on/off identical" `Quick test_batch_on_off_identical_graphs;
           tc "operator diversity" `Slow test_diverse_ops_across_seeds;
           QCheck_alcotest.to_alcotest qcheck_generated_valid;
         ] );

@@ -495,12 +495,12 @@ let test_plan_transparent_campaign () =
             true (got = reference))
         [ (true, 1); (false, 2); (true, 2) ])
 
-(* The batched cohort engine must be invisible to campaign outcomes: a
-   fixed-seed campaign writes bit-identical failure keys, coverage sites
-   and corpus index bytes with batched solver frames on or off, for any
-   cohort size, at one worker or two.  [report_dir] also routes the jobs=1
-   runs through the async writer-domain sink, so this doubles as the
-   byte-identity check for that path. *)
+(* The cohort plan pool and the sharded schedule must be invisible to
+   campaign outcomes: a fixed-seed campaign writes bit-identical failure
+   keys, coverage sites and corpus index bytes for any cohort size, at one
+   worker or two.  [report_dir] also routes the jobs=1 runs through the
+   async writer-domain sink, so this doubles as the byte-identity check
+   for that path. *)
 let rec remove_path path =
   match Unix.lstat path with
   | { Unix.st_kind = Unix.S_DIR; _ } ->
@@ -522,24 +522,22 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let test_batch_cohort_transparent_campaign () =
+let test_cohort_jobs_transparent_campaign () =
   let check = Alcotest.(check bool) in
   let module D = Nnsmith_difftest in
   let module S = Nnsmith_smt.Solver in
   let module Plan = Nnsmith_exec.Plan in
   let module Cov = Nnsmith_coverage.Coverage in
-  let batch_was = S.batch_enabled () and cohort_was = Plan.cohort_size () in
+  let cohort_was = Plan.cohort_size () in
   Nnsmith_faults.Faults.activate_all ();
   Fun.protect
     ~finally:(fun () ->
       Nnsmith_faults.Faults.deactivate_all ();
-      S.set_batch_enabled batch_was;
       Plan.set_cohort_size cohort_was;
       Plan.cohort_clear ())
     (fun () ->
-      let run ~batch ~cohort ~jobs =
+      let run ~cohort ~jobs =
         with_tmp_dir @@ fun dir ->
-        S.set_batch_enabled batch;
         S.cache_clear ();
         Plan.set_cohort_size cohort;
         Plan.cohort_clear ();
@@ -551,19 +549,18 @@ let test_batch_cohort_transparent_campaign () =
           List.sort compare (Cov.to_list r.r_coverage),
           read_file (Filename.concat dir "index.jsonl") )
       in
-      let ref_keys, ref_cov, ref_index = run ~batch:false ~cohort:4 ~jobs:1 in
+      let ref_keys, ref_cov, ref_index = run ~cohort:4 ~jobs:1 in
       check "reference campaign found failures" true (ref_keys <> []);
       List.iter
-        (fun (batch, cohort, jobs) ->
-          let keys, cov, index = run ~batch ~cohort ~jobs in
+        (fun (cohort, jobs) ->
+          let keys, cov, index = run ~cohort ~jobs in
           let tag fmt =
-            Printf.sprintf ("batch=%b cohort=%d jobs=%d: " ^^ fmt) batch cohort
-              jobs
+            Printf.sprintf ("cohort=%d jobs=%d: " ^^ fmt) cohort jobs
           in
           check (tag "failure keys") true (keys = ref_keys);
           check (tag "coverage sites") true (cov = ref_cov);
           check (tag "corpus index bytes") true (String.equal index ref_index))
-        [ (true, 4, 1); (true, 1, 1); (true, 8, 2); (false, 2, 2) ])
+        [ (1, 1); (1, 2); (2, 1); (2, 2); (4, 2); (8, 1); (8, 2) ])
 
 (* Soundness of the interval pre-screen: [prescreen_unsat] claims the full
    solve is forced to reject the probe, so finding a model for
@@ -699,7 +696,7 @@ let () =
         :: Alcotest.test_case "exec plan transparent to campaigns" `Quick
              test_plan_transparent_campaign
         :: Alcotest.test_case "batch/cohort transparent to campaigns" `Quick
-             test_batch_cohort_transparent_campaign
+             test_cohort_jobs_transparent_campaign
         :: Alcotest.test_case "pre-screen transparent to campaigns" `Quick
              test_prescreen_transparent_campaign
         :: List.map QCheck_alcotest.to_alcotest

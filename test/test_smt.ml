@@ -452,7 +452,7 @@ let test_component_decomposition () =
         (List.for_all (M.eval_formula m) fs)
 
 (* ------------------------------------------------------------------ *)
-(* Batched incremental frames                                          *)
+(* Probe sequences                                                     *)
 
 (* A deterministic random script of probe constraint sets over a shared
    variable pool: some probes extend the frame, some conflict and roll
@@ -478,64 +478,47 @@ let probe_script seed =
               let bound = Random.State.int rng 40 in
               F.(E.(v () * int k) <= E.int bound)))
 
-(* Replay a probe script on a fresh solver under the given batch/cache
-   flags, recording everything observable: per-probe verdict and step
-   count, the final check verdict, and the final model bindings. *)
-let replay ~batch ~cache probes =
-  let batch_was = S.batch_enabled () and cache_was = S.cache_enabled () in
-  S.set_batch_enabled batch;
+(* Replay a probe script on a fresh solver with the caches on or off,
+   recording everything observable: per-probe verdict and step count, the
+   final check verdict, and the final model bindings. *)
+let replay ~cache probes =
   S.set_cache_enabled cache;
-  Fun.protect
-    ~finally:(fun () ->
-      S.set_batch_enabled batch_was;
-      S.set_cache_enabled cache_was)
-    (fun () ->
-      let s = S.create () in
-      let log =
-        List.map
-          (fun fs ->
-            let ok = S.try_add_constraints s fs in
-            (ok, S.check_steps s))
-          probes
-      in
-      let final = S.check s in
-      let m =
-        match S.model s with
-        | None -> []
-        | Some m ->
-            List.map (fun ((v : E.var), n) -> (v.id, n)) (M.bindings m)
-      in
-      (log, final, m))
+  let s = S.create () in
+  let log =
+    List.map
+      (fun fs ->
+        let ok = S.try_add_constraints s fs in
+        (ok, S.check_steps s))
+      probes
+  in
+  let final = S.check s in
+  let m =
+    match S.model s with
+    | None -> []
+    | Some m -> List.map (fun ((v : E.var), n) -> (v.id, n)) (M.bindings m)
+  in
+  (log, final, m)
 
-let qcheck_batch_identity =
-  QCheck.Test.make ~name:"batched = unbatched probe sequences" ~count:60
+(* The first cache-on replay runs cold, the second is answered from the
+   warm L2 table; both must match the cache-off replay. *)
+let qcheck_cache_probe_identity =
+  QCheck.Test.make ~name:"cache on = off probe sequences" ~count:60
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       with_clean_cache (fun () ->
           let probes = probe_script seed in
-          let reference = replay ~batch:false ~cache:true probes in
+          let reference = replay ~cache:true probes in
           List.for_all
-            (fun (batch, cache) ->
-              replay ~batch ~cache probes = reference)
-            [ (true, true); (false, false); (true, false) ]))
+            (fun cache -> replay ~cache probes = reference)
+            [ true; false ]))
 
-let test_batch_flag_roundtrip () =
-  let was = S.batch_enabled () in
-  check "default on" true was;
-  S.set_batch_enabled false;
-  check "off" false (S.batch_enabled ());
-  S.set_batch_enabled was;
-  check "restored" true (S.batch_enabled ())
-
-let test_batch_interleaved_with_push_pop () =
-  (* The decomposition memo must survive (or correctly invalidate across)
-     explicit push/pop and direct asserts interleaved with probes. *)
-  let run batch =
-    let was = S.batch_enabled () in
-    S.set_batch_enabled batch;
-    Fun.protect
-      ~finally:(fun () -> S.set_batch_enabled was)
-      (fun () ->
+let test_probe_interleaved_with_push_pop () =
+  (* The L1 frame cache keys on frame-stack epochs, which explicit
+     push/pop save and restore: probes interleaved with push/pop and
+     direct asserts must answer exactly as with the caches off. *)
+  with_clean_cache (fun () ->
+      let run cache =
+        S.set_cache_enabled cache;
         let x = E.fresh "x" and y = E.fresh "y" and z = E.fresh "z" in
         let s = S.create () in
         let r1 = S.try_add_constraints s F.[ E.(x + y) = E.int 10; x <= y ] in
@@ -552,9 +535,9 @@ let test_batch_interleaved_with_push_pop () =
           | None -> []
           | Some m -> List.map (fun v -> M.eval_expr m v) [ x; y; z ]
         in
-        (r1, r2, r3, inner, r4, after, vals))
-  in
-  check "batch on/off identical" true (run true = run false)
+        (r1, r2, r3, inner, r4, after, vals)
+      in
+      check "cache on/off identical" true (run true = run false))
 
 let () =
   let tc = Alcotest.test_case in
@@ -610,10 +593,9 @@ let () =
           tc "model reuse zero steps" `Quick test_model_reuse_zero_steps;
           tc "component decomposition" `Quick test_component_decomposition;
         ] );
-      ( "batch",
+      ( "probe",
         [
-          tc "flag roundtrip" `Quick test_batch_flag_roundtrip;
-          tc "interleaved push/pop" `Quick test_batch_interleaved_with_push_pop;
-          QCheck_alcotest.to_alcotest qcheck_batch_identity;
+          tc "interleaved push/pop" `Quick test_probe_interleaved_with_push_pop;
+          QCheck_alcotest.to_alcotest qcheck_cache_probe_identity;
         ] );
     ]

@@ -8,7 +8,7 @@
 # Stages (full mode):
 #
 #   build+tests   dune build @ci         (whole tree + every test suite)
-#   bench smoke   bench/main.exe --only solver_cache / gradsearch / batch /
+#   bench smoke   bench/main.exe --only solver_cache / gradsearch /
 #                 prescreen (append schema-2 counter rows to
 #                 bench/history.jsonl; fail on cache-on/off graph drift,
 #                 plan-on/off bit drift or screen-on/off digest drift)
@@ -20,8 +20,11 @@
 #   dashboard     journaled mini-campaign -> static HTML (balanced tags,
 #                 non-empty triage table, no NaN, no scripts)
 #   fleet         worker + supervisor kill -9, resume bit-identity
-#   cohort        batch/cohort/jobs campaign bit-identity
+#   cohort        cohort/jobs campaign bit-identity
 #   prescreen     screen-on vs --no-prescreen campaign bit-identity
+#   perfbench     perfbench/bench.exe selftest --workload fuzz-10n (the
+#                 campaign benchmark's loop matches Pfuzz.fuzz and its
+#                 work counters repeat exactly)
 #   style         no tabs / trailing whitespace; new lib modules need .mli
 #   hygiene       no tracked _build/, CHANGES.md updated alongside HEAD
 #
@@ -99,12 +102,6 @@ dune exec bench/main.exe -- --only solver_cache --budget 400 \
 note "bench smoke (gradient search plans)"
 dune exec bench/main.exe -- --only gradsearch --budget 400 \
   || err "gradsearch bench smoke failed"
-
-note "bench smoke (batched cohort engine)"
-# Appends to BENCH_batch.json (picked up by the regress gate below) and
-# asserts bit-identical graphs between batched and unbatched solving.
-dune exec bench/main.exe -- --only batch --budget 400 \
-  || err "batched-cohort bench smoke failed"
 
 note "bench smoke (constraint pre-screening)"
 # Appends to BENCH_prescreen.json and asserts bit-identical campaign
@@ -190,30 +187,30 @@ else
   err "fleet smoke: $nn missing (dune build @ci should have built it)"
 fi
 
-note "batched-cohort smoke (batch/cohort/jobs campaign bit-identity)"
-# The batched solver frames, the shared cohort pool and the sharded
-# schedule are all meant to be invisible to campaign results: the same
-# seeded run with batching disabled, cohort size 1 and one worker must
-# produce a byte-identical corpus index to the default engine at jobs=2.
+note "cohort smoke (cohort/jobs campaign bit-identity)"
+# The shared cohort pool and the sharded schedule are meant to be
+# invisible to campaign results: the same seeded run with cohort size 1
+# and one worker must produce a byte-identical corpus index to cohort
+# size 8 at jobs=2.
 if [ -x "$nn" ]; then
   co_ref=$(mktemp -d)
   co_var=$(mktemp -d)
   co_args="fuzz --system lotus --tests 40 --bugs --seed 11"
-  if "$nn" $co_args --jobs 1 --no-batch --cohort-size 1 \
+  if "$nn" $co_args --jobs 1 --cohort-size 1 \
        --report-dir "$co_ref" >/dev/null 2>&1 \
     && "$nn" $co_args --jobs 2 --cohort-size 8 \
          --report-dir "$co_var" >/dev/null 2>&1
   then
     [ -s "$co_ref/index.jsonl" ] \
-      || err "batched-cohort smoke: reference campaign saved no failures"
+      || err "cohort smoke: reference campaign saved no failures"
     cmp -s "$co_ref/index.jsonl" "$co_var/index.jsonl" \
-      || err "batched-cohort smoke: corpus index depends on batch/cohort/jobs"
+      || err "cohort smoke: corpus index depends on cohort size or jobs"
   else
-    err "batched-cohort smoke campaign failed"
+    err "cohort smoke campaign failed"
   fi
   rm -rf "$co_ref" "$co_var"
 else
-  err "batched-cohort smoke: $nn missing"
+  err "cohort smoke: $nn missing"
 fi
 
 note "prescreen smoke (screen on/off campaign bit-identity)"
@@ -238,6 +235,19 @@ if [ -x "$nn" ]; then
   rm -rf "$ps_ref" "$ps_off"
 else
   err "prescreen smoke: $nn missing"
+fi
+
+note "perfbench selftest (fuzz-10n)"
+# The campaign benchmark (perfbench/, see perfbench/README.md) keeps its
+# own copy of the fuzz loop.  The selftest runs the fuzz-10n workload
+# twice and checks it against Pfuzz.fuzz, so a drift between the two
+# loops, or a work counter that does not repeat, fails here rather than
+# only when the benchmark is next run.
+pb=_build/default/perfbench/bench.exe
+if [ -x "$pb" ]; then
+  "$pb" selftest --workload fuzz-10n || err "perfbench fuzz-10n selftest failed"
+else
+  err "perfbench selftest: $pb missing (dune build @ci should have built it)"
 fi
 
 note "style gate"
