@@ -15,10 +15,10 @@ let mem n i = i.lo <= n && n <= i.hi
 let width i = clamp (i.hi - i.lo)
 
 let inter a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
+  let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in
   if lo > hi then None else Some { lo; hi }
 
-let hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+let hull a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
 
 (* Saturating scalar ops: all operands are within [-big, big], so sums fit in
    native ints; only products can overflow, checked by division. *)
@@ -34,30 +34,27 @@ let add a b = { lo = sat_add a.lo b.lo; hi = sat_add a.hi b.hi }
 let sub a b = { lo = sat_add a.lo (-b.hi); hi = sat_add a.hi (-b.lo) }
 let neg a = { lo = -a.hi; hi = -a.lo }
 
-let of_corners xs =
-  match xs with
-  | [] -> top
-  | x :: rest ->
-      let lo = List.fold_left min x rest and hi = List.fold_left max x rest in
-      { lo = clamp lo; hi = clamp hi }
+(* The hull of four corner values, without building a list: [Int.min] and
+   [Int.max] compile to inline comparisons, where the polymorphic [min] and
+   [max] would each call into the runtime. *)
+let corners c1 c2 c3 c4 =
+  {
+    lo = clamp (Int.min (Int.min c1 c2) (Int.min c3 c4));
+    hi = clamp (Int.max (Int.max c1 c2) (Int.max c3 c4));
+  }
 
 let mul a b =
-  of_corners
-    [ sat_mul a.lo b.lo; sat_mul a.lo b.hi; sat_mul a.hi b.lo; sat_mul a.hi b.hi ]
+  corners (sat_mul a.lo b.lo) (sat_mul a.lo b.hi) (sat_mul a.hi b.lo)
+    (sat_mul a.hi b.hi)
 
-let min_ a b = { lo = min a.lo b.lo; hi = min a.hi b.hi }
-let max_ a b = { lo = max a.lo b.lo; hi = max a.hi b.hi }
+let min_ a b = { lo = Int.min a.lo b.lo; hi = Int.min a.hi b.hi }
+let max_ a b = { lo = Int.max a.lo b.lo; hi = Int.max a.hi b.hi }
 
 let div a b =
   if b.lo <= 0 && b.hi >= 0 then top
   else
-    of_corners
-      [
-        Expr.fdiv a.lo b.lo;
-        Expr.fdiv a.lo b.hi;
-        Expr.fdiv a.hi b.lo;
-        Expr.fdiv a.hi b.hi;
-      ]
+    corners (Expr.fdiv a.lo b.lo) (Expr.fdiv a.lo b.hi) (Expr.fdiv a.hi b.lo)
+      (Expr.fdiv a.hi b.hi)
 
 let rem _ b =
   if b.lo >= 1 then { lo = 0; hi = b.hi - 1 }
@@ -76,19 +73,48 @@ let pp ppf i = Fmt.pf ppf "[%d, %d]" i.lo i.hi
    when the solver would also refute, so the two must agree on every
    abstract-semantics detail (saturation, floor division, Mod widening). *)
 
+(* The forward step of each binary constructor: the one definition of its
+   abstract semantics, shared by [eval_expr] and [eval_tree]. *)
+let step2 (e : Expr.t) a b =
+  match e with
+  | Add _ -> add a b
+  | Sub _ -> sub a b
+  | Mul _ -> mul a b
+  | Div _ -> div a b
+  | Mod _ -> rem a b
+  | Min _ -> min_ a b
+  | Max _ -> max_ a b
+  | Const _ | Var _ | Neg _ -> invalid_arg "Interval.step2: not a binary term"
+
 let eval_expr ~lookup e =
   let rec go (e : Expr.t) =
     match e with
     | Expr.Const n -> point n
     | Var v -> lookup v
-    | Add (a, b) -> add (go a) (go b)
-    | Sub (a, b) -> sub (go a) (go b)
-    | Mul (a, b) -> mul (go a) (go b)
-    | Div (a, b) -> div (go a) (go b)
-    | Mod (a, b) -> rem (go a) (go b)
     | Neg a -> neg (go a)
-    | Min (a, b) -> min_ (go a) (go b)
-    | Max (a, b) -> max_ (go a) (go b)
+    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
+    | Min (a, b) | Max (a, b) ->
+        step2 e (go a) (go b)
+  in
+  go e
+
+type tree = Leaf of t | Unary of t * tree | Binary of t * tree * tree
+
+let tree_value = function Leaf i | Unary (i, _) | Binary (i, _, _) -> i
+
+let eval_tree ~lookup e =
+  let rec go (e : Expr.t) =
+    match e with
+    | Expr.Const n -> Leaf (point n)
+    | Var v -> Leaf (lookup v)
+    | Neg a ->
+        let ta = go a in
+        Unary (neg (tree_value ta), ta)
+    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
+    | Min (a, b) | Max (a, b) ->
+        let ta = go a in
+        let tb = go b in
+        Binary (step2 e (tree_value ta) (tree_value tb), ta, tb)
   in
   go e
 

@@ -57,6 +57,21 @@ val pp : Format.formatter -> t -> unit
 val eval_expr : lookup:(Expr.var -> t) -> Expr.t -> t
 (** Forward interval evaluation of an expression. *)
 
+(** Forward intervals of every subterm, in the shape of the expression:
+    [Leaf] for a constant or a variable, [Unary] for [Neg], [Binary] for
+    the two-operand constructors, each holding its subterm's interval
+    first. *)
+type tree = Leaf of t | Unary of t * tree | Binary of t * tree * tree
+
+val tree_value : tree -> t
+(** The interval at the root of a tree. *)
+
+val eval_tree : lookup:(Expr.var -> t) -> Expr.t -> tree
+(** {!eval_expr} that keeps every subterm's interval:
+    [tree_value (eval_tree ~lookup e) = eval_expr ~lookup e], built from
+    the same per-constructor steps.  The solver's narrowing reads the
+    children's intervals from it instead of re-evaluating them. *)
+
 type tv = T | F | U
 (** Three-valued formula verdict: definitely true, definitely false,
     unknown. *)

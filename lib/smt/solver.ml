@@ -150,15 +150,23 @@ let mk lo hi =
   match Interval.make_opt lo hi with Some i -> i | None -> raise Conflict
 
 let dom (d : domains) (v : Expr.var) =
-  match Imap.find_opt v.id d with
-  | Some (_, i) -> i
-  | None -> Interval.make v.lo v.hi
+  match Imap.find v.id d with
+  | _, i -> i
+  | exception Not_found -> Interval.make v.lo v.hi
 
 (* Forward evaluation and three-valued formula verdicts share one
    implementation with the pre-screening layer (see interval.mli): the
    screen's definitely-UNSAT answers are sound precisely because they use
    the same abstract semantics as the propagation loop. *)
 let fwd d (e : Expr.t) : Interval.t = Interval.eval_expr ~lookup:(dom d) e
+let tree d (e : Expr.t) = Interval.eval_tree ~lookup:(dom d) e
+let value = Interval.tree_value
+
+(* [t] annotates [e] under the map [d0].  A narrowing always builds a new
+   map, so while [d == d0] nothing [e] reads has changed and [t] still
+   holds; otherwise [e] is evaluated again under [d]. *)
+let tree_at d0 d e t = if d == d0 then t else tree d e
+let value_at d0 d e t = if d == d0 then value t else fwd d e
 
 let cdiv a b = -Expr.fdiv (-a) b
 
@@ -166,137 +174,234 @@ let cdiv a b = -Expr.fdiv (-a) b
 let mul_arg_target (iy : Interval.t) (tgt : Interval.t) : Interval.t option =
   if iy.lo <= 0 && iy.hi >= 0 then None
   else
-    let corners f =
-      [ f tgt.lo iy.lo; f tgt.lo iy.hi; f tgt.hi iy.lo; f tgt.hi iy.hi ]
+    let f = Expr.fdiv in
+    let lo =
+      Int.min
+        (Int.min (f tgt.lo iy.lo) (f tgt.lo iy.hi))
+        (Int.min (f tgt.hi iy.lo) (f tgt.hi iy.hi))
+    and hi =
+      Int.max
+        (Int.max (cdiv tgt.lo iy.lo) (cdiv tgt.lo iy.hi))
+        (Int.max (cdiv tgt.hi iy.lo) (cdiv tgt.hi iy.hi))
     in
-    let lo = List.fold_left min max_int (corners Expr.fdiv)
-    and hi = List.fold_left max min_int (corners cdiv) in
     Interval.make_opt lo hi
 
-(* The narrowing flag is threaded through [refine] as an explicit per-call
-   accumulator: a shared top-level flag would make concurrent (or nested)
-   solves corrupt each other's fixpoint detection. *)
-let rec refine ~ch (d : domains) (e : Expr.t) (tgt : Interval.t) : domains =
-  match Interval.inter (fwd d e) tgt with
+(* Narrow [d] so that [e] can take a value in [tgt].  [te] is [e]'s
+   annotated forward tree under [d]: each level reads its children's
+   intervals from it while the map is unchanged, where a plain recursion
+   would re-evaluate every subterm at every level.  [note] is called with
+   each variable whose domain narrows; it threads the caller's own
+   bookkeeping, so concurrent or nested solves never share a flag. *)
+let rec refine ~note (d : domains) (e : Expr.t) (te : Interval.tree)
+    (tgt : Interval.t) : domains =
+  match Interval.inter (value te) tgt with
   | None -> raise Conflict
   | Some tgt -> (
-      match e with
-      | Const _ -> d
-      | Var v ->
-          let old = dom d v in
-          if Interval.equal old tgt then d
+      match (e, te) with
+      | Const _, _ -> d
+      | Var v, _ ->
+          if Interval.equal (value te) tgt then d
           else begin
-            ch := true;
+            note v;
             Imap.add v.id (v, tgt) d
           end
-      | Add (x, y) ->
-          let d = refine ~ch d x (Interval.sub tgt (fwd d y)) in
-          refine ~ch d y (Interval.sub tgt (fwd d x))
-      | Sub (x, y) ->
-          let d = refine ~ch d x (Interval.add tgt (fwd d y)) in
-          refine ~ch d y (Interval.sub (fwd d x) tgt)
-      | Neg x -> refine ~ch d x (Interval.neg tgt)
-      | Mul (x, y) ->
-          let d =
-            match mul_arg_target (fwd d y) tgt with
-            | Some t -> refine ~ch d x t
+      | Add (x, y), Binary (_, tx, ty) ->
+          let d' = refine ~note d x tx (Interval.sub tgt (value ty)) in
+          refine ~note d' y (tree_at d d' y ty)
+            (Interval.sub tgt (value_at d d' x tx))
+      | Sub (x, y), Binary (_, tx, ty) ->
+          let d' = refine ~note d x tx (Interval.add tgt (value ty)) in
+          refine ~note d' y (tree_at d d' y ty)
+            (Interval.sub (value_at d d' x tx) tgt)
+      | Neg x, Unary (_, tx) -> refine ~note d x tx (Interval.neg tgt)
+      | Mul (x, y), Binary (_, tx, ty) -> (
+          let d' =
+            match mul_arg_target (value ty) tgt with
+            | Some t -> refine ~note d x tx t
             | None -> d
           in
-          (match mul_arg_target (fwd d x) tgt with
-          | Some t -> refine ~ch d y t
-          | None -> d)
-      | Div (x, y) ->
+          match mul_arg_target (value_at d d' x tx) tgt with
+          | Some t -> refine ~note d' y (tree_at d d' y ty) t
+          | None -> d')
+      | Div (x, _), Binary (_, tx, ty) ->
           (* floor(x / y) ∈ tgt; narrow x when y is known positive. *)
-          let iy = fwd d y in
+          let iy = value ty in
           if iy.lo >= 1 then
-            let lo_x = min (tgt.lo * iy.lo) (tgt.lo * iy.hi)
+            let lo_x = Int.min (tgt.lo * iy.lo) (tgt.lo * iy.hi)
             and hi_x =
-              max ((tgt.hi + 1) * iy.lo) ((tgt.hi + 1) * iy.hi) - 1
+              Int.max ((tgt.hi + 1) * iy.lo) ((tgt.hi + 1) * iy.hi) - 1
             in
-            refine ~ch d x (mk lo_x hi_x)
+            refine ~note d x tx (mk lo_x hi_x)
           else d
-      | Mod (_, _) -> d
-      | Min (x, y) ->
+      | Mod (_, _), _ -> d
+      | Min (x, y), Binary (_, tx, ty) ->
           (* both operands are >= tgt.lo; at least one is <= tgt.hi *)
-          let d = refine ~ch d x (mk tgt.lo Interval.big) in
-          let d = refine ~ch d y (mk tgt.lo Interval.big) in
-          let ix = fwd d x and iy = fwd d y in
-          if ix.lo > tgt.hi then refine ~ch d y (mk (-Interval.big) tgt.hi)
-          else if iy.lo > tgt.hi then refine ~ch d x (mk (-Interval.big) tgt.hi)
-          else d
-      | Max (x, y) ->
-          let d = refine ~ch d x (mk (-Interval.big) tgt.hi) in
-          let d = refine ~ch d y (mk (-Interval.big) tgt.hi) in
-          let ix = fwd d x and iy = fwd d y in
-          if ix.hi < tgt.lo then refine ~ch d y (mk tgt.lo Interval.big)
-          else if iy.hi < tgt.lo then refine ~ch d x (mk tgt.lo Interval.big)
-          else d)
+          let d1 = refine ~note d x tx (mk tgt.lo Interval.big) in
+          let d2 =
+            refine ~note d1 y (tree_at d d1 y ty) (mk tgt.lo Interval.big)
+          in
+          let tx = tree_at d d2 x tx and ty = tree_at d d2 y ty in
+          if (value tx).lo > tgt.hi then
+            refine ~note d2 y ty (mk (-Interval.big) tgt.hi)
+          else if (value ty).lo > tgt.hi then
+            refine ~note d2 x tx (mk (-Interval.big) tgt.hi)
+          else d2
+      | Max (x, y), Binary (_, tx, ty) ->
+          let d1 = refine ~note d x tx (mk (-Interval.big) tgt.hi) in
+          let d2 =
+            refine ~note d1 y (tree_at d d1 y ty) (mk (-Interval.big) tgt.hi)
+          in
+          let tx = tree_at d d2 x tx and ty = tree_at d d2 y ty in
+          if (value tx).hi < tgt.lo then
+            refine ~note d2 y ty (mk tgt.lo Interval.big)
+          else if (value ty).hi < tgt.lo then
+            refine ~note d2 x tx (mk tgt.lo Interval.big)
+          else d2
+      | (Add _ | Sub _ | Neg _ | Mul _ | Div _ | Min _ | Max _), _ ->
+          invalid_arg "Solver.refine: tree does not match the term")
 
-let narrow_atom ~ch d (f : Formula.t) =
+let narrow_atom ~note d (f : Formula.t) =
   match f with
-  | Cmp (Le, a, b) ->
-      let ib = fwd d b in
-      let d = refine ~ch d a (mk (-Interval.big) ib.hi) in
-      let ia = fwd d a in
-      refine ~ch d b (mk ia.lo Interval.big)
-  | Cmp (Lt, a, b) ->
-      let ib = fwd d b in
-      let d = refine ~ch d a (mk (-Interval.big) (ib.hi - 1)) in
-      let ia = fwd d a in
-      refine ~ch d b (mk (ia.lo + 1) Interval.big)
+  | Cmp (((Le | Lt) as c), a, b) ->
+      (* a <= b - strict: [Lt] is [Le] with a gap of one *)
+      let strict = match c with Lt -> 1 | _ -> 0 in
+      let ta = tree d a and tb = tree d b in
+      let hi_a = (value tb).hi - strict in
+      let d' = refine ~note d a ta (mk (-Interval.big) hi_a) in
+      let lo_b = (value_at d d' a ta).lo + strict in
+      refine ~note d' b (tree_at d d' b tb) (mk lo_b Interval.big)
   | Cmp (Eq, a, b) -> (
-      match Interval.inter (fwd d a) (fwd d b) with
+      let ta = tree d a and tb = tree d b in
+      match Interval.inter (value ta) (value tb) with
       | None -> raise Conflict
       | Some m ->
-          let d = refine ~ch d a m in
-          refine ~ch d b m)
-  | Cmp (Ne, a, b) -> (
-      let ia = fwd d a and ib = fwd d b in
-      match (Interval.is_point ia, Interval.is_point ib) with
-      | Some x, Some y -> if x = y then raise Conflict else d
-      | Some x, None ->
-          if x = ib.lo then refine ~ch d b (mk (ib.lo + 1) ib.hi)
-          else if x = ib.hi then refine ~ch d b (mk ib.lo (ib.hi - 1))
-          else d
-      | None, Some y ->
-          if y = ia.lo then refine ~ch d a (mk (ia.lo + 1) ia.hi)
-          else if y = ia.hi then refine ~ch d a (mk ia.lo (ia.hi - 1))
-          else d
-      | None, None -> d)
+          let d' = refine ~note d a ta m in
+          refine ~note d' b (tree_at d d' b tb) m)
+  | Cmp (Ne, a, b) ->
+      let ta = tree d a and tb = tree d b in
+      let ia = value ta and ib = value tb in
+      let pa = ia.lo = ia.hi and pb = ib.lo = ib.hi in
+      if pa && pb then if ia.lo = ib.lo then raise Conflict else d
+      else if pa then
+        if ia.lo = ib.lo then refine ~note d b tb (mk (ib.lo + 1) ib.hi)
+        else if ia.lo = ib.hi then refine ~note d b tb (mk ib.lo (ib.hi - 1))
+        else d
+      else if pb then
+        if ib.lo = ia.lo then refine ~note d a ta (mk (ia.lo + 1) ia.hi)
+        else if ib.lo = ia.hi then refine ~note d a ta (mk ia.lo (ia.hi - 1))
+        else d
+      else d
   | True | False | And _ | Or _ | Not _ -> d
 
 let tv_eval d (f : Formula.t) : Interval.tv =
   Interval.eval_formula ~lookup:(dom d) f
 
-(* One propagation pass: narrow with every atom, then exploit disjunctions
-   whose branches are all refuted but one. *)
-let propagate_once ~ch d atoms ors =
-  let d = List.fold_left (narrow_atom ~ch) d atoms in
-  let use_or d (orf : Formula.t) =
-    match orf with
-    | Or disjuncts -> (
-        match List.filter (fun g -> tv_eval d g <> Interval.F) disjuncts with
-        | [] -> raise Conflict
-        | [ g ] -> (
-            match split_conj [] [] g with
-            | atoms', _nested -> List.fold_left (narrow_atom ~ch) d atoms'
-            | exception Exit -> raise Conflict)
-        | _ :: _ :: _ -> d)
-    | True | False | Cmp _ | And _ | Not _ -> d
-  in
-  List.fold_left use_or d ors
+(* Apply one propagation item: a conjunctive atom narrows directly; a
+   residual disjunction narrows with its last unrefuted branch. *)
+let apply ~note d (f : Formula.t) =
+  match f with
+  | Cmp _ -> narrow_atom ~note d f
+  | Or disjuncts -> (
+      match List.filter (fun g -> tv_eval d g <> Interval.F) disjuncts with
+      | [] -> raise Conflict
+      | [ g ] -> (
+          match split_conj [] [] g with
+          | atoms', _nested -> List.fold_left (narrow_atom ~note) d atoms'
+          | exception Exit -> raise Conflict)
+      | _ :: _ :: _ -> d)
+  | True | False | And _ | Not _ -> d
 
-let propagate d atoms ors =
-  let ch = ref false in
-  let rec loop d rounds =
-    if rounds = 0 then d
+(* Watch lists.  An item reads only its variables' domains, so applying it
+   again to a map where none of them changed since an application that
+   returned the map unchanged is again a no-op.  Each item carries a dirty
+   flag: it is cleared when an application leaves the map physically
+   unchanged, and set again when any variable the item reads is narrowed.
+   Skipping clean items therefore replays exactly the narrowing steps,
+   rounds and Conflicts of sweeping every item in every round. *)
+type plan = {
+  items : Formula.t array;  (* the atoms, then the residual disjunctions *)
+  watchers : (int, int list) Hashtbl.t;  (* var id -> items reading it *)
+}
+
+let plan atoms ors =
+  let items = Array.of_list (atoms @ ors) in
+  let watchers = Hashtbl.create 16 in
+  let watch k (v : Expr.var) =
+    let ks = Option.value ~default:[] (Hashtbl.find_opt watchers v.id) in
+    Hashtbl.replace watchers v.id (k :: ks)
+  in
+  Array.iteri (fun k f -> List.iter (watch k) (Formula.vars f)) items;
+  { items; watchers }
+
+let mark p dirty (v : Expr.var) =
+  match Hashtbl.find_opt p.watchers v.id with
+  | Some ks -> List.iter (fun k -> dirty.(k) <- true) ks
+  | None -> ()
+
+(* Deterministic propagation work, summed per solve: items applied, and
+   propagations stopped at the round cap. *)
+type work = { mutable visits : int; mutable capped : int }
+
+let max_rounds = 64
+
+(* Narrow to a fixpoint, at most [rounds] rounds: each round applies the
+   dirty items in order, and the loop stops after a round that narrowed
+   nothing, i.e. left the map physically unchanged.  [dirty] is updated in
+   place. *)
+let propagate ?(rounds = max_rounds) ~work p dirty d =
+  let note = mark p dirty in
+  let rec loop d0 rounds =
+    if rounds = 0 then begin
+      work.capped <- work.capped + 1;
+      d0
+    end
     else begin
-      ch := false;
-      let d = propagate_once ~ch d atoms ors in
-      if !ch then loop d (rounds - 1) else d
+      let d = ref d0 in
+      for k = 0 to Array.length p.items - 1 do
+        if dirty.(k) then begin
+          work.visits <- work.visits + 1;
+          let before = !d in
+          d := apply ~note before p.items.(k);
+          if !d == before then dirty.(k) <- false
+        end
+      done;
+      if !d == d0 then d0 else loop !d (rounds - 1)
     end
   in
-  loop d 64
+  loop d rounds
+
+(* Pin [v] to [n] in a search child: the child starts from its parent's
+   flags, with only the items reading [v] dirty. *)
+let branch p dirty d (v : Expr.var) n =
+  let dirty = Array.copy dirty in
+  let d =
+    refine ~note:(mark p dirty) d (Var v) (Interval.Leaf (dom d v))
+      (Interval.point n)
+  in
+  (d, dirty)
+
+(* Test-only: the loop as one search path runs it (see solver.mli). *)
+let propagate_for_test ?(rounds = max_rounds) ~init atoms ors branches =
+  let p = plan atoms ors in
+  let work = { visits = 0; capped = 0 } in
+  let d0 =
+    List.fold_left
+      (fun d ((v : Expr.var), i) -> Imap.add v.id (v, i) d)
+      Imap.empty init
+  in
+  let pin (d, dirty) (v, n) =
+    let d, dirty = branch p dirty d v n in
+    (propagate ~rounds ~work p dirty d, dirty)
+  in
+  let outcome =
+    match
+      let dirty = Array.make (Array.length p.items) true in
+      List.fold_left pin (propagate ~rounds ~work p dirty d0, dirty) branches
+    with
+    | d, _ -> Some (List.map snd (Imap.bindings d))
+    | exception Conflict -> None
+  in
+  (outcome, work.capped)
 
 (* ------------------------------------------------------------------ *)
 (* Backtracking search.                                                *)
@@ -312,10 +417,10 @@ let candidates rng (i : Interval.t) =
     let r () = i.lo + Random.State.int rng (Interval.width i + 1) in
     let mid = i.lo + ((i.hi - i.lo) / 2) in
     [ i.lo; i.lo + 1; i.lo + 2; r (); r (); mid; i.hi ]
-    |> List.sort_uniq compare
+    |> List.sort_uniq Int.compare
     |> List.filter (fun v -> Interval.mem v i)
     (* keep the lower bound first: this reproduces Z3's boundary-value bias *)
-    |> List.sort compare
+    |> List.sort Int.compare
 
 (* Values mentioned in equality atoms under a disjunction are natural
    candidates for their variable (interval propagation cannot act on a
@@ -351,8 +456,8 @@ let extract_model vars d =
    in canonical first-occurrence order so that search explores isomorphic
    constraint sets identically (alpha-renaming invariance — the property
    the canonical solve cache relies on). *)
-let solve_formulas ~max_steps ~rng ~vars formulas : result * Model.t option * int
-    =
+let solve_formulas ~max_steps ~rng ~vars ~work formulas :
+    result * Model.t option * int =
   let steps = ref 0 in
   let incomplete = ref false in
   let nnf_formulas = List.map (nnf true) formulas in
@@ -362,6 +467,7 @@ let solve_formulas ~max_steps ~rng ~vars formulas : result * Model.t option * in
   | exception Exit -> (Unsat, None, 0)
   | atoms, ors -> (
       let hints = disjunct_hints nnf_formulas in
+      let p = plan atoms ors in
       (* Memoized base domains: seeding the map once per solve means [dom]
          never re-allocates an interval for an unbound variable in the hot
          propagate/backtrack loop. *)
@@ -375,10 +481,10 @@ let solve_formulas ~max_steps ~rng ~vars formulas : result * Model.t option * in
         let m = extract_model vars d in
         if List.for_all (Model.eval_formula m) formulas then Some m else None
       in
-      let rec search d =
+      let rec search d dirty =
         incr steps;
         if !steps > max_steps then raise Step_limit;
-        match propagate d atoms ors with
+        match propagate ~work p dirty d with
         | exception Conflict ->
             Tel.incr "smt/backtracks";
             None
@@ -411,18 +517,16 @@ let solve_formulas ~max_steps ~rng ~vars formulas : result * Model.t option * in
                   match found with
                   | Some _ -> found
                   | None -> (
-                      match
-                        refine ~ch:(ref false) d (Var v) (Interval.point value)
-                      with
-                      | d' -> search d'
+                      match branch p dirty d v value with
+                      | d', dirty' -> search d' dirty'
                       | exception Conflict ->
                           Tel.incr "smt/backtracks";
                           None)
                 in
                 List.fold_left try_value None
-                  (List.sort_uniq compare (hinted @ candidates rng i)))
+                  (List.sort_uniq Int.compare (hinted @ candidates rng i)))
       in
-      match search base_domains with
+      match search base_domains (Array.make (Array.length p.items) true) with
       | Some m -> (Sat, Some m, !steps)
       | None -> ((if !incomplete then Unknown else Unsat), None, !steps)
       | exception Step_limit -> (Unknown, None, !steps))
@@ -653,7 +757,7 @@ let prescreen_enabled () = Atomic.get prescreen_flag
    [sd] an over-approximation either way. *)
 let absorb_bound d (v : Expr.var) lo hi =
   let old = dom d v in
-  let nlo = max old.Interval.lo lo and nhi = min old.Interval.hi hi in
+  let nlo = Int.max old.Interval.lo lo and nhi = Int.min old.Interval.hi hi in
   if nlo = old.Interval.lo && nhi = old.Interval.hi then d
   else Imap.add v.id (v, mk nlo nhi) d
 
@@ -669,8 +773,8 @@ let absorb_one d (f : Formula.t) =
   | Cmp (Eq, Var x, Var y) ->
       let ix = dom d x and iy = dom d y in
       let m =
-        mk (max ix.Interval.lo iy.Interval.lo)
-          (min ix.Interval.hi iy.Interval.hi)
+        mk (Int.max ix.Interval.lo iy.Interval.lo)
+          (Int.min ix.Interval.hi iy.Interval.hi)
       in
       let d = if Interval.equal ix m then d else Imap.add x.id (x, m) d in
       if Interval.equal iy m then d else Imap.add y.id (y, m) d
@@ -705,9 +809,8 @@ let rec screen_unsat s fs =
       tv_eval s.sd f = Interval.F
       ||
       match
-        let ch = ref false in
-        let d = narrow_atom ~ch s.sd f in
-        if !ch then ignore (narrow_atom ~ch:(ref false) d f)
+        let d = narrow_atom ~note:ignore s.sd f in
+        if d != s.sd then ignore (narrow_atom ~note:ignore d f)
       with
       | exception Conflict -> true
       | () -> false)
@@ -726,19 +829,19 @@ and screen_unsat_general s fs =
          points) without the narrowing pass; [tv_eval = F] under
          over-approximating domains is exactly the Conflict [propagate]
          would reach, just cheaper.  The narrowing fallback runs a short
-         bounded pass rather than the solver's full fixpoint: conflicts
+         two-round pass rather than the solver's full fixpoint: conflicts
          reachable only through long narrowing chains are rare, and a
          missed one just sends the probe to the solver — the screen stays
          sound, it only answers less often. *)
       List.exists (fun a -> tv_eval s.sd a = Interval.F) atoms
       ||
       (match
-         let ch = ref false in
-         let d = propagate_once ~ch s.sd atoms ors in
-         if !ch then ignore (propagate_once ~ch d atoms ors)
+         let p = plan atoms ors in
+         let dirty = Array.make (Array.length p.items) true in
+         propagate ~rounds:2 ~work:{ visits = 0; capped = 0 } p dirty s.sd
        with
       | exception Conflict -> true
-      | () -> false)
+      | _ -> false)
 
 (* Screened bounds of an expression under the current assertion set: the
    generator's per-op feasibility memo keys on these (see Spec.feasible). *)
@@ -933,13 +1036,17 @@ let solve_component s dc comp : result * Model.t option * int * bool =
       dc.misses <- dc.misses + 1;
       Tel.incr "smt/cache/miss";
       let rng = Random.State.make [| hash_key key |] in
+      let work = { visits = 0; capped = 0 } in
       let result, m, steps =
-        solve_formulas ~max_steps:s.max_steps ~rng ~vars comp
+        solve_formulas ~max_steps:s.max_steps ~rng ~vars ~work comp
       in
-      (* deterministic work counters: one fresh component solve, and the
-         search-node expansions it cost (cache hits do no search work) *)
+      (* deterministic work counters: one fresh component solve, the
+         search-node expansions it cost (cache hits do no search work), and
+         its propagation work *)
       Tel.incr "smt/component_solves";
       if steps > 0 then Tel.incr ~by:steps "smt/search_steps";
+      if work.visits > 0 then Tel.incr ~by:work.visits "smt/prop_visits";
+      if work.capped > 0 then Tel.incr ~by:work.capped "smt/prop_capped";
       if cache_enabled () then begin
         let values =
           match m with

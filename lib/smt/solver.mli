@@ -128,3 +128,26 @@ type cache_stats = {
 val cache_stats : unit -> cache_stats
 val cache_clear : unit -> unit
 (** Drop the calling domain's L2 entries and reset its stats. *)
+
+(** {1 Test-only}
+
+    Not part of the solver's API: an entry point for the property test that
+    checks the propagation loop against a plain full-sweep reference. *)
+
+val propagate_for_test :
+  ?rounds:int ->
+  init:(Expr.var * Interval.t) list ->
+  Formula.t list ->
+  Formula.t list ->
+  (Expr.var * int) list ->
+  (Expr.var * Interval.t) list option * int
+(** [propagate_for_test ~init atoms ors pins] runs the propagation loop as
+    one path of the search does.  [atoms] are [Cmp] formulas and [ors] are
+    [Or] formulas, the split a solve makes of its constraint set.  Starting
+    from the domains [init] (other variables keep their declared bounds), it
+    narrows to a fixpoint or the round cap ([rounds], default 64, the
+    solver's), then for each [(v, n)] of [pins] in turn fixes [v] to [n] and
+    narrows again.  Returns the final domains in variable-id order, [None]
+    on a conflict, and the number of propagations stopped at the cap.  A
+    small [rounds] exposes the domains after each round, not only at the
+    fixpoint. *)

@@ -8,6 +8,8 @@ module Op = Nnsmith_ir.Op
 module Conc = Nnsmith_ir.Ttype.Conc
 module Validate = Nnsmith_ops.Validate
 module Dtype = Nnsmith_tensor.Dtype
+module Serial = Nnsmith_ir.Serial
+module Splitmix = Nnsmith_parallel.Splitmix
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -201,6 +203,26 @@ let test_diverse_ops_across_seeds () =
     true
     (Hashtbl.length names >= 30)
 
+(* MD5 of what a root-1 campaign generates at indices 0-199 (10 nodes,
+   binning on), recorded before the solver's propagation loop was
+   reworked.  The range holds the solver-tail indices 59 and 75.  Solver
+   speed-ups must leave it unchanged; a change that alters the generated
+   graphs (a propagation work budget, say) re-baselines it on purpose. *)
+let golden_generation_digest = "d48260be01223a81a51c56d65e54fbd0"
+
+let test_golden_generation_digest () =
+  let b = Buffer.create (1 lsl 18) in
+  for index = 0 to 199 do
+    let seed = Splitmix.derive ~root:1 ~index in
+    Printf.bprintf b "index %d seed %d\n" index seed;
+    match gen seed with
+    | exception Gen.Gen_failure msg -> Printf.bprintf b "failure %s\n" msg
+    | g -> Buffer.add_string b (Serial.to_string g)
+  done;
+  Alcotest.(check string)
+    "root-1 generation digest" golden_generation_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let qcheck_generated_valid =
   QCheck.Test.make ~name:"every generated model type checks" ~count:40
     QCheck.(int_range 1 100000)
@@ -229,6 +251,7 @@ let () =
           tc "restricted templates" `Quick test_restricted_template_set;
           tc "multi dtype" `Quick test_multi_dtype_generation;
           tc "operator diversity" `Slow test_diverse_ops_across_seeds;
+          tc "golden digest" `Quick test_golden_generation_digest;
           QCheck_alcotest.to_alcotest qcheck_generated_valid;
         ] );
       ( "binning",

@@ -329,6 +329,351 @@ let qcheck_solver_sound =
       | Some m -> List.for_all (M.eval_formula m) fs)
 
 (* ------------------------------------------------------------------ *)
+(* Propagation oracle                                                  *)
+
+(* The solver's propagation as it was before watch lists and annotated
+   intervals: every round re-applies every item, and [refine] re-evaluates
+   [fwd] at every level.  The solver's loop must make exactly the same
+   narrowing steps: the same final domains, the same Conflicts, and the
+   same propagations stopped at the 64-round cap. *)
+module Oracle = struct
+  module Imap = Map.Make (Int)
+
+  exception Conflict
+
+  let mk lo hi =
+    match I.make_opt lo hi with Some i -> i | None -> raise Conflict
+
+  let dom d (v : E.var) =
+    match Imap.find_opt v.id d with Some (_, i) -> i | None -> I.make v.lo v.hi
+
+  let fwd d e = I.eval_expr ~lookup:(dom d) e
+  let cdiv a b = -E.fdiv (-a) b
+
+  let mul_arg_target (iy : I.t) (tgt : I.t) =
+    if iy.lo <= 0 && iy.hi >= 0 then None
+    else
+      let corners f =
+        [ f tgt.I.lo iy.I.lo; f tgt.lo iy.hi; f tgt.hi iy.lo; f tgt.hi iy.hi ]
+      in
+      let lo = List.fold_left min max_int (corners E.fdiv)
+      and hi = List.fold_left max min_int (corners cdiv) in
+      I.make_opt lo hi
+
+  let rec refine ~ch d (e : E.t) (tgt : I.t) =
+    match I.inter (fwd d e) tgt with
+    | None -> raise Conflict
+    | Some tgt -> (
+        match e with
+        | Const _ -> d
+        | Var v ->
+            if I.equal (dom d v) tgt then d
+            else begin
+              ch := true;
+              Imap.add v.id (v, tgt) d
+            end
+        | Add (x, y) ->
+            let d = refine ~ch d x (I.sub tgt (fwd d y)) in
+            refine ~ch d y (I.sub tgt (fwd d x))
+        | Sub (x, y) ->
+            let d = refine ~ch d x (I.add tgt (fwd d y)) in
+            refine ~ch d y (I.sub (fwd d x) tgt)
+        | Neg x -> refine ~ch d x (I.neg tgt)
+        | Mul (x, y) -> (
+            let d =
+              match mul_arg_target (fwd d y) tgt with
+              | Some t -> refine ~ch d x t
+              | None -> d
+            in
+            match mul_arg_target (fwd d x) tgt with
+            | Some t -> refine ~ch d y t
+            | None -> d)
+        | Div (x, y) ->
+            let iy = fwd d y in
+            if iy.lo >= 1 then
+              let lo_x = min (tgt.lo * iy.lo) (tgt.lo * iy.hi)
+              and hi_x =
+                max ((tgt.hi + 1) * iy.lo) ((tgt.hi + 1) * iy.hi) - 1
+              in
+              refine ~ch d x (mk lo_x hi_x)
+            else d
+        | Mod (_, _) -> d
+        | Min (x, y) ->
+            let d = refine ~ch d x (mk tgt.lo I.big) in
+            let d = refine ~ch d y (mk tgt.lo I.big) in
+            let ix = fwd d x and iy = fwd d y in
+            if ix.lo > tgt.hi then refine ~ch d y (mk (-I.big) tgt.hi)
+            else if iy.lo > tgt.hi then refine ~ch d x (mk (-I.big) tgt.hi)
+            else d
+        | Max (x, y) ->
+            let d = refine ~ch d x (mk (-I.big) tgt.hi) in
+            let d = refine ~ch d y (mk (-I.big) tgt.hi) in
+            let ix = fwd d x and iy = fwd d y in
+            if ix.hi < tgt.lo then refine ~ch d y (mk tgt.lo I.big)
+            else if iy.hi < tgt.lo then refine ~ch d x (mk tgt.lo I.big)
+            else d)
+
+  let narrow_atom ~ch d (f : F.t) =
+    match f with
+    | Cmp (Le, a, b) ->
+        let ib = fwd d b in
+        let d = refine ~ch d a (mk (-I.big) ib.hi) in
+        refine ~ch d b (mk (fwd d a).lo I.big)
+    | Cmp (Lt, a, b) ->
+        let ib = fwd d b in
+        let d = refine ~ch d a (mk (-I.big) (ib.hi - 1)) in
+        refine ~ch d b (mk ((fwd d a).lo + 1) I.big)
+    | Cmp (Eq, a, b) -> (
+        match I.inter (fwd d a) (fwd d b) with
+        | None -> raise Conflict
+        | Some m -> refine ~ch (refine ~ch d a m) b m)
+    | Cmp (Ne, a, b) -> (
+        let ia = fwd d a and ib = fwd d b in
+        match (I.is_point ia, I.is_point ib) with
+        | Some x, Some y -> if x = y then raise Conflict else d
+        | Some x, None ->
+            if x = ib.lo then refine ~ch d b (mk (ib.lo + 1) ib.hi)
+            else if x = ib.hi then refine ~ch d b (mk ib.lo (ib.hi - 1))
+            else d
+        | None, Some y ->
+            if y = ia.lo then refine ~ch d a (mk (ia.lo + 1) ia.hi)
+            else if y = ia.hi then refine ~ch d a (mk ia.lo (ia.hi - 1))
+            else d
+        | None, None -> d)
+    | True | False | And _ | Or _ | Not _ -> d
+
+  let rec split_conj atoms ors (f : F.t) =
+    match f with
+    | True -> (atoms, ors)
+    | False -> raise Exit
+    | Cmp _ -> (f :: atoms, ors)
+    | And fs ->
+        List.fold_left (fun (a, o) g -> split_conj a o g) (atoms, ors) fs
+    | Or _ -> (atoms, f :: ors)
+    | Not _ -> assert false
+
+  let propagate_once ~ch d atoms ors =
+    let d = List.fold_left (narrow_atom ~ch) d atoms in
+    let use_or d (orf : F.t) =
+      match orf with
+      | Or disjuncts -> (
+          match
+            List.filter
+              (fun g -> I.eval_formula ~lookup:(dom d) g <> I.F)
+              disjuncts
+          with
+          | [] -> raise Conflict
+          | [ g ] -> (
+              match split_conj [] [] g with
+              | atoms', _ -> List.fold_left (narrow_atom ~ch) d atoms'
+              | exception Exit -> raise Conflict)
+          | _ :: _ :: _ -> d)
+      | True | False | Cmp _ | And _ | Not _ -> d
+    in
+    List.fold_left use_or d ors
+
+  let propagate ~rounds ~capped d atoms ors =
+    let ch = ref false in
+    let rec loop d rounds =
+      if rounds = 0 then begin
+        incr capped;
+        d
+      end
+      else begin
+        ch := false;
+        let d = propagate_once ~ch d atoms ors in
+        if !ch then loop d (rounds - 1) else d
+      end
+    in
+    loop d rounds
+
+  (* The search's branching step, then propagation, for each pin. *)
+  let run ?(rounds = 64) ~init atoms ors pins =
+    let capped = ref 0 in
+    let d0 =
+      List.fold_left
+        (fun d ((v : E.var), i) -> Imap.add v.id (v, i) d)
+        Imap.empty init
+    in
+    let outcome =
+      match
+        List.fold_left
+          (fun d ((v : E.var), n) ->
+            let d = refine ~ch:(ref false) d (Var v) (I.point n) in
+            propagate ~rounds ~capped d atoms ors)
+          (propagate ~rounds ~capped d0 atoms ors)
+          pins
+      with
+      | d -> Some (List.map snd (Imap.bindings d))
+      | exception Conflict -> None
+    in
+    (outcome, !capped)
+end
+
+let show_dom ((v : E.var), i) = v.name ^ Fmt.to_to_string I.pp i
+
+let show_outcome (outcome, capped) =
+  let bindings =
+    match outcome with
+    | None -> "conflict"
+    | Some bs -> String.concat " " (List.map show_dom bs)
+  in
+  Printf.sprintf "%s (capped %d)" bindings capped
+
+(* Random terms over [vars] built with the raw constructors, so no smart
+   constructor folds a case away; every [Expr] constructor occurs. *)
+let rec gen_term vars depth =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun n -> E.Const n) (int_range (-4) 9);
+        map (fun v -> E.Var v) (oneofl vars);
+      ]
+  in
+  if depth = 0 then leaf
+  else
+    let sub = gen_term vars (depth - 1) in
+    let bin f = map2 f sub sub in
+    frequency
+      [
+        (3, leaf);
+        (1, bin (fun a b -> E.Add (a, b)));
+        (1, bin (fun a b -> E.Sub (a, b)));
+        (2, bin (fun a b -> E.Mul (a, b)));
+        (1, bin (fun a b -> E.Div (a, b)));
+        (1, bin (fun a b -> E.Mod (a, b)));
+        (1, map (fun a -> E.Neg a) sub);
+        (1, bin (fun a b -> E.Min (a, b)));
+        (1, bin (fun a b -> E.Max (a, b)));
+      ]
+
+let gen_atom vars =
+  QCheck.Gen.(
+    map3
+      (fun c a b -> F.Cmp (c, a, b))
+      (oneofl F.[ Eq; Ne; Le; Lt ])
+      (gen_term vars 2) (gen_term vars 2))
+
+let gen_disjunct vars =
+  let open QCheck.Gen in
+  let atom = gen_atom vars in
+  frequency
+    [
+      (4, gen_atom vars);
+      (2, map (fun atoms -> F.And atoms) (list_size (int_range 2 3) atom));
+      (1, map (fun atoms -> F.Or atoms) (list_size (int_range 2 3) atom));
+      (1, oneofl F.[ True; False ]);
+    ]
+
+type prop_case = {
+  rounds : int;
+  init : (E.var * I.t) list;
+  atoms : F.t list;
+  ors : F.t list;
+  pins : (E.var * int) list;
+}
+
+let gen_prop_case =
+  let open QCheck.Gen in
+  let gen_var k =
+    map2
+      (fun wide (lo, w) ->
+        if wide then E.fresh_var (Printf.sprintf "v%d" k)
+        else E.fresh_var ~lo ~hi:(lo + w) (Printf.sprintf "v%d" k))
+      (frequencyl [ (1, true); (3, false) ])
+      (pair (int_range (-20) 20) (int_range 0 40))
+  in
+  int_range 1 4 >>= fun nv ->
+  flatten_l (List.init nv gen_var) >>= fun vars ->
+  let gen_init (v : E.var) =
+    map2
+      (fun keep (a, b) ->
+        let lo = v.lo + (a mod (v.hi - v.lo + 1)) in
+        let hi = lo + (b mod (v.hi - lo + 1)) in
+        if keep then None else Some (v, I.make lo hi))
+      bool (pair nat nat)
+  in
+  let gen_pin =
+    oneofl vars >>= fun (v : E.var) ->
+    map
+      (fun n -> (v, n))
+      (int_range (v.lo - 1) (Int.min (v.hi + 1) (v.lo + 60)))
+  in
+  let disjuncts = list_size (int_range 2 3) (gen_disjunct vars) in
+  (* a low round cap compares the domains after every round, not only
+     at the fixpoint *)
+  oneofl [ 1; 2; 3; 64 ] >>= fun rounds ->
+  map4
+    (fun init atoms ors pins ->
+      { rounds; init = List.filter_map Fun.id init; atoms; ors; pins })
+    (flatten_l (List.map gen_init vars))
+    (list_size (int_range 1 6) (gen_atom vars))
+    (list_size (int_range 0 2) (map (fun ds -> F.Or ds) disjuncts))
+    (list_size (int_range 0 3) gen_pin)
+
+let print_prop_case c =
+  Printf.sprintf "rounds=%d init=[%s] atoms=[%s] ors=[%s] pins=[%s]" c.rounds
+    (String.concat "; " (List.map show_dom c.init))
+    (String.concat "; " (List.map F.to_string c.atoms))
+    (String.concat "; " (List.map F.to_string c.ors))
+    (String.concat "; "
+       (List.map
+          (fun ((v : E.var), n) -> Printf.sprintf "%s=%d" v.name n)
+          c.pins))
+
+let qcheck_propagation_matches_oracle =
+  QCheck.Test.make ~name:"propagation matches the full-sweep oracle" ~count:3000
+    (QCheck.make ~print:print_prop_case gen_prop_case)
+    (fun c ->
+      let want = Oracle.run ~rounds:c.rounds ~init:c.init c.atoms c.ors c.pins
+      and got =
+        S.propagate_for_test ~rounds:c.rounds ~init:c.init c.atoms c.ors c.pins
+      in
+      let same (o1, c1) (o2, c2) =
+        c1 = c2
+        &&
+        match (o1, o2) with
+        | None, None -> true
+        | Some b1, Some b2 ->
+            List.equal
+              (fun ((v1 : E.var), i1) ((v2 : E.var), i2) ->
+                v1.id = v2.id && I.equal i1 i2)
+              b1 b2
+        | _ -> false
+      in
+      same want got
+      || QCheck.Test.fail_reportf "oracle %s@.solver %s" (show_outcome want)
+           (show_outcome got))
+
+let qcheck_eval_tree_matches_eval_expr =
+  QCheck.Test.make ~name:"eval_tree root is eval_expr" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         pair (int_range (-20) 20) (int_range 0 40) >>= fun (lo, w) ->
+         let v = E.fresh_var ~lo ~hi:(lo + w) "t" in
+         gen_term [ v ] 4))
+    (fun e ->
+      let lookup (v : E.var) = I.make v.lo v.hi in
+      I.equal (I.tree_value (I.eval_tree ~lookup e)) (I.eval_expr ~lookup e))
+
+(* [x < y] and [y < x] over [1, 65536] refute only after ~16k rounds of
+   narrowing two by two; propagation stops at the round cap with the
+   domains still wide, and must stop at exactly the oracle's domains. *)
+let test_propagation_round_cap () =
+  let x = E.fresh_var "x" and y = E.fresh_var "y" in
+  let atoms = F.[ Cmp (Lt, Var x, Var y); Cmp (Lt, Var y, Var x) ] in
+  let want = Oracle.run ~init:[] atoms [] []
+  and got = S.propagate_for_test ~init:[] atoms [] [] in
+  Alcotest.(check string)
+    "same as oracle" (show_outcome want) (show_outcome got);
+  check_int "stopped at the cap" 1 (snd got);
+  match fst got with
+  | Some [ (_, ix); (_, iy) ] ->
+      check "still wide" true (I.width ix > 60000 && I.width iy > 60000)
+  | _ -> Alcotest.fail "expected two narrowed domains"
+
+(* ------------------------------------------------------------------ *)
 (* Solve cache                                                         *)
 
 (* Run [f] with the cache in a known-clean enabled state and restore the
@@ -583,6 +928,12 @@ let () =
           tc "interleaved solvers" `Quick test_interleaved_solvers;
           tc "concurrent domains" `Quick test_concurrent_domain_solves;
           QCheck_alcotest.to_alcotest qcheck_solver_sound;
+        ] );
+      ( "propagation",
+        [
+          tc "round cap" `Quick test_propagation_round_cap;
+          QCheck_alcotest.to_alcotest qcheck_propagation_matches_oracle;
+          QCheck_alcotest.to_alcotest qcheck_eval_tree_matches_eval_expr;
         ] );
       ( "cache",
         [

@@ -20,7 +20,8 @@
 #   dashboard     journaled mini-campaign -> static HTML (balanced tags,
 #                 non-empty triage table, no NaN, no scripts)
 #   fleet         worker + supervisor kill -9, resume bit-identity
-#   cohort        cohort/jobs campaign bit-identity
+#   cohort        cohort/jobs campaign bit-identity; the reference
+#                 index.jsonl must also match its committed md5
 #   prescreen     screen-on vs --no-prescreen campaign bit-identity
 #   perfbench     perfbench/bench.exe selftest --workload fuzz-10n (the
 #                 campaign benchmark's loop matches Pfuzz.fuzz and its
@@ -191,11 +192,15 @@ note "cohort smoke (cohort/jobs campaign bit-identity)"
 # The shared cohort pool and the sharded schedule are meant to be
 # invisible to campaign results: the same seeded run with cohort size 1
 # and one worker must produce a byte-identical corpus index to cohort
-# size 8 at jobs=2.
+# size 8 at jobs=2.  The reference index is also pinned to its committed
+# md5 (5,245 bytes), so an engine change that claims to leave outputs
+# alone is checked against the commit before it, not only against
+# itself.  Re-baseline co_md5 only with a deliberate output change.
 if [ -x "$nn" ]; then
   co_ref=$(mktemp -d)
   co_var=$(mktemp -d)
   co_args="fuzz --system lotus --tests 40 --bugs --seed 11"
+  co_md5=aeebccfe7a691141623d5daca9f0a7ca
   if "$nn" $co_args --jobs 1 --cohort-size 1 \
        --report-dir "$co_ref" >/dev/null 2>&1 \
     && "$nn" $co_args --jobs 2 --cohort-size 8 \
@@ -205,6 +210,9 @@ if [ -x "$nn" ]; then
       || err "cohort smoke: reference campaign saved no failures"
     cmp -s "$co_ref/index.jsonl" "$co_var/index.jsonl" \
       || err "cohort smoke: corpus index depends on cohort size or jobs"
+    got_md5=$(md5sum < "$co_ref/index.jsonl" | cut -d' ' -f1)
+    [ "$got_md5" = "$co_md5" ] \
+      || err "cohort smoke: index.jsonl md5 $got_md5, committed $co_md5"
   else
     err "cohort smoke campaign failed"
   fi
