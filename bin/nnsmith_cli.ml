@@ -37,70 +37,7 @@ let rec mkdir_p d =
 
 (* ---- generate ----------------------------------------------------- *)
 
-(* ---- solver-cache escape hatch ------------------------------------ *)
-
-let apply_no_cache no_cache =
-  Nnsmith_smt.Solver.set_cache_enabled (not no_cache)
-
-let no_cache_t =
-  Arg.(
-    value
-    & flag
-    & info [ "no-solver-cache" ]
-        ~doc:
-          "Disable the solver's solve-result caches (results are \
-           bit-identical either way; this only trades speed for memory — \
-           useful for benchmarking and debugging).")
-
-(* ---- execution-plan escape hatch ---------------------------------- *)
-
-let apply_no_plan no_plan = Nnsmith_exec.Plan.set_enabled (not no_plan)
-
-let no_plan_t =
-  Arg.(
-    value
-    & flag
-    & info [ "no-exec-plan" ]
-        ~doc:
-          "Disable the compiled per-graph execution plans and run the \
-           gradient input search and the reference oracle through the plain \
-           interpreter (results are bit-identical either way; useful for A/B \
-           benchmarking and debugging).")
-
-(* ---- pre-screening escape hatch and cohort pool size -------------- *)
-
-let apply_no_prescreen no_prescreen =
-  Nnsmith_smt.Solver.set_prescreen_enabled (not no_prescreen)
-
-let no_prescreen_t =
-  Arg.(
-    value
-    & flag
-    & info [ "no-prescreen" ]
-        ~doc:
-          "Disable interval constraint pre-screening and send every \
-           candidate-operator feasibility query to the solver (results are \
-           bit-identical either way; useful for A/B benchmarking and \
-           debugging).")
-
-let cohort_size_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "cohort-size" ] ~docv:"N"
-        ~doc:
-          "Number of execution plans kept per worker in the shared cohort \
-           pool (default 4).  Cohort members share one buffer arena; \
-           results are bit-identical for any size >= 1.")
-
-(* ---- generate ----------------------------------------------------- *)
-
-let generate seed nodes count search out no_cache no_plan cohort_size
-    no_prescreen =
-  apply_no_cache no_cache;
-  apply_no_plan no_plan;
-  Option.iter Nnsmith_exec.Plan.set_cohort_size cohort_size;
-  apply_no_prescreen no_prescreen;
+let generate seed nodes count search out =
   let failures = ref 0 in
   Option.iter mkdir_p out;
   for k = 0 to count - 1 do
@@ -157,8 +94,7 @@ let generate_cmd =
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate valid random models and print them")
     Term.(
-      const generate $ seed_t $ nodes_t $ count_t $ search_t $ gen_out_t
-      $ no_cache_t $ no_plan_t $ cohort_size_t $ no_prescreen_t)
+      const generate $ seed_t $ nodes_t $ count_t $ search_t $ gen_out_t)
 
 (* ---- fuzz --------------------------------------------------------- *)
 
@@ -256,8 +192,8 @@ let progress_t =
     & info [ "progress" ]
         ~doc:
           "Render a live one-line status (tests/sec, verdicts, bugs, \
-           coverage, solver-cache hit rate, ETA) on stderr, derived from \
-           the journal event stream.")
+           coverage, ETA) on stderr, derived from the journal event \
+           stream.")
 
 let print_parallel_result ?(triggered = false) (r : D.Pfuzz.result) =
   let s = r.r_stats in
@@ -289,11 +225,7 @@ let print_corpus_line report_dir (r : D.Pfuzz.result) =
     report_dir
 
 let fuzz system_name budget_s tests jobs bugs seed telemetry report_dir
-    journal_dir progress no_cache no_plan cohort_size no_prescreen =
-  apply_no_cache no_cache;
-  apply_no_plan no_plan;
-  Option.iter Nnsmith_exec.Plan.set_cohort_size cohort_size;
-  apply_no_prescreen no_prescreen;
+    journal_dir progress =
   match system_of_name system_name with
   | None ->
       Printf.eprintf "unknown system %s (oxrt | lotus | trt)\n" system_name;
@@ -363,8 +295,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz" ~doc:"Differentially fuzz one compiler")
     Term.(
       const fuzz $ system_t $ budget_t $ tests_t $ jobs_t $ bugs_t $ seed_t
-      $ telemetry_t $ report_dir_t $ journal_t $ progress_t $ no_cache_t
-      $ no_plan_t $ cohort_size_t $ no_prescreen_t)
+      $ telemetry_t $ report_dir_t $ journal_t $ progress_t)
 
 (* ---- replay / triage ----------------------------------------------- *)
 
@@ -434,12 +365,7 @@ let triage_cmd =
 
 (* ---- cov ---------------------------------------------------------- *)
 
-let cov budget_s tests jobs seed telemetry journal_dir progress no_cache
-    no_plan cohort_size no_prescreen =
-  apply_no_cache no_cache;
-  apply_no_plan no_plan;
-  Option.iter Nnsmith_exec.Plan.set_cohort_size cohort_size;
-  apply_no_prescreen no_prescreen;
+let cov budget_s tests jobs seed telemetry journal_dir progress =
   Faults.deactivate_all ();
   let write_failed = ref false in
   let generators =
@@ -498,17 +424,11 @@ let cov_cmd =
     (Cmd.info "cov" ~doc:"Coverage comparison of all fuzzers on all systems")
     Term.(
       const cov $ budget_t $ tests_t $ jobs_t $ seed_t $ telemetry_t
-      $ journal_t $ progress_t $ no_cache_t $ no_plan_t $ cohort_size_t
-      $ no_prescreen_t)
+      $ journal_t $ progress_t)
 
 (* ---- hunt --------------------------------------------------------- *)
 
-let hunt budget_s tests jobs seed telemetry report_dir journal_dir progress
-    no_cache no_plan cohort_size no_prescreen =
-  apply_no_cache no_cache;
-  apply_no_plan no_plan;
-  Option.iter Nnsmith_exec.Plan.set_cohort_size cohort_size;
-  apply_no_prescreen no_prescreen;
+let hunt budget_s tests jobs seed telemetry report_dir journal_dir progress =
   Tel.reset ();
   let report_dir = default_report_dir report_dir journal_dir in
   with_campaign_lock ~dir:(first_some journal_dir report_dir) @@ fun () ->
@@ -538,8 +458,7 @@ let hunt_cmd =
        ~doc:"Hunt the seeded defect catalogue across all systems")
     Term.(
       const hunt $ budget_t $ tests_t $ jobs_t $ seed_t $ telemetry_t
-      $ report_dir_t $ journal_t $ progress_t $ no_cache_t $ no_plan_t
-      $ cohort_size_t $ no_prescreen_t)
+      $ report_dir_t $ journal_t $ progress_t)
 
 (* ---- fleet -------------------------------------------------------- *)
 

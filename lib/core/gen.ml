@@ -471,7 +471,7 @@ let generate_with_stats (cfg : Config.t) : Graph.t * stats =
     {
       cfg;
       rng = Random.State.make [| cfg.seed |];
-      solver = Solver.create ~max_steps:cfg.solver_max_steps ~seed:cfg.seed ();
+      solver = Solver.create ~max_steps:cfg.solver_max_steps ();
       templates = Spec.compile_all cfg.templates;
       nodes = [];
       next_id = 0;

@@ -39,21 +39,13 @@ let worst_rel_err reference got =
       (fun acc (_, a) (_, b) -> Float.max acc (Nd.max_rel_error a b))
       0. reference got
 
-(* Reference outputs plus the §2.3 any-NaN/Inf flag.  With execution plans
-   enabled this reuses the graph's compiled arena plan across probes;
-   otherwise it interprets the graph from scratch.  Both produce
-   bit-identical outputs and raise the same exceptions. *)
+(* Reference outputs plus the §2.3 any-NaN/Inf flag, from the graph's
+   compiled arena plan, reused across probes.  The plan is bit-identical to
+   interpreting the graph with [Runner.run] and raises the same
+   exceptions. *)
 let reference_outputs (g : Graph.t) (binding : Runner.binding) :
     (int * Nd.t) list * bool =
-  if Plan.enabled () then Plan.run_reference (Plan.for_oracle g) binding
-  else begin
-    let all_values = Runner.run g binding in
-    let any_bad = List.exists (fun (_, v) -> Nd.has_bad v) all_values in
-    ( List.map
-        (fun (n : Graph.node) -> (n.Graph.id, List.assoc n.Graph.id all_values))
-        (Graph.outputs g),
-      any_bad )
-  end
+  Plan.run_reference (Plan.for_oracle g) binding
 
 (** Differentially test [g] on [system] under [binding].  The reference
     semantics come from the *pre-export* model (the "PyTorch" results);

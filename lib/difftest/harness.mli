@@ -21,9 +21,9 @@ val reference_outputs :
   Nnsmith_ops.Runner.binding ->
   (int * Nnsmith_tensor.Nd.t) list * bool
 (** Reference outputs in [Graph.outputs] order, plus whether any node value
-    contained NaN/Inf (the §2.3 exclusion flag).  Uses the graph's compiled
-    arena plan when {!Nnsmith_exec.Plan.enabled}, the interpreter otherwise —
-    bit-identical either way. *)
+    contained NaN/Inf (the §2.3 exclusion flag).  Runs the graph's compiled
+    arena plan, bit-identical to interpreting it with
+    {!Nnsmith_ops.Runner.run}. *)
 
 val test :
   ?exported:Nnsmith_ir.Graph.t ->

@@ -16,7 +16,6 @@ module Config = Nnsmith_core.Config
 module Gen = Nnsmith_core.Gen
 module Cov = Nnsmith_coverage.Coverage
 module Tel = Nnsmith_telemetry.Telemetry
-module Solver = Nnsmith_smt.Solver
 module Pool = Nnsmith_parallel.Pool
 module Splitmix = Nnsmith_parallel.Splitmix
 module Corpus = Nnsmith_corpus.Corpus
@@ -119,7 +118,7 @@ let heartbeat_interval_ms = 250.
 
 (* Called once per test on the worker domain.  When journaling, rate-limit
    a heartbeat event carrying this worker's cumulative counters plus its
-   domain-local coverage and solver-cache state. *)
+   domain-local coverage. *)
 let maybe_heartbeat ~journaling ws =
   ws.w_tests <- ws.w_tests + 1;
   if not journaling then []
@@ -130,7 +129,6 @@ let maybe_heartbeat ~journaling ws =
       ws.w_next_hb <- now +. heartbeat_interval_ms;
       ws.w_seq <- ws.w_seq + 1;
       let snap = Cov.snapshot () in
-      let cs = Solver.cache_stats () in
       [
         M_event
           (Journal.Heartbeat
@@ -143,8 +141,6 @@ let maybe_heartbeat ~journaling ws =
                h_cov_total = Cov.count snap;
                h_cov_pass = Cov.count_pass snap;
                h_cov_universe = Cov.universe_size ();
-               h_cache_hits = cs.Solver.cs_hits;
-               h_cache_misses = cs.Solver.cs_misses;
              });
       ]
     end

@@ -30,7 +30,7 @@ let probe_model rng (tpl : Spec.template) (signature : (Dtype.t * int) list) :
           @ Spec.out_positive inst.out_type
           @ List.concat_map Spec.out_positive (sym_inputs @ inst.extra_inputs)
         in
-        match Solver.solve ~seed:17 constraints with
+        match Solver.solve constraints with
         | None -> None
         | Some model -> (
             let conc t =

@@ -1004,13 +1004,7 @@ let run_reference p binding =
   (outs, !any_bad)
 
 (* ------------------------------------------------------------------ *)
-(* Global toggle and per-domain plan cache.                            *)
-
-(* Plain ref, like [Telemetry.set_enabled]: flipped by the CLI before any
-   worker domain spawns, and domain spawn provides the happens-before. *)
-let enabled_flag = ref true
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
+(* Per-domain plan cache.                                              *)
 
 type cache_entry = {
   mutable ce_graph : Graph.t;
@@ -1027,9 +1021,7 @@ type cache_entry = {
    key recognises so the replay reuses the campaign's plans instead of
    recompiling.  Evicted entries retire their slot storage to the
    {!Arena}, where the next compilation picks it up. *)
-let cohort_flag = ref 4
-let set_cohort_size n = cohort_flag := max 1 n
-let cohort_size () = !cohort_flag
+let cohort_size = 4
 
 let cache : cache_entry list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -1081,9 +1073,8 @@ let entry_for g =
           move_to_front e
       | None ->
           let e = { ce_graph = g; ce_key = key; ce_search = None; ce_oracle = None } in
-          let cap = cohort_size () in
           let rec trim i l =
-            if i >= cap then begin
+            if i >= cohort_size then begin
               List.iter retire l;
               []
             end

@@ -26,10 +26,11 @@ val graph : t -> Nnsmith_ir.Graph.t
 
 val for_search : Nnsmith_ir.Graph.t -> t
 (** Keep-all-buffers plan from the per-domain cohort pool (compiled on
-    first request; the pool holds the plans of the {!cohort_size} most
-    recent graphs, looked up by physical equality with a content-key
-    fallback so a replayed graph — regenerated as a physically distinct
-    but identical value — reuses the original's plans). *)
+    first request; the pool holds the plans of the 4 most recent graphs,
+    looked up by physical equality with a content-key fallback so a
+    replayed graph — regenerated as a physically distinct but identical
+    value — reuses the original's plans; evicted plans retire their
+    buffers to {!Arena}). *)
 
 val for_oracle : Nnsmith_ir.Graph.t -> t
 (** Arena plan (buffer reuse) from the per-domain cohort pool. *)
@@ -81,19 +82,6 @@ val slot_buffers : t -> (int * Nnsmith_tensor.Nd.t) list
 val fallback_nodes : t -> int
 (** Number of op nodes without a compiled kernel (interpreter fallback). *)
 
-val enabled : unit -> bool
-(** Global toggle consulted by the search and the difftest harness;
-    [--no-exec-plan] clears it for A/B runs.  Defaults to [true]. *)
-
-val set_enabled : bool -> unit
-
-val cohort_size : unit -> int
-(** Number of models whose plans the per-domain pool keeps alive
-    (defaults to 4); evicted plans retire their buffers to {!Arena}. *)
-
-val set_cohort_size : int -> unit
-(** Set the pool capacity ([--cohort-size]); clamped to at least 1. *)
-
 val cohort_clear : unit -> unit
 (** Drop the calling domain's pooled plans and arena buffers — used by
-    A/B benches and tests to start from a cold pool. *)
+    benches and tests to start from a cold pool. *)

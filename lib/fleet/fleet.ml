@@ -38,7 +38,6 @@ module Faults = Nnsmith_faults.Faults
 module Gen = Nnsmith_core.Gen
 module Config = Nnsmith_core.Config
 module Graph = Nnsmith_ir.Graph
-module Solver = Nnsmith_smt.Solver
 module Dashboard = Nnsmith_dashboard.Dashboard
 
 type kind = Fuzz | Hunt
@@ -273,7 +272,6 @@ let worker_main () =
     prev := snap;
     incr tests_done;
     last := !i;
-    let cs = Solver.cache_stats () in
     send
       (Proto.Outcome
          {
@@ -283,8 +281,6 @@ let worker_main () =
            fo_cov_delta = Cov.to_list delta;
            fo_cov_total = Cov.count snap;
            fo_cov_universe = Cov.universe_size ();
-           fo_cache_hits = cs.Solver.cs_hits;
-           fo_cache_misses = cs.Solver.cs_misses;
          });
     i := !i + wc.Proto.wc_shards
   done;
@@ -735,8 +731,6 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                          h_cov_total = Cov.count cum.c_cov;
                          h_cov_pass = Cov.count_pass cum.c_cov;
                          h_cov_universe = fr.Proto.fo_cov_universe;
-                         h_cache_hits = fr.Proto.fo_cache_hits;
-                         h_cache_misses = fr.Proto.fo_cache_misses;
                        })
                 end
               in

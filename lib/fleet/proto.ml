@@ -347,8 +347,6 @@ type outcome_frame = {
   fo_cov_delta : (string * bool) list;  (** new sites this test hit *)
   fo_cov_total : int;  (** worker-cumulative, for heartbeat display *)
   fo_cov_universe : int;
-  fo_cache_hits : int;
-  fo_cache_misses : int;
 }
 
 type frame =
@@ -376,8 +374,6 @@ let frame_to_json = function
           ("cov_delta", sites_to_json o.fo_cov_delta);
           ("cov_total", Json.Num (float_of_int o.fo_cov_total));
           ("cov_universe", Json.Num (float_of_int o.fo_cov_universe));
-          ("cache_hits", Json.Num (float_of_int o.fo_cache_hits));
-          ("cache_misses", Json.Num (float_of_int o.fo_cache_misses));
         ]
   | Shard_done d ->
       Json.Obj
@@ -410,8 +406,6 @@ let frame_of_json j =
         let* fo_cov_delta = sites_of_json "cov_delta" j in
         let* fo_cov_total = int_field j "cov_total" in
         let* fo_cov_universe = int_field j "cov_universe" in
-        let* fo_cache_hits = int_field j "cache_hits" in
-        let* fo_cache_misses = int_field j "cache_misses" in
         Ok
           (Outcome
              {
@@ -421,8 +415,6 @@ let frame_of_json j =
                fo_cov_delta;
                fo_cov_total;
                fo_cov_universe;
-               fo_cache_hits;
-               fo_cache_misses;
              })
     | "shard_done" ->
         let* tests = int_field j "tests" in

@@ -79,8 +79,6 @@ type outcome_frame = {
           supervisor unions deltas in apply order *)
   fo_cov_total : int;  (** worker-cumulative, for heartbeat display *)
   fo_cov_universe : int;
-  fo_cache_hits : int;
-  fo_cache_misses : int;
 }
 
 type frame =

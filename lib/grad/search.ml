@@ -29,8 +29,9 @@ type outcome = {
 let now_ms = Tel.now_ms
 
 (* Forward pass recording every value, stopping at the first NaN/Inf.  This
-   one-shot entry point (used by stats and the bench harness) keeps the
-   assoc-list binding interface; the search loop below uses dense slots. *)
+   one-shot [Eval] pass (used by stats and the bench harness) keeps the
+   assoc-list binding interface; the search loop below runs a compiled plan,
+   which the tests check against this pass. *)
 let forward_until_bad g binding =
   let values : (int, Nd.t) Hashtbl.t = Hashtbl.create 32 in
   let bad = ref None in
@@ -63,118 +64,28 @@ let fresh_leaf rng g id ~lo ~hi =
   | Op.Leaf kind -> Runner.tensor_of_leaf rng kind n.out_type ~lo ~hi
   | _ -> assert false
 
-type engine = {
-  e_fill_random : unit -> unit;
-      (** draw fresh values for every leaf, in [Graph.leaves] order (same rng
-          stream as [Runner.random_binding]) *)
-  e_forward : unit -> (Graph.node * Nd.t list) option;
-      (** forward pass; returns the first bad node (with its inputs) and
-          bumps the [grad/forward_nodes] counter *)
-  e_values : unit -> (int, Nd.t) Hashtbl.t;
-      (** id -> value table of the latest forward, for [Backprop] *)
-  e_update : (int * Nd.t) list -> bool;
-      (** apply one Adam step over the leaf gradients; true iff any leaf
-          value changed *)
-  e_result : unit -> Runner.binding;  (** current leaf binding *)
-}
-(* The two engines (dense-slot interpreter and compiled plan) plug into one
-   shared search loop, so restart policy, loss selection and budget checks
-   cannot drift between the plan-on and plan-off paths. *)
-
-let leaves_array g = Array.of_list (Graph.leaves g)
-
-(* Plan-off engine: dense leaf-value array indexed by position in
-   [Graph.leaves] (replacing the former O(n^2) assoc-list binding) and a
-   per-iteration interpreter forward. *)
-let legacy_engine ~lo ~hi ~adam rng (g : Graph.t) : engine =
-  let leaves = leaves_array g in
-  let nleaves = Array.length leaves in
-  let pos : (int, int) Hashtbl.t = Hashtbl.create (2 * max 1 nleaves) in
-  Array.iteri (fun i (n : Graph.node) -> Hashtbl.replace pos n.Graph.id i) leaves;
-  let vals = Array.make (max 1 nleaves) (Nd.scalar_f Dtype.F64 0.) in
-  let values = ref (Hashtbl.create 1) in
-  let e_fill_random () =
-    Array.iteri
-      (fun i (n : Graph.node) ->
-        match n.Graph.op with
-        | Op.Leaf kind ->
-            vals.(i) <- Runner.tensor_of_leaf rng kind n.out_type ~lo ~hi
-        | _ -> assert false)
-      leaves
-  in
-  (* One scratch value table for the whole search: each forward resets it
-     instead of allocating a fresh one per iteration.  Safe because its
-     only escape, [e_values], is consumed by the backprop of the same
-     iteration, before the next forward. *)
-  let scratch : (int, Nd.t) Hashtbl.t = Hashtbl.create 32 in
-  let e_forward () =
-    Hashtbl.reset scratch;
-    let tbl = scratch in
-    let bad = ref None in
-    let computed = ref 0 in
-    (try
-       List.iter
-         (fun (n : Graph.node) ->
-           let ins = List.map (Hashtbl.find tbl) n.inputs in
-           let v =
-             match n.Graph.op with
-             | Op.Leaf _ -> vals.(Hashtbl.find pos n.id)
-             | op ->
-                 incr computed;
-                 Nnsmith_ops.Eval.eval op ins
-           in
-           Hashtbl.replace tbl n.id v;
-           if Nd.has_bad v then begin
-             bad := Some (n, ins);
-             raise Exit
-           end)
-         (Graph.nodes g)
-     with Exit -> ());
-    values := tbl;
-    Tel.incr ~by:!computed "grad/forward_nodes";
-    !bad
-  in
-  let e_update leaf_grads =
-    let changed = ref false in
-    List.iter
-      (fun (id, grad) ->
-        let i = Hashtbl.find pos id in
-        let param = vals.(i) in
-        if Dtype.is_float (Nd.dtype param) then begin
-          let updated = Adam.update adam ~id ~param ~grad in
-          let updated =
-            if Nd.has_bad updated then fresh_leaf rng g id ~lo ~hi else updated
-          in
-          if not (Nd.equal updated param) then changed := true;
-          vals.(i) <- updated
-        end)
-      leaf_grads;
-    !changed
-  in
-  let e_result () =
-    Array.to_list
-      (Array.mapi (fun i (n : Graph.node) -> (n.Graph.id, vals.(i))) leaves)
-  in
-  { e_fill_random; e_forward; e_values = (fun () -> !values); e_update; e_result }
-
-(* Plan engine: compiled execution plan with dirty-set re-execution and the
-   fused in-place Adam step.  Moments are preallocated once per plan. *)
-let plan_engine ~lo ~hi ~adam rng (g : Graph.t) : engine =
+let search ?(budget_ms = 64.) ?(max_iters = max_int) ?(lr = 0.5) ?(lo = 1.)
+    ?(hi = 9.) ~method_ rng (g : Graph.t) : outcome =
+  Tel.with_span "grad/search" @@ fun () ->
+  let adam = Adam.create ~lr () in
+  (* The compiled plan runs every forward with dirty-set re-execution, and
+     the fused in-place Adam step updates its leaves.  Moments are
+     preallocated once per plan. *)
   let plan = Plan.for_search g in
-  let leaves = leaves_array g in
+  let leaves = Array.of_list (Graph.leaves g) in
   Adam.preallocate adam
     (Array.to_list leaves
     |> List.filter_map (fun (n : Graph.node) ->
            if Dtype.is_float (Conc.dtype n.Graph.out_type) then
              Some (n.Graph.id, Conc.shape n.Graph.out_type)
            else None));
-  (* Engine-private leaf tensors, allocated once and refilled in place on
+  (* Search-private leaf tensors, allocated once and refilled in place on
      every restart ([refill_leaf_into] consumes the rng stream exactly as
      [tensor_of_leaf] would, so draws — and everything downstream — are
-     unchanged).  Mutating them is safe: nothing outside this engine holds
-     a reference until [e_result] hands the binding out, after which the
+     unchanged).  Mutating them is safe: nothing outside this search holds
+     a reference until [result] hands the binding out, after which the
      search is over and no further refill can occur; a replayed graph gets
-     a fresh engine with fresh tensors even when the cohort pool returns
+     a fresh search with fresh tensors even when the cohort pool returns
      the same plan. *)
   let slots =
     Array.map
@@ -182,7 +93,9 @@ let plan_engine ~lo ~hi ~adam rng (g : Graph.t) : engine =
         Nd.create (Conc.dtype n.Graph.out_type) (Conc.shape n.Graph.out_type))
       leaves
   in
-  let e_fill_random () =
+  (* draw fresh values for every leaf, in [Graph.leaves] order (same rng
+     stream as [Runner.random_binding]) *)
+  let fill_random () =
     Array.iteri
       (fun i (n : Graph.node) ->
         match n.Graph.op with
@@ -193,12 +106,15 @@ let plan_engine ~lo ~hi ~adam rng (g : Graph.t) : engine =
       leaves;
     Plan.invalidate_all plan
   in
-  let e_forward () =
+  (* forward pass: the first bad node (with its inputs), if any *)
+  let forward () =
     let bad, computed = Plan.forward_until_bad plan in
     Tel.incr ~by:computed "grad/forward_nodes";
     bad
   in
-  let e_update leaf_grads =
+  (* one Adam step over the leaf gradients; true iff any leaf value
+     changed *)
+  let update leaf_grads =
     let changed = ref false in
     let dirty = ref [] in
     List.iter
@@ -220,19 +136,10 @@ let plan_engine ~lo ~hi ~adam rng (g : Graph.t) : engine =
     Plan.invalidate plan !dirty;
     !changed
   in
-  let e_result () =
+  let result () =
     Array.to_list leaves
-    |> List.map (fun (n : Graph.node) -> (n.Graph.id, Plan.leaf_value plan n.Graph.id))
-  in
-  { e_fill_random; e_forward; e_values = (fun () -> Plan.values plan); e_update; e_result }
-
-let search ?(budget_ms = 64.) ?(max_iters = max_int) ?(lr = 0.5) ?(lo = 1.)
-    ?(hi = 9.) ~method_ rng (g : Graph.t) : outcome =
-  Tel.with_span "grad/search" @@ fun () ->
-  let adam = Adam.create ~lr () in
-  let engine =
-    if Plan.enabled () then plan_engine ~lo ~hi ~adam rng g
-    else legacy_engine ~lo ~hi ~adam rng g
+    |> List.map (fun (n : Graph.node) ->
+           (n.Graph.id, Plan.leaf_value plan n.Graph.id))
   in
   let start = now_ms () in
   let iterations = ref 0 and restarts = ref 0 in
@@ -242,7 +149,7 @@ let search ?(budget_ms = 64.) ?(max_iters = max_int) ?(lr = 0.5) ?(lo = 1.)
     Tel.incr "grad/restarts";
     Adam.reset adam;
     last_target := None;
-    engine.e_fill_random ()
+    fill_random ()
   in
   let finish binding =
     {
@@ -265,10 +172,10 @@ let search ?(budget_ms = 64.) ?(max_iters = max_int) ?(lr = 0.5) ?(lo = 1.)
       finish None
     end
     else begin
-      let bad = engine.e_forward () in
+      let bad = forward () in
       (match bad with Some _ -> Tel.incr "grad/bad_forward" | None -> ());
       match bad with
-      | None -> finish (Some (engine.e_result ()))
+      | None -> finish (Some (result ()))
       | Some (node, ins) -> (
           match method_ with
           | Sampling ->
@@ -308,13 +215,13 @@ let search ?(budget_ms = 64.) ?(max_iters = max_int) ?(lr = 0.5) ?(lo = 1.)
                       in
                       match
                         Backprop.grad_wrt_leaves ~proxy g
-                          ~values:(engine.e_values ()) ~seeds
+                          ~values:(Plan.values plan) ~seeds
                       with
                       | [] ->
                           restart ();
                           loop ()
                       | leaf_grads ->
-                          let changed = engine.e_update leaf_grads in
+                          let changed = update leaf_grads in
                           Adam.tick adam;
                           if changed then loop ()
                           else begin
@@ -323,5 +230,5 @@ let search ?(budget_ms = 64.) ?(max_iters = max_int) ?(lr = 0.5) ?(lo = 1.)
                           end))))
     end
   in
-  engine.e_fill_random ();
+  fill_random ();
   loop ()

@@ -45,8 +45,6 @@ type event =
       h_cov_total : int;
       h_cov_pass : int;
       h_cov_universe : int;
-      h_cache_hits : int;
-      h_cache_misses : int;
     }
   | Bug of {
       b_at_ms : float;
@@ -196,8 +194,6 @@ let to_json = function
           ("cov_total", Json.Num (float_of_int h.h_cov_total));
           ("cov_pass", Json.Num (float_of_int h.h_cov_pass));
           ("cov_universe", Json.Num (float_of_int h.h_cov_universe));
-          ("cache_hits", Json.Num (float_of_int h.h_cache_hits));
-          ("cache_misses", Json.Num (float_of_int h.h_cache_misses));
         ]
   | Bug b ->
       Json.Obj
@@ -332,8 +328,6 @@ let of_json j : (event, string) result =
       let* h_cov_total = int_field j "cov_total" in
       let* h_cov_pass = int_field j "cov_pass" in
       let* h_cov_universe = int_field j "cov_universe" in
-      let* h_cache_hits = int_field j "cache_hits" in
-      let* h_cache_misses = int_field j "cache_misses" in
       Ok
         (Heartbeat
            {
@@ -345,8 +339,6 @@ let of_json j : (event, string) result =
              h_cov_total;
              h_cov_pass;
              h_cov_universe;
-             h_cache_hits;
-             h_cache_misses;
            })
   | "bug" ->
       let* b_key = str_field j "dedup_key" in

@@ -41,8 +41,6 @@ type event =
       h_cov_total : int;  (** this worker's domain-local coverage *)
       h_cov_pass : int;
       h_cov_universe : int;
-      h_cache_hits : int;  (** solver solve-cache, this worker's domain *)
-      h_cache_misses : int;
     }
   | Bug of {
       b_at_ms : float;

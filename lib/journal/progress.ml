@@ -11,8 +11,6 @@ type worker_state = {
   mutable ws_verdicts : (string * int) list;
   mutable ws_cov_total : int;
   mutable ws_cov_universe : int;
-  mutable ws_cache_hits : int;
-  mutable ws_cache_misses : int;
 }
 
 type t = {
@@ -55,8 +53,6 @@ let worker t w =
           ws_verdicts = [];
           ws_cov_total = 0;
           ws_cov_universe = 0;
-          ws_cache_hits = 0;
-          ws_cache_misses = 0;
         }
       in
       Hashtbl.replace t.workers w ws;
@@ -113,14 +109,6 @@ let line t ~at_ms =
       Printf.sprintf " | cov %d (%.1f%%)" cov
         (100. *. float_of_int cov /. float_of_int universe)
   in
-  let hits = sum t (fun ws -> ws.ws_cache_hits) in
-  let misses = sum t (fun ws -> ws.ws_cache_misses) in
-  let cachestr =
-    if hits + misses = 0 then ""
-    else
-      Printf.sprintf " | cache %.0f%%"
-        (100. *. float_of_int hits /. float_of_int (hits + misses))
-  in
   let eta =
     match t.budget with
     | Some (Journal.B_tests n) when rate > 0. ->
@@ -128,8 +116,8 @@ let line t ~at_ms =
     | Some (Journal.B_time_ms b) -> (b -. (at_ms -. t.start_ms)) /. 1000.
     | _ -> infinity
   in
-  Printf.sprintf "%s: %d tests %.1f/s%s | bugs %d (+%d dup)%s%s | eta %s"
-    t.kind tests rate vstr t.bugs t.dups covstr cachestr (fmt_eta eta)
+  Printf.sprintf "%s: %d tests %.1f/s%s | bugs %d (+%d dup)%s | eta %s"
+    t.kind tests rate vstr t.bugs t.dups covstr (fmt_eta eta)
 
 let show t s =
   (* Pad with spaces to wipe the previous, possibly longer, line. *)
@@ -163,8 +151,6 @@ let observe t (ev : Journal.event) =
       ws.ws_verdicts <- h.h_verdicts;
       ws.ws_cov_total <- h.h_cov_total;
       ws.ws_cov_universe <- h.h_cov_universe;
-      ws.ws_cache_hits <- h.h_cache_hits;
-      ws.ws_cache_misses <- h.h_cache_misses;
       render t ~at_ms:h.h_at_ms
   | Journal.Bug b ->
       if b.b_new then t.bugs <- t.bugs + 1 else t.dups <- t.dups + 1;

@@ -4,9 +4,8 @@
     figure then comes from an event that is already durably on disk, so
     the terminal line and the journal cannot disagree.  Heartbeats update
     per-worker state; the line (tests, tests/sec, verdict tallies, bugs,
-    coverage, solver-cache hit rate, ETA) re-renders in place at most
-    every [interval_ms]; the [Summary] event prints a final line and a
-    newline. *)
+    coverage, ETA) re-renders in place at most every [interval_ms]; the
+    [Summary] event prints a final line and a newline. *)
 
 type t
 

@@ -3,14 +3,6 @@ module Tel = Nnsmith_telemetry.Telemetry
 
 type result = Sat | Unsat | Unknown
 
-(* Entry of the per-solver frame cache (L1): the outcome of probing one
-   normalized constraint set against one frame-stack state. *)
-type l1_entry = {
-  l1_result : result;
-  l1_steps : int;
-  l1_model : Model.t option;  (* the model found on Sat *)
-}
-
 type t = {
   mutable frames : Formula.t list list;  (* head = most recent frame *)
   mutable cached_model : Model.t option;
@@ -18,12 +10,10 @@ type t = {
   max_steps : int;
   (* [epoch] identifies the current frame-stack *content*: every mutation
      (assert, merge) mints a fresh value, while push/pop save and restore
-     it, so two moments with the same epoch hold the same assertion set.
-     The L1 cache keys on (epoch, probed constraints). *)
+     it, so two moments with the same epoch hold the same assertion set. *)
   mutable epoch : int;
   mutable epoch_src : int;
   mutable epoch_stack : int list;  (* epochs saved by [push] *)
-  l1 : (int * Formula.t list, l1_entry) Hashtbl.t;
   (* Model-validity chain: while [vchain] matches [epoch], the assertion
      set is (a validated prefix that [cached_model] satisfies and whose
      variables it binds) plus [pending] (asserted since, newest first).
@@ -47,12 +37,9 @@ type t = {
 
 and screen_domains = (Expr.var * Interval.t) Imap.t
 
-let l1_capacity = 2048
-
 (* Search randomness is derived from the canonical form of the constraint
-   set being solved (see [canonical_key]), so [seed] no longer influences
-   results; it is accepted for compatibility. *)
-let create ?(max_steps = 2000) ?seed:_ () =
+   set being solved (see [canonical_key]), so solving needs no seed. *)
+let create ?(max_steps = 2000) () =
   {
     frames = [ [] ];
     cached_model = None;
@@ -61,7 +48,6 @@ let create ?(max_steps = 2000) ?seed:_ () =
     epoch = 0;
     epoch_src = 0;
     epoch_stack = [];
-    l1 = Hashtbl.create 64;
     vchain = -1;
     pending = [];
     sd = Imap.empty;
@@ -454,8 +440,8 @@ let extract_model vars d =
 
 (* [vars] must list every variable of [formulas]; the caller supplies them
    in canonical first-occurrence order so that search explores isomorphic
-   constraint sets identically (alpha-renaming invariance — the property
-   the canonical solve cache relies on). *)
+   constraint sets identically (alpha-renaming invariance: a solve is a
+   pure function of the constraint set up to variable identity). *)
 let solve_formulas ~max_steps ~rng ~vars ~work formulas :
     result * Model.t option * int =
   let steps = ref 0 in
@@ -538,11 +524,9 @@ let solve_formulas ~max_steps ~rng ~vars ~work formulas :
    list: variables are numbered by first occurrence and identified only by
    that index plus their domain bounds, so two constraint sets that differ
    only in variable identities (the common case — Algorithm 1 mints fresh
-   attribute variables for every insertion attempt) share a key.  The full
-   string is used as the cache key (no collision risk) and its hash seeds
-   the search rng, which makes solving a pure function of the constraint
-   set — the foundation for both the canonical cache and the bit-identical
-   cache-on/cache-off guarantee. *)
+   attribute variables for every insertion attempt) share a key.  Its hash
+   seeds the search rng and its variable order is the search's, which
+   makes solving a pure function of the constraint set. *)
 
 let canonical_key ~max_steps (fs : Formula.t list) : string * Expr.var list =
   let buf = Buffer.create 256 in
@@ -630,112 +614,11 @@ let hash_key (s : string) =
   String.iter (fun c -> h := ((!h lsl 5) + !h) lxor Char.code c) s;
   !h land max_int
 
-(* ------------------------------------------------------------------ *)
-(* Canonical solve cache (L2): a domain-local bounded LRU mapping the
-   canonical key of a constraint set to its solve outcome.  Domain-local
-   tables mean parallel-pool workers never contend and never need locks. *)
-
-module Lru = struct
-  type entry = { e_result : result; e_steps : int; e_values : int array }
-
-  type node = {
-    n_key : string;
-    n_entry : entry;
-    mutable prev : node option;
-    mutable next : node option;
-  }
-
-  type t = {
-    tbl : (string, node) Hashtbl.t;
-    mutable head : node option;  (* most recently used *)
-    mutable tail : node option;
-    mutable cap : int;
-  }
-
-  let create cap = { tbl = Hashtbl.create 256; head = None; tail = None; cap }
-
-  let unlink t n =
-    (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-    (match n.next with Some q -> q.prev <- n.prev | None -> t.tail <- n.prev);
-    n.prev <- None;
-    n.next <- None
-
-  let push_front t n =
-    n.next <- t.head;
-    n.prev <- None;
-    (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-    t.head <- Some n
-
-  let find t key =
-    match Hashtbl.find_opt t.tbl key with
-    | None -> None
-    | Some n ->
-        unlink t n;
-        push_front t n;
-        Some n.n_entry
-
-  let evict_tail t =
-    match t.tail with
-    | None -> false
-    | Some n ->
-        unlink t n;
-        Hashtbl.remove t.tbl n.n_key;
-        true
-
-  (* Returns the number of entries evicted to make room. *)
-  let add t key entry =
-    if t.cap <= 0 then 0
-    else begin
-      (match Hashtbl.find_opt t.tbl key with
-      | Some old ->
-          unlink t old;
-          Hashtbl.remove t.tbl key
-      | None -> ());
-      let n = { n_key = key; n_entry = entry; prev = None; next = None } in
-      push_front t n;
-      Hashtbl.replace t.tbl key n;
-      let ev = ref 0 in
-      while Hashtbl.length t.tbl > t.cap do
-        if evict_tail t then incr ev
-      done;
-      !ev
-    end
-
-  let clear t =
-    Hashtbl.reset t.tbl;
-    t.head <- None;
-    t.tail <- None
-
-  let size t = Hashtbl.length t.tbl
-end
-
-type dcache = {
-  lru : Lru.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
-let default_cache_capacity = 4096
-
-let dcache_key =
-  Domain.DLS.new_key (fun () ->
-      { lru = Lru.create default_cache_capacity; hits = 0; misses = 0;
-        evictions = 0 })
-
-let dcache () = Domain.DLS.get dcache_key
-
-(* The enable flag is global (an atomic read per solve) so one CLI switch
-   governs every worker domain; the tables themselves stay domain-local. *)
-let cache_flag = Atomic.make true
-let set_cache_enabled b = Atomic.set cache_flag b
-let cache_enabled () = Atomic.get cache_flag
-
-(* Interval pre-screening (and the concrete model fast path): same global
-   switch pattern as the caches — one [--no-prescreen] flag governs every
-   worker domain, while the screen domains live on individual solvers.
-   Screening is semantically invisible: it only answers a probe when the
-   answer provably matches what the full solve would return. *)
+(* Interval pre-screening (and the concrete model fast path).  The switch
+   is a test and bench hook, global so it governs every worker domain,
+   while the screen domains live on individual solvers.  Screening is
+   semantically invisible: it only answers a probe when the answer
+   provably matches what the full solve would return. *)
 let prescreen_flag = Atomic.make true
 let set_prescreen_enabled b = Atomic.set prescreen_flag b
 let prescreen_enabled () = Atomic.get prescreen_flag
@@ -852,33 +735,6 @@ let screen_interval s e =
 (* Exposed for the soundness property test. *)
 let prescreen_unsat s fs = screen_unsat s (Formula.normalize fs)
 
-let set_cache_capacity n =
-  let dc = dcache () in
-  dc.lru.Lru.cap <- max 0 n;
-  let ev = ref 0 in
-  while Lru.size dc.lru > dc.lru.Lru.cap do
-    if Lru.evict_tail dc.lru then incr ev
-  done;
-  dc.evictions <- dc.evictions + !ev
-
-type cache_stats = {
-  cs_size : int;
-  cs_capacity : int;
-  cs_hits : int;
-  cs_misses : int;
-  cs_evictions : int;
-}
-
-let cache_stats () =
-  let dc = dcache () in
-  {
-    cs_size = Lru.size dc.lru;
-    cs_capacity = dc.lru.Lru.cap;
-    cs_hits = dc.hits;
-    cs_misses = dc.misses;
-    cs_evictions = dc.evictions;
-  }
-
 (* Domain-local memo of each formula's variable list, keyed by physical
    identity: frames persist across checks, so the same formula is asked
    for its variables hundreds of times. *)
@@ -891,37 +747,10 @@ end)
 
 let fvars_key = Domain.DLS.new_key (fun () -> FPhys.create 1024)
 
-let cache_clear () =
-  let dc = dcache () in
-  Lru.clear dc.lru;
-  dc.hits <- 0;
-  dc.misses <- 0;
-  dc.evictions <- 0;
-  (* the fvars memo is a cache too: keyed by physical formula identity, it
-     would otherwise pin every formula from earlier runs and grow (then
-     reset) at arbitrary points, making allocation run-order dependent *)
-  FPhys.reset (Domain.DLS.get fvars_key)
-
-(* ------------------------------------------------------------------ *)
-(* Model reuse: before solving, try to extend the previous model to the
-   current assertions (unseen variables take their lower bound).  This is
-   the interval-solver analogue of a warm-started incremental SMT check:
-   most successful [try_add_constraints] probes add constraints the current
-   model already satisfies.  It runs whether or not the cache is enabled —
-   it is part of the solving algorithm, so enabling the cache cannot change
-   which model is found. *)
-
-(* ------------------------------------------------------------------ *)
-(* Connected components.
-
-   Satisfiability of a conjunction decomposes exactly over the connected
-   components of its constraint graph (formulas are nodes, shared
-   variables are edges): the whole set is Sat iff every component is, and
-   the full model is the union of the component models.  Solving per
-   component keeps propagation local — the accumulated assertion set of a
-   10-op graph no longer makes every probe pay for all 100+ atoms — and
-   makes canonical keys component-local, so the same op/placeholder
-   constraint shapes recur across unrelated graphs and hit the cache. *)
+(* The memo is keyed by physical formula identity: it would otherwise pin
+   every formula from earlier runs and grow (then reset) at arbitrary
+   points, making allocation run-order dependent. *)
+let cache_clear () = FPhys.reset (Domain.DLS.get fvars_key)
 
 let fvars (f : Formula.t) : Expr.var list =
   let tbl = Domain.DLS.get fvars_key in
@@ -932,6 +761,13 @@ let fvars (f : Formula.t) : Expr.var list =
       if FPhys.length tbl > 65536 then FPhys.reset tbl;
       FPhys.add tbl f vs;
       vs
+
+(* ------------------------------------------------------------------ *)
+(* Model reuse: before solving, try to extend the previous model to the
+   current assertions (unseen variables take their lower bound).  This is
+   the interval-solver analogue of a warm-started incremental SMT check:
+   most successful [try_add_constraints] probes add constraints the current
+   model already satisfies. *)
 
 let reuse_model cached fs =
   match cached with
@@ -951,6 +787,17 @@ let reuse_model cached fs =
       if List.for_all (Formula.eval env) fs then
         Some (Hashtbl.fold (fun _ (v, n) acc -> Model.add v n acc) extra m)
       else None
+
+(* ------------------------------------------------------------------ *)
+(* Connected components.
+
+   Satisfiability of a conjunction decomposes exactly over the connected
+   components of its constraint graph (formulas are nodes, shared
+   variables are edges): the whole set is Sat iff every component is, and
+   the full model is the union of the component models.  Solving per
+   component keeps propagation local — the accumulated assertion set of a
+   10-op graph no longer makes every probe pay for all 100+ atoms — and
+   makes canonical keys, hence search order, component-local. *)
 
 (* Partition into components, deterministically: components are ordered by
    the first formula that belongs to them, formulas keep their original
@@ -994,80 +841,22 @@ let components (fs : Formula.t list) : Formula.t list list =
     with_vars;
   List.rev_map (fun key -> List.rev (Hashtbl.find buckets key)) !order
 
-(* Rebuild a model for [vars] from the canonical value vector of a cached
-   Sat result.  The LRU is keyed by the full canonical serialization with
-   structural string equality, so a hit means the components are identical
-   up to alpha-renaming and the remapped vector satisfies the current
-   constraint set by construction — no re-evaluation needed on this hot
-   path.  The length guard only defends against an impossible key
-   collision; it falls back to a fresh solve. *)
-let hydrate_entry (e : Lru.entry) vars _fs :
-    (result * Model.t option * int) option =
-  match e.Lru.e_result with
-  | Unsat | Unknown -> Some (e.e_result, None, e.e_steps)
-  | Sat ->
-      if List.length vars <> Array.length e.e_values then None
-      else
-        let m, _ =
-          List.fold_left
-            (fun (m, i) v -> (Model.add v e.e_values.(i) m, i + 1))
-            (Model.empty, 0) vars
-        in
-        Some (Sat, Some m, e.e_steps)
-
-(* Solve one component: L2 lookup first, fresh solve + store on a miss.
-   Returns whether the component was answered from cache so the whole
-   check can be bucketed hit/miss honestly. *)
-let solve_component s dc comp : result * Model.t option * int * bool =
+(* Solve one component from scratch, in its canonical variable order with
+   the rng seeded from its canonical key. *)
+let solve_component s comp : result * Model.t option * int =
   let key, vars = canonical_key ~max_steps:s.max_steps comp in
-  let cached =
-    if cache_enabled () then
-      match Lru.find dc.lru key with
-      | Some e -> hydrate_entry e vars comp
-      | None -> None
-    else None
+  let rng = Random.State.make [| hash_key key |] in
+  let work = { visits = 0; capped = 0 } in
+  let result, m, steps =
+    solve_formulas ~max_steps:s.max_steps ~rng ~vars ~work comp
   in
-  match cached with
-  | Some (result, m, steps) ->
-      dc.hits <- dc.hits + 1;
-      Tel.incr "smt/cache/hit_canon";
-      (result, m, steps, true)
-  | None ->
-      dc.misses <- dc.misses + 1;
-      Tel.incr "smt/cache/miss";
-      let rng = Random.State.make [| hash_key key |] in
-      let work = { visits = 0; capped = 0 } in
-      let result, m, steps =
-        solve_formulas ~max_steps:s.max_steps ~rng ~vars ~work comp
-      in
-      (* deterministic work counters: one fresh component solve, the
-         search-node expansions it cost (cache hits do no search work), and
-         its propagation work *)
-      Tel.incr "smt/component_solves";
-      if steps > 0 then Tel.incr ~by:steps "smt/search_steps";
-      if work.visits > 0 then Tel.incr ~by:work.visits "smt/prop_visits";
-      if work.capped > 0 then Tel.incr ~by:work.capped "smt/prop_capped";
-      if cache_enabled () then begin
-        let values =
-          match m with
-          | Some m ->
-              Array.of_list
-                (List.map
-                   (fun v ->
-                     match Model.find m v with Some n -> n | None -> v.Expr.lo)
-                   vars)
-          | None -> [||]
-        in
-        let ev =
-          Lru.add dc.lru key
-            { Lru.e_result = result; e_steps = steps; e_values = values }
-        in
-        if ev > 0 then begin
-          dc.evictions <- dc.evictions + ev;
-          Tel.incr ~by:ev "smt/cache/evict"
-        end
-      end;
-      (result, m, steps, false)
+  (* deterministic work counters: one component solve, the search-node
+     expansions it cost, and its propagation work *)
+  Tel.incr "smt/component_solves";
+  if steps > 0 then Tel.incr ~by:steps "smt/search_steps";
+  if work.visits > 0 then Tel.incr ~by:work.visits "smt/prop_visits";
+  if work.capped > 0 then Tel.incr ~by:work.capped "smt/prop_capped";
+  (result, m, steps)
 
 let finish_check s ~t0 ~bucket result =
   if Tel.is_enabled () then begin
@@ -1136,14 +925,13 @@ let check_impl ~skip_reuse s =
           Tel.incr "smt/model_reuse";
           finish_check s ~t0 ~bucket:"hit" Sat
       | None ->
-          let dc = dcache () in
           (* Components are solved in deterministic order; the first
              non-Sat one decides the verdict.  Component models are
              variable-disjoint, so their union satisfies the whole set. *)
-          let rec go model steps all_hit = function
-            | [] -> (Sat, Some model, steps, all_hit)
+          let rec go model steps = function
+            | [] -> (Sat, Some model, steps)
             | comp :: rest -> (
-                let r, m, st, hit = solve_component s dc comp in
+                let r, m, st = solve_component s comp in
                 match r with
                 | Sat ->
                     let model =
@@ -1154,36 +942,18 @@ let check_impl ~skip_reuse s =
                             (fun acc (v, n) -> Model.add v n acc)
                             model (Model.bindings m)
                     in
-                    go model (steps + st) (all_hit && hit) rest
-                | _ -> (r, None, steps + st, all_hit && hit))
+                    go model (steps + st) rest
+                | _ -> (r, None, steps + st))
           in
-          let result, m, steps, all_hit =
-            go Model.empty 0 true (components (assertions s))
+          let result, m, steps =
+            go Model.empty 0 (components (assertions s))
           in
           s.last_steps <- steps;
           (match m with Some _ -> s.cached_model <- m | None -> ());
           if result = Sat then validate s;
-          finish_check s ~t0 ~bucket:(if all_hit then "hit" else "miss") result)
+          finish_check s ~t0 ~bucket:"miss" result)
 
 let check s = check_impl ~skip_reuse:false s
-
-(* Record a [try_add_constraints] outcome in the solver's L1 frame cache:
-   keyed by the frame-stack epoch the probe ran against plus the normalized
-   probe constraints.  Algorithm 1 re-probes the same frame with the same
-   candidate constraints whenever generation stalls, so this turns the
-   whole push/solve/pop round-trip into one table lookup. *)
-let l1_record s epoch fs result =
-  if cache_enabled () then begin
-    if Hashtbl.length s.l1 >= l1_capacity then Hashtbl.reset s.l1;
-    let entry =
-      {
-        l1_result = result;
-        l1_steps = s.last_steps;
-        l1_model = (match result with Sat -> s.cached_model | _ -> None);
-      }
-    in
-    Hashtbl.replace s.l1 (epoch, fs) entry
-  end
 
 (* Keep the probed constraints: append them to the top frame (same final
    content as push + assert + merge) and mint the epoch for the new state. *)
@@ -1203,7 +973,7 @@ let commit_probe s fs =
      the screen domains proves prefix + probe UNSAT, so the rolled-back
      [false] verdict is forced.
    Returns [None] when the screen cannot decide (counted as a miss). *)
-let prescreen s fs epoch0 =
+let prescreen s fs =
   let reuse_fs =
     if s.vchain = s.epoch then List.rev_append s.pending fs
     else assertions s @ fs
@@ -1215,13 +985,11 @@ let prescreen s fs epoch0 =
       s.last_steps <- 0;
       commit_probe s fs;
       validate s;
-      l1_record s epoch0 fs Sat;
       Some true
   | None ->
       if screen_unsat s fs then begin
         Tel.incr "smt/prescreen/unsat";
         s.last_steps <- 0;
-        l1_record s epoch0 fs Unsat;
         Some false
       end
       else begin
@@ -1231,76 +999,50 @@ let prescreen s fs epoch0 =
 
 let try_add_constraints s fs =
   let fs = Formula.normalize fs in
-  let hit =
-    if cache_enabled () then Hashtbl.find_opt s.l1 (s.epoch, fs) else None
-  in
-  match hit with
-  | Some e -> (
-      let dc = dcache () in
-      dc.hits <- dc.hits + 1;
-      Tel.incr "smt/cache/hit_frame";
-      s.last_steps <- e.l1_steps;
-      match e.l1_result with
-      | Sat ->
-          (match e.l1_model with
-          | Some m -> s.cached_model <- Some m
-          | None -> ());
-          commit_probe s fs;
-          (* The L1 model was recorded against this same epoch + probe, so
-             the new [cached_model] satisfies the merged set (and binds
-             its variables): the validity chain restarts here. *)
-          (match e.l1_model with Some _ -> validate s | None -> ());
-          true
-      | Unsat | Unknown -> false)
+  let screening = prescreen_enabled () in
+  match if screening then prescreen s fs else None with
+  | Some verdict -> verdict
   | None -> (
-      let epoch0 = s.epoch in
-      let screening = prescreen_enabled () in
-      let screened = if screening then prescreen s fs epoch0 else None in
-      match screened with
-      | Some verdict -> verdict
-      | None -> (
-          let vchain0 = s.vchain and pending0 = s.pending in
-          push s;
-          assert_all s fs;
-          (* a screen miss already ran (and failed) the model-reuse attempt
-             over exactly this assertion set; don't pay for it twice *)
-          match check_impl ~skip_reuse:screening s with
-          | Sat ->
-              (* merge the tentative frame into its parent so the
-                 constraints stay; drop (without restoring) the epoch saved
-                 by [push] since the merged content is a new state *)
-              (match s.frames with
-              | tentative :: parent :: rest ->
-                  s.frames <- (tentative @ parent) :: rest
-              | [] | [ _ ] -> assert false);
-              (match s.epoch_stack with
-              | _ :: es -> s.epoch_stack <- es
-              | [] -> ());
-              (* likewise drop the screen domains saved by [push]: the
-                 probed constraints stay asserted, so the narrowing their
-                 [assert_]s performed stays justified *)
-              (match s.sd_stack with
-              | _ :: ds -> s.sd_stack <- ds
-              | [] -> ());
-              s.epoch <- fresh_epoch s;
-              (* the merge leaves the assertion set the check just proved,
-                 so the model it validated stays validated *)
-              validate s;
-              l1_record s epoch0 fs Sat;
-              true
-          | (Unsat | Unknown) as r ->
-              pop s;
-              (* the rolled-back state is exactly the one the saved chain
-                 described, and a non-Sat check never touches the model *)
-              s.vchain <- vchain0;
-              s.pending <- pending0;
-              l1_record s epoch0 fs r;
-              false))
+      let vchain0 = s.vchain and pending0 = s.pending in
+      push s;
+      assert_all s fs;
+      (* a screen miss already ran (and failed) the model-reuse attempt
+         over exactly this assertion set; don't pay for it twice *)
+      match check_impl ~skip_reuse:screening s with
+      | Sat ->
+          (* merge the tentative frame into its parent so the constraints
+             stay; drop (without restoring) the epoch saved by [push] since
+             the merged content is a new state *)
+          (match s.frames with
+          | tentative :: parent :: rest ->
+              s.frames <- (tentative @ parent) :: rest
+          | [] | [ _ ] -> assert false);
+          (match s.epoch_stack with
+          | _ :: es -> s.epoch_stack <- es
+          | [] -> ());
+          (* likewise drop the screen domains saved by [push]: the probed
+             constraints stay asserted, so the narrowing their [assert_]s
+             performed stays justified *)
+          (match s.sd_stack with
+          | _ :: ds -> s.sd_stack <- ds
+          | [] -> ());
+          s.epoch <- fresh_epoch s;
+          (* the merge leaves the assertion set the check just proved, so
+             the model it validated stays validated *)
+          validate s;
+          true
+      | Unsat | Unknown ->
+          pop s;
+          (* the rolled-back state is exactly the one the saved chain
+             described, and a non-Sat check never touches the model *)
+          s.vchain <- vchain0;
+          s.pending <- pending0;
+          false)
 
 let model s = s.cached_model
 let check_steps s = s.last_steps
 
-let solve ?max_steps ?seed:_ formulas =
+let solve ?max_steps formulas =
   let s = create ?max_steps () in
   assert_all s formulas;
   match check s with Sat -> model s | Unsat | Unknown -> None

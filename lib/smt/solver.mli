@@ -12,19 +12,15 @@
     Solving is a pure function of the constraint set: search randomness is
     derived from an alpha-renamed canonical serialization of the assertions,
     so two structurally identical (up to variable identity) constraint sets
-    always solve to the same result, on any domain.  This purity backs a
-    two-level solve cache:
+    always solve to the same result, on any domain.  A solver keeps no
+    results across solvers: what one test generates depends only on its
+    own constraint sets.
 
-    - an {e L1 frame cache} per solver, keyed by (frame-stack state, probed
-      constraints), that short-circuits repeated {!try_add_constraints}
-      probes against the same graph state; and
-    - an {e L2 canonical cache} per domain — a bounded LRU keyed by the
-      canonical serialization — that short-circuits isomorphic solves across
-      solvers, tests and campaign shards.  Tables are domain-local, so
-      parallel-pool workers never contend.
-
-    Caching is semantically invisible: with the cache on or off, the same
-    campaign produces bit-identical models, verdicts and failure keys. *)
+    Two fast paths answer a {!try_add_constraints} probe without a full
+    check, each only when the answer provably matches the full solve's:
+    the {e concrete path} extends the current model over the probe, and the
+    {e interval screen} refutes a probe whose atoms conflict with interval
+    over-approximations of the asserted prefix. *)
 
 type t
 
@@ -32,10 +28,9 @@ type result = Sat | Unsat | Unknown
 (** [Unknown] means the step budget was exhausted; callers treat it as
     "cannot insert here", which is safe for generation. *)
 
-val create : ?max_steps:int -> ?seed:int -> unit -> t
+val create : ?max_steps:int -> unit -> t
 (** [max_steps] bounds the number of search-node expansions per [check]
-    (default 2000).  [seed] is accepted for compatibility but no longer
-    influences results: search randomness is content-derived (see above). *)
+    (default 2000).  Search randomness is content-derived (see above). *)
 
 val push : t -> unit
 val pop : t -> unit
@@ -50,54 +45,56 @@ val assertions : t -> Formula.t list
 (** All currently asserted formulas. *)
 
 val check : t -> result
-(** Decide the conjunction of all assertions; caches the model on [Sat].
-    Consults, in order: model reuse (extend the previous model — always on),
-    the L2 canonical cache, and finally interval propagation + search. *)
+(** Decide the conjunction of all assertions; keeps the model on [Sat].
+    Tries model reuse first (extend the previous model), then solves each
+    connected component by interval propagation + search. *)
 
 val try_add_constraints : t -> Formula.t list -> bool
 (** The operation Algorithm 1 relies on: tentatively assert the formulas
     (normalized via {!Formula.normalize}) and check; on [Sat] they are kept
-    (and the model cached), otherwise the solver state is rolled back and
-    the result is [false].  Outcomes are memoized in the solver's L1 frame
-    cache, so re-probing the same constraints against the same frame state
-    is a table lookup. *)
+    (and the model kept), otherwise the solver state is rolled back and
+    the result is [false].  The concrete path and the interval screen (see
+    above) answer most probes before a full check. *)
 
 val model : t -> Model.t option
 (** Model from the most recent successful [check]/[try_add_constraints]. *)
 
 val check_steps : t -> int
 (** Search-node expansions performed by the last [check] (for benchmarks).
-    [0] when the check was answered by model reuse or a cache hit. *)
+    [0] when the probe or check was answered by model reuse or the
+    screen. *)
 
-val solve : ?max_steps:int -> ?seed:int -> Formula.t list -> Model.t option
+val solve : ?max_steps:int -> Formula.t list -> Model.t option
 (** One-shot convenience wrapper. *)
 
-(** {1 Solve cache control}
+val screen_interval : t -> Expr.t -> int * int
+(** Bounds of an expression under the screen domains of the current
+    assertion set (declared variable bounds when nothing narrowed them).
+    The generator's per-op feasibility memo keys on these. *)
 
-    The L2 cache is per-domain; capacity/stats/clear act on the calling
-    domain's table.  The enable flag is global so one switch (the CLI's
-    [--no-solver-cache]) governs every worker domain. *)
+val cache_clear : unit -> unit
+(** Drop the calling domain's memo of formula variable lists.  It holds
+    no results, only lets a run start from the allocation state of a
+    fresh process. *)
 
-val set_cache_enabled : bool -> unit
-(** Enable/disable both cache levels globally (default: enabled).  Model
-    reuse stays on either way — results are bit-identical in both modes,
-    only the time to produce them changes. *)
+(** {1 Test-only}
 
-val cache_enabled : unit -> bool
+    Not part of the solver's API: hooks for the property tests and the
+    bench harness. *)
 
 val set_prescreen_enabled : bool -> unit
-(** Enable/disable the constraint pre-screening layer globally (default:
-    enabled; the CLI's [--no-prescreen]).  When on, each solver maintains
-    interval screen domains — an over-approximation of the values its
-    variables can take under the current assertions — and answers a
-    {!try_add_constraints} probe without entering the check machinery
-    whenever the answer is forced: either the cached model extends over the
-    probe (the concrete fast path — same model and state as the reuse step
-    of a full check), or interval propagation of the probe against the
-    screen domains conflicts (definitely-UNSAT — the solve could only have
-    answered Unsat/Unknown, both of which reject the probe).  Screening is
-    semantically invisible: verdicts, models and whole campaigns are
-    bit-identical with the screen on or off. *)
+(** Turn the pre-screening layer on or off globally (default: on).  When
+    on, each solver maintains interval screen domains — an
+    over-approximation of the values its variables can take under the
+    current assertions — and answers a {!try_add_constraints} probe without
+    entering the check machinery whenever the answer is forced: either the
+    current model extends over the probe (the concrete path — same model
+    and state as the reuse step of a full check), or interval propagation
+    of the probe against the screen domains conflicts (definitely-UNSAT —
+    the solve could only have answered Unsat/Unknown, both of which reject
+    the probe).  The generator's per-op feasibility screen follows the
+    same switch.  Screening is semantically invisible: verdicts, models
+    and whole campaigns are bit-identical with the screen on or off. *)
 
 val prescreen_enabled : unit -> bool
 
@@ -107,32 +104,6 @@ val prescreen_unsat : t -> Formula.t list -> bool
     ({!try_add_constraints} must return [false]).  Sound, never complete —
     [false] just means the screen cannot decide.  Exposed for the
     soundness property test. *)
-
-val screen_interval : t -> Expr.t -> int * int
-(** Bounds of an expression under the screen domains of the current
-    assertion set (declared variable bounds when nothing narrowed them).
-    The generator's per-op feasibility memo keys on these. *)
-
-val set_cache_capacity : int -> unit
-(** Resize the calling domain's L2 LRU (default 4096 entries), evicting
-    least-recently-used entries if needed. *)
-
-type cache_stats = {
-  cs_size : int;  (** live entries in this domain's L2 table *)
-  cs_capacity : int;
-  cs_hits : int;  (** L1 + L2 hits recorded on this domain *)
-  cs_misses : int;  (** full solves recorded on this domain *)
-  cs_evictions : int;
-}
-
-val cache_stats : unit -> cache_stats
-val cache_clear : unit -> unit
-(** Drop the calling domain's L2 entries and reset its stats. *)
-
-(** {1 Test-only}
-
-    Not part of the solver's API: an entry point for the property test that
-    checks the propagation loop against a plain full-sweep reference. *)
 
 val propagate_for_test :
   ?rounds:int ->

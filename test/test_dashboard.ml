@@ -185,8 +185,6 @@ let heartbeat ~at_ms =
       h_cov_total = 0;
       h_cov_pass = 0;
       h_cov_universe = 0;
-      h_cache_hits = 0;
-      h_cache_misses = 0;
     }
 
 let summary ~at_ms =

@@ -74,8 +74,6 @@ let sample_frames =
         fo_cov_delta = [ ("oxrt/import/arity", true); ("tvm/fuse", false) ];
         fo_cov_total = 120;
         fo_cov_universe = 300;
-        fo_cache_hits = 10;
-        fo_cache_misses = 3;
       };
     Proto.Shard_done { tests = 20; last_index = 57 };
   ]

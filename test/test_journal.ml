@@ -48,8 +48,6 @@ let sample_events =
         h_cov_total = 120;
         h_cov_pass = 90;
         h_cov_universe = 300;
-        h_cache_hits = 10;
-        h_cache_misses = 5;
       };
     J.Bug
       {
@@ -135,6 +133,56 @@ let test_budget_roundtrip () =
       let line = Nnsmith_telemetry.Json.to_string (J.to_json ev) in
       check "budget round-trips" true (J.event_of_line line = Ok ev))
     [ J.B_tests 1; J.B_tests 1_000_000; J.B_time_ms 0.5; J.B_time_ms 3.6e6 ]
+
+(* Heartbeats written before the solver lost its result caches carry two
+   extra fields, [cache_hits] and [cache_misses].  Journals in that format
+   must still parse, list in [journal tail] and render on the dashboard. *)
+let old_format_journal =
+  String.concat "\n"
+    [
+      {|{"ev":"start","at_ms":1000,"kind":"fuzz","systems":["Lotus"],"generator":"NNSmith","root_seed":3,"jobs":1,"budget":{"tests":5}}|};
+      {|{"ev":"heartbeat","worker":0,"seq":1,"at_ms":1250,"tests":1,"verdicts":{"pass":1},"cov_total":46,"cov_pass":39,"cov_universe":46,"cache_hits":0,"cache_misses":2}|};
+      {|{"ev":"heartbeat","worker":0,"seq":2,"at_ms":1500,"tests":4,"verdicts":{"pass":4},"cov_total":70,"cov_pass":60,"cov_universe":80,"cache_hits":3,"cache_misses":9}|};
+      {|{"ev":"summary","at_ms":1600,"tests":5,"tests_per_sec":8.3,"verdicts":{"pass":5},"failures":0,"saved":0,"dups":0,"cov_total":82,"cov_pass":68,"dropped":0}|};
+    ]
+  ^ "\n"
+
+let test_old_heartbeat_parses () =
+  let has s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let line = List.nth (String.split_on_char '\n' old_format_journal) 1 in
+  check "heartbeat parses" true
+    (J.event_of_line line
+    = Ok
+        (J.Heartbeat
+           {
+             h_worker = 0;
+             h_seq = 1;
+             h_at_ms = 1250.;
+             h_tests = 1;
+             h_verdicts = [ ("pass", 1) ];
+             h_cov_total = 46;
+             h_cov_pass = 39;
+             h_cov_universe = 46;
+           }));
+  with_tmp_dir (fun dir ->
+      Out_channel.with_open_bin (J.in_dir dir) (fun oc ->
+          output_string oc old_format_journal);
+      (match J.read_file (J.in_dir dir) with
+      | Error m -> Alcotest.failf "read failed: %s" m
+      | Ok r ->
+          check_int "every event read" 4 (List.length r.J.events);
+          check_int "no bad lines" 0 r.J.bad_lines;
+          check "no torn tail" false r.J.torn_tail;
+          (* what [journal tail] prints *)
+          check "tail lines render" true
+            (List.for_all (fun ev -> J.summary_line ev <> "") r.J.events));
+      let html = Nnsmith_dashboard.Dashboard.of_dir ~bench_dir:dir dir in
+      check "dashboard renders the campaign" true (has html "Lotus");
+      check "dashboard has no NaN" false (has html "NaN"))
 
 (* ------------------------------------------------------------------ *)
 (* Writer basics                                                       *)
@@ -364,8 +412,6 @@ let test_two_domain_interleave () =
                      h_cov_total = 0;
                      h_cov_pass = 0;
                      h_cov_universe = 0;
-                     h_cache_hits = 0;
-                     h_cache_misses = 0;
                    })
             done;
             P.Chan.producer_done chan)
@@ -492,6 +538,8 @@ let () =
         [
           Alcotest.test_case "event round-trip" `Quick test_roundtrip;
           Alcotest.test_case "budget round-trip" `Quick test_budget_roundtrip;
+          Alcotest.test_case "old heartbeat parses" `Quick
+            test_old_heartbeat_parses;
         ] );
       ( "writer",
         [

@@ -256,7 +256,7 @@ let test_templates_forward_solvable () =
                     (fun (t : Sym.t) -> Spec.out_positive t)
                     (inputs @ inst.extra_inputs)
               in
-              (match Solver.solve ~seed:5 constraints with
+              (match Solver.solve constraints with
               | Some model ->
                   incr solved;
                   (* concretise and type check against Infer *)
@@ -302,7 +302,7 @@ let test_templates_backward_consistent () =
                     @ List.concat_map Spec.out_positive in_types
                     @ Spec.out_positive v
                   in
-                  match Solver.solve ~seed:3 constraints with
+                  match Solver.solve constraints with
                   | Some model ->
                       let conc (t : Sym.t) =
                         let dtype, dims = Sym.concretize model t in

@@ -149,7 +149,7 @@ let qcheck_interval_div_sound =
 (* ------------------------------------------------------------------ *)
 (* Solver                                                              *)
 
-let solve fs = S.solve ~seed:1 fs
+let solve fs = S.solve fs
 
 let test_solver_simple_sat () =
   let x = E.fresh "x" and y = E.fresh "y" in
@@ -213,7 +213,7 @@ let test_solver_negation () =
   | None -> Alcotest.fail "expected SAT"
 
 let test_try_add_rollback () =
-  let s = S.create ~seed:1 () in
+  let s = S.create () in
   let x = E.fresh "x" in
   check "first" true (S.try_add_constraints s F.[ x <= E.int 5 ]);
   check "conflict rolled back" false (S.try_add_constraints s F.[ x > E.int 9 ]);
@@ -225,7 +225,7 @@ let test_try_add_rollback () =
   | None -> Alcotest.fail "expected model"
 
 let test_push_pop () =
-  let s = S.create ~seed:1 () in
+  let s = S.create () in
   let x = E.fresh "x" in
   S.assert_ s F.(x <= E.int 5);
   S.push s;
@@ -239,7 +239,7 @@ let test_push_pop () =
       S.pop s)
 
 let test_incremental_model_updates () =
-  let s = S.create ~seed:1 () in
+  let s = S.create () in
   let x = E.fresh "x" in
   check "a" true (S.try_add_constraints s F.[ E.one <= x ]);
   check "b" true (S.try_add_constraints s F.[ E.int 7 <= x ]);
@@ -249,7 +249,7 @@ let test_incremental_model_updates () =
 
 let test_step_limit_unknown () =
   (* A hard system under a tiny budget must report Unknown, not loop. *)
-  let s = S.create ~max_steps:2 ~seed:1 () in
+  let s = S.create ~max_steps:2 () in
   let vs = List.init 8 (fun i -> E.fresh (Printf.sprintf "v%d" i)) in
   S.assert_ s F.(E.sum vs = E.int 1000);
   List.iter (fun v -> S.assert_ s F.(E.int 2 <= v)) vs;
@@ -268,7 +268,7 @@ let test_interleaved_solvers () =
   (* Regression for the old top-level [changed : bool ref]: two incremental
      solvers refined in alternation must not leak propagation state into
      each other, and a one-shot solve in the middle must not reset either. *)
-  let s1 = S.create ~seed:1 () and s2 = S.create ~seed:2 () in
+  let s1 = S.create () and s2 = S.create () in
   let x = E.fresh "x" and y = E.fresh "y" in
   check "s1 a" true (S.try_add_constraints s1 F.[ E.int 3 <= x ]);
   check "s2 a" true (S.try_add_constraints s2 F.[ y <= E.int 4 ]);
@@ -301,7 +301,7 @@ let test_concurrent_domain_solves () =
         let fs =
           F.[ E.(x + y) = E.int n; E.one <= x; x < y ]
         in
-        match S.solve ~seed:(salt + i) fs with
+        match S.solve fs with
         | None -> false
         | Some m -> List.for_all (M.eval_formula m) fs)
   in
@@ -674,113 +674,24 @@ let test_propagation_round_cap () =
   | _ -> Alcotest.fail "expected two narrowed domains"
 
 (* ------------------------------------------------------------------ *)
-(* Solve cache                                                         *)
+(* Model reuse and components                                          *)
 
-(* Run [f] with the cache in a known-clean enabled state and restore the
-   global flag and this domain's capacity afterwards. *)
-let with_clean_cache f =
-  let was = S.cache_enabled () in
-  let cap = (S.cache_stats ()).cs_capacity in
-  S.set_cache_enabled true;
-  S.cache_clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      S.set_cache_capacity cap;
-      S.cache_clear ();
-      S.set_cache_enabled was)
-    f
-
-(* A small family of mutually distinct single-component systems. *)
-let sys_n n =
-  let x = E.fresh "x" and y = E.fresh "y" in
-  F.[ E.(x + y) = E.int (10 + n); x <= y; E.one <= x ]
-
-let test_cache_lru_eviction () =
-  with_clean_cache (fun () ->
-      S.set_cache_capacity 4;
-      List.iter (fun n -> ignore (S.solve (sys_n n))) (List.init 10 Fun.id);
-      let st = S.cache_stats () in
-      check "bounded" true (st.cs_size <= 4);
-      check "evicted" true (st.cs_evictions >= 6);
-      (* most recent keys survive, the oldest were evicted *)
-      let h0 = (S.cache_stats ()).cs_hits in
-      ignore (S.solve (sys_n 9));
-      check "recent key resident" true ((S.cache_stats ()).cs_hits = h0 + 1);
-      let m0 = (S.cache_stats ()).cs_misses in
-      ignore (S.solve (sys_n 0));
-      check "oldest key evicted" true ((S.cache_stats ()).cs_misses = m0 + 1))
-
-let test_cache_cross_domain_isolation () =
-  with_clean_cache (fun () ->
-      ignore (S.solve (sys_n 3));
-      let main_before = S.cache_stats () in
-      check "main domain populated" true (main_before.cs_size > 0);
-      let spawned =
-        Domain.spawn (fun () ->
-            let empty = S.cache_stats () in
-            (* same system solved in a fresh domain must be a miss: the
-               tables are domain-local, not shared *)
-            ignore (S.solve (sys_n 3));
-            let after = S.cache_stats () in
-            (empty.cs_size, after.cs_hits, after.cs_misses))
-        |> Domain.join
-      in
-      let empty_size, d_hits, d_misses = spawned in
-      check_int "spawned domain starts empty" 0 empty_size;
-      check_int "spawned domain had no hits" 0 d_hits;
-      check "spawned domain solved fresh" true (d_misses > 0);
-      let main_after = S.cache_stats () in
-      check_int "main domain unaffected" main_before.cs_size
-        main_after.cs_size)
-
-let test_cache_on_off_identical_models () =
-  with_clean_cache (fun () ->
-      let systems = List.init 8 sys_n in
-      let models enabled =
-        S.set_cache_enabled enabled;
-        List.map
-          (fun fs ->
-            match S.solve fs with
-            | None -> Alcotest.fail "expected Sat"
-            | Some m ->
-                List.map (fun ((v : E.var), n) -> (v.id, n)) (M.bindings m))
-          systems
-      in
-      let off = models false in
-      let on_cold = models true in
-      let on_warm = models true in
-      (* second cache-on pass is answered from cache *)
-      check "warm pass hit the cache" true ((S.cache_stats ()).cs_hits > 0);
-      check "cache-off = cache-on (cold)" true (off = on_cold);
-      check "cache-off = cache-on (warm)" true (off = on_warm))
-
-let test_cache_l1_frame_hit () =
-  with_clean_cache (fun () ->
-      let x = E.fresh "x" and y = E.fresh "y" in
-      let s = S.create () in
-      S.assert_all s F.[ E.(x + y) = E.int 10; x <= y ];
-      check "base sat" true (S.check s = S.Sat);
-      let probe = F.[ y < x ] in
-      let before = List.length (S.assertions s) in
-      check "probe rejected" false (S.try_add_constraints s probe);
-      let st1 = S.cache_stats () in
-      (* identical probe against the unchanged frame: L1 answers it *)
-      check "re-probe rejected" false (S.try_add_constraints s probe);
-      let st2 = S.cache_stats () in
-      check_int "re-probe was a pure hit" (st1.cs_hits + 1) st2.cs_hits;
-      check_int "re-probe did not solve" st1.cs_misses st2.cs_misses;
-      check_int "frame unchanged" before (List.length (S.assertions s)))
+(* Run [f] with the pre-screen switched as given, restoring the global
+   switch afterwards. *)
+let with_screen on f =
+  let was = S.prescreen_enabled () in
+  S.set_prescreen_enabled on;
+  Fun.protect ~finally:(fun () -> S.set_prescreen_enabled was) f
 
 let test_model_reuse_zero_steps () =
-  with_clean_cache (fun () ->
-      let x = E.fresh "x" and y = E.fresh "y" in
-      let s = S.create () in
-      S.assert_all s F.[ E.(x + y) = E.int 10; x <= y ];
-      check "base sat" true (S.check s = S.Sat);
-      (* the current model already satisfies this probe: no search runs *)
-      check "compatible probe accepted" true
-        (S.try_add_constraints s F.[ E.one <= y ]);
-      check_int "answered by model reuse" 0 (S.check_steps s))
+  let x = E.fresh "x" and y = E.fresh "y" in
+  let s = S.create () in
+  S.assert_all s F.[ E.(x + y) = E.int 10; x <= y ];
+  check "base sat" true (S.check s = S.Sat);
+  (* the current model already satisfies this probe: no search runs *)
+  check "compatible probe accepted" true
+    (S.try_add_constraints s F.[ E.one <= y ]);
+  check_int "answered by model reuse" 0 (S.check_steps s)
 
 let test_component_decomposition () =
   (* variable-disjoint subsystems are solved independently: an Unsat
@@ -823,17 +734,16 @@ let probe_script seed =
               let bound = Random.State.int rng 40 in
               F.(E.(v () * int k) <= E.int bound)))
 
-(* Replay a probe script on a fresh solver with the caches on or off,
-   recording everything observable: per-probe verdict and step count, the
-   final check verdict, and the final model bindings. *)
-let replay ~cache probes =
-  S.set_cache_enabled cache;
+(* Replay a probe script on a fresh solver with the pre-screen on or off,
+   recording everything observable: per-probe verdict, the final check
+   verdict, and the final model bindings.  Step counts are left out: a
+   probe the screen answers runs no search. *)
+let replay ~screen probes =
+  with_screen screen @@ fun () ->
   let s = S.create () in
   let log =
     List.map
-      (fun fs ->
-        let ok = S.try_add_constraints s fs in
-        (ok, S.check_steps s))
+      (fun fs -> S.try_add_constraints s fs)
       probes
   in
   let final = S.check s in
@@ -844,45 +754,56 @@ let replay ~cache probes =
   in
   (log, final, m)
 
-(* The first cache-on replay runs cold, the second is answered from the
-   warm L2 table; both must match the cache-off replay. *)
-let qcheck_cache_probe_identity =
-  QCheck.Test.make ~name:"cache on = off probe sequences" ~count:60
+(* The screen answers probes from its interval domains and the concrete
+   path: every probe, the final verdict and the final model must match a
+   replay where each probe runs the full check. *)
+let qcheck_screen_probe_identity =
+  QCheck.Test.make ~name:"screen on = off probe sequences" ~count:60
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      with_clean_cache (fun () ->
-          let probes = probe_script seed in
-          let reference = replay ~cache:true probes in
-          List.for_all
-            (fun cache -> replay ~cache probes = reference)
-            [ true; false ]))
+      let probes = probe_script seed in
+      replay ~screen:true probes = replay ~screen:false probes)
 
 let test_probe_interleaved_with_push_pop () =
-  (* The L1 frame cache keys on frame-stack epochs, which explicit
-     push/pop save and restore: probes interleaved with push/pop and
-     direct asserts must answer exactly as with the caches off. *)
-  with_clean_cache (fun () ->
-      let run cache =
-        S.set_cache_enabled cache;
-        let x = E.fresh "x" and y = E.fresh "y" and z = E.fresh "z" in
-        let s = S.create () in
-        let r1 = S.try_add_constraints s F.[ E.(x + y) = E.int 10; x <= y ] in
-        let r2 = S.try_add_constraints s F.[ z <= E.int 4 ] in
-        let r3 = S.try_add_constraints s F.[ y < x ] (* conflict *) in
-        S.push s;
-        S.assert_ s F.(z > E.int 9) (* conflicts with z <= 4 *);
-        let inner = S.check s in
-        S.pop s;
-        let r4 = S.try_add_constraints s F.[ E.int 2 <= x ] in
-        let after = S.check s in
-        let vals =
-          match S.model s with
-          | None -> []
-          | Some m -> List.map (fun v -> M.eval_expr m v) [ x; y; z ]
-        in
-        (r1, r2, r3, inner, r4, after, vals)
-      in
-      check "cache on/off identical" true (run true = run false))
+  (* Explicit push/pop save and restore the screen domains ([sd_stack])
+     and the epochs the model-validity chain compares: probes interleaved
+     with push/pop and direct asserts must answer exactly as with the
+     screen off. *)
+  let run screen =
+    with_screen screen @@ fun () ->
+    let x = E.fresh "x" and y = E.fresh "y" and z = E.fresh "z" in
+    let s = S.create () in
+    let r1 = S.try_add_constraints s F.[ E.(x + y) = E.int 10; x <= y ] in
+    let r2 = S.try_add_constraints s F.[ z <= E.int 4 ] in
+    let r3 = S.try_add_constraints s F.[ y < x ] (* conflict *) in
+    S.push s;
+    S.assert_ s F.(z <= E.int 1) (* narrows z's screen domain *);
+    let inner_sat = S.check s in
+    S.assert_ s F.(z > E.int 9) (* conflicts with z <= 4 *);
+    let inner = S.check s in
+    S.pop s;
+    (* the model found under z <= 1 satisfies what the pop left and this
+       probe, so model reuse answers it; a chain still holding the popped
+       z > 9 would send it to the search *)
+    let r4 = S.try_add_constraints s F.[ z <= E.int 3 ] in
+    let reused = S.check_steps s = 0 in
+    (* feasible again once the pop restores z's screen domain *)
+    let r5 = S.try_add_constraints s F.[ E.int 3 <= z ] in
+    let r6 = S.try_add_constraints s F.[ E.int 2 <= x ] in
+    let after = S.check s in
+    let vals =
+      match S.model s with
+      | None -> []
+      | Some m -> List.map (fun v -> M.eval_expr m v) [ x; y; z ]
+    in
+    ((r1, r2, r3, r4, r5, r6), (inner_sat, inner, after), reused, vals)
+  in
+  let on = run true in
+  check "screen on/off identical" true (on = run false);
+  let probes, checks, reused, _ = on in
+  check "probe verdicts" true (probes = (true, true, false, true, true, true));
+  check "check verdicts" true (checks = (S.Sat, S.Unsat, S.Sat));
+  check "answered by model reuse after pop" true reused
 
 let () =
   let tc = Alcotest.test_case in
@@ -937,16 +858,12 @@ let () =
         ] );
       ( "cache",
         [
-          tc "lru eviction" `Quick test_cache_lru_eviction;
-          tc "cross-domain isolation" `Quick test_cache_cross_domain_isolation;
-          tc "on/off identical models" `Quick test_cache_on_off_identical_models;
-          tc "l1 frame hit" `Quick test_cache_l1_frame_hit;
           tc "model reuse zero steps" `Quick test_model_reuse_zero_steps;
           tc "component decomposition" `Quick test_component_decomposition;
         ] );
       ( "probe",
         [
           tc "interleaved push/pop" `Quick test_probe_interleaved_with_push_pop;
-          QCheck_alcotest.to_alcotest qcheck_cache_probe_identity;
+          QCheck_alcotest.to_alcotest qcheck_screen_probe_identity;
         ] );
     ]

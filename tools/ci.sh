@@ -10,8 +10,7 @@
 #   build+tests   dune build @ci         (whole tree + every test suite)
 #   bench smoke   bench/main.exe --only solver_cache / gradsearch /
 #                 prescreen (append schema-2 counter rows to
-#                 bench/history.jsonl; fail on cache-on/off graph drift,
-#                 plan-on/off bit drift or screen-on/off digest drift)
+#                 bench/history.jsonl; fail on screen-on/off digest drift)
 #   determinism   bench/main.exe check-determinism (each counter round runs
 #                 twice in-process; any work-counter mismatch fails)
 #   perf gate     bench/main.exe regress (work counters must equal the last
@@ -20,9 +19,8 @@
 #   dashboard     journaled mini-campaign -> static HTML (balanced tags,
 #                 non-empty triage table, no NaN, no scripts)
 #   fleet         worker + supervisor kill -9, resume bit-identity
-#   cohort        cohort/jobs campaign bit-identity; the reference
+#   cohort        jobs=1 vs jobs=2 campaign bit-identity; the reference
 #                 index.jsonl must also match its committed md5
-#   prescreen     screen-on vs --no-prescreen campaign bit-identity
 #   perfbench     perfbench/bench.exe selftest --workload fuzz-10n (the
 #                 campaign benchmark's loop matches Pfuzz.fuzz and its
 #                 work counters repeat exactly)
@@ -96,9 +94,9 @@ if [ "$quick" -eq 1 ]; then
   exit 0
 fi
 
-note "bench smoke (solver cache)"
+note "bench smoke (solver)"
 dune exec bench/main.exe -- --only solver_cache --budget 400 \
-  || err "solver-cache bench smoke failed"
+  || err "solver bench smoke failed"
 
 note "bench smoke (gradient search plans)"
 dune exec bench/main.exe -- --only gradsearch --budget 400 \
@@ -188,28 +186,27 @@ else
   err "fleet smoke: $nn missing (dune build @ci should have built it)"
 fi
 
-note "cohort smoke (cohort/jobs campaign bit-identity)"
+note "cohort smoke (jobs campaign bit-identity)"
 # The shared cohort pool and the sharded schedule are meant to be
-# invisible to campaign results: the same seeded run with cohort size 1
-# and one worker must produce a byte-identical corpus index to cohort
-# size 8 at jobs=2.  The reference index is also pinned to its committed
-# md5 (5,245 bytes), so an engine change that claims to leave outputs
-# alone is checked against the commit before it, not only against
-# itself.  Re-baseline co_md5 only with a deliberate output change.
+# invisible to campaign results: the same seeded run at one worker must
+# produce a byte-identical corpus index to jobs=2, where each worker's
+# pool sees a different sequence of graphs.  The reference index is also
+# pinned to its committed md5 (5,245 bytes), so an engine change that
+# claims to leave outputs alone is checked against the commit before it,
+# not only against itself.  Re-baseline co_md5 only with a deliberate
+# output change.
 if [ -x "$nn" ]; then
   co_ref=$(mktemp -d)
   co_var=$(mktemp -d)
   co_args="fuzz --system lotus --tests 40 --bugs --seed 11"
   co_md5=aeebccfe7a691141623d5daca9f0a7ca
-  if "$nn" $co_args --jobs 1 --cohort-size 1 \
-       --report-dir "$co_ref" >/dev/null 2>&1 \
-    && "$nn" $co_args --jobs 2 --cohort-size 8 \
-         --report-dir "$co_var" >/dev/null 2>&1
+  if "$nn" $co_args --jobs 1 --report-dir "$co_ref" >/dev/null 2>&1 \
+    && "$nn" $co_args --jobs 2 --report-dir "$co_var" >/dev/null 2>&1
   then
     [ -s "$co_ref/index.jsonl" ] \
       || err "cohort smoke: reference campaign saved no failures"
     cmp -s "$co_ref/index.jsonl" "$co_var/index.jsonl" \
-      || err "cohort smoke: corpus index depends on cohort size or jobs"
+      || err "cohort smoke: corpus index depends on jobs"
     got_md5=$(md5sum < "$co_ref/index.jsonl" | cut -d' ' -f1)
     [ "$got_md5" = "$co_md5" ] \
       || err "cohort smoke: index.jsonl md5 $got_md5, committed $co_md5"
@@ -219,30 +216,6 @@ if [ -x "$nn" ]; then
   rm -rf "$co_ref" "$co_var"
 else
   err "cohort smoke: $nn missing"
-fi
-
-note "prescreen smoke (screen on/off campaign bit-identity)"
-# The interval pre-screen only answers definitely-UNSAT queries the
-# solver would also reject, so disabling it must not change campaign
-# results — same seeded run with and without --no-prescreen must land on
-# byte-identical corpus indexes.
-if [ -x "$nn" ]; then
-  ps_ref=$(mktemp -d)
-  ps_off=$(mktemp -d)
-  ps_args="fuzz --system lotus --tests 40 --bugs --seed 11"
-  if "$nn" $ps_args --report-dir "$ps_ref" >/dev/null 2>&1 \
-    && "$nn" $ps_args --no-prescreen --report-dir "$ps_off" >/dev/null 2>&1
-  then
-    [ -s "$ps_ref/index.jsonl" ] \
-      || err "prescreen smoke: reference campaign saved no failures"
-    cmp -s "$ps_ref/index.jsonl" "$ps_off/index.jsonl" \
-      || err "prescreen smoke: corpus index depends on pre-screening"
-  else
-    err "prescreen smoke campaign failed"
-  fi
-  rm -rf "$ps_ref" "$ps_off"
-else
-  err "prescreen smoke: $nn missing"
 fi
 
 note "perfbench selftest (fuzz-10n)"
