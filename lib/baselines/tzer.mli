@@ -17,3 +17,9 @@ val step : t -> unit
 (** One fuzzing iteration: pick a parent, mutate the IR and the pass
     pipeline, optimise, execute, and keep the mutant when global coverage
     grew. *)
+
+val mutate :
+  Random.State.t -> Nnsmith_tvmlike.Tir.func -> Nnsmith_tvmlike.Tir.func
+(** One random IR mutation of indices, loops or values, as {!step} applies
+    it.  Exposed for tests: mutants exercise the TIR runner's error
+    paths. *)

@@ -449,72 +449,18 @@ let compile_kernel (op : int Op.t) (ins : (Dtype.t * Shape.t) array)
       let kind =
         match kind with Op.P_max -> Linalg.Max_pool | P_avg -> Linalg.Avg_pool
       in
-      let nb, c, h, w, oh, ow =
-        Linalg.pool2d_dims ~kernel:(p_kh, p_kw) ~stride:(p_stride, p_stride)
-          ~padding:(p_padding, p_padding) (phantom xd xs)
+      let kernel = (p_kh, p_kw)
+      and stride = (p_stride, p_stride)
+      and padding = (p_padding, p_padding) in
+      let nb, c, _, _, oh, ow =
+        Linalg.pool2d_dims ~kernel ~stride ~padding (phantom xd xs)
       in
       if (not (Shape.equal [| nb; c; oh; ow |] os)) || not (Dtype.equal od xd)
       then None
       else
-        let f64 = Dtype.equal od Dtype.F64 in
-        let decode li =
-          let ow_i = li mod ow in
-          let oh_i = li / ow mod oh in
-          let c_i = li / (ow * oh) mod c in
-          let n_i = li / (ow * oh * c) in
-          (ow_i, oh_i, (((n_i * c) + c_i) * h))
-        in
-        (match kind with
-        | Linalg.Max_pool ->
-            Some
-              (fun ib dst ->
-                let x = Nd.float_data ib.(0) and o = Nd.float_data dst in
-                for li = 0 to (nb * c * oh * ow) - 1 do
-                  let ow_i, oh_i, base = decode li in
-                  let acc = ref Float.neg_infinity in
-                  for ki = 0 to p_kh - 1 do
-                    let hi = (oh_i * p_stride) - p_padding + ki in
-                    if hi >= 0 && hi < h then begin
-                      let row = (base + hi) * w in
-                      for kj = 0 to p_kw - 1 do
-                        let wi = (ow_i * p_stride) - p_padding + kj in
-                        if wi >= 0 && wi < w then begin
-                          let v = fget x (row + wi) in
-                          acc :=
-                            (if Float.is_nan v || Float.is_nan !acc then
-                               Float.nan
-                             else Float.max !acc v)
-                        end
-                      done
-                    end
-                  done;
-                  fset o li (if f64 then !acc else Dtype.round_f32 !acc)
-                done)
-        | Avg_pool ->
-            Some
-              (fun ib dst ->
-                let x = Nd.float_data ib.(0) and o = Nd.float_data dst in
-                for li = 0 to (nb * c * oh * ow) - 1 do
-                  let ow_i, oh_i, base = decode li in
-                  let acc = ref 0. and count = ref 0 in
-                  for ki = 0 to p_kh - 1 do
-                    let hi = (oh_i * p_stride) - p_padding + ki in
-                    if hi >= 0 && hi < h then begin
-                      let row = (base + hi) * w in
-                      for kj = 0 to p_kw - 1 do
-                        let wi = (ow_i * p_stride) - p_padding + kj in
-                        if wi >= 0 && wi < w then begin
-                          incr count;
-                          acc := !acc +. fget x (row + wi)
-                        end
-                      done
-                    end
-                  done;
-                  let v =
-                    if !count = 0 then 0. else !acc /. float_of_int !count
-                  in
-                  fset o li (if f64 then v else Dtype.round_f32 v)
-                done))
+        Some
+          (fun ib dst ->
+            Linalg.pool2d_into ~kind ~kernel ~stride ~padding ~dst ib.(0))
   | Op.Reshape dims ->
       arity 1;
       let target = Array.of_list dims in

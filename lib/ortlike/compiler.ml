@@ -6,7 +6,6 @@
 
 module Nd = Nnsmith_tensor.Nd
 module Dtype = Nnsmith_tensor.Dtype
-module Transform = Nnsmith_tensor.Transform
 module Linalg = Nnsmith_tensor.Linalg
 module Reduce = Nnsmith_tensor.Reduce
 module Op = Nnsmith_ir.Op
@@ -534,16 +533,10 @@ let run_node profile values (n : node) : Nd.t =
   | Plain (Op.Pool2d (Op.P_avg, { p_kh; p_kw; p_stride; p_padding }))
     when Faults.enabled "oxrt.avgpool_include_pad" && p_padding > 0 ->
       Cov.arm ~file "kernel" "avgpool_pad";
-      (* include-pad average: zero-pad first, then pool without padding *)
-      let x = List.hd (ins ()) in
-      let padded =
-        Transform.pad x
-          ~before:[| 0; 0; p_padding; p_padding |]
-          ~after:[| 0; 0; p_padding; p_padding |]
-          ~mode:(Transform.Constant 0.)
-      in
-      Linalg.pool2d ~kind:Linalg.Avg_pool ~kernel:(p_kh, p_kw)
-        ~stride:(p_stride, p_stride) ~padding:(0, 0) padded
+      (* include-pad average: the divisor counts the padded cells *)
+      Linalg.avg_pool2d_include_pad ~kernel:(p_kh, p_kw)
+        ~stride:(p_stride, p_stride) ~padding:(p_padding, p_padding)
+        (List.hd (ins ()))
   | Plain (Op.Unary Op.Sigmoid)
     when profile = Trt_strict
          && Faults.enabled "trt.sigmoid_f64_precision"

@@ -151,45 +151,76 @@ let pool2d_dims ~kernel ~stride ~padding (input : Nd.t) =
   if oh < 1 || ow < 1 then invalid_arg "Linalg.pool2d: empty output";
   (n, c, h, w, oh, ow)
 
-let pool2d_into ~kind ~kernel ~stride ~padding ~dst input =
+(* Visits only the in-bounds part of each window, rows then columns: the
+   order in which a full kh x kw sweep with a bounds test visits them, so
+   every max, sum and count equals the sweep's.  An average counts the
+   window's cells inside the input, or with [include_pad] those inside the
+   zero-padded input's extent [-p, d + p) of each axis. *)
+let pool_into ~kind ~include_pad ~kernel ~stride ~padding ~dst input =
   let n, c, h, w, oh, ow = pool2d_dims ~kernel ~stride ~padding input in
   if
     (not (Dtype.equal input.Nd.dtype (Nd.dtype dst)))
     || not (Shape.equal [| n; c; oh; ow |] (Nd.shape dst))
   then invalid_arg "Linalg.pool2d_into: destination mismatch";
   let kh, kw = kernel and sh, sw_ = stride and ph, pw = padding in
+  let ch0, ch1, cw0, cw1 =
+    if include_pad then (-ph, h + ph, -pw, w + pw) else (0, h, 0, w)
+  in
+  let dtype = input.Nd.dtype in
+  let x = Nd.float_data input and o = Nd.float_data dst in
   for li = 0 to (n * c * oh * ow) - 1 do
     let ow_i = li mod ow in
     let oh_i = li / ow mod oh in
-    let c_i = li / (ow * oh) mod c in
-    let n_i = li / (ow * oh * c) in
-    let acc =
-      ref (match kind with Max_pool -> Float.neg_infinity | Avg_pool -> 0.)
+    let plane = li / (ow * oh) in
+    let h0 = (oh_i * sh) - ph and w0 = (ow_i * sw_) - pw in
+    (* counted cells [hc0, hc1) x [wc0, wc1); summed cells also in the input *)
+    let hc0 = max ch0 h0 and hc1 = min ch1 (h0 + kh) in
+    let wc0 = max cw0 w0 and wc1 = min cw1 (w0 + kw) in
+    let hlo = max 0 hc0 and hhi = min h hc1 in
+    let wlo = max 0 wc0 and whi = min w wc1 in
+    let v =
+      match kind with
+      | Max_pool ->
+          let acc = ref Float.neg_infinity in
+          for hi = hlo to hhi - 1 do
+            let row = ((plane * h) + hi) * w in
+            for wi = wlo to whi - 1 do
+              let e = x.{row + wi} in
+              acc :=
+                if Float.is_nan e || Float.is_nan !acc then Float.nan
+                else Float.max !acc e
+            done
+          done;
+          !acc
+      | Avg_pool ->
+          let acc = ref 0. in
+          for hi = hlo to hhi - 1 do
+            let row = ((plane * h) + hi) * w in
+            for wi = wlo to whi - 1 do
+              acc := !acc +. x.{row + wi}
+            done
+          done;
+          let count = max 0 (hc1 - hc0) * max 0 (wc1 - wc0) in
+          if count = 0 then 0. else !acc /. float_of_int count
     in
-    let count = ref 0 in
-    for ki = 0 to kh - 1 do
-      for kj = 0 to kw - 1 do
-        let hi = (oh_i * sh) - ph + ki and wi = (ow_i * sw_) - pw + kj in
-        if hi >= 0 && hi < h && wi >= 0 && wi < w then begin
-          let v = Nd.to_float input ((((n_i * c) + c_i) * h + hi) * w + wi) in
-          incr count;
-          acc :=
-            (match kind with
-            | Max_pool ->
-                if Float.is_nan v || Float.is_nan !acc then Float.nan
-                else Float.max !acc v
-            | Avg_pool -> !acc +. v)
-        end
-      done
-    done;
-    Nd.set_f dst li
-      (match kind with
-      | Max_pool -> !acc
-      | Avg_pool -> if !count = 0 then 0. else !acc /. float_of_int !count)
+    o.{li} <- Dtype.normalize_float dtype v
   done
 
-let pool2d ~kind ~kernel ~stride ~padding input =
+let pool ~kind ~include_pad ~kernel ~stride ~padding input =
   let n, c, _, _, oh, ow = pool2d_dims ~kernel ~stride ~padding input in
   let out = Nd.create input.Nd.dtype [| n; c; oh; ow |] in
-  pool2d_into ~kind ~kernel ~stride ~padding ~dst:out input;
+  pool_into ~kind ~include_pad ~kernel ~stride ~padding ~dst:out input;
   out
+
+let pool2d_into ~kind ~kernel ~stride ~padding ~dst input =
+  pool_into ~kind ~include_pad:false ~kernel ~stride ~padding ~dst input
+
+let pool2d ~kind ~kernel ~stride ~padding input =
+  pool ~kind ~include_pad:false ~kernel ~stride ~padding input
+
+(* Skipping the zero pads is exact: the sum starts at +0.0, and a
+   round-to-nearest sum is -0.0 only when both addends are, so adding
+   +0.0 is the identity on every value the sum takes, NaN and the
+   infinities included. *)
+let avg_pool2d_include_pad ~kernel ~stride ~padding input =
+  pool ~kind:Avg_pool ~include_pad:true ~kernel ~stride ~padding input

@@ -78,3 +78,16 @@ val pool2d_into :
   unit
 (** Destination-passing {!pool2d}; [dst] must be the [n,c,oh,ow] output
     tensor with the input's dtype. *)
+
+val avg_pool2d_include_pad :
+  kernel:int * int ->
+  stride:int * int ->
+  padding:int * int ->
+  Nd.t ->
+  Nd.t
+(** Average pooling that counts padded cells as zeros (ONNX
+    [count_include_pad = 1]): the divisor counts the window's cells inside
+    the padded extent, which is [kh * kw] whenever [kh <= d + 2p] on both
+    axes.  Bit-identical to zero-padding the input with {!Transform.pad}
+    and pooling it with padding [(0, 0)], without building the padded
+    copy. *)

@@ -258,72 +258,129 @@ let optimize ?(passes = default_passes) (f : func) : func =
   f
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter.                                                        *)
+(* Execution.                                                          *)
 
 exception Tir_error of string
 
-let rec eval_iexpr env = function
-  | Iconst n -> n
-  | Ivar v -> (
-      match List.assoc_opt v env with
-      | Some n -> n
-      | None -> raise (Tir_error ("unbound loop var " ^ v)))
-  | Iadd (a, b) -> eval_iexpr env a + eval_iexpr env b
-  | Imul (a, b) -> eval_iexpr env a * eval_iexpr env b
-  | Idiv (a, b) ->
-      let d = eval_iexpr env b in
-      if d = 0 then raise (Tir_error "division by zero in index")
-      else Nnsmith_smt.Expr.fdiv (eval_iexpr env a) d
-  | Imod (a, b) ->
-      let d = eval_iexpr env b in
-      if d = 0 then raise (Tir_error "modulo by zero in index")
-      else Nnsmith_smt.Expr.fmod (eval_iexpr env a) d
+(* [run] compiles the function into closures once per call, then runs
+   them.  A loop variable is a slot of one int array (the slot is the
+   loop's nesting depth), resolved by name at compile time; operator
+   functions are resolved at compile time too.  The closures keep the
+   tree-walking interpreter's error precedence, which is what ocamlopt's
+   right-to-left evaluation gave it: the right operand of [+] and [*] and
+   of a binary value op is evaluated first, a divisor before its dividend,
+   a store index before the stored value and the buffer check before the
+   load index; an unbound variable raises only when evaluated. *)
 
-let rec eval_vexpr env (inputs : float array array) = function
-  | Vconst c -> c
+let rec compile_iexpr scope : iexpr -> int array -> int = function
+  | Iconst n -> fun _ -> n
+  | Ivar v -> (
+      match List.assoc_opt v scope with
+      | Some slot -> fun env -> Array.unsafe_get env slot
+      | None -> fun _ -> raise (Tir_error ("unbound loop var " ^ v)))
+  | Iadd (a, b) ->
+      let a = compile_iexpr scope a and b = compile_iexpr scope b in
+      fun env ->
+        let y = b env in
+        a env + y
+  | Imul (a, b) ->
+      let a = compile_iexpr scope a and b = compile_iexpr scope b in
+      fun env ->
+        let y = b env in
+        a env * y
+  | Idiv (a, b) ->
+      let a = compile_iexpr scope a and b = compile_iexpr scope b in
+      fun env ->
+        let d = b env in
+        if d = 0 then raise (Tir_error "division by zero in index")
+        else Nnsmith_smt.Expr.fdiv (a env) d
+  | Imod (a, b) ->
+      let a = compile_iexpr scope a and b = compile_iexpr scope b in
+      fun env ->
+        let d = b env in
+        if d = 0 then raise (Tir_error "modulo by zero in index")
+        else Nnsmith_smt.Expr.fmod (a env) d
+
+let rec compile_vexpr scope (inputs : float array array) :
+    vexpr -> int array -> float = function
+  | Vconst c -> fun _ -> c
   | Vload (b, i) ->
-      let buf =
-        if b < Array.length inputs then inputs.(b)
-        else raise (Tir_error "bad buffer index")
-      in
-      let idx = eval_iexpr env i in
-      if idx < 0 || idx >= Array.length buf then begin
-        Nnsmith_coverage.Coverage.hit ~file:"lotus/runtime" "oob_load";
-        raise (Tir_error "out-of-bounds load")
-      end
-      else buf.(idx)
+      let i = compile_iexpr scope i in
+      fun env ->
+        let buf =
+          if b < Array.length inputs then inputs.(b)
+          else raise (Tir_error "bad buffer index")
+        in
+        let idx = i env in
+        if idx < 0 || idx >= Array.length buf then begin
+          Cov.hit ~file:"lotus/runtime" "oob_load";
+          raise (Tir_error "out-of-bounds load")
+        end
+        else Array.unsafe_get buf idx
   | Vbin (op, a, b) ->
-      (Nnsmith_ops.Eval.binary_float_fn op) (eval_vexpr env inputs a)
-        (eval_vexpr env inputs b)
-  | Vun (op, a) -> (Nnsmith_ops.Eval.unary_float_fn op) (eval_vexpr env inputs a)
+      let fn = Nnsmith_ops.Eval.binary_float_fn op in
+      let a = compile_vexpr scope inputs a
+      and b = compile_vexpr scope inputs b in
+      fun env ->
+        let y = b env in
+        fn (a env) y
+  | Vun (op, a) ->
+      let fn = Nnsmith_ops.Eval.unary_float_fn op in
+      let a = compile_vexpr scope inputs a in
+      fun env -> fn (a env)
   | Vclip (lo, hi, a) ->
-      Float.min hi (Float.max lo (eval_vexpr env inputs a))
+      let a = compile_vexpr scope inputs a in
+      fun env -> Float.min hi (Float.max lo (a env))
   | Vleaky (al, a) ->
-      let x = eval_vexpr env inputs a in
-      if x >= 0. then x else al *. x
+      let a = compile_vexpr scope inputs a in
+      fun env ->
+        let x = a env in
+        if x >= 0. then x else al *. x
 
 let run (f : func) (inputs : float array array) (out : float array) : unit =
   let file = "lotus/runtime" in
-  let rec exec env stmts =
-    List.iter
-      (fun s ->
-        match s with
-        | For { v; extent; kind; body } ->
-            Cov.arm ~file "loop"
-              (match kind with
-              | Serial -> "serial"
-              | Unrolled -> "unrolled"
-              | Vectorized -> "vectorized");
-            for k = 0 to extent - 1 do
-              exec ((v, k) :: env) body
-            done
-        | Store { index; value } ->
-            let idx = eval_iexpr env index in
-            if idx < 0 || idx >= Array.length out then begin
-              Cov.hit ~file "oob_store";
-              raise (Tir_error "out-of-bounds store")
-            end
-            else out.(idx) <- eval_vexpr env inputs value)
-      stmts
+  (* the loop arms are recorded at the first entry of each loop kind in
+     this call; a [Cov.reset] between calls is then still re-recorded *)
+  let armed = Array.make 3 false in
+  let slots = ref 0 in
+  let rec compile_stmts depth scope stmts =
+    match List.map (compile_stmt depth scope) stmts with
+    | [ s ] -> s
+    | ss ->
+        let ss = Array.of_list ss in
+        fun env ->
+          for k = 0 to Array.length ss - 1 do
+            (Array.unsafe_get ss k) env
+          done
+  and compile_stmt depth scope = function
+    | For { v; extent; kind; body } ->
+        slots := max !slots (depth + 1);
+        let body = compile_stmts (depth + 1) ((v, depth) :: scope) body in
+        let arm, name =
+          match kind with
+          | Serial -> (0, "serial")
+          | Unrolled -> (1, "unrolled")
+          | Vectorized -> (2, "vectorized")
+        in
+        fun env ->
+          if not armed.(arm) then begin
+            armed.(arm) <- true;
+            Cov.arm ~file "loop" name
+          end;
+          for k = 0 to extent - 1 do
+            Array.unsafe_set env depth k;
+            body env
+          done
+    | Store { index; value } ->
+        let index = compile_iexpr scope index
+        and value = compile_vexpr scope inputs value in
+        fun env ->
+          let idx = index env in
+          if idx < 0 || idx >= Array.length out then begin
+            Cov.hit ~file "oob_store";
+            raise (Tir_error "out-of-bounds store")
+          end
+          else Array.unsafe_set out idx (value env)
   in
-  exec [] f.body
+  let body = compile_stmts 0 [] f.body in
+  body (Array.make !slots 0)

@@ -14,6 +14,8 @@ module Lotus = Nnsmith_tvmlike.Compiler
 module Rir = Nnsmith_tvmlike.Rir
 module Tir = Nnsmith_tvmlike.Tir
 module Lower = Nnsmith_tvmlike.Lower
+module Tzer = Nnsmith_baselines.Tzer
+module Cov = Nnsmith_coverage.Coverage
 module B = Nnsmith_baselines.Builder
 
 let check = Alcotest.(check bool)
@@ -488,6 +490,80 @@ let run_tir f inputs out_size =
   Tir.run f (Array.of_list inputs) out;
   out
 
+(* The tree-walking interpreter that [Tir.run] replaced, kept as the oracle
+   the closure-compiled runner is checked against: loop variables in an
+   association list, operator functions looked up per element, the loop
+   arm recorded at every loop entry. *)
+module Oracle = struct
+  open Tir
+
+  let rec eval_iexpr env = function
+    | Iconst n -> n
+    | Ivar v -> (
+        match List.assoc_opt v env with
+        | Some n -> n
+        | None -> raise (Tir_error ("unbound loop var " ^ v)))
+    | Iadd (a, b) -> eval_iexpr env a + eval_iexpr env b
+    | Imul (a, b) -> eval_iexpr env a * eval_iexpr env b
+    | Idiv (a, b) ->
+        let d = eval_iexpr env b in
+        if d = 0 then raise (Tir_error "division by zero in index")
+        else Nnsmith_smt.Expr.fdiv (eval_iexpr env a) d
+    | Imod (a, b) ->
+        let d = eval_iexpr env b in
+        if d = 0 then raise (Tir_error "modulo by zero in index")
+        else Nnsmith_smt.Expr.fmod (eval_iexpr env a) d
+
+  let rec eval_vexpr env (inputs : float array array) = function
+    | Vconst c -> c
+    | Vload (b, i) ->
+        let buf =
+          if b < Array.length inputs then inputs.(b)
+          else raise (Tir_error "bad buffer index")
+        in
+        let idx = eval_iexpr env i in
+        if idx < 0 || idx >= Array.length buf then begin
+          Cov.hit ~file:"lotus/runtime" "oob_load";
+          raise (Tir_error "out-of-bounds load")
+        end
+        else buf.(idx)
+    | Vbin (op, a, b) ->
+        (Nnsmith_ops.Eval.binary_float_fn op) (eval_vexpr env inputs a)
+          (eval_vexpr env inputs b)
+    | Vun (op, a) ->
+        (Nnsmith_ops.Eval.unary_float_fn op) (eval_vexpr env inputs a)
+    | Vclip (lo, hi, a) -> Float.min hi (Float.max lo (eval_vexpr env inputs a))
+    | Vleaky (al, a) ->
+        let x = eval_vexpr env inputs a in
+        if x >= 0. then x else al *. x
+
+  let run (f : func) (inputs : float array array) (out : float array) : unit =
+    let file = "lotus/runtime" in
+    let rec exec env stmts =
+      List.iter
+        (fun s ->
+          match s with
+          | For { v; extent; kind; body } ->
+              Cov.arm ~file "loop"
+                (match kind with
+                | Serial -> "serial"
+                | Unrolled -> "unrolled"
+                | Vectorized -> "vectorized");
+              for k = 0 to extent - 1 do
+                exec ((v, k) :: env) body
+              done
+          | Store { index; value } ->
+              let idx = eval_iexpr env index in
+              if idx < 0 || idx >= Array.length out then begin
+                Cov.hit ~file "oob_store";
+                raise (Tir_error "out-of-bounds store")
+              end
+              else out.(idx) <- eval_vexpr env inputs value)
+        stmts
+    in
+    exec [] f.body
+end
+
 let test_lotus_chain_fusion () =
   (* a long unary chain must collapse into one fused kernel, with identical
      semantics *)
@@ -589,7 +665,7 @@ let qcheck_simplify_preserves_value =
       in
       let e = expr 3 in
       let env = [ ("i", i) ] in
-      Tir.eval_iexpr env (Tir.simplify_iexpr e) = Tir.eval_iexpr env e)
+      Oracle.eval_iexpr env (Tir.simplify_iexpr e) = Oracle.eval_iexpr env e)
 
 let test_tir_unroll () =
   let open Tir in
@@ -654,6 +730,187 @@ let test_tir_interpreter_errors () =
        false
      with Tir_error _ -> true)
 
+(* [Tir.run] against the tree-walking oracle: the same output bits (also
+   the partial output an error leaves), the same [Tir_error] message or
+   none, and the same runtime coverage, with [Cov.reset] before each run so
+   a loop arm remembered from an earlier call shows up as a missing site. *)
+let tir_outcome run (f : Tir.func) inputs out_size =
+  let out = Array.make out_size 0. in
+  Cov.reset ();
+  let error =
+    match run f inputs out with
+    | () -> None
+    | exception Tir.Tir_error m -> Some m
+  in
+  (Array.map Int64.bits_of_float out, error, Cov.to_list (Cov.snapshot ()))
+
+(* Returns whether the run raised, so callers can check that their inputs
+   reach the error paths. *)
+let check_tir_oracle name f inputs out_size =
+  let bits, error, cov = tir_outcome Tir.run f inputs out_size in
+  let bits', error', cov' = tir_outcome Oracle.run f inputs out_size in
+  Alcotest.(check (option string)) (name ^ ": error") error' error;
+  Alcotest.(check (list (pair string bool))) (name ^ ": coverage") cov' cov;
+  check (name ^ ": output bits") true (bits = bits');
+  error <> None
+
+let all_unaries =
+  Op.
+    [|
+      Abs; Neg; Exp; Log; Log2; Sqrt; Sin; Cos; Tan; Asin; Acos; Atan; Tanh;
+      Sigmoid; Relu; Gelu; Floor; Ceil; Round; Sign; Reciprocal; Erf;
+      Softplus; Softsign; Elu; Selu; Hardswish; Hardsigmoid;
+    |]
+
+let all_binaries = Op.[| Add; Sub; Mul; Div; Pow; Max2; Min2; Mod2 |]
+
+(* A random [lower_node] or [lower_unary_chain] function with inputs whose
+   values include NaN, the infinities, -0.0 and ties. *)
+let random_lowered rng =
+  let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let out = List.init (int 0 3) (fun _ -> int 1 4) in
+  let bcast () =
+    let r = int 0 (List.length out) in
+    List.filteri (fun i _ -> i >= List.length out - r) out
+    |> List.map (fun d -> if Random.State.int rng 3 = 0 then 1 else d)
+  in
+  let unary_step () =
+    match Random.State.int rng 4 with
+    | 0 -> Op.Clip { c_lo = -1.; c_hi = 2. }
+    | 1 -> Op.Leaky_relu { alpha = 0.25 }
+    | _ -> Op.Unary (pick all_unaries)
+  in
+  let node op ins =
+    (Lower.lower_node ~name:"r" op (List.map f32t ins) (f32t out), ins)
+  in
+  let f, ins =
+    match Random.State.int rng 5 with
+    | 0 -> node (unary_step ()) [ out ]
+    | 1 -> node (Op.Binary (pick all_binaries)) [ bcast (); bcast () ]
+    | 2 -> node (Op.Expand out) [ bcast () ]
+    | _ ->
+        let ops = List.init (int 1 4) (fun _ -> unary_step ()) in
+        (Lower.lower_unary_chain ~name:"c" ops (f32t out), [ out ])
+  in
+  let values =
+    Float.[| nan; infinity; neg_infinity; -0.; 0.; 1.; 1.; -1.; 0.5 |]
+  in
+  let buffer dims =
+    Array.init (List.fold_left ( * ) 1 dims) (fun _ ->
+        if Random.State.bool rng then Random.State.float rng 6. -. 3.
+        else pick values)
+  in
+  (f, Array.of_list (List.map buffer ins), List.fold_left ( * ) 1 out)
+
+let test_tir_runner_matches_oracle () =
+  let rng = Random.State.make [| 15 |] in
+  let errors = ref 0 in
+  let run name f inputs out_size =
+    if check_tir_oracle name f inputs out_size then incr errors
+  in
+  for case = 1 to 150 do
+    let f, inputs, out_size = random_lowered rng in
+    let name = Printf.sprintf "case %d" case in
+    no_faults (fun () -> run (name ^ " plain") f inputs out_size);
+    List.iter
+      (fun bugs ->
+        let opt = Faults.with_bugs bugs (fun () -> Tir.optimize f) in
+        run
+          (Printf.sprintf "%s optimized [%s]" name (String.concat "," bugs))
+          opt inputs out_size)
+      [
+        [];
+        [ "lotus.unroll_off_by_one" ];
+        [ "lotus.simplify_div_mul_mod" ];
+        [ "lotus.unroll_off_by_one"; "lotus.simplify_div_mul_mod" ];
+      ];
+    let mutant =
+      List.fold_left (fun f _ -> Tzer.mutate rng f) f (List.init 3 Fun.id)
+    in
+    no_faults (fun () ->
+        run (name ^ " mutant") mutant inputs out_size;
+        run (name ^ " mutant optimized") (Tir.optimize mutant) inputs out_size)
+  done;
+  check "some mutants reach an error" true (!errors > 0)
+
+let test_tir_runner_error_precedence () =
+  let open Tir in
+  let loop ?(kind = Serial) v extent body = For { v; extent; kind; body } in
+  let fn body = { f_name = "hand"; n_inputs = 1; body } in
+  let i = Ivar "i" in
+  let store index value = Store { index; value } in
+  let buf = [| [| 1.; 2.; 3.; 4. |] |] in
+  List.iter
+    (fun (name, body) -> ignore (check_tir_oracle name (fn body) buf 4))
+    [
+      ("unbound load var", [ loop "i" 3 [ store i (Vload (0, Ivar "j")) ] ]);
+      ("unbound store index", [ store i (Vconst 1.) ]);
+      ( "unbound var never evaluated",
+        [
+          loop "i" 0 [ store (Ivar "j") (Vconst 1.) ];
+          loop ~kind:Unrolled "k" 2 [ store (Ivar "k") (Vconst 2.) ];
+        ] );
+      ( "zero divisor left, out-of-bounds load right",
+        [
+          loop "i" 2
+            [
+              store i
+                (Vbin
+                   ( Op.Add,
+                     Vload (0, Idiv (i, Iconst 0)),
+                     Vload (0, Iadd (i, Iconst 100)) ));
+            ];
+        ] );
+      ( "out-of-bounds load left, zero divisor right",
+        [
+          loop "i" 2
+            [
+              store i
+                (Vbin
+                   ( Op.Sub,
+                     Vload (0, Iadd (i, Iconst 100)),
+                     Vload (0, Imod (i, Iconst 0)) ));
+            ];
+        ] );
+      ( "index operands: zero divisor both sides",
+        [
+          loop "i" 2
+            [
+              store (Iadd (Idiv (Iconst 3, i), Imod (Iconst 5, i))) (Vconst 1.);
+            ];
+        ] );
+      ( "index operands: product",
+        [
+          loop "i" 2
+            [
+              store (Imul (Imod (Iconst 3, i), Idiv (Iconst 5, i))) (Vconst 1.);
+            ];
+        ] );
+      ( "buffer check before load index",
+        [ store (Iconst 0) (Vload (3, Idiv (Iconst 1, Iconst 0))) ] );
+      ( "store index before value",
+        [ store (Iconst 99) (Vload (0, Idiv (Iconst 1, Iconst 0))) ] );
+      ( "out-of-bounds store mid-loop",
+        [
+          loop ~kind:Vectorized "i" 6
+            [ store i (Vun (Op.Neg, Vload (0, Imod (i, Iconst 4)))) ];
+        ] );
+      ( "shadowed loop variable",
+        [
+          loop "i" 2
+            [
+              loop ~kind:Unrolled "i" 3 [ store i (Vconst 1.) ];
+              loop "j" 2
+                [
+                  store
+                    (Iadd (Imul (i, Iconst 2), Ivar "j"))
+                    (Vload (0, Iadd (i, Ivar "j")));
+                ];
+            ];
+        ] );
+    ]
+
 let test_lotus_divmulmod_semantic_bug () =
   (* broadcast with a non-innermost matching dim exercises the buggy rule *)
   let g = Graph.empty in
@@ -713,6 +970,8 @@ let () =
           tc "unroll" `Quick test_tir_unroll;
           tc "vectorize" `Quick test_tir_vectorize;
           tc "interpreter errors" `Quick test_tir_interpreter_errors;
+          tc "runner = oracle" `Quick test_tir_runner_matches_oracle;
+          tc "runner error precedence" `Quick test_tir_runner_error_precedence;
           tc "div/mul/mod semantic bug" `Quick test_lotus_divmulmod_semantic_bug;
         ] );
     ]

@@ -324,6 +324,106 @@ let test_pool2d () =
   let avgp = L.pool2d ~kind:L.Avg_pool ~kernel:(2, 2) ~stride:(2, 2) ~padding:(1, 1) x in
   checkf "corner avg over 1 cell" 1. (Nd.get_f avgp 0)
 
+(* The full-sweep pool kernel [Linalg.pool2d_into] used before it clipped
+   its windows, kept as the reference: every one of the kh x kw window
+   positions is visited and bounds-tested. *)
+let pool2d_full_sweep ~kind ~kernel ~stride ~padding input =
+  let n, c, h, w, oh, ow = L.pool2d_dims ~kernel ~stride ~padding input in
+  let dst = Nd.create (Nd.dtype input) [| n; c; oh; ow |] in
+  let kh, kw = kernel and sh, sw_ = stride and ph, pw = padding in
+  for li = 0 to (n * c * oh * ow) - 1 do
+    let ow_i = li mod ow in
+    let oh_i = li / ow mod oh in
+    let c_i = li / (ow * oh) mod c in
+    let n_i = li / (ow * oh * c) in
+    let acc =
+      ref (match kind with L.Max_pool -> Float.neg_infinity | L.Avg_pool -> 0.)
+    in
+    let count = ref 0 in
+    for ki = 0 to kh - 1 do
+      for kj = 0 to kw - 1 do
+        let hi = (oh_i * sh) - ph + ki and wi = (ow_i * sw_) - pw + kj in
+        if hi >= 0 && hi < h && wi >= 0 && wi < w then begin
+          let v = Nd.to_float input ((((n_i * c) + c_i) * h + hi) * w + wi) in
+          incr count;
+          acc :=
+            (match kind with
+            | L.Max_pool ->
+                if Float.is_nan v || Float.is_nan !acc then Float.nan
+                else Float.max !acc v
+            | L.Avg_pool -> !acc +. v)
+        end
+      done
+    done;
+    Nd.set_f dst li
+      (match kind with
+      | L.Max_pool -> !acc
+      | L.Avg_pool -> if !count = 0 then 0. else !acc /. float_of_int !count)
+  done;
+  dst
+
+(* Random NCHW inputs drawn from values that stress the bit-identity
+   argument (NaN, the infinities, -0.0 and exact ties), kernels up to
+   larger than the input, strides 1-3, and every padding from -h to kh
+   (beyond kh only adds more all-padding windows) that [pool2d_dims]
+   accepts, including windows wider than the padded input that its
+   truncating division lets through.  Clipped windows must equal the full
+   sweep, and the include-pad average must equal zero-padding followed by
+   an unpadded pool. *)
+let qcheck_pool2d_matches_full_sweep =
+  QCheck.Test.make ~name:"pool2d = full sweep, include-pad = pad then pool"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+      let dtype = if Random.State.bool rng then Dtype.F32 else Dtype.F64 in
+      let n = int 1 2 and c = int 1 2 and h = int 1 5 and w = int 1 5 in
+      let pool =
+        [| Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.; 1.; 1.;
+           -1.; 2.; 0.5 |]
+      in
+      let x =
+        Nd.init_f dtype [| n; c; h; w |] (fun _ ->
+            if Random.State.int rng 3 = 0 then Random.State.float rng 8. -. 4.
+            else pool.(Random.State.int rng (Array.length pool)))
+      in
+      let kernel = (int 1 (h + 3), int 1 (w + 3))
+      and stride = (int 1 3, int 1 3) in
+      let kh, kw = kernel in
+      let ok = ref true in
+      for ph = -h to kh do
+        for pw = -w to kw do
+          let padding = (ph, pw) in
+          match L.pool2d_dims ~kernel ~stride ~padding x with
+          | exception Invalid_argument _ -> ()
+          | _ ->
+              List.iter
+                (fun kind ->
+                  if
+                    not
+                      (Nd.equal
+                         (L.pool2d ~kind ~kernel ~stride ~padding x)
+                         (pool2d_full_sweep ~kind ~kernel ~stride ~padding x))
+                  then ok := false)
+                [ L.Max_pool; L.Avg_pool ];
+              (* a crop to nothing has no padded copy to compare with *)
+              if h + (2 * ph) >= 1 && w + (2 * pw) >= 1 then begin
+                let padded =
+                  T.pad x ~before:[| 0; 0; ph; pw |] ~after:[| 0; 0; ph; pw |]
+                    ~mode:(T.Constant 0.)
+                in
+                if
+                  not
+                    (Nd.equal
+                       (L.avg_pool2d_include_pad ~kernel ~stride ~padding x)
+                       (L.pool2d ~kind:L.Avg_pool ~kernel ~stride
+                          ~padding:(0, 0) padded))
+                then ok := false
+              end
+        done
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Tser: serialization round-trips bit-for-bit over Bigarray storage    *)
 
@@ -445,5 +545,6 @@ let () =
           tc "conv2d sum kernel" `Quick test_conv2d_sum_kernel;
           tc "conv2d stride/channels/bias" `Quick test_conv2d_stride_channels;
           tc "pool2d" `Quick test_pool2d;
+          QCheck_alcotest.to_alcotest qcheck_pool2d_matches_full_sweep;
         ] );
     ]

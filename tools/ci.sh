@@ -24,6 +24,10 @@
 #   perfbench     perfbench/bench.exe selftest --workload fuzz-10n (the
 #                 campaign benchmark's loop matches Pfuzz.fuzz and its
 #                 work counters repeat exactly)
+#   suite-hunt    perfbench/bench.exe run --workload suite-hunt: the
+#                 digest's failure keys, coverage and index.jsonl bytes
+#                 must equal their committed values (OxRT/TRT/Lotus
+#                 outputs with every seeded defect on)
 #   style         no tabs / trailing whitespace; new lib modules need .mli
 #   hygiene       no tracked _build/, CHANGES.md updated alongside HEAD
 #
@@ -229,6 +233,28 @@ if [ -x "$pb" ]; then
   "$pb" selftest --workload fuzz-10n || err "perfbench fuzz-10n selftest failed"
 else
   err "perfbench selftest: $pb missing (dune build @ci should have built it)"
+fi
+
+note "perfbench suite-hunt digest (compilers under every seeded defect)"
+# One suite-hunt run retests the 1500 stored models on OxRT, TRT and Lotus
+# with every seeded defect on, so its digest pins what the compilers under
+# test compute: the failure keys, the coverage edges and the corpus index
+# bytes (two passes, ~10 s on 2 cores).  A kernel change that claims to
+# leave outputs alone must keep all three.  Re-baseline them only with a
+# deliberate output change, together with the cohort md5 above.
+if [ -x "$pb" ]; then
+  sh_out=$("$pb" run --workload suite-hunt --seed 1 --seconds 1 --trace 0 2>&1) \
+    || err "perfbench suite-hunt run failed"
+  sh_digest=$(printf '%s\n' "$sh_out" | grep '^digest:')
+  for want in keys=121/1e5fa6273f0d53e34ba965f7f39c4d60 cov=453 \
+      index.jsonl=198532B/9d7647eeeceec2df8e2885e5b89ae9d0; do
+    case "$sh_digest " in
+      *" $want "*) ;;
+      *) err "suite-hunt digest lacks $want: ${sh_digest:-no digest line}" ;;
+    esac
+  done
+else
+  err "perfbench suite-hunt: $pb missing"
 fi
 
 note "style gate"
