@@ -18,6 +18,7 @@ module Runner = Nnsmith_ops.Runner
 module Search = Nnsmith_grad.Search
 module Vulnerability = Nnsmith_ops.Vulnerability
 module Tel = Nnsmith_telemetry.Telemetry
+module Pool = Nnsmith_parallel.Pool
 module D = Nnsmith_difftest
 
 let budget_ms = ref 3000.
@@ -59,41 +60,76 @@ let record_bench ?gc ?counters ?workload ~experiment ~tests_per_sec ~digest
 let pct a b = if b = 0 then 0. else 100. *. float_of_int a /. float_of_int b
 
 (* ------------------------------------------------------------------ *)
-(* Shared coverage campaigns (figs 4, 5, 6, 7, 10 reuse these runs).   *)
+(* Campaigns: the figures run the campaign engine (Pfuzz) on one      *)
+(* worker.  Cutoffs are wall-clock because the paper compares fuzzers  *)
+(* at equal time; every input search is iteration-capped, so the clock *)
+(* only decides how many tests run, never what one computes.           *)
+
+let coverage_campaign ?(budget_ms = !budget_ms) ~system ~root_seed name
+    gen_of_seed =
+  D.Pfuzz.coverage ~jobs:1 ~generator:name ~system ~root_seed
+    ~budget:(Pool.Time_ms budget_ms) ~gen_of_seed ()
+
+(* The one curve of a [jobs:1] coverage campaign. *)
+let curve (r : D.Pfuzz.result) =
+  match r.r_curves with [ c ] -> c | _ -> []
+
+(* Call [step] until [budget_ms] of wall clock has passed (checked before
+   each call, like the pool's deadline); returns the number of calls.  For
+   the loops that are not difftest campaigns: TZer's IR mutations and
+   generation-only operator-instance counts. *)
+let repeat_for ~budget_ms step =
+  let start = Tel.now_ms () and n = ref 0 in
+  while Tel.now_ms () -. start < budget_ms do
+    step ();
+    incr n
+  done;
+  !n
+
+(* Generation-only loop counting unique operator instances (Figure 9):
+   returns (tests, unique instances). *)
+let op_instances ~budget_ms (gen : D.Generators.t) =
+  let insts = D.Opinst.create () in
+  let tests =
+    repeat_for ~budget_ms (fun () ->
+        Option.iter (fun g -> ignore (D.Opinst.add insts g)) (gen.next ()))
+  in
+  (tests, D.Opinst.count insts)
+
+(* Shared coverage campaigns (figs 4, 5, 6, 7 reuse these runs). *)
 
 type campaign_set = {
-  per_system : (string * (string * D.Campaign.result) list) list;
+  per_system : (string * (string * D.Pfuzz.result) list) list;
       (** system -> fuzzer -> result *)
 }
 
 let run_campaigns () =
   Faults.deactivate_all ();
-  let gens seed =
+  let gens =
     [
-      D.Generators.nnsmith ~seed ();
-      D.Generators.graphfuzzer ~seed ();
-      D.Generators.lemon ~seed ();
+      ("NNSmith", fun seed -> D.Generators.nnsmith ~seed ());
+      ("GraphFuzzer", fun seed -> D.Generators.graphfuzzer ~seed ());
+      ("LEMON", fun seed -> D.Generators.lemon ~seed ());
     ]
   in
   let per_system =
     List.map
       (fun (sys : D.Systems.t) ->
-        let runs =
+        ( sys.s_name,
           List.map
-            (fun gen ->
-              let r = D.Campaign.coverage ~budget_ms:!budget_ms ~system:sys gen in
-              (gen.D.Generators.g_name, r))
-            (gens 20230325)
-        in
-        (sys.s_name, runs))
+            (fun (name, gen_of_seed) ->
+              ( name,
+                coverage_campaign ~system:sys ~root_seed:20230325 name
+                  gen_of_seed ))
+            gens ))
       D.Systems.open_source
   in
   { per_system }
 
 let campaigns = lazy (run_campaigns ())
 
-let sample_points (samples : D.Campaign.sample list) n =
-  let arr = Array.of_list samples in
+let sample_points (points : D.Pfuzz.point list) n =
+  let arr = Array.of_list points in
   let len = Array.length arr in
   if len = 0 then []
   else
@@ -109,12 +145,12 @@ let fig456 () =
   List.iter
     (fun (sys, runs) ->
       List.iter
-        (fun (fuzzer, (r : D.Campaign.result)) ->
+        (fun (fuzzer, r) ->
           Printf.printf "%-6s %-12s" sys fuzzer;
           List.iter
-            (fun (s : D.Campaign.sample) ->
-              Printf.printf " %6.1fs:%4d" (s.at_ms /. 1000.) s.cov_total)
-            (sample_points r.samples 6);
+            (fun (p : D.Pfuzz.point) ->
+              Printf.printf " %6.1fs:%4d" (p.p_ms /. 1000.) p.p_total)
+            (sample_points (curve r) 6);
           print_newline ())
         runs)
     per_system;
@@ -122,7 +158,7 @@ let fig456 () =
   List.iter
     (fun (sys, runs) ->
       let finals =
-        List.map (fun (f, (r : D.Campaign.result)) -> (f, Cov.count r.final)) runs
+        List.map (fun (f, (r : D.Pfuzz.result)) -> (f, Cov.count r.r_coverage)) runs
       in
       let nn = List.assoc "NNSmith" finals in
       let best_baseline =
@@ -138,12 +174,12 @@ let fig456 () =
   List.iter
     (fun (sys, runs) ->
       List.iter
-        (fun (fuzzer, (r : D.Campaign.result)) ->
-          Printf.printf "%-6s %-12s tests=%-6d" sys fuzzer r.tests;
+        (fun (fuzzer, (r : D.Pfuzz.result)) ->
+          Printf.printf "%-6s %-12s tests=%-6d" sys fuzzer r.r_stats.st_tests;
           List.iter
-            (fun (s : D.Campaign.sample) ->
-              Printf.printf " %5d:%4d" s.tests s.cov_total)
-            (sample_points r.samples 6);
+            (fun (p : D.Pfuzz.point) ->
+              Printf.printf " %5d:%4d" p.p_tests p.p_total)
+            (sample_points (curve r) 6);
           print_newline ())
         runs)
     per_system;
@@ -151,12 +187,12 @@ let fig456 () =
   List.iter
     (fun (sys, runs) ->
       List.iter
-        (fun (fuzzer, (r : D.Campaign.result)) ->
+        (fun (fuzzer, r) ->
           Printf.printf "%-6s %-12s" sys fuzzer;
           List.iter
-            (fun (s : D.Campaign.sample) ->
-              Printf.printf " %6.1fs:%4d" (s.at_ms /. 1000.) s.cov_pass)
-            (sample_points r.samples 6);
+            (fun (p : D.Pfuzz.point) ->
+              Printf.printf " %6.1fs:%4d" (p.p_ms /. 1000.) p.p_pass)
+            (sample_points (curve r) 6);
           print_newline ())
         runs)
     per_system
@@ -169,7 +205,7 @@ let fig7 () =
   section "Figure 7: Venn decomposition of overall coverage";
   List.iter
     (fun (sys, runs) ->
-      let get name = (List.assoc name runs).D.Campaign.final in
+      let get name = (List.assoc name runs).D.Pfuzz.r_coverage in
       let a = get "NNSmith" and b = get "GraphFuzzer" and c = get "LEMON" in
       let count = Cov.count in
       Printf.printf
@@ -194,19 +230,28 @@ let fig7 () =
 let fig8 () =
   section "Figure 8: NNSmith vs TZer on Lotus (graph vs low-level fuzzing)";
   Faults.deactivate_all ();
-  let tzer = D.Campaign.tzer ~budget_ms:!budget_ms ~seed:7 () in
-  let nnsmith =
-    D.Campaign.coverage ~budget_ms:!budget_ms ~system:D.Systems.lotus
-      (D.Generators.nnsmith ~seed:20230325 ())
+  (* TZer mutates Lotus's low-level IR directly: a local loop, no difftest *)
+  let tzer_tests, tzer =
+    Cov.reset ();
+    let st = Nnsmith_baselines.Tzer.create ~seed:7 () in
+    let tests =
+      repeat_for ~budget_ms:!budget_ms (fun () -> Nnsmith_baselines.Tzer.step st)
+    in
+    (tests, Cov.snapshot ())
   in
-  let pr name (r : D.Campaign.result) =
-    Printf.printf "%-8s tests=%-6d total=%-5d pass-only=%-5d\n" name r.tests
-      (Cov.count r.final) (Cov.count_pass r.final)
+  let nn =
+    coverage_campaign ~system:D.Systems.lotus ~root_seed:20230325 "NNSmith"
+      (fun seed -> D.Generators.nnsmith ~seed ())
   in
-  pr "NNSmith" nnsmith;
-  pr "TZer" tzer;
-  let u_nn = Cov.unique nnsmith.final [ tzer.final ]
-  and u_tz = Cov.unique tzer.final [ nnsmith.final ] in
+  let nnsmith = nn.r_coverage in
+  let pr name tests cov =
+    Printf.printf "%-8s tests=%-6d total=%-5d pass-only=%-5d\n" name tests
+      (Cov.count cov) (Cov.count_pass cov)
+  in
+  pr "NNSmith" nn.r_stats.st_tests nnsmith;
+  pr "TZer" tzer_tests tzer;
+  let u_nn = Cov.unique nnsmith [ tzer ]
+  and u_tz = Cov.unique tzer [ nnsmith ] in
   Printf.printf
     "unique (all files): NNSmith=%d TZer=%d | unique (pass files): \
      NNSmith=%d TZer=%d\n"
@@ -214,8 +259,8 @@ let fig8 () =
     (Cov.count_pass u_tz);
   Printf.printf
     "NNSmith/TZer total coverage ratio: %.2fx (paper: 1.4x)\n"
-    (float_of_int (Cov.count nnsmith.final)
-    /. float_of_int (max 1 (Cov.count tzer.final)))
+    (float_of_int (Cov.count nnsmith)
+    /. float_of_int (max 1 (Cov.count tzer)))
 
 (* ------------------------------------------------------------------ *)
 (* fig9: unique operator instances with and without binning            *)
@@ -223,25 +268,22 @@ let fig8 () =
 let fig9 () =
   section "Figure 9: normalized unique operator instances (binning ablation)";
   let with_bin =
-    D.Campaign.op_instances ~budget_ms:!budget_ms
+    op_instances ~budget_ms:!budget_ms
       (D.Generators.nnsmith ~binning:true ~seed:11 ())
   and without_bin =
-    D.Campaign.op_instances ~budget_ms:!budget_ms
+    op_instances ~budget_ms:!budget_ms
       (D.Generators.nnsmith ~binning:false ~seed:11 ())
   in
-  let final (r : D.Campaign.result) =
-    match List.rev r.samples with s :: _ -> s.extra | [] -> 0
-  in
-  let base = max 1 (final without_bin) in
-  let pr name (r : D.Campaign.result) =
+  let base = max 1 (snd without_bin) in
+  let pr name (tests, insts) =
     Printf.printf "%-12s tests=%-6d unique-instances=%-6d normalized=%.2f\n"
-      name r.tests (final r)
-      (float_of_int (final r) /. float_of_int base)
+      name tests insts
+      (float_of_int insts /. float_of_int base)
   in
   pr "binning" with_bin;
   pr "no-binning" without_bin;
   Printf.printf "binning / no-binning = %.2fx (paper: 2.07x)\n"
-    (float_of_int (final with_bin) /. float_of_int base)
+    (float_of_int (snd with_bin) /. float_of_int base)
 
 (* ------------------------------------------------------------------ *)
 (* fig10: binning impact on coverage                                   *)
@@ -251,25 +293,24 @@ let fig10 () =
   Faults.deactivate_all ();
   List.iter
     (fun (sys : D.Systems.t) ->
-      let with_bin =
-        D.Campaign.coverage ~budget_ms:!budget_ms ~system:sys
-          (D.Generators.nnsmith ~binning:true ~seed:23 ())
+      let campaign binning =
+        (coverage_campaign ~system:sys ~root_seed:23 "NNSmith" (fun seed ->
+             D.Generators.nnsmith ~binning ~seed ()))
+          .r_coverage
       in
-      let without_bin =
-        D.Campaign.coverage ~budget_ms:!budget_ms ~system:sys
-          (D.Generators.nnsmith ~binning:false ~seed:23 ())
-      in
-      let u_with = Cov.unique with_bin.final [ without_bin.final ]
-      and u_without = Cov.unique without_bin.final [ with_bin.final ] in
+      let with_bin = campaign true in
+      let without_bin = campaign false in
+      let u_with = Cov.unique with_bin [ without_bin ]
+      and u_without = Cov.unique without_bin [ with_bin ] in
       Printf.printf
         "%-6s total: binning=%d no-binning=%d (+%.1f%%) | unique: \
          binning=%d no-binning=%d (%.1fx)\n"
         sys.s_name
-        (Cov.count with_bin.final)
-        (Cov.count without_bin.final)
+        (Cov.count with_bin)
+        (Cov.count without_bin)
         (100.
-        *. (float_of_int (Cov.count with_bin.final)
-            /. float_of_int (max 1 (Cov.count without_bin.final))
+        *. (float_of_int (Cov.count with_bin)
+            /. float_of_int (max 1 (Cov.count without_bin))
            -. 1.))
         (Cov.count u_with) (Cov.count u_without)
         (float_of_int (Cov.count u_with)
@@ -320,8 +361,8 @@ let fig11 () =
               List.iter
                 (fun g ->
                   let o =
-                    Search.search ~budget_ms:(float_of_int timeout) ~method_:m
-                      rng g
+                    Search.search ~budget_ms:(float_of_int timeout)
+                      ~max_iters:max_int ~method_:m rng g
                   in
                   if o.binding <> None then incr succ;
                   total_ms := !total_ms +. o.elapsed_ms)
@@ -367,44 +408,53 @@ let tab2 () =
 
 let tab3 () =
   section "Table 3: seeded-bug distribution (who can trigger what)";
+  let hunt ?gen_of_seed name =
+    ( name,
+      D.Pfuzz.hunt ~jobs:1 ~generator:name ?gen_of_seed ~root_seed:3
+        ~budget:(Pool.Time_ms (2. *. !budget_ms))
+        () )
+  in
   let hunts =
-    List.map
-      (fun gen -> (gen.D.Generators.g_name, D.Bughunt.hunt ~budget_ms:(2. *. !budget_ms) gen))
-      [
-        D.Generators.nnsmith ~seed:3 ();
-        D.Generators.graphfuzzer ~seed:3 ();
-        D.Generators.lemon ~seed:3 ();
-      ]
+    [
+      hunt "NNSmith";
+      hunt "GraphFuzzer" ~gen_of_seed:(fun seed ->
+          D.Generators.graphfuzzer ~seed ());
+      hunt "LEMON" ~gen_of_seed:(fun seed -> D.Generators.lemon ~seed ());
+    ]
+  in
+  let triggered_table (r : D.Pfuzz.result) =
+    let t = Hashtbl.create 32 in
+    List.iter (fun (id, n) -> Hashtbl.replace t id n) r.r_triggered;
+    t
   in
   let total_seeded = List.length Faults.catalogue in
   Printf.printf "seeded bugs: %d (paper found 72 real ones)\n" total_seeded;
   List.iter
-    (fun (name, (r : D.Bughunt.result)) ->
+    (fun (name, (r : D.Pfuzz.result)) ->
       Printf.printf "\n%s: tests=%d, triggered %d/%d seeded bugs\n" name
-        r.tests (Hashtbl.length r.triggered) total_seeded;
+        r.r_stats.st_tests (List.length r.r_triggered) total_seeded;
       Printf.printf "%-10s %-15s %-11s %-13s %-6s %-9s\n" "system" "Transformation"
         "Conversion" "Unclassified" "Crash" "Semantic";
       List.iter
         (fun (sys, t, c, u, cr, se) ->
           Printf.printf "%-10s %-15d %-11d %-13d %-6d %-9d\n" sys t c u cr se)
-        (D.Bughunt.distribution r.triggered);
+        (D.Bughunt.distribution (triggered_table r));
       let uniq_by prefix =
-        Hashtbl.fold
-          (fun m _ acc ->
+        List.fold_left
+          (fun acc (m, _) ->
             if String.length m > 1 && String.sub m 1 (min 4 (String.length m - 1)) |> fun p ->
                String.length prefix <= String.length p && String.sub p 0 (String.length prefix) = prefix
             then acc + 1
             else acc)
-          r.unique_crashes 0
+          0 r.r_crashes
       in
       Printf.printf "unique crash messages: OxRT-prefixed=%d Lotus-prefixed=%d (total %d)\n"
         (uniq_by "oxrt") (uniq_by "lotu")
-        (Hashtbl.length r.unique_crashes))
+        (List.length r.r_crashes))
     hunts;
   (* the paper's headline analysis: bugs out of reach for the baselines *)
   let triggered name =
-    let r = List.assoc name hunts in
-    Hashtbl.fold (fun k _ acc -> k :: acc) r.D.Bughunt.triggered []
+    List.map fst (List.assoc name hunts).D.Pfuzz.r_triggered
   in
   let nn = triggered "NNSmith"
   and gf = triggered "GraphFuzzer"
@@ -446,7 +496,7 @@ let stat_gen () =
     | g, stats ->
         incr n;
         gen_ms := !gen_ms +. stats.gen_ms;
-        let o = Search.search ~budget_ms:64. ~method_:Search.Gradient rng g in
+        let o = Search.search ~method_:Search.Gradient rng g in
         search_ms := !search_ms +. o.elapsed_ms;
         if o.binding <> None then incr succ
   done;
@@ -480,7 +530,7 @@ let micro () =
     let rng = Random.State.make [| 1 |] in
     Test.make ~name:"gradient-search"
       (Staged.stage (fun () ->
-           ignore (Search.search ~budget_ms:16. ~method_:Search.Gradient rng fixed_graph)))
+           ignore (Search.search ~method_:Search.Gradient rng fixed_graph)))
   in
   let oxrt_test =
     Test.make ~name:"oxrt-compile"
@@ -544,22 +594,19 @@ let abl_insert () =
   Faults.deactivate_all ();
   List.iter
     (fun (name, fp) ->
-      let gen =
-        D.Generators.nnsmith ~seed:5 ~forward_prob:fp ~name ()
-      in
-      let inst = D.Campaign.op_instances ~budget_ms:(!budget_ms /. 2.) gen in
-      let cov =
-        D.Campaign.coverage ~budget_ms:(!budget_ms /. 2.)
-          ~system:D.Systems.oxrt
+      let tests, insts =
+        op_instances ~budget_ms:(!budget_ms /. 2.)
           (D.Generators.nnsmith ~seed:5 ~forward_prob:fp ~name ())
       in
-      let final_inst =
-        match List.rev inst.samples with s :: _ -> s.extra | [] -> 0
+      let cov =
+        coverage_campaign ~budget_ms:(!budget_ms /. 2.) ~system:D.Systems.oxrt
+          ~root_seed:5 name (fun seed ->
+            D.Generators.nnsmith ~seed ~forward_prob:fp ~name ())
       in
       Printf.printf
         "%-16s tests=%-5d unique-op-instances=%-5d oxrt-coverage=%d
 %!" name
-        inst.tests final_inst (Cov.count cov.final))
+        tests insts (Cov.count cov.r_coverage))
     [
       ("forward-only", 1.0);
       ("backward-only", 0.0);
@@ -748,26 +795,6 @@ let bench_parallel () =
      time budget: ~25 ms of sequential work per test. *)
   let n = max 24 (int_of_float (!budget_ms /. 25.)) in
   let system = D.Systems.oxrt in
-  (* Legacy baseline: the pre-pool `nnsmith fuzz` loop — stateful
-     generator, one rng, 16 ms wall-clock input search.  Context only:
-     its per-test work differs from the pool pipeline (wall-clock vs
-     iteration-capped search). *)
-  let seq_legacy () =
-    let gen = D.Generators.nnsmith ~seed () in
-    let rng = Random.State.make [| seed |] in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      match gen.D.Generators.next () with
-      | None -> ()
-      | Some g -> (
-          try
-            let binding = D.Campaign.find_binding rng g in
-            let exported, _ = D.Exporter.export g in
-            ignore (D.Harness.test ~exported system g binding)
-          with _ -> ())
-    done;
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
   (* Like-for-like baseline: the pool's index-pure pipeline in a plain
      loop — identical per-test work, no pool machinery.  jobs=1 vs this
      measures pure pool overhead. *)
@@ -780,7 +807,7 @@ let bench_parallel () =
       | g -> (
           try
             let rng = Random.State.make [| tseed |] in
-            let binding = D.Inputs.find_binding ~max_iters:64 rng g in
+            let binding = D.Inputs.find_binding rng g in
             let exported, _ = D.Exporter.export g in
             ignore (D.Harness.test ~exported system g binding)
           with _ -> ())
@@ -788,12 +815,8 @@ let bench_parallel () =
     (Unix.gettimeofday () -. t0) *. 1000.
   in
   ignore (seq_pure ());  (* warm up allocator and op registry *)
-  let legacy_ms = seq_legacy () in
-  let legacy_tps = float_of_int n /. (legacy_ms /. 1000.) in
   let seq_ms = seq_pure () in
   let seq_tps = float_of_int n /. (seq_ms /. 1000.) in
-  Printf.printf "%-10s %5d tests in %7.0f ms = %7.1f tests/s\n" "legacy-seq"
-    n legacy_ms legacy_tps;
   Printf.printf "%-10s %5d tests in %7.0f ms = %7.1f tests/s\n" "pure-seq"
     n seq_ms seq_tps;
   let pool_run jobs =
@@ -827,8 +850,8 @@ let bench_parallel () =
   (* top-level tests_per_sec (jobs=1) is what `bench regress` gates on *)
   let line =
     Printf.sprintf
-      "{\"bench\":\"parallel\",\"cores\":%d,\"workload_tests\":%d,\"seed\":%d,\"tests_per_sec\":%.2f,\"legacy_seq_tests_per_sec\":%.2f,\"seq_tests_per_sec\":%.2f,\"jobs1_vs_seq\":%.3f,\"rows\":[%s]}"
-      cores n seed jobs1_tps legacy_tps seq_tps
+      "{\"bench\":\"parallel\",\"cores\":%d,\"workload_tests\":%d,\"seed\":%d,\"tests_per_sec\":%.2f,\"seq_tests_per_sec\":%.2f,\"jobs1_vs_seq\":%.3f,\"rows\":[%s]}"
+      cores n seed jobs1_tps seq_tps
       (jobs1_tps /. Float.max 1e-9 seq_tps)
       (String.concat "," (List.map row_json rows))
   in
@@ -1006,8 +1029,7 @@ let gradsearch_round () =
     (fun (tseed, g) ->
       let rng = Random.State.make [| tseed; 1 |] in
       ignore
-        (Search.search ~budget_ms:infinity ~max_iters:64
-           ~method_:Search.Gradient rng g))
+        (Search.search ~method_:Search.Gradient rng g))
     (Lazy.force gradsearch_graphs)
 
 type counter_exp = {
@@ -1343,10 +1365,7 @@ let bench_gradsearch () =
     List.iter
       (fun (tseed, g) ->
         let rng = Random.State.make [| tseed; 1 |] in
-        let o =
-          Search.search ~budget_ms:infinity ~max_iters:64
-            ~method_:Search.Gradient rng g
-        in
+        let o = Search.search ~method_:Search.Gradient rng g in
         let h =
           match o.Search.binding with
           | None -> Hashtbl.hash (o.Search.iterations, o.Search.restarts)

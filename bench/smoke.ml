@@ -19,10 +19,14 @@ let () =
   Nnsmith_faults.Faults.deactivate_all ();
   Tel.set_enabled true;
   let r =
-    D.Campaign.coverage ~budget_ms:1000. ~system:D.Systems.oxrt
-      (D.Generators.nnsmith ~seed:2024 ())
+    D.Pfuzz.coverage ~jobs:1 ~generator:"NNSmith" ~system:D.Systems.oxrt
+      ~root_seed:2024
+      ~budget:(Nnsmith_parallel.Pool.Tests 40)
+      ~gen_of_seed:(fun seed -> D.Generators.nnsmith ~seed ())
+      ()
   in
-  if r.tests = 0 then die "campaign ran no tests";
+  if r.r_stats.st_tests <> 40 then
+    die "campaign ran %d tests, expected 40" r.r_stats.st_tests;
   let file = Filename.temp_file "nnsmith_telemetry" ".jsonl" in
   Tel.append_jsonl file (Tel.snapshot ());
   let ic = open_in file in
@@ -94,15 +98,15 @@ let () =
         (D.Report.replay c2));
   print_endline "corpus smoke ok"
 
-(* Corpus wiring: a tiny all-faults hunt with a report directory must leave
-   a loadable, drift-free corpus behind (saves themselves are timing-
-   dependent, so none are required). *)
+(* Corpus wiring: a tiny all-faults hunt with a report directory must save
+   cases and leave a loadable, drift-free corpus behind. *)
 let () =
   let dir = temp_dir "nnsmith_hunt_corpus" in
-  let _r =
-    D.Bughunt.hunt ~report_dir:dir ~budget_ms:250.
-      (D.Generators.nnsmith ~seed:2024 ())
+  let r =
+    D.Pfuzz.hunt ~jobs:1 ~report_dir:dir ~root_seed:2024
+      ~budget:(Nnsmith_parallel.Pool.Tests 25) ()
   in
+  if r.r_saved = 0 then die "hunt corpus smoke: 25-test hunt saved no cases";
   let c = Corpus.open_ dir in
   ignore (Corpus.load_all c);
   let drifted =

@@ -58,7 +58,7 @@ let generate seed nodes count search out =
         | None -> ());
         if search then begin
           let rng = Random.State.make [| seed + k |] in
-          let o = Search.search ~budget_ms:64. ~method_:Search.Gradient rng g in
+          let o = Search.search ~method_:Search.Gradient rng g in
           Printf.printf "# input search: %s (%d iterations, %.2f ms)\n"
             (if o.binding <> None then "ok" else "failed")
             o.iterations o.elapsed_ms
@@ -381,28 +381,19 @@ let cov budget_s tests jobs seed telemetry journal_dir progress =
         (fun (system : D.Systems.t) ->
           List.iter
             (fun (name, gen_of_seed) ->
-              (* each campaign resets telemetry: one JSONL line per campaign *)
-              let fuzzer, n_tests, final =
-                if jobs = 1 && tests = None then
-                  let r =
-                    D.Campaign.coverage ?journal
-                      ~budget_ms:(budget_s *. 1000.) ~system
-                      (gen_of_seed seed)
-                  in
-                  (r.fuzzer, r.tests, r.final)
-                else
-                  let r =
-                    D.Pfuzz.coverage ~jobs ?journal ~generator:name ~system
-                      ~root_seed:seed
-                      ~budget:(budget_of ~budget_s tests)
-                      ~gen_of_seed ()
-                  in
-                  (name, r.r_stats.st_tests, r.r_coverage)
+              (* one telemetry JSONL line per campaign *)
+              Tel.reset ();
+              let r =
+                D.Pfuzz.coverage ~jobs ?journal ~generator:name ~system
+                  ~root_seed:seed
+                  ~budget:(budget_of ~budget_s tests)
+                  ~gen_of_seed ()
               in
               Printf.printf
                 "%-6s %-12s tests=%-5d total=%-5d pass-only=%-5d\n%!"
-                system.s_name fuzzer n_tests (Cov.count final)
-                (Cov.count_pass final);
+                system.s_name name r.r_stats.st_tests
+                (Cov.count r.r_coverage)
+                (Cov.count_pass r.r_coverage);
               match telemetry with
               | Some path -> (
                   try Tel.append_jsonl path (Tel.snapshot ())

@@ -2,25 +2,25 @@
 
      dune exec examples/bug_hunt.exe
 
-   Activates every seeded defect in the simulated compilers, fuzzes for a few
-   seconds with NNSmith-generated models, and reports which bug classes were
-   triggered, split crash vs semantic — a miniature of the paper's Table 3. *)
+   Activates every seeded defect in the simulated compilers, runs a fixed
+   number of NNSmith-generated tests, and reports which bug classes were
+   triggered, split crash vs semantic — a miniature of the paper's
+   Table 3. *)
 
 module Faults = Nnsmith_faults.Faults
 module D = Nnsmith_difftest
 
 let () =
-  let budget_ms = 8000. in
-  Printf.printf "Hunting for %d seeded bug classes for %.0f s...\n%!"
-    (List.length Faults.catalogue) (budget_ms /. 1000.);
-  let result = D.Bughunt.hunt ~budget_ms (D.Generators.nnsmith ~seed:1 ()) in
-  Printf.printf "Ran %d tests; triggered %d distinct bug classes:\n\n"
-    result.tests
-    (Hashtbl.length result.triggered);
-  let rows =
-    Hashtbl.fold (fun id count acc -> (id, count) :: acc) result.triggered []
-    |> List.sort compare
+  let tests = 500 in
+  Printf.printf "Hunting for %d seeded bug classes over %d tests...\n%!"
+    (List.length Faults.catalogue) tests;
+  let r =
+    D.Pfuzz.hunt ~jobs:1 ~root_seed:1
+      ~budget:(Nnsmith_parallel.Pool.Tests tests) ()
   in
+  Printf.printf "Ran %d tests; triggered %d distinct bug classes:\n\n"
+    r.r_stats.st_tests
+    (List.length r.r_triggered);
   List.iter
     (fun (id, count) ->
       match Faults.find id with
@@ -30,13 +30,15 @@ let () =
             (Faults.effect_name bug.effect)
             count bug.description
       | None -> ())
-    rows;
+    r.r_triggered;
+  let triggered = Hashtbl.create 32 in
+  List.iter (fun (id, n) -> Hashtbl.replace triggered id n) r.r_triggered;
   Printf.printf "\nBug distribution (triggered only):\n";
   Printf.printf "%-10s %-15s %-11s %-13s %-6s %-9s\n" "system" "Transformation"
     "Conversion" "Unclassified" "Crash" "Semantic";
   List.iter
     (fun (sys, t, c, u, cr, se) ->
       Printf.printf "%-10s %-15d %-11d %-13d %-6d %-9d\n" sys t c u cr se)
-    (D.Bughunt.distribution result.triggered);
+    (D.Bughunt.distribution triggered);
   Printf.printf "\nUnique crash messages observed: %d\n"
-    (Hashtbl.length result.unique_crashes)
+    (List.length r.r_crashes)

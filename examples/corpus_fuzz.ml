@@ -1,70 +1,30 @@
-(* Corpus management: fuzz with the seeded defects active, serialize every
-   crashing model to disk, then reload the corpus and replay it — the
-   regression-testing workflow around a fuzzer's findings.
+(* Corpus management: fuzz with the seeded defects active, save every new
+   failure (minimized, deduplicated) to an on-disk corpus, then reopen the
+   corpus and replay it — the regression-testing workflow around a
+   fuzzer's findings.
 
      dune exec examples/corpus_fuzz.exe *)
 
-module Faults = Nnsmith_faults.Faults
-module Graph = Nnsmith_ir.Graph
-module Serial = Nnsmith_ir.Serial
 module D = Nnsmith_difftest
+module Corpus = Nnsmith_corpus.Corpus
 
 let () =
-  let corpus_dir = Filename.concat (Filename.get_temp_dir_name ()) "nnsmith_corpus" in
-  (try Unix.mkdir corpus_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Faults.activate_all ();
-  let gen = D.Generators.nnsmith ~seed:99 () in
-  let rng = Random.State.make [| 99 |] in
-  let saved = ref [] in
-  let start = Unix.gettimeofday () in
-  print_endline "fuzzing for 5 s, saving crashing models...";
-  while Unix.gettimeofday () -. start < 5. do
-    match gen.next () with
-    | None -> ()
-    | Some g -> (
-        let binding = D.Campaign.find_binding rng g in
-        let exported, _ = D.Exporter.export g in
-        List.iter
-          (fun system ->
-            match D.Harness.test ~exported system g binding with
-            | D.Harness.Crash m -> (
-                match D.Harness.bug_id_of_message m with
-                | Some id when not (List.mem_assoc id !saved) ->
-                    let path =
-                      Filename.concat corpus_dir (id ^ ".model")
-                    in
-                    Serial.save path g;
-                    saved := (id, path) :: !saved
-                | _ -> ())
-            | _ -> ()
-            | exception _ -> ())
-          D.Systems.all)
-  done;
-  Printf.printf "saved %d distinct reproducers under %s\n\n"
-    (List.length !saved) corpus_dir;
+  let corpus_dir = Filename.temp_file "nnsmith_corpus" "" in
+  Sys.remove corpus_dir;
+  Nnsmith_faults.Faults.activate_all ();
+  print_endline "fuzzing 200 tests, saving every new failure...";
+  let r =
+    D.Pfuzz.fuzz ~jobs:1 ~report_dir:corpus_dir ~root_seed:99
+      ~budget:(Nnsmith_parallel.Pool.Tests 200) ()
+  in
+  Printf.printf "saved %d distinct failures under %s (%d duplicates)\n\n"
+    r.r_saved corpus_dir r.r_dups;
 
-  (* Replay: reload each model from disk and confirm the defect still fires. *)
+  (* Replay: reopen the corpus from disk and confirm every case still fails
+     the way it was recorded. *)
   print_endline "replaying the corpus from disk:";
   List.iter
-    (fun (bug_id, path) ->
-      let g = Serial.load path in
-      let binding =
-        D.Campaign.find_binding (Random.State.make [| 1 |]) g
-      in
-      let exported, export_bugs = D.Exporter.export g in
-      let still_fires =
-        List.mem bug_id export_bugs
-        || List.exists
-             (fun system ->
-               match D.Harness.test ~exported system g binding with
-               | D.Harness.Crash m ->
-                   D.Harness.bug_id_of_message m = Some bug_id
-               | D.Harness.Semantic _ -> true
-               | _ -> false
-               | exception _ -> false)
-             D.Systems.all
-      in
-      Printf.printf "  %-36s %s (%d nodes)\n" bug_id
-        (if still_fires then "REPRODUCED" else "did not reproduce")
-        (Graph.size g))
-    (List.rev !saved)
+    (fun (o : D.Report.outcome) ->
+      Printf.printf "  %-28s %-9s %s\n" o.rp_case o.rp_expected_kind
+        (if o.rp_drift then "DRIFTED " ^ o.rp_note else "REPRODUCED"))
+    (D.Report.replay (Corpus.open_ corpus_dir))

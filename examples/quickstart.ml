@@ -24,7 +24,7 @@ let () =
 
   (* 2. Find inputs and weights that avoid NaN/Inf anywhere in the graph. *)
   let rng = Random.State.make [| 42 |] in
-  let outcome = Search.search ~budget_ms:64. ~method_:Search.Gradient rng graph in
+  let outcome = Search.search ~method_:Search.Gradient rng graph in
   let binding =
     match outcome.binding with
     | Some b ->

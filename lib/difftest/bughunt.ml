@@ -1,19 +1,8 @@
-(** The seeded-bug study behind Table 3: run every fuzzer against every
-    system with all seeded defects active and record which defects each
-    fuzzer can trigger. *)
+(** The seeded-bug study behind Table 3: attribute each failure of a hunt
+    ({!Pfuzz.hunt}) to the seeded defects that cause it, and tabulate the
+    triggered defects by system and category. *)
 
-module Graph = Nnsmith_ir.Graph
-module Runner = Nnsmith_ops.Runner
 module Faults = Nnsmith_faults.Faults
-
-let now_ms () = Unix.gettimeofday () *. 1000.
-
-type result = {
-  fuzzer : string;
-  tests : int;
-  triggered : (string, int) Hashtbl.t;  (** seeded bug id -> hit count *)
-  unique_crashes : (string, int) Hashtbl.t;  (** crash message -> count *)
-}
 
 let incr_count tbl key =
   Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -37,82 +26,6 @@ let attribute_semantic (system : Systems.t) g binding triggered =
           | Harness.Pass | Crash _ | Skipped _ -> ()
           | exception _ -> ()))
     (semantic_candidates system)
-
-(** Hunt with every seeded defect active for [budget_ms].  With
-    [report_dir], every crash and semantic mismatch is saved to the
-    persistent corpus there (minimized, deduplicated across runs). *)
-let hunt ?journal ?report_dir ~budget_ms (gen : Generators.t) : result =
-  let rng = Random.State.make [| Hashtbl.hash gen.g_name |] in
-  Campaign.journal_start journal ~kind:"hunt"
-    ~systems:(List.map (fun (s : Systems.t) -> s.s_name) Systems.all)
-    ~generator:gen.g_name
-    ~seed:(Hashtbl.hash gen.g_name)
-    ~budget_ms;
-  let corpus =
-    Option.map (fun d -> Nnsmith_corpus.Corpus.open_ ?journal d) report_dir
-  in
-  let saved = ref 0 and dups = ref 0 in
-  let report system ~export_bugs g binding v =
-    Option.iter
-      (fun c ->
-        match
-          Report.save_failure c ~system ~generator:gen.g_name ~export_bugs g
-            binding v
-        with
-        | `Saved _ -> incr saved
-        | `Duplicate _ -> incr dups
-        | `Not_failure -> ())
-      corpus
-  in
-  let triggered = Hashtbl.create 32 in
-  let unique_crashes = Hashtbl.create 32 in
-  let verdicts = Hashtbl.create 8 in
-  let tests = ref 0 in
-  let start = now_ms () in
-  Faults.with_bugs
-    (List.map (fun (b : Faults.bug) -> b.b_id) Faults.catalogue)
-    (fun () ->
-      while now_ms () -. start < budget_ms do
-        incr tests;
-        match gen.next () with
-        | None -> incr_count verdicts "gen_fail"
-        | Some g -> (
-            match
-              let binding = Campaign.find_binding rng g in
-              let exported, export_bugs = Exporter.export g in
-              (binding, exported, export_bugs)
-            with
-            | exception _ -> incr_count verdicts "gen_fail"
-            | binding, exported, export_bugs ->
-                List.iter (fun id -> incr_count triggered id) export_bugs;
-                List.iter
-                  (fun system ->
-                    match Harness.test ~exported system g binding with
-                    | Harness.Pass -> incr_count verdicts "pass"
-                    | Skipped _ -> incr_count verdicts "skipped"
-                    | Harness.Crash m as v ->
-                        incr_count unique_crashes (Harness.dedup_key m);
-                        incr_count verdicts "crash";
-                        (match Harness.bug_id_of_message m with
-                        | Some id -> incr_count triggered id
-                        | None -> ());
-                        report system ~export_bugs g binding v
-                    | Harness.Semantic _ as v ->
-                        incr_count verdicts "semantic";
-                        attribute_semantic system g binding triggered;
-                        report system ~export_bugs g binding v
-                    | exception _ -> incr_count verdicts "error")
-                  Systems.all)
-      done);
-  Campaign.journal_summary journal
-    ~elapsed_ms:(now_ms () -. start)
-    ~tests:!tests
-    ~verdicts:
-      (List.sort compare
-         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) verdicts []))
-    ~failures:(Hashtbl.length unique_crashes) ~saved:!saved ~dups:!dups
-    ~cov_total:0 ~cov_pass:0;
-  { fuzzer = gen.g_name; tests = !tests; triggered; unique_crashes }
 
 (** Rows of Table 3 restricted to the given triggered set: per system, the
     count per category plus crash/semantic split. *)

@@ -1,27 +1,6 @@
-(** The seeded-bug study behind Table 3: run a fuzzer against every system
-    with all seeded defects active and record which defects it triggers. *)
-
-type result = {
-  fuzzer : string;
-  tests : int;
-  triggered : (string, int) Hashtbl.t;  (** seeded bug id -> hit count *)
-  unique_crashes : (string, int) Hashtbl.t;
-      (** crash dedup-key -> count (includes non-seeded rejections) *)
-}
-
-val hunt :
-  ?journal:Nnsmith_journal.Journal.t ->
-  ?report_dir:string ->
-  budget_ms:float ->
-  Generators.t ->
-  result
-(** Fuzz for [budget_ms] with every catalogued defect active.  Crash
-    verdicts are attributed by their embedded bug id; semantic verdicts are
-    attributed by re-running with each candidate semantic defect enabled in
-    isolation.  With [report_dir], every crash and semantic mismatch is
-    saved to the persistent corpus there via {!Report.save_failure}.  With
-    [journal], the run is bracketed by [Start]/[Summary] events and corpus
-    saves emit [Bug] events. *)
+(** The seeded-bug study behind Table 3: attribute each failure of a hunt
+    ({!Pfuzz.hunt}) to the seeded defects that cause it, and tabulate the
+    triggered defects by system and category. *)
 
 val attribute_semantic :
   Systems.t ->
@@ -31,7 +10,7 @@ val attribute_semantic :
   unit
 (** Attribute a semantic mismatch by re-running with each candidate
     semantic defect enabled in isolation, bumping the triggered table.
-    (Also used by the sharded hunt in {!Pfuzz}.) *)
+    (Used by {!Pfuzz.hunt}.) *)
 
 val distribution :
   (string, int) Hashtbl.t ->

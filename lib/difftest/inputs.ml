@@ -6,16 +6,12 @@ module Runner = Nnsmith_ops.Runner
 module Search = Nnsmith_grad.Search
 module Tel = Nnsmith_telemetry.Telemetry
 
-(* Inputs for a test case: gradient search with a small budget; fall back to
-   the last random binding (still useful for coverage) when it fails.  With
-   [max_iters] the budget is an iteration count instead of wall-clock —
-   deterministic under any scheduler load, which the sharded campaigns
-   (Pfuzz) rely on for jobs-count-independent results. *)
+(* Inputs for a test case: an iteration-capped gradient search; fall back
+   to the last random binding (still useful for coverage) when it fails.
+   The cap, not a deadline, keeps the binding a function of (rng, graph)
+   under any scheduler load. *)
 let find_binding ?max_iters rng g =
   Tel.with_span "exec/search" @@ fun () ->
-  let budget_ms = if max_iters = None then 16. else infinity in
-  match
-    (Search.search ~budget_ms ?max_iters ~method_:Search.Gradient rng g).binding
-  with
+  match (Search.search ?max_iters ~method_:Search.Gradient rng g).binding with
   | Some b -> b
   | None -> Runner.random_binding rng g

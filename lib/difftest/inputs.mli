@@ -6,8 +6,7 @@ val find_binding :
   Random.State.t ->
   Nnsmith_ir.Graph.t ->
   Nnsmith_ops.Runner.binding
-(** A short gradient search, falling back to the last random binding (still
-    useful for coverage) when the search fails.  The default budget is
-    16 ms of wall clock; [max_iters] switches to an iteration cap — a
-    deterministic budget independent of scheduler load, required for
-    jobs-count-independent sharded campaigns. *)
+(** A gradient search of at most [max_iters] iterations (default
+    {!Nnsmith_grad.Search.default_max_iters}), falling back to the last
+    random binding (still useful for coverage) when the search fails.  The
+    budget is deterministic, independent of scheduler load. *)

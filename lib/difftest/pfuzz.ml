@@ -1,6 +1,6 @@
-(** Parallel fuzzing drivers: the campaign loops of {!Campaign} and
-    {!Bughunt} re-expressed over {!Nnsmith_parallel.Pool} so a run can
-    shard its test stream across worker domains.
+(** The campaign engine: every fuzzing loop — CLI [fuzz]/[cov]/[hunt],
+    the paper figures, the tests — runs here, sharded over
+    {!Nnsmith_parallel.Pool} worker domains.
 
     The NNSmith pipeline here is {e index-pure}: test [i] is generated
     from [Splitmix.derive ~root ~index:i] alone (model seed and
@@ -8,7 +8,9 @@
     seed produces the same failures for any [--jobs] value.  Baseline
     generators (GraphFuzzer, LEMON) are stateful streams; parallel runs
     give each worker an independently seeded stream instead, which is
-    reproducible per (root, jobs) but not jobs-independent. *)
+    reproducible per (root, jobs) but not jobs-independent.  Every input
+    search is iteration-capped, so a [Time_ms] budget may end a campaign
+    early but never changes what a test computes. *)
 
 module Graph = Nnsmith_ir.Graph
 module Op = Nnsmith_ir.Op
@@ -96,23 +98,64 @@ let record_ops t g verdict_kind =
           incr_count inner verdict_kind)
     (Graph.nodes g)
 
-(* Worker-side campaign state: the tally plus the heartbeat clock. *)
+(* One point of a worker's coverage curve. *)
+type point = {
+  p_tests : int;
+  p_total : int;
+  p_pass : int;
+  p_ms : float;  (* display only *)
+}
+
+(* A worker's model source: test [seed]'s model and the name of the
+   generator that made it, or [None] when generation failed. *)
+type source = seed:int -> (string * Graph.t) option
+
+(* The index-pure NNSmith generator: the model is a function of [seed]. *)
+let index_pure ~generator ~max_nodes ~binning : source =
+ fun ~seed ->
+  match Gen.generate { Config.default with seed; max_nodes; binning } with
+  | g -> Some (generator, g)
+  | exception _ -> None
+
+(* A stateful generator stream: [seed] only seeds the input search. *)
+let of_stream (gen : Generators.t) : source =
+ fun ~seed:_ -> Option.map (fun g -> (gen.g_name, g)) (gen.next ())
+
+(* Worker-side campaign state: the model source, the tally, the coverage
+   curve and the heartbeat clock. *)
 type wstate = {
   w_id : int;
+  w_source : source;
   w_tally : tally;
+  w_start_ms : float;
+  mutable w_curve : point list;  (* newest first *)
   mutable w_tests : int;
   mutable w_seq : int;
   mutable w_next_hb : float;
 }
 
-let fresh_wstate worker =
+let fresh_wstate ~source worker =
   {
     w_id = worker;
+    w_source = source;
     w_tally = fresh_tally ();
+    w_start_ms = Tel.now_ms ();
+    w_curve = [];
     w_tests = 0;
     w_seq = 0;
     w_next_hb = neg_infinity;
   }
+
+let record_point ws =
+  let snap = Cov.snapshot () in
+  ws.w_curve <-
+    {
+      p_tests = ws.w_tests;
+      p_total = Cov.count snap;
+      p_pass = Cov.count_pass snap;
+      p_ms = Tel.now_ms () -. ws.w_start_ms;
+    }
+    :: ws.w_curve
 
 let heartbeat_interval_ms = 250.
 
@@ -120,7 +163,6 @@ let heartbeat_interval_ms = 250.
    a heartbeat event carrying this worker's cumulative counters plus its
    domain-local coverage. *)
 let maybe_heartbeat ~journaling ws =
-  ws.w_tests <- ws.w_tests + 1;
   if not journaling then []
   else
     let now = Tel.now_ms () in
@@ -156,6 +198,7 @@ type result = {
   r_saved : int;  (** new corpus cases (0 without [report_dir]) *)
   r_dups : int;  (** corpus duplicates (0 without [report_dir]) *)
   r_coverage : Cov.snapshot;  (** union over workers *)
+  r_curves : point list list;  (** per worker, oldest first ([coverage]) *)
 }
 
 let verdict_name = function
@@ -253,7 +296,8 @@ let make_sink ?journal ?report_dir () =
   in
   (sink, flush, saved, dups)
 
-let assemble ~stats ~saved ~dups tallies =
+let assemble ~stats ~saved ~dups ~curve states =
+  let tallies = List.map (fun ws -> ws.w_tally) states in
   let total = fresh_tally () in
   List.iter
     (fun t ->
@@ -288,6 +332,8 @@ let assemble ~stats ~saved ~dups tallies =
     r_saved = !saved;
     r_dups = !dups;
     r_coverage = Cov.snapshot ();
+    r_curves =
+      (if curve then List.map (fun ws -> List.rev ws.w_curve) states else []);
   }
 
 (* Campaign-lifecycle journal records, emitted on the calling domain. *)
@@ -396,30 +442,27 @@ let record_verdict t (system : Systems.t) ~generator ~seed ~export_bugs g bindin
           f_verdict = v;
         }
 
-(* The input search must be iteration-capped, not wall-clock-capped: on a
-   loaded machine a time budget buys fewer iterations, which would make
-   results depend on how many sibling domains are running. *)
-let search_iters = 64
-
-(* The index-pure NNSmith pipeline: generate → search inputs → export →
-   difftest each system.  Everything derives from [seed].  With
-   [attribute_semantic], semantic mismatches are attributed to seeded
-   defects by isolation re-runs (the hunt-mode discipline of {!Bughunt}). *)
-let run_index ?(attribute_semantic = false) t ~generator ~max_nodes ~binning
-    ~systems ~seed =
-  let out = ref [] in
-  let emit f = out := f :: !out in
-  (match
-     Gen.generate { Config.default with seed; max_nodes; binning }
-   with
-  | exception _ -> incr_count t.verdicts "gen_fail"
-  | g -> (
-      match
-        let rng = Random.State.make [| seed |] in
-        let binding = Inputs.find_binding ~max_iters:search_iters rng g in
-        let exported, export_bugs = Exporter.export g in
-        (binding, exported, export_bugs)
-      with
+(* One test: take the model from [source], search its inputs (iteration-
+   capped, so the binding does not depend on machine load), export it and
+   difftest each system.  Everything but a stream's state derives from
+   [seed].  With [attribute_semantic], semantic mismatches are attributed
+   to seeded defects by isolation re-runs (the hunt-mode discipline of
+   {!Bughunt}). *)
+let run_test ?(attribute_semantic = false) t (source : source) ~systems
+    ~seed =
+  match source ~seed with
+  | None ->
+      incr_count t.verdicts "gen_fail";
+      []
+  | Some (generator, g) ->
+      let out = ref [] in
+      let emit f = out := f :: !out in
+      (match
+         let rng = Random.State.make [| seed |] in
+         let binding = Inputs.find_binding rng g in
+         let exported, export_bugs = Exporter.export g in
+         (binding, exported, export_bugs)
+       with
       | exception _ -> incr_count t.verdicts "gen_fail"
       | binding, exported, export_bugs ->
           List.iter (fun id -> incr_count t.triggered id) export_bugs;
@@ -430,18 +473,18 @@ let run_index ?(attribute_semantic = false) t ~generator ~max_nodes ~binning
                   record_verdict t system ~generator ~seed ~export_bugs g
                     binding emit v
               | exception _ -> incr_count t.verdicts "error")
-            systems));
-  let fs = List.rev !out in
-  if attribute_semantic then
-    List.iter
-      (fun f ->
-        match f.f_verdict with
-        | Harness.Semantic _ ->
-            Bughunt.attribute_semantic f.f_system f.f_graph f.f_binding
-              t.triggered
-        | _ -> ())
-      fs;
-  fs
+            systems);
+      let fs = List.rev !out in
+      if attribute_semantic then
+        List.iter
+          (fun f ->
+            match f.f_verdict with
+            | Harness.Semantic _ ->
+                Bughunt.attribute_semantic f.f_system f.f_graph f.f_binding
+                  t.triggered
+            | _ -> ())
+          fs;
+      fs
 
 (* ------------------------------------------------------------------ *)
 (* Per-index outcome: the serializable result of one test, shared by the
@@ -477,8 +520,9 @@ let run_one ?attribute_semantic ?(generator = "NNSmith") ?(max_nodes = 10)
     ?(binning = true) ~systems ~seed () =
   let t = fresh_tally () in
   let fs =
-    run_index ?attribute_semantic t ~generator ~max_nodes ~binning ~systems
-      ~seed
+    run_test ?attribute_semantic t
+      (index_pure ~generator ~max_nodes ~binning)
+      ~systems ~seed
   in
   outcome_of_tally t fs
 
@@ -490,113 +534,80 @@ let run_one ?attribute_semantic ?(generator = "NNSmith") ?(max_nodes = 10)
 let async_sink_wanted ~journal ~report_dir =
   Option.is_some journal || Option.is_some report_dir
 
+(* [fuzz], [coverage] and [hunt] all run through here: journal the start,
+   shard the test stream over the pool (each worker drawing its models
+   from [gen_of_seed]'s stream, or index-pure NNSmith without one),
+   persist failures through the single-writer sink, then assemble and
+   journal the result.  With [curve], every test appends a point to its
+   worker's coverage curve. *)
+let drive ?jobs ?journal ?report_dir ?gen_of_seed ?(max_nodes = 10)
+    ?(binning = true) ?attribute_semantic ?(curve = false) ~kind
+    ~systems ~generator ~root_seed ~budget () =
+  journal_start ?journal ~kind ~systems ~generator ~root_seed
+    ~jobs:(resolved_jobs jobs) ~budget ();
+  let sink, flush, saved, dups = make_sink ?journal ?report_dir () in
+  let journaling = journal <> None in
+  let stats, states =
+    Pool.run ?jobs ~is_failure ~is_durable
+      ~async_sink:(async_sink_wanted ~journal ~report_dir)
+      ~root_seed ~budget
+      ~init:(fun ~worker ->
+        let source =
+          match gen_of_seed with
+          | None -> index_pure ~generator ~max_nodes ~binning
+          | Some gen_of_seed ->
+              (* Negative index space: disjoint from the test-seed
+                 derivations. *)
+              of_stream
+                (gen_of_seed
+                   (Splitmix.derive ~root:root_seed ~index:(-1 - worker)))
+        in
+        fresh_wstate ~source worker)
+      ~test:(fun ws ~index ~seed ->
+        let fs =
+          run_test ?attribute_semantic ws.w_tally ws.w_source ~systems ~seed
+        in
+        ws.w_tests <- ws.w_tests + 1;
+        if curve then record_point ws;
+        List.map (fun f -> M_failure (index, f)) fs
+        @ maybe_heartbeat ~journaling ws
+        @ [ M_done index ])
+      ~finish:Fun.id ~sink ()
+  in
+  flush ();
+  let r = assemble ~stats ~saved ~dups ~curve states in
+  journal_finish ?journal r;
+  r
+
 (** Sharded NNSmith differential-testing campaign.  Runs with whatever
     fault set is active on the calling domain (workers inherit it).  With
     [report_dir] each failure is minimized and saved to the persistent
     corpus by the calling domain only. *)
-let fuzz ?jobs ?journal ?report_dir ?(max_nodes = 10) ?(binning = true)
+let fuzz ?jobs ?journal ?report_dir ?max_nodes ?binning
     ?(systems = Systems.all) ~root_seed ~budget () : result =
-  journal_start ?journal ~kind:"fuzz" ~systems ~generator:"NNSmith"
-    ~root_seed ~jobs:(resolved_jobs jobs) ~budget ();
-  let sink, flush, saved, dups = make_sink ?journal ?report_dir () in
-  let journaling = journal <> None in
-  let async_sink = async_sink_wanted ~journal ~report_dir in
-  let stats, tallies =
-    Pool.run ?jobs ~is_failure ~is_durable ~async_sink ~root_seed ~budget
-      ~init:(fun ~worker -> fresh_wstate worker)
-      ~test:(fun ws ~index ~seed ->
-        let fs =
-          run_index ws.w_tally ~generator:"NNSmith" ~max_nodes ~binning
-            ~systems ~seed
-        in
-        List.map (fun f -> M_failure (index, f)) fs
-        @ maybe_heartbeat ~journaling ws
-        @ [ M_done index ])
-      ~finish:(fun ws -> ws.w_tally)
-      ~sink ()
-  in
-  flush ();
-  let r = assemble ~stats ~saved ~dups tallies in
-  journal_finish ?journal r;
-  r
+  drive ?jobs ?journal ?report_dir ?max_nodes ?binning ~kind:"fuzz" ~systems
+    ~generator:"NNSmith" ~root_seed ~budget ()
 
 (** Sharded coverage campaign of a stateful generator stream against one
     system: worker [w] drives [gen_of_seed s_w] with an independent
-    derived seed.  Worker coverage tables are unioned into the calling
-    domain at join; the returned snapshot is the union. *)
+    derived seed and records a coverage curve point per test.  Worker
+    coverage tables are unioned into the calling domain at join; the
+    returned snapshot is the union. *)
 let coverage ?jobs ?journal ?report_dir ?(generator = "generator")
-    ~(system : Systems.t) ~root_seed ~budget
-    ~(gen_of_seed : int -> Generators.t) () : result =
+    ~(system : Systems.t) ~root_seed ~budget ~gen_of_seed () : result =
   Cov.reset ();
-  journal_start ?journal ~kind:"coverage" ~systems:[ system ] ~generator
-    ~root_seed ~jobs:(resolved_jobs jobs) ~budget ();
-  let sink, flush, saved, dups = make_sink ?journal ?report_dir () in
-  let journaling = journal <> None in
-  let async_sink = async_sink_wanted ~journal ~report_dir in
-  let stats, tallies =
-    Pool.run ?jobs ~is_failure ~is_durable ~async_sink ~root_seed ~budget
-      ~init:(fun ~worker ->
-        (* Negative index space: disjoint from the test-seed derivations. *)
-        let s = Splitmix.derive ~root:root_seed ~index:(-1 - worker) in
-        (gen_of_seed s, fresh_wstate worker))
-      ~test:(fun (gen, ws) ~index ~seed ->
-        let t = ws.w_tally in
-        let out = ref [] in
-        let emit f = out := M_failure (index, f) :: !out in
-        (match gen.Generators.next () with
-        | None -> incr_count t.verdicts "gen_fail"
-        | Some g -> (
-            match
-              let rng = Random.State.make [| seed |] in
-              Inputs.find_binding ~max_iters:search_iters rng g
-            with
-            | exception _ -> incr_count t.verdicts "gen_fail"
-            | binding -> (
-                match Harness.test system g binding with
-                | v ->
-                    record_verdict t system ~generator:gen.Generators.g_name
-                      ~seed ~export_bugs:[] g binding emit v
-                | exception _ -> incr_count t.verdicts "error")));
-        List.rev_append !out (maybe_heartbeat ~journaling ws)
-        @ [ M_done index ])
-      ~finish:(fun (_, ws) -> ws.w_tally)
-      ~sink ()
-  in
-  flush ();
-  let r = assemble ~stats ~saved ~dups tallies in
-  journal_finish ?journal r;
-  r
+  drive ?jobs ?journal ?report_dir ~gen_of_seed ~curve:true
+    ~kind:"coverage" ~systems:[ system ] ~generator ~root_seed ~budget ()
 
-(** Sharded seeded-bug hunt: the index-pure NNSmith pipeline with every
-    catalogued defect active in each worker, tallying which defects were
-    triggered (crashes attribute by message; semantic mismatches by
-    isolation re-runs, as in {!Bughunt}). *)
-let hunt ?jobs ?journal ?report_dir ?(max_nodes = 10) ~root_seed ~budget () :
-    result =
+(** Sharded seeded-bug hunt: with every catalogued defect active in each
+    worker, run the index-pure NNSmith pipeline (or [gen_of_seed]'s
+    streams), tallying which defects were triggered (crashes attribute by
+    message; semantic mismatches by isolation re-runs). *)
+let hunt ?jobs ?journal ?report_dir ?max_nodes ?(generator = "NNSmith")
+    ?gen_of_seed ~root_seed ~budget () : result =
   let module Faults = Nnsmith_faults.Faults in
   let all_ids = List.map (fun (b : Faults.bug) -> b.b_id) Faults.catalogue in
-  journal_start ?journal ~kind:"hunt" ~systems:Systems.all
-    ~generator:"NNSmith" ~root_seed ~jobs:(resolved_jobs jobs) ~budget ();
-  let sink, flush, saved, dups = make_sink ?journal ?report_dir () in
-  let journaling = journal <> None in
-  let async_sink = async_sink_wanted ~journal ~report_dir in
   Faults.with_bugs all_ids (fun () ->
-      let stats, tallies =
-        Pool.run ?jobs ~is_failure ~is_durable ~async_sink ~root_seed ~budget
-          ~init:(fun ~worker -> fresh_wstate worker)
-          ~test:(fun ws ~index ~seed ->
-            let fs =
-              run_index ~attribute_semantic:true ws.w_tally
-                ~generator:"NNSmith" ~max_nodes ~binning:true
-                ~systems:Systems.all ~seed
-            in
-            List.map (fun f -> M_failure (index, f)) fs
-            @ maybe_heartbeat ~journaling ws
-            @ [ M_done index ])
-          ~finish:(fun ws -> ws.w_tally)
-          ~sink ()
-      in
-      flush ();
-      let r = assemble ~stats ~saved ~dups tallies in
-      journal_finish ?journal r;
-      r)
+      drive ?jobs ?journal ?report_dir ?gen_of_seed ?max_nodes
+        ~attribute_semantic:true ~kind:"hunt" ~systems:Systems.all ~generator
+        ~root_seed ~budget ())

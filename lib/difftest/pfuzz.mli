@@ -1,12 +1,17 @@
-(** Parallel fuzzing drivers: {!Campaign}/{!Bughunt}-style loops sharded
-    across worker domains via {!Nnsmith_parallel.Pool}.
+(** The campaign engine: every fuzzing loop (CLI [fuzz]/[cov]/[hunt], the
+    paper figures, the tests) runs here, sharded across worker domains via
+    {!Nnsmith_parallel.Pool}.
 
     The NNSmith pipeline is index-pure — test [i]'s model seed and
     input-search rng derive from [Splitmix.derive ~root ~index:i] alone —
     so with a [Tests n] budget, {!fuzz} and {!hunt} produce the same
-    failure set for any [jobs] value.  {!coverage} drives stateful
-    baseline generator streams (one independently seeded stream per
-    worker): reproducible per (root, jobs), not jobs-independent. *)
+    failure set for any [jobs] value.  {!coverage}, and {!hunt} given a
+    [gen_of_seed], drive stateful baseline generator streams (one
+    independently seeded stream per worker): reproducible per (root,
+    jobs), not jobs-independent.  Every input search is capped at
+    {!Nnsmith_grad.Search.default_max_iters} iterations, so a [Time_ms]
+    budget may end a campaign early but never changes what a test
+    computes. *)
 
 type failure = {
   f_system : Systems.t;
@@ -62,6 +67,14 @@ val verdict_name : Harness.verdict -> string
 (** ["pass" | "skipped" | "semantic" | "crash"] — the journal/corpus
     verdict-kind vocabulary. *)
 
+type point = {
+  p_tests : int;  (** tests this worker has run, this one included *)
+  p_total : int;  (** sites covered on this worker *)
+  p_pass : int;  (** pass-file sites covered on this worker *)
+  p_ms : float;  (** ms since the worker started — display only *)
+}
+(** One point of a coverage curve, recorded after every test. *)
+
 type result = {
   r_stats : Nnsmith_parallel.Pool.stats;
   r_verdicts : (string * int) list;
@@ -78,6 +91,11 @@ type result = {
   r_saved : int;  (** new corpus cases (0 without [report_dir]) *)
   r_dups : int;  (** corpus duplicates (0 without [report_dir]) *)
   r_coverage : Nnsmith_coverage.Coverage.snapshot;  (** union over workers *)
+  r_curves : point list list;
+      (** {!coverage} only ([\[\]] otherwise): each worker's curve, in
+          worker order, one point per test, oldest first.  At [jobs = 1]
+          the one curve is the campaign's; without [report_dir] its last
+          point counts [r_coverage]. *)
 }
 
 (** Each driver, when given [journal], brackets the run with [Start] and
@@ -115,18 +133,24 @@ val coverage :
   result
 (** Sharded coverage campaign of a generator stream against one system.
     Resets coverage first; worker hit-tables are unioned into the calling
-    domain at join and returned as [r_coverage].  [generator] only labels
-    the journal's [Start] event. *)
+    domain at join and returned as [r_coverage], and each worker's
+    per-test coverage is returned as its curve in [r_curves].
+    [generator] only labels the journal's [Start] event. *)
 
 val hunt :
   ?jobs:int ->
   ?journal:Nnsmith_journal.Journal.t ->
   ?report_dir:string ->
   ?max_nodes:int ->
+  ?generator:string ->
+  ?gen_of_seed:(int -> Generators.t) ->
   root_seed:int ->
   budget:Nnsmith_parallel.Pool.budget ->
   unit ->
   result
-(** Sharded seeded-bug hunt: the index-pure pipeline with every
-    catalogued defect active; [r_triggered] tallies defect attributions
-    (crashes by message id, semantic mismatches by isolation re-runs). *)
+(** Sharded seeded-bug hunt with every catalogued defect active;
+    [r_triggered] tallies defect attributions (crashes by message id,
+    semantic mismatches by isolation re-runs).  Without [gen_of_seed] it
+    runs the index-pure NNSmith pipeline; with it, each worker draws its
+    models from its own stream, as in {!coverage}.  [generator] (default
+    ["NNSmith"]) labels the journal's [Start] event. *)

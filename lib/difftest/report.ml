@@ -51,7 +51,7 @@ let triggered_bugs_of = function
    verdict) triple — even while worker domains keep the machine busy. *)
 let probe (system : Systems.t) ~reduce_seed g =
   let rng = Random.State.make [| reduce_seed |] in
-  let binding = Inputs.find_binding ~max_iters:64 rng g in
+  let binding = Inputs.find_binding rng g in
   let exported, export_bugs = Exporter.export g in
   match Harness.test ~exported system g binding with
   | v -> Some (binding, export_bugs, v)

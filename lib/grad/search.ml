@@ -22,8 +22,10 @@ type outcome = {
   restarts : int;
   elapsed_ms : float;
 }
-(* The budget is wall-clock by default; [max_iters] adds a deterministic
-   cutoff so sharded campaigns do not depend on scheduler load. *)
+(* The campaign's one input-search budget.  An iteration count, so what a
+   search computes never depends on scheduler load; [budget_ms] adds an
+   optional wall-clock deadline (the timeouts of Figure 11). *)
+let default_max_iters = 64
 
 (* One clock for campaigns, search and bench: Telemetry.now_ms. *)
 let now_ms = Tel.now_ms
@@ -64,7 +66,7 @@ let fresh_leaf rng g id ~lo ~hi =
   | Op.Leaf kind -> Runner.tensor_of_leaf rng kind n.out_type ~lo ~hi
   | _ -> assert false
 
-let search ?(budget_ms = 64.) ?(max_iters = max_int) ?(lr = 0.5) ?(lo = 1.)
+let search ?budget_ms ?(max_iters = default_max_iters) ?(lr = 0.5) ?(lo = 1.)
     ?(hi = 9.) ~method_ rng (g : Graph.t) : outcome =
   Tel.with_span "grad/search" @@ fun () ->
   let adam = Adam.create ~lr () in
@@ -162,11 +164,14 @@ let search ?(budget_ms = 64.) ?(max_iters = max_int) ?(lr = 0.5) ?(lo = 1.)
   let rec loop () =
     incr iterations;
     Tel.incr "grad/iterations";
-    (* the wall clock is only consulted every 16 iterations — gettimeofday
+    (* a deadline is only checked every 16 iterations — reading the clock
        dominated short searches; [max_iters] remains exact *)
     if
       !iterations > max_iters
-      || (!iterations land 15 = 0 && now_ms () -. start > budget_ms)
+      ||
+      match budget_ms with
+      | Some b -> !iterations land 15 = 0 && now_ms () -. start > b
+      | None -> false
     then begin
       Tel.incr "grad/timeouts";
       finish None

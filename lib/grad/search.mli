@@ -25,6 +25,9 @@ val binding_is_bad : Nnsmith_ir.Graph.t -> Nnsmith_ops.Runner.binding -> bool
 (** Does any node produce NaN/Inf under this binding?  (Used for the paper's
     "56.8% of 20-node models" statistic.) *)
 
+val default_max_iters : int
+(** The campaign's input-search budget: 64 iterations. *)
+
 val search :
   ?budget_ms:float ->
   ?max_iters:int ->
@@ -35,8 +38,8 @@ val search :
   Random.State.t ->
   Nnsmith_ir.Graph.t ->
   outcome
-(** Run the search under a wall-clock budget (default 64 ms; learning rate
-    0.5 and init range [\[1, 9\]] per §5.1).  [max_iters] caps the number of
-    search iterations instead — a deterministic budget, independent of
-    scheduler load, used by the sharded campaigns in
-    [Nnsmith_difftest.Pfuzz]. *)
+(** Run the search for at most [max_iters] iterations (default
+    {!default_max_iters}; learning rate 0.5 and init range [\[1, 9\]] per
+    §5.1) — a deterministic budget, independent of scheduler load.
+    [budget_ms] adds a wall-clock deadline (default: none), which only the
+    timeout study of Figure 11 uses.  [elapsed_ms] is for display. *)

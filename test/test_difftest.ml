@@ -10,6 +10,8 @@ module Runner = Nnsmith_ops.Runner
 module Faults = Nnsmith_faults.Faults
 module D = Nnsmith_difftest
 module B = Nnsmith_baselines.Builder
+module Cov = Nnsmith_coverage.Coverage
+module Pool = Nnsmith_parallel.Pool
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -211,31 +213,41 @@ let test_opinst_distinguishes_attrs () =
   ignore (D.Opinst.add t (mk 3));
   check_int "attrs distinguish instances" 2 (D.Opinst.count t)
 
+(* Campaigns run on Pfuzz with [Tests n] budgets: what they compute does
+   not depend on the machine's load. *)
+let nnsmith_coverage ~root_seed ~tests =
+  D.Pfuzz.coverage ~jobs:1 ~generator:"NNSmith" ~system:D.Systems.oxrt
+    ~root_seed ~budget:(Pool.Tests tests)
+    ~gen_of_seed:(fun seed -> D.Generators.nnsmith ~seed ())
+    ()
+
 let test_coverage_campaign_smoke () =
   no_faults (fun () ->
-      let r =
-        D.Campaign.coverage ~budget_ms:300. ~system:D.Systems.oxrt
-          (D.Generators.nnsmith ~seed:77 ())
-      in
-      check "ran tests" true (r.tests > 0);
-      check "covered something" true (Nnsmith_coverage.Coverage.count r.final > 0);
-      check "samples monotone" true
-        (let rec mono = function
-           | (a : D.Campaign.sample) :: (b : D.Campaign.sample) :: rest ->
-               a.cov_total <= b.cov_total && mono (b :: rest)
-           | _ -> true
-         in
-         mono r.samples))
+      let r = nnsmith_coverage ~root_seed:77 ~tests:40 in
+      check_int "ran the budget" 40 r.r_stats.st_tests;
+      check "covered something" true (Cov.count r.r_coverage > 0);
+      match r.r_curves with
+      | [ curve ] ->
+          check_int "one point per test" 40 (List.length curve);
+          check "curve monotone" true
+            (let rec mono = function
+               | (a : D.Pfuzz.point) :: (b :: _ as rest) ->
+                   b.p_tests = a.p_tests + 1
+                   && a.p_total <= b.p_total
+                   && a.p_pass <= b.p_pass
+                   && mono rest
+               | _ -> true
+             in
+             mono curve)
+      | _ -> Alcotest.fail "jobs=1 campaign must return one curve")
 
 let test_campaign_telemetry_spans () =
   no_faults (fun () ->
       let module Tel = Nnsmith_telemetry.Telemetry in
       Tel.set_enabled true;
-      let r =
-        D.Campaign.coverage ~budget_ms:300. ~system:D.Systems.oxrt
-          (D.Generators.nnsmith ~seed:99 ())
-      in
-      check "ran tests" true (r.tests > 0);
+      Tel.reset ();
+      let r = nnsmith_coverage ~root_seed:99 ~tests:40 in
+      check_int "ran the budget" 40 r.r_stats.st_tests;
       let s = Tel.snapshot () in
       let group_total prefix =
         List.fold_left
@@ -260,29 +272,39 @@ let test_campaign_telemetry_spans () =
 
 let test_tzer_campaign_smoke () =
   no_faults (fun () ->
-      let r = D.Campaign.tzer ~budget_ms:200. ~seed:3 () in
-      check "ran" true (r.tests > 0);
-      check "low-level coverage" true (Nnsmith_coverage.Coverage.count r.final > 0))
+      Cov.reset ();
+      let st = Nnsmith_baselines.Tzer.create ~seed:3 () in
+      for _ = 1 to 200 do
+        Nnsmith_baselines.Tzer.step st
+      done;
+      check "low-level coverage" true (Cov.count (Cov.snapshot ()) > 0))
 
 let test_bughunt_finds_seeded_bugs () =
-  let r = D.Bughunt.hunt ~budget_ms:6000. (D.Generators.nnsmith ~seed:55 ()) in
-  check "tests ran" true (r.tests > 0);
+  let r = D.Pfuzz.hunt ~jobs:1 ~root_seed:55 ~budget:(Pool.Tests 100) () in
+  check_int "ran the budget" 100 r.r_stats.st_tests;
+  let triggered = Hashtbl.create 32 in
+  List.iter (fun (id, n) -> Hashtbl.replace triggered id n) r.r_triggered;
   check
-    (Printf.sprintf "triggered several bugs (%d)" (Hashtbl.length r.triggered))
+    (Printf.sprintf "triggered several bugs (%d)" (Hashtbl.length triggered))
     true
-    (Hashtbl.length r.triggered >= 3);
+    (Hashtbl.length triggered >= 3);
   (* distribution table is consistent with the trigger set *)
   let total_rows =
     List.fold_left
       (fun acc (_, t, c, u, _, _) -> acc + t + c + u)
       0
-      (D.Bughunt.distribution r.triggered)
+      (D.Bughunt.distribution triggered)
   in
-  check_int "distribution covers triggered" (Hashtbl.length r.triggered) total_rows
+  check_int "distribution covers triggered" (Hashtbl.length triggered) total_rows
 
 let test_lemon_cannot_trigger_shape_bugs () =
   (* the paper's headline: LEMON's restrictions put most bugs out of reach *)
-  let r = D.Bughunt.hunt ~budget_ms:2000. (D.Generators.lemon ~seed:55 ()) in
+  let r =
+    D.Pfuzz.hunt ~jobs:1 ~generator:"LEMON"
+      ~gen_of_seed:(fun seed -> D.Generators.lemon ~seed ())
+      ~root_seed:55 ~budget:(Pool.Tests 41) ()
+  in
+  check_int "ran the budget" 41 r.r_stats.st_tests;
   let shape_dependent =
     [
       "lotus.import_where_broadcast";
@@ -293,7 +315,8 @@ let test_lemon_cannot_trigger_shape_bugs () =
     ]
   in
   List.iter
-    (fun b -> check (b ^ " unreachable for LEMON") false (Hashtbl.mem r.triggered b))
+    (fun b ->
+      check (b ^ " unreachable for LEMON") false (List.mem_assoc b r.r_triggered))
     shape_dependent
 
 let () =

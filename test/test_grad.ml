@@ -261,7 +261,7 @@ let test_search_fixes_sqrt () =
   (* start in a range that is always negative: sampling never escapes but
      the gradient walks out of it *)
   let o =
-    Search.search ~budget_ms:200. ~lo:(-9.) ~hi:(-1.) ~method_:Search.Gradient
+    Search.search ~max_iters:64 ~lo:(-9.) ~hi:(-1.) ~method_:Search.Gradient
       rng g
   in
   match o.binding with
@@ -271,16 +271,17 @@ let test_search_fixes_sqrt () =
 let test_sampling_fails_where_gradient_succeeds () =
   let g, _ = sqrt_graph () in
   let rng = Random.State.make [| 3 |] in
+  (* a larger cap is stricter for a search that must fail *)
   let o =
-    Search.search ~budget_ms:50. ~lo:(-9.) ~hi:(-1.) ~method_:Search.Sampling
-      rng g
+    Search.search ~max_iters:50_000 ~lo:(-9.) ~hi:(-1.)
+      ~method_:Search.Sampling rng g
   in
   check "sampling stuck in negative range" true (o.binding = None)
 
 let test_search_success_reporting () =
   let g, _ = sqrt_graph () in
   let rng = Random.State.make [| 4 |] in
-  let o = Search.search ~budget_ms:100. ~method_:Search.Gradient rng g in
+  let o = Search.search ~max_iters:64 ~method_:Search.Gradient rng g in
   check "succeeded" true (o.binding <> None);
   check "iterations counted" true (o.iterations >= 1);
   check "elapsed measured" true (o.elapsed_ms >= 0.)
@@ -307,7 +308,7 @@ let test_search_on_generated_models () =
     | g ->
         incr n;
         if
-          (Search.search ~budget_ms:64. ~method_:Search.Gradient rng g).binding
+          (Search.search ~max_iters:64 ~method_:Search.Gradient rng g).binding
           <> None
         then incr ok
   done;

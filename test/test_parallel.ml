@@ -214,6 +214,62 @@ let test_fuzz_determinism_across_jobs () =
   check "identical verdict tallies" true
     (r1.D.Pfuzz.r_verdicts = r4.D.Pfuzz.r_verdicts)
 
+(* What a stream campaign computes, minus the display-only ms. *)
+let stream_digest (r : D.Pfuzz.result) =
+  ( r.r_verdicts,
+    r.r_failure_keys,
+    r.r_triggered,
+    Cov.to_list r.r_coverage,
+    List.map
+      (List.map (fun (p : D.Pfuzz.point) -> (p.p_tests, p.p_total, p.p_pass)))
+      r.r_curves )
+
+let lemon_hunt () =
+  Cov.reset ();
+  D.Pfuzz.hunt ~jobs:1 ~generator:"LEMON"
+    ~gen_of_seed:(fun seed -> D.Generators.lemon ~seed ())
+    ~root_seed:2024
+    ~budget:(P.Pool.Tests 8) ()
+
+let graphfuzzer_coverage () =
+  Cov.reset ();
+  D.Pfuzz.coverage ~jobs:1 ~generator:"GraphFuzzer" ~system:D.Systems.lotus
+    ~root_seed:2024
+    ~budget:(P.Pool.Tests 30)
+    ~gen_of_seed:(fun seed -> D.Generators.graphfuzzer ~seed ())
+    ()
+
+let test_stream_hunt_repeats () =
+  let a = lemon_hunt () and b = lemon_hunt () in
+  check_int "ran the budget" 8 a.r_stats.st_tests;
+  check "the stream triggered defects" true (a.r_triggered <> []);
+  check "hunts keep no curve" true (a.r_curves = []);
+  check "identical hunts" true (stream_digest a = stream_digest b)
+
+let test_stream_coverage_repeats () =
+  Faults.deactivate_all ();
+  let a = graphfuzzer_coverage () and b = graphfuzzer_coverage () in
+  check "identical campaigns" true (stream_digest a = stream_digest b);
+  match a.r_curves with
+  | [ curve ] ->
+      check_int "one point per test" 30 (List.length curve);
+      check "points number the tests" true
+        (List.mapi (fun i (p : D.Pfuzz.point) -> p.p_tests = i + 1) curve
+        |> List.for_all Fun.id);
+      check "counts never fall" true
+        (let rec mono = function
+           | (x : D.Pfuzz.point) :: (y :: _ as rest) ->
+               x.p_total <= y.p_total && x.p_pass <= y.p_pass && mono rest
+           | _ -> true
+         in
+         mono curve);
+      let last = List.nth curve (List.length curve - 1) in
+      check_int "last point is the campaign's coverage"
+        (Cov.count a.r_coverage) last.p_total;
+      check_int "last point is the campaign's pass coverage"
+        (Cov.count_pass a.r_coverage) last.p_pass
+  | _ -> Alcotest.fail "jobs=1 campaign must return one curve"
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "parallel"
@@ -245,5 +301,7 @@ let () =
         [
           tc "fuzz deterministic across jobs" `Quick
             test_fuzz_determinism_across_jobs;
+          tc "stream hunt repeats" `Quick test_stream_hunt_repeats;
+          tc "stream coverage repeats" `Quick test_stream_coverage_repeats;
         ] );
     ]

@@ -246,7 +246,7 @@ let prop_compilers_agree_with_reference =
       | exception Gen_.Gen_failure _ -> true
       | g -> (
           let rng = rng_of seed in
-          let binding = Nnsmith_difftest.Campaign.find_binding rng g in
+          let binding = Nnsmith_difftest.Inputs.find_binding rng g in
           let ok sys =
             match Nnsmith_difftest.Harness.test sys g binding with
             | Nnsmith_difftest.Harness.Pass

@@ -28,7 +28,9 @@
 #                 digest's failure keys, coverage and index.jsonl bytes
 #                 must equal their committed values (OxRT/TRT/Lotus
 #                 outputs with every seeded defect on)
-#   style         no tabs / trailing whitespace; new lib modules need .mli
+#   style         no tabs / trailing whitespace; new lib modules need .mli;
+#                 one clock: under lib/ and bin/ only
+#                 lib/telemetry/telemetry.ml reads the wall clock
 #   hygiene       no tracked _build/, CHANGES.md updated alongside HEAD
 #
 # Every stage is timed; a per-stage summary prints on exit (success or
@@ -289,6 +291,13 @@ for f in $(git ls-files 'lib/*/*.ml'); do
   esac
   [ -f "${f}i" ] || err "lib module without interface: $f (add ${f}i)"
 done
+
+# One clock: every wall-clock reading under lib/ and bin/ goes through
+# Telemetry.now_ms, so no module can keep a private deadline that decides
+# a verdict.
+clocks=$(grep -rlE --include='*.ml' 'Unix\.(gettimeofday|time)\b|Sys\.time\b' \
+  lib bin | grep -vx 'lib/telemetry/telemetry.ml')
+[ -z "$clocks" ] || err "wall-clock read outside lib/telemetry/telemetry.ml: $clocks"
 
 note "repo hygiene"
 if git ls-files | grep -q '^_build/'; then
