@@ -1,13 +1,23 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§5), scaled from 4-hour campaigns to seconds.
+(* Benchmark harness, with two jobs:
+
+   - the paper's evaluation (§5): every table, figure and ablation,
+     scaled from 4-hour campaigns to seconds;
+   - the deterministic counter gate: the [solver_cache], [prescreen] and
+     [gradsearch] rounds record their work counters in
+     bench/history.jsonl, and the [check-determinism] and [regress] verbs
+     gate on them.
 
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- --only fig4  -- one experiment
      dune exec bench/main.exe -- --budget 10000
                                               -- 10 s per campaign
+     dune exec bench/main.exe -- regress --budget 400
+     dune exec bench/main.exe -- check-determinism --budget 400
 
-   The experiment ids and their mapping to paper artefacts are indexed in
-   DESIGN.md; EXPERIMENTS.md records paper-vs-measured outcomes. *)
+   End-to-end speed is measured by the campaign benchmark in perfbench/
+   (BENCHMARK.json), not here.  The experiment ids and their mapping to
+   paper artefacts are indexed in DESIGN.md; EXPERIMENTS.md records
+   paper-vs-measured outcomes. *)
 
 module Cov = Nnsmith_coverage.Coverage
 module Faults = Nnsmith_faults.Faults
@@ -27,35 +37,6 @@ let telemetry_out : string option ref = ref None
 
 let section title =
   Printf.printf "\n================ %s ================\n%!" title
-
-(* ------------------------------------------------------------------ *)
-(* Per-commit bench history: every appending experiment also records a
-   normalized row — schema-2: commit + parent, experiment, workload key,
-   advisory tests/sec, digest, and (for the gated experiments) the
-   deterministic work counters captured by Nnsmith_bench.Metrics —
-   appended to bench/history.jsonl forever and rewritten into
-   bench/latest.json for the current commit.  The dashboard charts the
-   history; `bench regress` gates on the counters. *)
-
-module Metrics = Nnsmith_bench.Metrics
-module History = Nnsmith_bench.History
-
-let bench_dir = "bench"
-let history_file = Filename.concat bench_dir "history.jsonl"
-
-(* [gc] = (minor_words, major_words) allocated per test by one measured
-   round, kept alongside the full counter capture for continuity with the
-   pre-schema-2 rows. *)
-let record_bench ?gc ?counters ?workload ~experiment ~tests_per_sec ~digest
-    () =
-  let row =
-    History.make_row ?gc_per_test:gc ?counters ?workload ~experiment
-      ~tests_per_sec ~digest ()
-  in
-  History.append ~dir:bench_dir row;
-  Printf.printf "recorded %s @ %s in %s (schema %d%s)\n" experiment
-    row.History.hr_commit history_file row.History.hr_schema
-    (if counters = None then "" else ", with work counters")
 
 let pct a b = if b = 0 then 0. else 100. *. float_of_int a /. float_of_int b
 
@@ -508,79 +489,6 @@ let stat_gen () =
     (100. *. !search_ms /. Float.max 1e-9 !gen_ms)
     (pct !succ !n)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (one Test.make per pipeline stage)        *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let seed = ref 0 in
-  let gen_test =
-    Test.make ~name:"generate-10-node"
-      (Staged.stage (fun () ->
-           incr seed;
-           try ignore (Gen.generate { Config.default with seed = !seed; max_nodes = 10 })
-           with Gen.Gen_failure _ -> ()))
-  in
-  let fixed_graph =
-    Gen.generate { Config.default with seed = 424242; max_nodes = 10 }
-  in
-  let search_test =
-    let rng = Random.State.make [| 1 |] in
-    Test.make ~name:"gradient-search"
-      (Staged.stage (fun () ->
-           ignore (Search.search ~method_:Search.Gradient rng fixed_graph)))
-  in
-  let oxrt_test =
-    Test.make ~name:"oxrt-compile"
-      (Staged.stage (fun () ->
-           try ignore (Nnsmith_ortlike.Compiler.compile fixed_graph)
-           with _ -> ()))
-  in
-  let lotus_test =
-    Test.make ~name:"lotus-compile"
-      (Staged.stage (fun () ->
-           try ignore (Nnsmith_tvmlike.Compiler.compile fixed_graph)
-           with _ -> ()))
-  in
-  let eval_test =
-    let rng = Random.State.make [| 2 |] in
-    let binding = Runner.random_binding rng fixed_graph in
-    Test.make ~name:"reference-eval"
-      (Staged.stage (fun () -> ignore (Runner.run fixed_graph binding)))
-  in
-  let solver_test =
-    Test.make ~name:"solver-conv-constraints"
-      (Staged.stage (fun () ->
-           let module E = Nnsmith_smt.Expr in
-           let module F = Nnsmith_smt.Formula in
-           let h = E.fresh "h" and k = E.fresh "k" and s = E.fresh "s" in
-           ignore
-             (Nnsmith_smt.Solver.solve
-                F.[
-                  E.one <= k; k <= E.int 7; E.one <= s; s <= E.int 3;
-                  k <= h;
-                  E.((h - k) / s + one) = E.int 5;
-                ])))
-  in
-  let tests =
-    Test.make_grouped ~name:"nnsmith"
-      [ gen_test; search_test; oxrt_test; lotus_test; eval_test; solver_test ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ t ] -> Printf.printf "%-40s %12.1f ns/run (%8.3f ms)\n" name t (t /. 1e6)
-      | _ -> Printf.printf "%-40s (no estimate)\n" name)
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Ablations of design choices called out in DESIGN.md                 *)
@@ -644,326 +552,31 @@ let abl_solver () =
     [ 50; 200; 1000; 2000; 10000 ]
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry overhead: fixed-work generation, enabled vs disabled      *)
-
-let telemetry_overhead () =
-  section "Telemetry overhead: fixed-work generation, enabled vs disabled";
-  let gen_run () =
-    let t0 = Unix.gettimeofday () in
-    for seed = 1 to 40 do
-      try ignore (Gen.generate { Config.default with seed = seed * 131; max_nodes = 10 })
-      with Gen.Gen_failure _ -> ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
-  ignore (gen_run ());  (* warm up caches and allocator *)
-  (* Interleave enabled/disabled rounds and keep the fastest of each so GC
-     and scheduler drift cannot masquerade as instrumentation cost. *)
-  let on = ref infinity and off = ref infinity in
-  for round = 1 to 6 do
-    let first_on = round land 1 = 1 in
-    Tel.set_enabled first_on;
-    Tel.reset ();
-    let a = gen_run () in
-    Tel.set_enabled (not first_on);
-    Tel.reset ();
-    let b = gen_run () in
-    let on_ms, off_ms = if first_on then (a, b) else (b, a) in
-    on := Float.min !on on_ms;
-    off := Float.min !off off_ms
-  done;
-  Tel.set_enabled true;
-  Printf.printf
-    "40 x 10-node generation: enabled=%.1fms disabled=%.1fms overhead=%+.1f%%\n"
-    !on !off
-    (100. *. (!on -. !off) /. Float.max 1e-9 !off)
-
-(* ------------------------------------------------------------------ *)
-(* Journal overhead: fixed-test fuzz campaign, journal on vs off.       *)
-(* The journal must cost ~nothing on the hot path: workers rate-limit    *)
-(* heartbeats at 250 ms and ship them best-effort, and the writer only   *)
-(* touches the disk on the calling domain. *)
-
-let journal_overhead () =
-  section "Journal overhead: fixed-work fuzz campaign, journal on vs off";
-  let module Journal = Nnsmith_journal.Journal in
-  Faults.deactivate_all ();
-  let seed = 20230325 in
-  let n = max 24 (int_of_float (!budget_ms /. 50.)) in
-  let dir = Filename.temp_file "nnsmith_journal_bench" "" in
-  Sys.remove dir;
-  let fuzz_run journaling =
-    let journal =
-      if journaling then
-        Some (Journal.create ~path:(Journal.in_dir dir) ())
-      else None
-    in
-    Tel.reset ();
-    let t0 = Unix.gettimeofday () in
-    ignore
-      (D.Pfuzz.fuzz ~jobs:1 ?journal ~systems:[ D.Systems.oxrt ]
-         ~root_seed:seed
-         ~budget:(Nnsmith_parallel.Pool.Tests n)
-         ());
-    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    Option.iter Journal.close journal;
-    ms
-  in
-  ignore (fuzz_run false);  (* warm up caches and allocator *)
-  (* Interleave on/off rounds and keep the fastest of each, like the
-     telemetry-overhead bench: GC and scheduler drift must not read as
-     instrumentation cost. *)
-  let on = ref infinity and off = ref infinity in
-  for round = 1 to 6 do
-    let first_on = round land 1 = 1 in
-    let a = fuzz_run first_on in
-    let b = fuzz_run (not first_on) in
-    let on_ms, off_ms = if first_on then (a, b) else (b, a) in
-    on := Float.min !on on_ms;
-    off := Float.min !off off_ms
-  done;
-  Printf.printf
-    "%d-test campaign: journal=%.1fms none=%.1fms overhead=%+.1f%%\n" n !on
-    !off
-    (100. *. (!on -. !off) /. Float.max 1e-9 !off);
-  (try
-     Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Corpus throughput: on-disk save and deterministic replay, cases/sec *)
-
-let corpus_throughput () =
-  section "Bug-report corpus: save and replay throughput";
-  let module B = Nnsmith_baselines.Builder in
-  let module Corpus = Nnsmith_corpus.Corpus in
-  Faults.deactivate_all ();
-  let dir = Filename.temp_file "nnsmith_corpus_bench" "" in
-  Sys.remove dir;
-  let g = Graph.empty in
-  let g, x = B.input g Nnsmith_tensor.Dtype.F32 [ 4; 4 ] in
-  let g, _ = B.op g (Nnsmith_ir.Op.Unary Nnsmith_ir.Op.Relu) [ x ] in
-  let binding = Runner.random_binding (Random.State.make [| 11 |]) g in
-  let n = 200 in
-  (* unique synthetic keys isolate store throughput from dedup suppression;
-     Pass verdicts make the later replay deterministic without faults *)
-  let meta i =
-    {
-      Corpus.seed = i;
-      generator = "bench";
-      system = "OxRT";
-      verdict = Corpus.Pass;
-      dedup_key = "bench-key-" ^ string_of_int i;
-      active_bugs = [];
-      triggered_bugs = [];
-      export_bugs = [];
-      reduction = None;
-    }
-  in
-  let c = Corpus.open_ dir in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to n do
-    match Corpus.add c ~graph:g ~binding ~meta:(meta i) with
-    | `Saved _ -> ()
-    | `Duplicate _ -> failwith "bench: unique key deduplicated"
-  done;
-  let save_s = Unix.gettimeofday () -. t0 in
-  let c2 = Corpus.open_ dir in
-  let t0 = Unix.gettimeofday () in
-  let outcomes = D.Report.replay c2 in
-  let replay_s = Unix.gettimeofday () -. t0 in
-  let drifted =
-    List.length (List.filter (fun (o : D.Report.outcome) -> o.rp_drift) outcomes)
-  in
-  Printf.printf
-    "%d cases: save %7.0f cases/s   replay %7.0f cases/s   drift %d\n" n
-    (float_of_int n /. Float.max 1e-9 save_s)
-    (float_of_int n /. Float.max 1e-9 replay_s)
-    drifted
-
-(* ------------------------------------------------------------------ *)
-(* Parallel scaling: the sharded pool vs the sequential loop, appended  *)
-(* to BENCH_parallel.json so speedups are tracked across commits.       *)
-
-let bench_parallel () =
-  section "Parallel scaling: sharded worker pool (BENCH_parallel.json)";
-  Faults.deactivate_all ();
-  Tel.reset ();
-  let seed = 20230325 in
-  (* Fixed-test workload (identical across jobs counts) sized from the
-     time budget: ~25 ms of sequential work per test. *)
-  let n = max 24 (int_of_float (!budget_ms /. 25.)) in
-  let system = D.Systems.oxrt in
-  (* Like-for-like baseline: the pool's index-pure pipeline in a plain
-     loop — identical per-test work, no pool machinery.  jobs=1 vs this
-     measures pure pool overhead. *)
-  let seq_pure () =
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to n - 1 do
-      let tseed = Nnsmith_parallel.Splitmix.derive ~root:seed ~index:i in
-      match Gen.generate { Config.default with seed = tseed; max_nodes = 10 } with
-      | exception _ -> ()
-      | g -> (
-          try
-            let rng = Random.State.make [| tseed |] in
-            let binding = D.Inputs.find_binding rng g in
-            let exported, _ = D.Exporter.export g in
-            ignore (D.Harness.test ~exported system g binding)
-          with _ -> ())
-    done;
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
-  ignore (seq_pure ());  (* warm up allocator and op registry *)
-  let seq_ms = seq_pure () in
-  let seq_tps = float_of_int n /. (seq_ms /. 1000.) in
-  Printf.printf "%-10s %5d tests in %7.0f ms = %7.1f tests/s\n" "pure-seq"
-    n seq_ms seq_tps;
-  let pool_run jobs =
-    let r =
-      D.Pfuzz.fuzz ~jobs ~systems:[ system ] ~root_seed:seed
-        ~budget:(Nnsmith_parallel.Pool.Tests n) ()
-    in
-    let s = r.D.Pfuzz.r_stats in
-    (jobs, s.st_tests, s.st_elapsed_ms, s.st_tests_per_sec)
-  in
-  let rows = List.map pool_run [ 1; 2; 4; 8 ] in
-  let jobs1_tps =
-    match rows with (_, _, _, tps) :: _ -> tps | [] -> seq_tps
-  in
-  List.iter
-    (fun (jobs, tests, ms, tps) ->
-      Printf.printf
-        "%-10s %5d tests in %7.0f ms = %7.1f tests/s (%.2fx vs jobs=1)\n"
-        (Printf.sprintf "jobs=%d" jobs)
-        tests ms tps (tps /. Float.max 1e-9 jobs1_tps))
-    rows;
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "cores=%d  jobs=1 vs sequential: %.2fx\n" cores
-    (jobs1_tps /. Float.max 1e-9 seq_tps);
-  let row_json (jobs, tests, ms, tps) =
-    Printf.sprintf
-      "{\"jobs\":%d,\"tests\":%d,\"elapsed_ms\":%.1f,\"tests_per_sec\":%.2f,\"speedup_vs_jobs1\":%.3f}"
-      jobs tests ms tps
-      (tps /. Float.max 1e-9 jobs1_tps)
-  in
-  (* top-level tests_per_sec (jobs=1) is what `bench regress` gates on *)
-  let line =
-    Printf.sprintf
-      "{\"bench\":\"parallel\",\"cores\":%d,\"workload_tests\":%d,\"seed\":%d,\"tests_per_sec\":%.2f,\"seq_tests_per_sec\":%.2f,\"jobs1_vs_seq\":%.3f,\"rows\":[%s]}"
-      cores n seed jobs1_tps seq_tps
-      (jobs1_tps /. Float.max 1e-9 seq_tps)
-      (String.concat "," (List.map row_json rows))
-  in
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_parallel.json"
-  in
-  output_string oc (line ^ "\n");
-  close_out oc;
-  Printf.printf "appended to BENCH_parallel.json\n";
-  (* wall-clock-only experiment: schema-2 row with a workload key but no
-     counters, so `bench regress` reports it as advisory only *)
-  record_bench ~workload:(Printf.sprintf "tests=%d" n)
-    ~experiment:"parallel" ~tests_per_sec:jobs1_tps ~digest:"" ()
-
-(* ------------------------------------------------------------------ *)
-(* Shared machinery for the timed benches (solver, pre-screen, gradient
-   search): deterministic single-threaded workloads are timed in process
-   CPU ms — wall-clock noise from a loaded CI machine must not read as a
-   perf change. *)
-
-let cpu_ms () =
-  let t = Unix.times () in
-  (t.Unix.tms_utime +. t.Unix.tms_stime) *. 1000.
-
-(* [Unix.times] ticks at 10ms granularity, which is fine for the
-   second-scale campaign windows but useless for sub-100ms ones: a 20ms
-   pass reads as 10 or 30.  Short windows use the microsecond wall clock
-   instead; contention only ever adds time, so the min-of-rounds loops
-   recover the uncontended figure. *)
-let wall_ms () = Unix.gettimeofday () *. 1000.
-
-(* CPU-frequency drift survives even CPU-time measurement, so each timing
-   is normalized by a fixed integer spin kernel run right next to it:
-   round_ms * (reference calib / measured calib) expresses the round at a
-   fixed calibration speed, stable across boosts, thermal throttling and
-   machines.  The reference constant only fixes the unit. *)
-let calib_reference_ms = 25.0
-
-(* Allocation per test across one run of [f], from [Gc.quick_stat] deltas
-   ([major_words] already includes promotions).  Unlike the timings this
-   is exact and noise-free, so one measured round suffices. *)
-let gc_per_test ~tests f =
-  let g0 = Gc.quick_stat () in
-  let r = f () in
-  let g1 = Gc.quick_stat () in
-  let d = Float.max 1. (float_of_int tests) in
-  ( r,
-    ( (g1.Gc.minor_words -. g0.Gc.minor_words) /. d,
-      (g1.Gc.major_words -. g0.Gc.major_words) /. d ) )
-
-(* The kernel allocates like the generator does (small short-lived boxes),
-   so memory-subsystem contention slows it in the same proportion and
-   normalizes away rather than reading as a perf change. *)
-let calibrate () =
-  let acc = ref 0 in
-  let t0 = cpu_ms () in
-  for i = 1 to 150_000 do
-    let l = List.init 10 (fun k -> (i + k, k * i)) in
-    acc := !acc lxor Hashtbl.hash l
-  done;
-  let dt = cpu_ms () -. t0 in
-  ignore (Sys.opaque_identity !acc);
-  Float.max 1e-3 dt
-
-(* Same spin kernel on the wall clock, for normalizing the short windows
-   timed with [wall_ms]. *)
-let calibrate_wall () =
-  let acc = ref 0 in
-  let t0 = wall_ms () in
-  for i = 1 to 150_000 do
-    let l = List.init 10 (fun k -> (i + k, k * i)) in
-    acc := !acc lxor Hashtbl.hash l
-  done;
-  let dt = wall_ms () -. t0 in
-  ignore (Sys.opaque_identity !acc);
-  Float.max 1e-3 dt
-
-(* Keep the fastest of several rounds of [run], adaptively: the minimum
-   is the only estimator that recovers the true cost on a machine with
-   busy neighbours, because any quiet window exposes it.  Sampling stops
-   once the minimum has not improved for several consecutive rounds, so
-   one noisy burst cannot freeze a bad floor. *)
-let fastest_round run =
-  let best = ref infinity and stale = ref 0 and rounds = ref 0 in
-  while !rounds < 24 && (!rounds < 6 || !stale < 6) do
-    incr rounds;
-    let ms = run () in
-    if ms < !best *. 0.98 then stale := 0 else incr stale;
-    best := Float.min !best ms
-  done;
-  !best
-
-(* ------------------------------------------------------------------ *)
-(* Deterministic counter rounds: the primary regress metric.
+(* The counter gate.
 
    Each gated experiment owns one fixed-seed round whose work counters
-   (solver checks / component solves / search steps, compiled
-   kernel runs / dirty-set recomputes / arena reuses, generator tallies)
-   and allocation words are bit-stable run to run.  The round is captured
-   once per experiment and recorded into the schema-2 history row; `bench
-   regress` then demands exact counter equality against the last committed
-   row (±2% on allocation words), with wall-clock demoted to an advisory
-   column.  `bench check-determinism` runs every round twice in-process
-   and fails on any counter mismatch, so the gate cannot silently go
-   flaky again. *)
+   (solver checks / component solves / search steps, compiled kernel
+   runs / dirty-set recomputes / arena reuses, generator tallies) and
+   allocation words are bit-stable run to run.  Running the experiment
+   captures its round with Nnsmith_bench.Metrics and appends a schema-2
+   row (commit + parent, workload key, digest, counters and an advisory
+   tests/sec) to bench/history.jsonl; bench/latest.json keeps the
+   current commit's rows and the dashboard charts the history.  `bench
+   regress` demands exact counter equality against the last committed
+   row (±2% on allocation words); `bench check-determinism` runs every
+   round twice in-process and fails on any counter or digest mismatch,
+   so the gate cannot silently go flaky. *)
 
-(* Reset every piece of cross-test mutable state a counter round can see,
-   and pin the pre-screen test hook to its default: a round must be a pure
-   function of (code, seed, workload size). *)
+module Metrics = Nnsmith_bench.Metrics
+module History = Nnsmith_bench.History
+
+let bench_dir = "bench"
+let history_file = Filename.concat bench_dir "history.jsonl"
+
+(* Reset every piece of cross-test mutable state a counter round can see:
+   a round must be a pure function of (code, seed, workload size). *)
 let reset_workspace () =
   Faults.deactivate_all ();
-  Nnsmith_smt.Solver.set_prescreen_enabled true;
   Nnsmith_smt.Solver.cache_clear ();
   Nnsmith_exec.Plan.cohort_clear ();
   (* after the memos: hc_clear restarts the fresh-variable counter and
@@ -971,37 +584,36 @@ let reset_workspace () =
   Nnsmith_smt.Expr.hc_clear ()
 
 let counter_seed = 20230325
-
-(* One generation pass over [n] index-pure seeds — the campaign shape the
-   solver bench times. *)
-let gen_seed_pass ~n () =
-  for i = 0 to n - 1 do
-    let tseed = Nnsmith_parallel.Splitmix.derive ~root:counter_seed ~index:i in
-    try ignore (Gen.generate { Config.default with seed = tseed; max_nodes = 10 })
-    with Gen.Gen_failure _ -> ()
-  done
-
 let campaign_n () = max 40 (int_of_float (!budget_ms /. 20.))
 
-(* The pre-screening workloads use deeper graphs than the solver
-   campaign: more candidate probes per test relative to the shared
-   generation cost, which is the regime the screen targets.  Depth 20 is
-   where the steady-state on/off ratio peaked in the workload sweep. *)
-let prescreen_nodes = 20
+(* Mixing combiner, not xor: a graph generated twice, or two searches with
+   swapped outcomes, must not cancel out of a digest. *)
+let mix digest h = ((digest * 31) + h) land max_int
 
-let prescreen_seed_pass ~n () =
+(* One generation pass over [n] index-pure seeds.  With [hash] set, each
+   graph is folded into [digest]; the captured rounds leave it unset, so
+   their counters and allocation see generation only. *)
+let gen_pass ~hash ~nodes ~n digest =
+  let digest = ref digest in
   for i = 0 to n - 1 do
     let tseed = Nnsmith_parallel.Splitmix.derive ~root:counter_seed ~index:i in
-    try
-      ignore
-        (Gen.generate
-           { Config.default with seed = tseed; max_nodes = prescreen_nodes })
-    with Gen.Gen_failure _ -> ()
-  done
+    match
+      Gen.generate { Config.default with seed = tseed; max_nodes = nodes }
+    with
+    | exception Gen.Gen_failure _ -> ()
+    | g ->
+        if hash then
+          digest := mix !digest (Hashtbl.hash (Graph.to_string g))
+  done;
+  !digest
 
-(* Fixed model set for the gradient-search rounds: models whose initial
-   random binding produces NaN/Inf, i.e. the searches that iterate.
-   Shared by the gradsearch timing bench and its counter round. *)
+(* The pre-screening round uses deeper graphs than the solver round: more
+   candidate probes per test relative to the shared generation cost,
+   which is the regime the screen targets. *)
+let prescreen_nodes = 20
+
+(* Fixed model set for the gradient-search round: models whose initial
+   random binding produces NaN/Inf, i.e. the searches that iterate. *)
 let gradsearch_graphs =
   lazy
     (let n = max 12 (int_of_float (!budget_ms /. 100.)) in
@@ -1024,93 +636,134 @@ let gradsearch_graphs =
      done;
      List.rev !acc)
 
-let gradsearch_round () =
-  List.iter
-    (fun (tseed, g) ->
+let gradsearch_round ~hash =
+  List.fold_left
+    (fun digest (tseed, g) ->
       let rng = Random.State.make [| tseed; 1 |] in
-      ignore
-        (Search.search ~method_:Search.Gradient rng g))
+      let o = Search.search ~method_:Search.Gradient rng g in
+      if not hash then digest
+      else
+        mix digest
+          (match o.Search.binding with
+          | None -> Hashtbl.hash (o.Search.iterations, o.Search.restarts)
+          | Some b ->
+              Hashtbl.hash
+                ( o.Search.iterations,
+                  o.Search.restarts,
+                  Nnsmith_tensor.Tser.encode_binding b )))
+    0
     (Lazy.force gradsearch_graphs)
 
 type counter_exp = {
   ce_name : string;
+  ce_tests : unit -> int;  (* tests (or searches) per round *)
   ce_workload : unit -> string;  (* comparability key for history rows *)
   ce_prepare : unit -> unit;  (* after reset, outside the capture *)
-  ce_body : unit -> unit;  (* the captured deterministic round *)
+  ce_round : hash:bool -> int;  (* one round; its digest when [hash] *)
 }
 
 let counter_experiments =
   [
-    (* campaign + replay: generation solves every constraint set twice *)
+    (* campaign + replay: generation solves every constraint set twice.
+       The id dates from the solver's removed result caches and is kept
+       so history rows stay comparable. *)
     {
       ce_name = "solver_cache";
+      ce_tests = (fun () -> 2 * campaign_n ());
       ce_workload = (fun () -> Printf.sprintf "tests=%d" (2 * campaign_n ()));
       ce_prepare = ignore;
-      ce_body =
-        (fun () ->
+      ce_round =
+        (fun ~hash ->
           let n = campaign_n () in
-          gen_seed_pass ~n ();
-          gen_seed_pass ~n ());
+          gen_pass ~hash ~nodes:10 ~n (gen_pass ~hash ~nodes:10 ~n 0));
     };
-    (* campaign with the interval screen on — the pre-screening headline
-       workload (deeper graphs, see [prescreen_seed_pass]) *)
+    (* one campaign of deeper graphs, with the interval screen on *)
     {
       ce_name = "prescreen";
+      ce_tests = campaign_n;
       ce_workload =
         (fun () ->
           Printf.sprintf "tests=%d nodes=%d" (campaign_n ()) prescreen_nodes);
       ce_prepare = ignore;
-      ce_body = (fun () -> prescreen_seed_pass ~n:(campaign_n ()) ());
+      ce_round =
+        (fun ~hash ->
+          gen_pass ~hash ~nodes:prescreen_nodes ~n:(campaign_n ()) 0);
     };
     (* full gradient searches over the fixed bad-init model set *)
     {
       ce_name = "gradsearch";
+      ce_tests = (fun () -> List.length (Lazy.force gradsearch_graphs));
       ce_workload =
         (fun () ->
           Printf.sprintf "searches=%d"
             (List.length (Lazy.force gradsearch_graphs)));
       ce_prepare = (fun () -> ignore (Lazy.force gradsearch_graphs));
-      ce_body = gradsearch_round;
+      ce_round = gradsearch_round;
     };
   ]
 
-let run_counter_round ce =
+(* The uncaptured hashing round, from a reset workspace: it yields the
+   row's digest and warms process-lifetime state (operator registry,
+   hash-consed term interning) before a capture. *)
+let digest_round ce =
   reset_workspace ();
   ce.ce_prepare ();
-  let (), c = Metrics.capture ce.ce_body in
-  (c, ce.ce_workload ())
+  ce.ce_round ~hash:true
 
-(* Capture the counter round for one experiment by name (used by the
-   timing experiments to enrich their history rows). *)
-let counter_capture name =
-  let ce = List.find (fun ce -> ce.ce_name = name) counter_experiments in
-  run_counter_round ce
+(* The captured round, from a reset workspace, with its wall time for the
+   advisory tests/sec column. *)
+let capture_round ce =
+  reset_workspace ();
+  ce.ce_prepare ();
+  let t0 = Tel.now_ms () in
+  let (), c = Metrics.capture (fun () -> ignore (ce.ce_round ~hash:false)) in
+  (c, Tel.now_ms () -. t0)
 
-(* `bench check-determinism`: every gated round twice in-process, after a
-   warm-up that saturates process-lifetime state (operator registry,
-   hash-consed term interning), so run 1 and run 2 face identical
-   workspaces.  Any work-counter mismatch — or allocation drift beyond a
-   hair above zero — means the metric the regress gate relies on is not
-   deterministic, and CI must fail loudly rather than gate on noise. *)
+(* Running a counter experiment: digest, capture, one history row. *)
+let record_counter_row ce () =
+  section ("Counter round: " ^ ce.ce_name);
+  let digest = digest_round ce in
+  let counters, ms = capture_round ce in
+  let tests = ce.ce_tests () and workload = ce.ce_workload () in
+  let tests_per_sec = float_of_int tests /. Float.max 1e-6 (ms /. 1000.) in
+  let row =
+    History.make_row ~counters ~workload ~experiment:ce.ce_name
+      ~tests_per_sec ~digest:(string_of_int digest) ()
+  in
+  History.append ~dir:bench_dir row;
+  Printf.printf
+    "%s: work-counters=%d alloc-words=%.0f digest=%d\n\
+     %d tests in %.0f ms = %.1f tests/s (advisory)\n\
+     recorded %s @ %s in %s\n"
+    workload
+    (List.length counters.Metrics.mc_work)
+    (Metrics.alloc_words counters)
+    digest tests ms tests_per_sec ce.ce_name row.History.hr_commit
+    history_file
+
+(* `bench check-determinism`: every gated round twice in-process, after
+   the digest round has warmed the process up, so run 1 and run 2 face
+   identical workspaces.  Any work-counter mismatch, allocation drift
+   beyond a hair above zero, or a second digest round that disagrees
+   with the first means the gate's inputs are not deterministic, and CI
+   must fail loudly rather than gate on noise. *)
 let check_determinism () =
   section "bench check-determinism: counter rounds must be bit-stable";
   let failed = ref 0 in
   List.iter
     (fun ce ->
-      reset_workspace ();
-      ce.ce_prepare ();
-      ce.ce_body ();
-      (* warmed up: now the two measured runs *)
-      let c1, workload = run_counter_round ce in
-      let c2, _ = run_counter_round ce in
+      let d1 = digest_round ce in
+      let c1, _ = capture_round ce in
+      let c2, _ = capture_round ce in
+      let d2 = digest_round ce in
       let diffs = Metrics.work_diff c1 c2 in
       let a1 = Metrics.alloc_words c1 and a2 = Metrics.alloc_words c2 in
       let drift = Float.abs (a2 -. a1) /. Float.max 1. a1 in
-      let ok = diffs = [] && drift <= 1e-4 in
+      let ok = diffs = [] && drift <= 1e-4 && d1 = d2 in
       if not ok then incr failed;
       Printf.printf
-        "%-14s %-14s work-counters=%-3d alloc-words=%.0f drift=%.5f%% %s\n"
-        ce.ce_name workload
+        "%-14s %-17s work-counters=%-3d alloc-words=%.0f drift=%.5f%% %s\n"
+        ce.ce_name (ce.ce_workload ())
         (List.length c1.Metrics.mc_work)
         a1 (100. *. drift)
         (if ok then "ok" else "NOT DETERMINISTIC");
@@ -1119,7 +772,8 @@ let check_determinism () =
           Printf.printf "  counter %s: run1=%d run2=%d\n" k v1 v2)
         diffs;
       if drift > 1e-4 then
-        Printf.printf "  alloc words: run1=%.0f run2=%.0f\n" a1 a2)
+        Printf.printf "  alloc words: run1=%.0f run2=%.0f\n" a1 a2;
+      if d1 <> d2 then Printf.printf "  digest: run1=%d run2=%d\n" d1 d2)
     counter_experiments;
   if !failed > 0 then begin
     Printf.printf
@@ -1129,493 +783,12 @@ let check_determinism () =
   end
   else Printf.printf "check-determinism: all counter rounds bit-stable\n"
 
-(* ------------------------------------------------------------------ *)
-(* Solver: fixed-seed generation workload, campaign + corpus replay.     *)
-(* The id dates from the solver's result caches and is kept so history  *)
-(* rows stay comparable.                                                *)
-
-let bench_solver_cache () =
-  section "Solver: campaign + corpus replay";
-  let module Solver = Nnsmith_smt.Solver in
-  Faults.deactivate_all ();
-  Tel.reset ();
-  let seed = 20230325 in
-  let n = max 40 (int_of_float (!budget_ms /. 20.)) in
-  let digest = ref 0 in
-  (* The workload is one fuzz campaign over [n] distinct seeds followed by
-     a full corpus replay of the same seeds — the shape of bug triage,
-     reducer loops and CI fixed-seed smokes, where every constraint system
-     is solved a second time. *)
-  let gen_round () =
-    digest := 0;
-    let t0 = cpu_ms () in
-    for pass = 0 to 1 do
-      ignore pass;
-      for i = 0 to n - 1 do
-        let tseed = Nnsmith_parallel.Splitmix.derive ~root:seed ~index:i in
-        match
-          Gen.generate { Config.default with seed = tseed; max_nodes = 10 }
-        with
-        | exception Gen.Gen_failure _ -> ()
-        | g ->
-            (* mixing combiner, not xor: replaying the same graph twice
-               must not cancel its contribution out of the digest *)
-            digest :=
-              ((!digest * 31) + Hashtbl.hash (Graph.to_string g)) land max_int
-      done
-    done;
-    cpu_ms () -. t0
-  in
-  let run () =
-    Solver.cache_clear ();
-    let c0 = calibrate () in
-    let ms = gen_round () in
-    let c1 = calibrate () in
-    ms *. (calib_reference_ms /. ((c0 +. c1) /. 2.))
-  in
-  ignore (run ());  (* warm up allocator and op registry *)
-  let best = fastest_round run in
-  (* one final round for allocation per test *)
-  let tests = 2 * n in
-  let final_ms, gc = gc_per_test ~tests run in
-  let best = Float.min best final_ms in
-  let tps = float_of_int tests /. (best /. 1000.) in
-  Printf.printf "%5d tests in %7.0f norm-ms = %7.1f tests/s\n" tests best tps;
-  let counters, workload = counter_capture "solver_cache" in
-  record_bench ~gc ~counters ~workload ~experiment:"solver_cache"
-    ~tests_per_sec:tps ~digest:(string_of_int !digest) ()
-
-(* ------------------------------------------------------------------ *)
-(* Constraint pre-screening: fixed-seed campaign + replay, screen on vs  *)
-(* off through the solver's test hook, appended to                       *)
-(* BENCH_prescreen.json.  Asserts bit-identical graphs across modes and  *)
-(* reports the fraction of per-candidate solver checks the screen        *)
-(* eliminated, from the deterministic counter capture.                   *)
-
-let bench_prescreen () =
-  section
-    "Constraint pre-screening: seeding + steady-state campaign, screen on \
-     vs off (BENCH_prescreen.json)";
-  let module Solver = Nnsmith_smt.Solver in
-  Faults.deactivate_all ();
-  Tel.reset ();
-  let seed = counter_seed in
-  let n = campaign_n () in
-  let digest = ref 0 in
-  let gen_pass () =
-    let t0 = wall_ms () in
-    for i = 0 to n - 1 do
-      let tseed = Nnsmith_parallel.Splitmix.derive ~root:seed ~index:i in
-      match
-        Gen.generate
-          { Config.default with seed = tseed; max_nodes = prescreen_nodes }
-      with
-      | exception Gen.Gen_failure _ -> ()
-      | g ->
-          digest :=
-            ((!digest * 31) + Hashtbl.hash (Graph.to_string g)) land max_int
-    done;
-    wall_ms () -. t0
-  in
-  (* Each arm runs the same fixed-seed campaign three times: the first
-     pass is the cold start (allocator and memo warm-up), the next two are
-     the steady state of a sustained campaign, where per-candidate probe
-     overhead — the cost the paper's Fig. 5 attributes to the solver on
-     the generation hot path — is what the screen removes.  The
-     steady-state ratio is the headline; the seeding ratio is reported
-     alongside as the cold-start bound. *)
-  let screen_was = Solver.prescreen_enabled () in
-  let run screened =
-    Solver.set_prescreen_enabled screened;
-    Solver.cache_clear ();
-    digest := 0;
-    (* equalize GC debt between arms: the steady pass is short enough that
-       a major collection landing inside one arm but not the other skews
-       the ratio by 10%+ *)
-    Gc.full_major ();
-    let c0 = calibrate_wall () in
-    let seeding_ms = gen_pass () in
-    (* two warm passes averaged: a single pass is short enough that one
-       major GC slice landing inside it moves the number by >10% *)
-    let steady_ms = (gen_pass () +. gen_pass ()) /. 2. in
-    let c1 = calibrate_wall () in
-    let k = calib_reference_ms /. ((c0 +. c1) /. 2.) in
-    (seeding_ms *. k, steady_ms *. k, !digest)
-  in
-  ignore (run true);  (* warm up allocator and op registry *)
-  let sd_on = ref infinity and sd_off = ref infinity in
-  let st_on = ref infinity and st_off = ref infinity in
-  let d_on = ref 0 and d_off = ref 0 in
-  let stale = ref 0 in
-  let rounds = ref 0 in
-  while !rounds < 32 && (!rounds < 8 || !stale < 8) do
-    incr rounds;
-    let first_on = !rounds land 1 = 1 in
-    let a_sd, a_st, a_d = run first_on in
-    let b_sd, b_st, b_d = run (not first_on) in
-    let (on_sd, on_st, on_d), (off_sd, off_st, off_d) =
-      if first_on then ((a_sd, a_st, a_d), (b_sd, b_st, b_d))
-      else ((b_sd, b_st, b_d), (a_sd, a_st, a_d))
-    in
-    if
-      on_sd < !sd_on *. 0.98
-      || off_sd < !sd_off *. 0.98
-      || on_st < !st_on *. 0.98
-      || off_st < !st_off *. 0.98
-    then stale := 0
-    else incr stale;
-    sd_on := Float.min !sd_on on_sd;
-    sd_off := Float.min !sd_off off_sd;
-    st_on := Float.min !st_on on_st;
-    st_off := Float.min !st_off off_st;
-    d_on := on_d;
-    d_off := off_d
-  done;
-  (* one final screen-on round for allocation per test *)
-  let (final_sd, final_st, _), gc =
-    gc_per_test ~tests:(3 * n) (fun () -> run true)
-  in
-  sd_on := Float.min !sd_on final_sd;
-  st_on := Float.min !st_on final_st;
-  Solver.set_prescreen_enabled screen_was;
-  if !d_on <> !d_off then begin
-    Printf.printf
-      "FAIL: screen-on and screen-off generated different graphs (digest %d \
-       vs %d)\n"
-      !d_on !d_off;
-    exit 1
-  end;
-  Printf.printf
-    "determinism: screen-on/off graphs bit-identical (digest ok)\n";
-  (* Solver checks eliminated, from deterministic counter captures of the
-     same cold campaign in both modes: screened probes (concrete fast path
-     or definitely-UNSAT) never reach the check machinery, so the smt/check
-     delta is exactly the calls the screen absorbed. *)
-  let capture_checks screened =
-    reset_workspace ();
-    Solver.set_prescreen_enabled screened;
-    let (), c = Metrics.capture (fun () -> prescreen_seed_pass ~n ()) in
-    Option.value ~default:0 (List.assoc_opt "smt/check" c.Metrics.mc_work)
-  in
-  let checks_off = capture_checks false in
-  let checks_on = capture_checks true in
-  Solver.set_prescreen_enabled screen_was;
-  let eliminated =
-    float_of_int (checks_off - checks_on)
-    /. float_of_int (max 1 checks_off)
-  in
-  Printf.printf
-    "solver checks: %d off-screen, %d on-screen — %.1f%% eliminated\n"
-    checks_off checks_on (100. *. eliminated);
-  let sd_on_tps = float_of_int n /. (!sd_on /. 1000.) in
-  let sd_off_tps = float_of_int n /. (!sd_off /. 1000.) in
-  let st_on_tps = float_of_int n /. (!st_on /. 1000.) in
-  let st_off_tps = float_of_int n /. (!st_off /. 1000.) in
-  let seeding_speedup = sd_on_tps /. Float.max 1e-9 sd_off_tps in
-  let speedup = st_on_tps /. Float.max 1e-9 st_off_tps in
-  Printf.printf "%-14s %5d tests in %7.0f norm-ms = %7.1f tests/s\n"
-    "seeding-off" n !sd_off sd_off_tps;
-  Printf.printf "%-14s %5d tests in %7.0f norm-ms = %7.1f tests/s (%.2fx)\n"
-    "seeding-on" n !sd_on sd_on_tps seeding_speedup;
-  Printf.printf "%-14s %5d tests in %7.0f norm-ms = %7.1f tests/s\n"
-    "steady-off" n !st_off st_off_tps;
-  Printf.printf "%-14s %5d tests in %7.0f norm-ms = %7.1f tests/s (%.2fx)\n"
-    "steady-on" n !st_on st_on_tps speedup;
-  let line =
-    Printf.sprintf
-      "{\"bench\":\"prescreen\",\"workload_tests\":%d,\"nodes\":%d,\"seed\":%d,\"steady_off_tests_per_sec\":%.2f,\"steady_on_tests_per_sec\":%.2f,\"speedup\":%.3f,\"seeding_off_tests_per_sec\":%.2f,\"seeding_on_tests_per_sec\":%.2f,\"seeding_speedup\":%.3f,\"checks_off\":%d,\"checks_on\":%d,\"checks_eliminated\":%.3f,\"tests_per_sec\":%.2f}"
-      n prescreen_nodes seed st_off_tps st_on_tps speedup sd_off_tps sd_on_tps
-      seeding_speedup checks_off checks_on eliminated st_on_tps
-  in
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_prescreen.json"
-  in
-  output_string oc (line ^ "\n");
-  close_out oc;
-  Printf.printf "appended to BENCH_prescreen.json\n";
-  let counters, workload = counter_capture "prescreen" in
-  record_bench ~gc ~counters ~workload ~experiment:"prescreen"
-    ~tests_per_sec:st_on_tps ~digest:(string_of_int !d_on) ()
-
-(* ------------------------------------------------------------------ *)
-(* Execution plans: fixed-seed gradient-search workload on the compiled  *)
-(* plans.                                                                *)
-
-let bench_gradsearch () =
-  section "Execution plans: gradient input search";
-  let module Tser = Nnsmith_tensor.Tser in
-  Faults.deactivate_all ();
-  Tel.reset ();
-  (* Workload: models whose initial random binding produces NaN/Inf — the
-     searches that actually iterate (the majority, per the paper's 56.8%
-     stat).  The model set is fixed up front so every round searches the
-     same graphs; per-graph search rngs are re-seeded each round.  Shared
-     with the counter round so the timing rows and the gated counters
-     describe the same workload. *)
-  let graphs = Lazy.force gradsearch_graphs in
-  let tests = List.length graphs in
-  if tests = 0 then begin
-    Printf.printf "no bad-init models found; skipping\n";
-    exit 0
-  end;
-  let digest = ref 0 in
-  let round () =
-    digest := 0;
-    let t0 = cpu_ms () in
-    List.iter
-      (fun (tseed, g) ->
-        let rng = Random.State.make [| tseed; 1 |] in
-        let o = Search.search ~method_:Search.Gradient rng g in
-        let h =
-          match o.Search.binding with
-          | None -> Hashtbl.hash (o.Search.iterations, o.Search.restarts)
-          | Some b ->
-              Hashtbl.hash
-                (o.Search.iterations, o.Search.restarts, Tser.encode_binding b)
-        in
-        (* mixing combiner, not xor: two searches with swapped outcomes
-           must not cancel out of the digest *)
-        digest := ((!digest * 31) + h) land max_int)
-      graphs;
-    cpu_ms () -. t0
-  in
-  let run () =
-    let c0 = calibrate () in
-    let ms = round () in
-    let c1 = calibrate () in
-    ms *. (calib_reference_ms /. ((c0 +. c1) /. 2.))
-  in
-  ignore (run ());  (* warm up allocator and op registry *)
-  let best = fastest_round run in
-  let _, gc = gc_per_test ~tests run in
-  let tps = float_of_int tests /. (best /. 1000.) in
-  Printf.printf "%5d searches in %7.0f norm-ms = %7.1f searches/s\n" tests
-    best tps;
-  let counters, workload = counter_capture "gradsearch" in
-  record_bench ~gc ~counters ~workload ~experiment:"gradsearch"
-    ~tests_per_sec:tps ~digest:(string_of_int !digest) ()
-
-(* ------------------------------------------------------------------ *)
-(* Fleet: the multi-process supervisor vs the in-process pool on the     *)
-(* same fixed-test workload, appended to BENCH_fleet.json.  Also asserts *)
-(* the failure/verdict aggregates agree across process counts — the      *)
-(* fleet's index-purity guarantee, measured rather than assumed.         *)
-
-let bench_fleet () =
-  section "Fleet: multi-process campaign vs in-process pool (BENCH_fleet.json)";
-  let module Fleet = Nnsmith_fleet.Fleet in
-  Faults.deactivate_all ();
-  Tel.reset ();
-  let seed = 20230325 in
-  let n = max 40 (int_of_float (!budget_ms /. 25.)) in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | exception Unix.Unix_error _ -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Sys.readdir path
-        |> Array.iter (fun f -> rm_rf (Filename.concat path f));
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  in
-  let tmp_dir () =
-    let d = Filename.temp_file "nnsmith_fleet_bench" "" in
-    Sys.remove d;
-    Unix.mkdir d 0o755;
-    d
-  in
-  let inline_run () =
-    let dir = tmp_dir () in
-    Fun.protect
-      ~finally:(fun () -> rm_rf dir)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          D.Pfuzz.fuzz ~jobs:1 ~report_dir:dir ~systems:[ D.Systems.oxrt ]
-            ~root_seed:seed
-            ~budget:(Nnsmith_parallel.Pool.Tests n)
-            ()
-        in
-        let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        (ms, Hashtbl.hash (r.D.Pfuzz.r_failure_keys, r.D.Pfuzz.r_verdicts)))
-  in
-  let fleet_run shards =
-    let dir = tmp_dir () in
-    Fun.protect
-      ~finally:(fun () -> rm_rf dir)
-      (fun () ->
-        let cfg =
-          {
-            (Fleet.default_config ~dir ~tests:n) with
-            Fleet.fc_systems = [ D.Systems.oxrt ];
-            fc_root_seed = seed;
-            fc_shards = shards;
-            fc_progress = false;
-            fc_dashboard_every_ms = 0.;
-          }
-        in
-        let t0 = Unix.gettimeofday () in
-        match Fleet.run cfg with
-        | Error m ->
-            Printf.printf "FAIL: fleet bench (%d shards): %s\n" shards m;
-            exit 1
-        | Ok s ->
-            let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-            (ms, Hashtbl.hash (s.Fleet.fs_failure_keys, s.Fleet.fs_verdicts)))
-  in
-  ignore (inline_run ());  (* warm up allocator and op registry *)
-  let inline_ms, inline_d = inline_run () in
-  let inline_tps = float_of_int n /. (inline_ms /. 1000.) in
-  Printf.printf "%-10s %5d tests in %7.0f ms = %7.1f tests/s\n" "inline" n
-    inline_ms inline_tps;
-  let rows =
-    List.map
-      (fun shards ->
-        let ms, d = fleet_run shards in
-        let tps = float_of_int n /. (ms /. 1000.) in
-        Printf.printf
-          "%-10s %5d tests in %7.0f ms = %7.1f tests/s (%.2fx vs inline)\n"
-          (Printf.sprintf "shards=%d" shards)
-          n ms tps
-          (tps /. Float.max 1e-9 inline_tps);
-        (shards, ms, tps, d))
-      [ 1; 2; 4 ]
-  in
-  let agree = List.for_all (fun (_, _, _, d) -> d = inline_d) rows in
-  if not agree then begin
-    Printf.printf
-      "FAIL: fleet aggregates diverge from the in-process pool\n";
-    exit 1
-  end;
-  Printf.printf
-    "determinism: failure keys and verdicts identical across inline and \
-     all shard counts\n";
-  (* gate on shards=1: pure supervisor + IPC overhead over the same
-     single-lane workload, the number that should never regress *)
-  let shards1_tps =
-    match rows with (_, _, tps, _) :: _ -> tps | [] -> inline_tps
-  in
-  let row_json (shards, ms, tps, _) =
-    Printf.sprintf
-      "{\"shards\":%d,\"elapsed_ms\":%.1f,\"tests_per_sec\":%.2f}" shards ms
-      tps
-  in
-  let line =
-    Printf.sprintf
-      "{\"bench\":\"fleet\",\"workload_tests\":%d,\"seed\":%d,\"inline_tests_per_sec\":%.2f,\"tests_per_sec\":%.2f,\"rows\":[%s]}"
-      n seed inline_tps shards1_tps
-      (String.concat "," (List.map row_json rows))
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_fleet.json" in
-  output_string oc (line ^ "\n");
-  close_out oc;
-  Printf.printf "appended to BENCH_fleet.json\n";
-  (* wall-clock-only experiment; the digest is the deterministic hash of
-     failure keys + verdicts the shard-agreement check already computed *)
-  record_bench ~workload:(Printf.sprintf "tests=%d" n)
-    ~experiment:"fleet" ~tests_per_sec:shards1_tps
-    ~digest:(string_of_int inline_d) ()
-
-(* ------------------------------------------------------------------ *)
-(* `bench regress`: the CI gate, rebuilt on deterministic counters.
-
-   The gate reads bench/history.jsonl and compares each experiment's
-   newest row against the last committed comparable row: work counters
-   must match exactly, allocation words may grow by at most
-   History.alloc_tolerance, and tests/sec is an advisory column only.
-   The old BENCH_*.json median-of-5 wall-clock comparison is kept below
-   as a printed advisory — useful context on a quiet machine, but it no
-   longer fails CI, because wall-clock on shared runners never earned
-   that right. *)
-
-let legacy_regress_threshold = 0.15
-
-(* The pre-counter gate, demoted: prints the same per-file comparison it
-   used to fail on, now purely informational. *)
-let legacy_regress_advisory () =
-  let module Json = Nnsmith_telemetry.Json in
-  let files =
-    Sys.readdir "." |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6
-           && String.sub f 0 6 = "BENCH_"
-           && Filename.check_suffix f ".json")
-    |> List.sort compare
-  in
-  let read_lines file =
-    let ic = open_in file in
-    let rec go acc =
-      match input_line ic with
-      | line -> go (if String.trim line = "" then acc else line :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  in
-  (* A row is comparable only against rows of the same workload size:
-     tests/sec at 80 tests and at 240 tests are different quantities
-     (blowup seeds are a fixed set, so larger runs meet more of them). *)
-  let parse_row line =
-    match Json.parse line with
-    | Error _ -> None
-    | Ok j ->
-        Option.map
-          (fun tps ->
-            (tps, Option.bind (Json.member "workload_tests" j) Json.to_float))
-          (Option.bind (Json.member "tests_per_sec" j) Json.to_float)
-  in
-  let regressions = ref 0 in
-  if files = [] then
-    print_endline "wall-clock advisory: no BENCH_*.json files"
-  else
-    List.iter
-      (fun file ->
-        match List.rev (List.filter_map parse_row (read_lines file)) with
-        | (last, workload) :: older -> (
-            (* Baseline = median of the most recent (≤5) comparable rows:
-               one slow row in the history (or one noisy current run)
-               cannot move a median the way it moves a single previous
-               row. *)
-            let recent =
-              List.filter_map
-                (fun (tps, w) -> if w = workload then Some tps else None)
-                older
-              |> List.filteri (fun i _ -> i < 5)
-            in
-            match recent with
-            | _ :: _ ->
-                let sorted = List.sort compare recent in
-                let prev = List.nth sorted (List.length sorted / 2) in
-                let delta = (last -. prev) /. Float.max 1e-9 prev in
-                let slow = last < prev *. (1. -. legacy_regress_threshold) in
-                if slow then incr regressions;
-                Printf.printf
-                  "wall-clock advisory: %-24s baseline=%8.2f last=%8.2f \
-                   (%+.1f%%) %s\n"
-                  file prev last (100. *. delta)
-                  (if slow then "slower (non-gating)" else "ok")
-            | [] ->
-                Printf.printf
-                  "wall-clock advisory: %-24s no earlier row with the same \
-                   workload; skipping\n"
-                  file)
-        | [] ->
-            Printf.printf
-              "wall-clock advisory: %-24s no rows with tests_per_sec; \
-               skipping\n"
-              file)
-      files;
-  if !regressions > 0 then
-    Printf.printf
-      "wall-clock advisory: %d file(s) beyond %.0f%% — informational only, \
-       counters below are the gate\n"
-      !regressions
-      (100. *. legacy_regress_threshold)
-
-(* The gate proper: counter equality against the committed history. *)
+(* `bench regress`: each experiment's newest history row against the
+   last committed comparable row.  Work counters must match exactly and
+   allocation words may grow by at most History.alloc_tolerance;
+   tests/sec is an advisory column only. *)
 let regress () =
   section "bench regress: deterministic counter gate";
-  legacy_regress_advisory ();
   let { History.rr_rows; rr_bad_lines; rr_torn_tail } =
     History.read history_file
   in
@@ -1629,32 +802,27 @@ let regress () =
   if rr_rows = [] then
     print_endline "bench regress: no history rows, nothing to gate"
   else begin
-    let known =
-      List.map (fun ce -> ce.ce_name) counter_experiments
-      @ [ "parallel"; "fleet" ]
-    in
-    let verdicts = History.regress ~known rr_rows in
+    let known = List.map (fun ce -> ce.ce_name) counter_experiments in
     let failed = ref 0 in
     List.iter
       (fun v ->
-        let status, gated =
+        let status =
           match v.History.v_status with
-          | `Ok -> ("ok", false)
+          | `Ok -> "ok"
           | `Regressed fs ->
               incr failed;
-              (Printf.sprintf "REGRESSED (%d failure(s))" (List.length fs), true)
-          | `Skipped reason -> ("skipped: " ^ reason, false)
+              Printf.sprintf "REGRESSED (%d failure(s))" (List.length fs)
+          | `Skipped reason -> "skipped: " ^ reason
         in
-        Printf.printf "%-14s %-14s %s\n" v.History.v_experiment
+        Printf.printf "%-14s %-17s %s\n" v.History.v_experiment
           (Option.value ~default:"-" v.History.v_workload)
           status;
         (match v.History.v_status with
         | `Regressed fs ->
             List.iter (fun f -> Printf.printf "  FAIL %s\n" f) fs
         | _ -> ());
-        List.iter (fun n -> Printf.printf "  note %s\n" n) v.History.v_notes;
-        ignore gated)
-      verdicts;
+        List.iter (fun n -> Printf.printf "  note %s\n" n) v.History.v_notes)
+      (History.regress ~known rr_rows);
     if !failed > 0 then begin
       Printf.printf
         "bench regress: %d experiment(s) regressed.  If the change is \
@@ -1683,21 +851,10 @@ let experiments =
     ("abl_solver", abl_solver);
     ("stat_nan", stat_nan);
     ("stat_gen", stat_gen);
-    ("micro", micro);
-    ("telemetry", telemetry_overhead);
-    ("journal", journal_overhead);
-    ("corpus", corpus_throughput);
-    ("parallel", bench_parallel);
-    ("fleet", bench_fleet);
-    ("solver_cache", bench_solver_cache);
-    ("prescreen", bench_prescreen);
-    ("gradsearch", bench_gradsearch);
   ]
+  @ List.map (fun ce -> (ce.ce_name, record_counter_row ce)) counter_experiments
 
 let () =
-  (* the fleet experiment spawns this binary back as its worker *)
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "fleet-worker" then
-    Nnsmith_fleet.Fleet.worker_main ();
   (* verbs, not experiments: `regress` gates on the committed history,
      `check-determinism` proves the gate's metric is bit-stable.  Both
      honour --budget so CI compares rows at the workload it records. *)

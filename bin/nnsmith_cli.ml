@@ -767,8 +767,8 @@ let bench_dir_t =
     & opt string "."
     & info [ "bench-dir" ] ~docv:"DIR"
         ~doc:
-          "Where to look for bench/history.jsonl and BENCH_*.json \
-           (default: the current directory).")
+          "Where to look for bench/history.jsonl (default: the current \
+           directory).")
 
 let dashboard_out_t =
   Arg.(

@@ -11,7 +11,6 @@ type row = {
   hr_workload : string option;
   hr_tests_per_sec : float;
   hr_digest : string;
-  hr_gc_per_test : (float * float) option;
   hr_counters : Metrics.counters option;
 }
 
@@ -31,8 +30,7 @@ let git_line cmd =
 let git_commit = lazy (git_line "git rev-parse --short HEAD 2>/dev/null")
 let git_parent = lazy (git_line "git rev-parse --short HEAD^ 2>/dev/null")
 
-let make_row ?gc_per_test ?counters ?workload ~experiment ~tests_per_sec
-    ~digest () =
+let make_row ?counters ?workload ~experiment ~tests_per_sec ~digest () =
   {
     hr_schema = schema_version;
     hr_commit = Option.value ~default:"unknown" (Lazy.force git_commit);
@@ -41,7 +39,6 @@ let make_row ?gc_per_test ?counters ?workload ~experiment ~tests_per_sec
     hr_workload = workload;
     hr_tests_per_sec = tests_per_sec;
     hr_digest = digest;
-    hr_gc_per_test = gc_per_test;
     hr_counters = counters;
   }
 
@@ -60,13 +57,6 @@ let row_to_json r =
             ("digest", Json.Str r.hr_digest);
           ]
         @ opt "workload" (fun w -> Json.Str w) r.hr_workload
-        @ (match r.hr_gc_per_test with
-          | None -> []
-          | Some (minor, major) ->
-              [
-                ("gc_minor_per_test", Json.Num minor);
-                ("gc_major_per_test", Json.Num major);
-              ])
         @ opt "counters" Metrics.to_json r.hr_counters))
 
 let row_of_json j =
@@ -86,10 +76,6 @@ let row_of_json j =
           hr_workload = str "workload";
           hr_tests_per_sec = tps;
           hr_digest = Option.value ~default:"" (str "digest");
-          hr_gc_per_test =
-            (match (num "gc_minor_per_test", num "gc_major_per_test") with
-            | Some minor, Some major -> Some (minor, major)
-            | _ -> None);
           hr_counters =
             Option.bind (Json.member "counters" j) Metrics.of_json;
         }
@@ -248,12 +234,16 @@ let regress ?known rows =
             (`Skipped "experiment no longer exists; row ignored (warning)")
             []
       | _ -> (
+          (* a row stamped with the current row's commit is a re-run of the
+             same code, never the committed baseline it must be gated on *)
           let comparable =
             match current.hr_workload with
             | None -> []
             | Some _ ->
                 List.filter
-                  (fun r -> r.hr_workload = current.hr_workload)
+                  (fun r ->
+                    r.hr_workload = current.hr_workload
+                    && r.hr_commit <> current.hr_commit)
                   earlier
           in
           (* prefer the newest baseline that carries counters when the
@@ -274,7 +264,8 @@ let regress ?known rows =
                 (`Skipped
                   (if current.hr_workload = None then
                      "row has no workload key (legacy schema); cannot compare"
-                   else "no earlier row with the same workload"))
+                   else
+                     "no row from an earlier commit with the same workload"))
                 []
           | Some baseline -> (
               let failures, notes = compare_rows ~baseline ~current in

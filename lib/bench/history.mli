@@ -28,8 +28,6 @@ type row = {
           workloads are never compared *)
   hr_tests_per_sec : float;  (** advisory wall-clock throughput *)
   hr_digest : string;  (** workload outcome digest (bit-identity check) *)
-  hr_gc_per_test : (float * float) option;
-      (** legacy (minor, major) words per test *)
   hr_counters : Metrics.counters option;  (** deterministic work counters *)
 }
 
@@ -37,7 +35,6 @@ val schema_version : int
 (** Current row schema version: [2]. *)
 
 val make_row :
-  ?gc_per_test:float * float ->
   ?counters:Metrics.counters ->
   ?workload:string ->
   experiment:string ->
@@ -53,7 +50,10 @@ val row_to_json : row -> Nnsmith_telemetry.Json.t
 val row_of_json : Nnsmith_telemetry.Json.t -> row option
 (** [None] when the mandatory fields ([experiment], [tests_per_sec]) are
     missing.  Rows with no [schema] field parse as version 1; rows from
-    future schema versions are read best-effort rather than dropped. *)
+    future schema versions are read best-effort rather than dropped.
+    Unknown fields are ignored, among them the per-test GC words
+    ([gc_minor_per_test], [gc_major_per_test]) that rows written before
+    the counter capture took over still carry. *)
 
 type read_result = {
   rr_rows : row list;  (** parsed rows, file order (= chronological) *)
@@ -93,10 +93,14 @@ type verdict = {
 
 val regress : ?known:string list -> row list -> verdict list
 (** Compare each experiment's newest row against its baseline: the newest
-    earlier row with the same experiment and workload key (preferring rows
-    that carry counters).  Gate: work counters exactly equal; allocation
-    words within {!alloc_tolerance} growth.  Wall-clock deltas and
-    counter-set changes (keys added/removed) are reported as notes.
+    earlier row with the same experiment and workload key and a different
+    commit (preferring rows that carry counters).  A row stamped with the
+    current row's commit is a re-run of the same code, so a local re-run
+    can never become the baseline of the row it repeats: the baseline is
+    the last row recorded at an earlier commit, i.e. the committed one.
+    Gate: work counters exactly equal; allocation words within
+    {!alloc_tolerance} growth.  Wall-clock deltas and counter-set changes
+    (keys added/removed) are reported as notes.
 
     Rows whose experiment is not in [known] (when given) are skipped with
     a warning — a renamed or retired experiment must not fail the gate

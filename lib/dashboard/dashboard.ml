@@ -8,7 +8,6 @@
     [Telemetry.read_jsonl], [Journal.read_file]); this module only lays
     the numbers out. *)
 
-module Json = Nnsmith_telemetry.Json
 module Tel = Nnsmith_telemetry.Telemetry
 module Journal = Nnsmith_journal.Journal
 module Corpus = Nnsmith_corpus.Corpus
@@ -27,7 +26,6 @@ type input = {
   in_corpus_size : int;
   in_telemetry : Tel.snapshot list;
   in_history : History.row list;  (** chronological *)
-  in_latest : (string * Json.t) list;  (** BENCH_*.json last rows, by file *)
   in_refresh_secs : int option;  (** emit a meta-refresh tag *)
   in_now_ms : float;  (** staleness reference clock (injectable in tests) *)
 }
@@ -429,7 +427,7 @@ let telemetry_section b input =
           (data_table ~summary:"counters" [ "counter"; "value" ] rows)
 
 let bench_section b input =
-  if input.in_history = [] && input.in_latest = [] then ()
+  if input.in_history = [] then ()
   else begin
     let body = Buffer.create 1024 in
     let by_exp = Hashtbl.create 8 in
@@ -501,12 +499,6 @@ let bench_section b input =
                   ])
                 rows gaps)))
       exps;
-    if input.in_latest <> [] then
-      Printf.bprintf body "%s"
-        (data_table ~summary:"latest benchmark files" [ "file"; "row" ]
-           (List.map
-              (fun (f, j) -> [ f; Json.to_string j ])
-              input.in_latest));
     section b "Benchmark history" (Buffer.contents body)
   end
 
@@ -696,43 +688,7 @@ let render (input : input) : string =
 (* ------------------------------------------------------------------ *)
 (* Gathering from a campaign directory                                 *)
 
-let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let out = ref [] in
-      (try
-         while true do
-           out := input_line ic :: !out
-         done
-       with End_of_file -> ());
-      List.rev !out)
-
 let load_history path = (History.read path).History.rr_rows
-
-let load_latest_bench bench_dir =
-  match Sys.readdir bench_dir with
-  | exception Sys_error _ -> []
-  | files ->
-      Array.to_list files
-      |> List.filter (fun f ->
-             String.length f > 6
-             && String.sub f 0 6 = "BENCH_"
-             && Filename.check_suffix f ".json")
-      |> List.sort compare
-      |> List.filter_map (fun f ->
-             let lines =
-               List.filter
-                 (fun l -> String.trim l <> "")
-                 (read_lines (Filename.concat bench_dir f))
-             in
-             match List.rev lines with
-             | last :: _ -> (
-                 match Json.parse last with
-                 | Ok j -> Some (f, j)
-                 | Error _ -> None)
-             | [] -> None)
 
 let of_dir ?(bench_dir = ".") ?refresh_secs ?now_ms dir : string =
   let journal =
@@ -781,7 +737,6 @@ let of_dir ?(bench_dir = ".") ?refresh_secs ?now_ms dir : string =
       in_corpus_size = corpus_size;
       in_telemetry = telemetry;
       in_history = history;
-      in_latest = load_latest_bench bench_dir;
       in_refresh_secs = refresh_secs;
       in_now_ms = (match now_ms with Some t -> t | None -> Tel.now_ms ());
     }

@@ -5,7 +5,7 @@
     disk: the {!Nnsmith_journal.Journal} event log, the bug-report corpus
     ([index.jsonl] plus saved cases), an optional telemetry trajectory
     ([telemetry.jsonl]) and optional benchmark history
-    ([bench/history.jsonl], [BENCH_*.json]).
+    ([bench/history.jsonl]).
 
     The page carries: campaign header tiles (kind, systems, seed, budget,
     tests/sec, bug counts), the bug-triage table (dedup key, op signature,
@@ -28,9 +28,9 @@ val of_dir :
     (all optional — missing pieces render as empty-state notes, never
     errors) and returns the complete HTML document as a string.
 
-    [bench_dir] (default ["."]) is where [bench/history.jsonl] and
-    [BENCH_*.json] files are looked up when [dir] has no local bench
-    history — typically the repository root.
+    [bench_dir] (default ["."]) is where [bench/history.jsonl] is looked
+    up when [dir] has no local bench history — typically the repository
+    root.
 
     [refresh_secs] adds a [meta http-equiv="refresh"] tag, for watching a
     live campaign.  [now_ms] (default [Telemetry.now_ms ()]) is the clock

@@ -79,8 +79,7 @@ val cache_clear : unit -> unit
 
 (** {1 Test-only}
 
-    Not part of the solver's API: hooks for the property tests and the
-    bench harness. *)
+    Not part of the solver's API: hooks for the property tests. *)
 
 val set_prescreen_enabled : bool -> unit
 (** Turn the pre-screening layer on or off globally (default: on).  When

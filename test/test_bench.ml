@@ -101,7 +101,6 @@ let mk ?counters ?workload ?parent ?(schema = History.schema_version)
     hr_workload = workload;
     hr_tests_per_sec = tps;
     hr_digest = digest;
-    hr_gc_per_test = None;
     hr_counters = counters;
   }
 
@@ -238,6 +237,27 @@ let test_regress_identical_rerun_ok () =
   | `Regressed fs -> Alcotest.failf "rerun regressed: %s" (String.concat "; " fs)
   | `Skipped r -> Alcotest.failf "rerun skipped: %s" r
 
+let test_regress_same_commit_rerun () =
+  (* a row left by an earlier run at the same commit is not the committed
+     baseline: appending a regressed row twice must not make the second
+     copy pass against the first *)
+  let base =
+    mk ~commit:"aaaa111"
+      ~counters:(counters ~work:[ ("smt/check", 196) ] 1000.)
+      ~workload:"tests=80" "solver_cache"
+  in
+  let run =
+    {
+      base with
+      History.hr_commit = "bbbb222";
+      hr_counters = Some (counters ~work:[ ("smt/check", 203) ] 1000.);
+    }
+  in
+  match status_of [ base; run; run ] "solver_cache" with
+  | `Regressed _ -> ()
+  | `Ok -> Alcotest.fail "a same-commit row became the baseline"
+  | `Skipped r -> Alcotest.failf "re-run skipped: %s" r
+
 let test_regress_alloc_gate () =
   let base =
     mk ~commit:"aaaa111" ~counters:(counters 10000.) ~workload:"tests=80"
@@ -363,6 +383,8 @@ let () =
         [
           Alcotest.test_case "identical re-run passes" `Quick
             test_regress_identical_rerun_ok;
+          Alcotest.test_case "same-commit re-run is no baseline" `Quick
+            test_regress_same_commit_rerun;
           Alcotest.test_case "allocation gate" `Quick test_regress_alloc_gate;
           Alcotest.test_case "work-counter gate" `Quick
             test_regress_work_counter_gate;

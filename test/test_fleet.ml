@@ -321,24 +321,30 @@ let with_faults_clear k =
   Fun.protect ~finally:Faults.deactivate_all k
 
 let test_fleet_matches_inline () =
-  (* the whole point of index-purity: a 3-process fleet writes the same
-     corpus index, key set and verdict counts as the in-process driver *)
+  (* the whole point of index-purity: a fleet of 1 to 4 processes writes
+     the same corpus index, key set and verdict counts as the in-process
+     driver *)
   with_faults_clear @@ fun () ->
   with_tmp_dir @@ fun inline_dir ->
-  with_tmp_dir @@ fun fleet_dir ->
   Faults.set_active all_fault_ids;
   let r =
     D.Pfuzz.fuzz ~jobs:1 ~report_dir:inline_dir ~systems:[ D.Systems.oxrt ]
       ~root_seed:7 ~budget:(P.Pool.Tests 60) ()
   in
-  let s = run_ok (fleet_config fleet_dir) in
-  check "fleet campaign completes" true s.Fleet.fs_complete;
-  check_int "all indices applied" 60 s.Fleet.fs_tests;
-  check "corpus index byte-identical to inline run" true
-    (index_of fleet_dir = index_of inline_dir);
-  check "failure keys agree" true
-    (s.Fleet.fs_failure_keys = r.D.Pfuzz.r_failure_keys);
-  check "verdict counts agree" true (s.Fleet.fs_verdicts = r.D.Pfuzz.r_verdicts)
+  List.iter
+    (fun shards ->
+      with_tmp_dir @@ fun fleet_dir ->
+      let s = run_ok (fleet_config ~shards fleet_dir) in
+      let tag what = Printf.sprintf "%d shard(s): %s" shards what in
+      check (tag "fleet campaign completes") true s.Fleet.fs_complete;
+      check_int (tag "all indices applied") 60 s.Fleet.fs_tests;
+      check (tag "corpus index byte-identical to inline run") true
+        (index_of fleet_dir = index_of inline_dir);
+      check (tag "failure keys agree") true
+        (s.Fleet.fs_failure_keys = r.D.Pfuzz.r_failure_keys);
+      check (tag "verdict counts agree") true
+        (s.Fleet.fs_verdicts = r.D.Pfuzz.r_verdicts))
+    [ 1; 2; 3; 4 ]
 
 let with_abort_indices indices k =
   Unix.putenv Proto.abort_env_var (String.concat "," indices);

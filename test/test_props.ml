@@ -595,7 +595,8 @@ let prop_prescreen_sound =
 (* The pre-screen must be invisible to complete campaign outcomes: a
    fixed-seed campaign writes bit-identical failure keys, coverage sites
    and corpus index bytes with the screen on or off, at one worker or
-   two. *)
+   two.  Deeper 20-node generation, where each test makes the most
+   candidate probes, must give the same graphs either way too. *)
 let test_prescreen_transparent_campaign () =
   let check = Alcotest.(check bool) in
   let module D = Nnsmith_difftest in
@@ -630,7 +631,27 @@ let test_prescreen_transparent_campaign () =
           check (tag "failure keys") true (keys = ref_keys);
           check (tag "coverage sites") true (cov = ref_cov);
           check (tag "corpus index bytes") true (String.equal index ref_index))
-        [ (true, 1); (true, 2); (false, 2) ])
+        [ (true, 1); (true, 2); (false, 2) ];
+      let graphs screen =
+        S.set_prescreen_enabled screen;
+        List.init 40 (fun index ->
+            let seed =
+              Nnsmith_parallel.Splitmix.derive ~root:20230325 ~index
+            in
+            match
+              Gen_.generate { Config.default with seed; max_nodes = 20 }
+            with
+            | g -> Some (Graph.to_string g)
+            | exception Gen_.Gen_failure _ -> None)
+      in
+      let screened = graphs true in
+      check "20-node generation succeeds" true
+        (List.exists Option.is_some screened);
+      List.iteri
+        (fun i (on, off) ->
+          check (Printf.sprintf "20-node graph %d: screen on = off" i) true
+            (on = off))
+        (List.combine screened (graphs false)))
 
 let () =
   Alcotest.run "props"

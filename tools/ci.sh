@@ -8,14 +8,15 @@
 # Stages (full mode):
 #
 #   build+tests   dune build @ci         (whole tree + every test suite)
-#   bench smoke   bench/main.exe --only solver_cache / gradsearch /
-#                 prescreen (append schema-2 counter rows to
-#                 bench/history.jsonl; fail on screen-on/off digest drift)
+#   bench rows    bench/main.exe --only solver_cache / prescreen /
+#                 gradsearch (each captures its fixed-seed counter round
+#                 and appends a schema-2 row to bench/history.jsonl)
 #   determinism   bench/main.exe check-determinism (each counter round runs
-#                 twice in-process; any work-counter mismatch fails)
+#                 twice in-process; any work-counter or digest mismatch
+#                 fails)
 #   perf gate     bench/main.exe regress (work counters must equal the last
 #                 committed history row exactly; allocation words within 2%;
-#                 wall-clock is advisory only)
+#                 tests/sec is advisory only)
 #   dashboard     journaled mini-campaign -> static HTML (balanced tags,
 #                 non-empty triage table, no NaN, no scripts)
 #   fleet         worker + supervisor kill -9, resume bit-identity
@@ -29,8 +30,9 @@
 #                 must equal their committed values (OxRT/TRT/Lotus
 #                 outputs with every seeded defect on)
 #   style         no tabs / trailing whitespace; new lib modules need .mli;
-#                 one clock: under lib/ and bin/ only
-#                 lib/telemetry/telemetry.ml reads the wall clock
+#                 one clock: under lib/, bin/ and bench/, only
+#                 lib/telemetry/telemetry.ml reads a clock
+#                 (Unix.gettimeofday, Unix.time, Unix.times, Sys.time)
 #   hygiene       no tracked _build/, CHANGES.md updated alongside HEAD
 #
 # Every stage is timed; a per-stage summary prints on exit (success or
@@ -100,30 +102,26 @@ if [ "$quick" -eq 1 ]; then
   exit 0
 fi
 
-note "bench smoke (solver)"
-dune exec bench/main.exe -- --only solver_cache --budget 400 \
-  || err "solver bench smoke failed"
+bm=_build/default/bench/main.exe
 
-note "bench smoke (gradient search plans)"
-dune exec bench/main.exe -- --only gradsearch --budget 400 \
-  || err "gradsearch bench smoke failed"
-
-note "bench smoke (constraint pre-screening)"
-# Appends to BENCH_prescreen.json and asserts bit-identical campaign
-# digests between screen-on and screen-off runs; the counter capture
-# feeds the determinism and regress gates below.
-dune exec bench/main.exe -- --only prescreen --budget 400 \
-  || err "prescreen bench smoke failed"
+note "bench counter rows (solver_cache, prescreen, gradsearch)"
+# Each counter experiment captures its fixed-seed round (work counters,
+# allocation words) and appends a row with its output digest to
+# bench/history.jsonl; the determinism and regress gates below read them.
+for id in solver_cache prescreen gradsearch; do
+  "$bm" --only "$id" --budget 400 || err "bench counter round $id failed"
+done
 
 note "bench check-determinism"
 # Each gated counter round twice in-process: any work-counter or
-# allocation-word mismatch means the regress gate below would be noise,
-# so this fails first and loudly.
-dune exec bench/main.exe -- check-determinism --budget 400 \
+# allocation-word mismatch, or a digest that differs between two rounds,
+# means the regress gate below would be noise, so this fails first and
+# loudly.
+"$bm" check-determinism --budget 400 \
   || err "bench counters are not deterministic"
 
 note "bench regress (counter gate)"
-dune exec bench/main.exe -- regress --budget 400 \
+"$bm" regress --budget 400 \
   || err "work counters regressed vs the committed history row"
 
 note "dashboard smoke"
@@ -292,12 +290,13 @@ for f in $(git ls-files 'lib/*/*.ml'); do
   [ -f "${f}i" ] || err "lib module without interface: $f (add ${f}i)"
 done
 
-# One clock: every wall-clock reading under lib/ and bin/ goes through
+# One clock: every clock reading under lib/, bin/ and bench/ goes through
 # Telemetry.now_ms, so no module can keep a private deadline that decides
-# a verdict.
-clocks=$(grep -rlE --include='*.ml' 'Unix\.(gettimeofday|time)\b|Sys\.time\b' \
-  lib bin | grep -vx 'lib/telemetry/telemetry.ml')
-[ -z "$clocks" ] || err "wall-clock read outside lib/telemetry/telemetry.ml: $clocks"
+# a verdict and the bench keeps no second timing system (the CPU clock
+# Unix.times included).
+clocks=$(grep -rlE --include='*.ml' 'Unix\.(gettimeofday|times?)\b|Sys\.time\b' \
+  lib bin bench | grep -vx 'lib/telemetry/telemetry.ml')
+[ -z "$clocks" ] || err "clock read outside lib/telemetry/telemetry.ml: $clocks"
 
 note "repo hygiene"
 if git ls-files | grep -q '^_build/'; then
