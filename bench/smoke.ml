@@ -208,9 +208,6 @@ let () =
   J.close j;
   Nnsmith_faults.Faults.deactivate_all ();
   if r.r_saved = 0 then die "dashboard smoke: campaign saved no cases";
-  if Tel.counter_value "journal/dropped" <> 0 then
-    die "dashboard smoke: journal dropped %d event(s) in a normal run"
-      (Tel.counter_value "journal/dropped");
   (match J.read_file (J.in_dir dir) with
   | Error m -> die "dashboard smoke: journal unreadable: %s" m
   | Ok jr ->

@@ -195,34 +195,47 @@ let progress_t =
            coverage, ETA) on stderr, derived from the journal event \
            stream.")
 
-let print_parallel_result ?(triggered = false) (r : D.Pfuzz.result) =
+(* One printer for every campaign's tallies, whether the domain pool
+   ([Pfuzz.result]) or the fleet ([Fleet.summary]) ran it; a hunt adds the
+   seeded defects it triggered and their Table 3 distribution. *)
+let print_tallies ~hunt ~verdicts ~failure_keys ~crashes ~triggered
+    ~corpus:(report_dir, saved, dups) =
+  List.iter (fun (k, n) -> Printf.printf "  %-12s %d\n" k n) verdicts;
+  Printf.printf "unique failures: %d\n" (List.length failure_keys);
+  List.iter (fun (k, n) -> Printf.printf "  %4dx %s\n" n k) crashes;
+  if hunt then begin
+    Printf.printf "seeded defects triggered: %d\n" (List.length triggered);
+    List.iter (fun (id, n) -> Printf.printf "  %4dx %s\n" n id) triggered;
+    let tbl = Hashtbl.create 32 in
+    List.iter (fun (id, n) -> Hashtbl.replace tbl id n) triggered;
+    List.iter
+      (fun (sys, trans, conv, uncls, crash, sem) ->
+        Printf.printf
+          "  %-9s transformation=%d conversion=%d unclassified=%d \
+           (crash=%d, semantic=%d)\n"
+          sys trans conv uncls crash sem)
+      (D.Bughunt.distribution tbl)
+  end;
+  Option.iter
+    (fun dir ->
+      Printf.printf
+        "report corpus %s: %d new case(s), %d duplicate(s) suppressed\n" dir
+        saved dups)
+    report_dir
+
+let print_result ~hunt report_dir (r : D.Pfuzz.result) =
   let s = r.r_stats in
   Printf.printf "jobs=%d tests=%d (%.1f tests/s, %.0f ms)\n" s.st_jobs
     s.st_tests s.st_tests_per_sec s.st_elapsed_ms;
   if s.st_jobs > 1 then
     List.iter
       (fun (w : Pool.worker_report) ->
-        Printf.printf "  worker %d: %d tests, %d failure(s), %.0f ms%s\n"
-          w.wr_worker w.wr_tests w.wr_failures w.wr_elapsed_ms
-          (if w.wr_dropped > 0 then
-             Printf.sprintf ", %d journal event(s) dropped" w.wr_dropped
-           else ""))
+        Printf.printf "  worker %d: %d tests, %.0f ms\n" w.wr_worker
+          w.wr_tests w.wr_elapsed_ms)
       s.st_workers;
-  List.iter (fun (k, n) -> Printf.printf "  %-12s %d\n" k n) r.r_verdicts;
-  Printf.printf "unique failures: %d\n" (List.length r.r_failure_keys);
-  List.iter (fun (k, n) -> Printf.printf "  %4dx %s\n" n k) r.r_crashes;
-  if triggered then begin
-    Printf.printf "seeded defects triggered: %d\n" (List.length r.r_triggered);
-    List.iter (fun (id, n) -> Printf.printf "  %4dx %s\n" n id) r.r_triggered
-  end
-
-let print_corpus_line report_dir (r : D.Pfuzz.result) =
-  Option.iter
-    (fun dir ->
-      Printf.printf
-        "report corpus %s: %d new case(s), %d duplicate(s) suppressed\n" dir
-        r.r_saved r.r_dups)
-    report_dir
+  print_tallies ~hunt ~verdicts:r.r_verdicts ~failure_keys:r.r_failure_keys
+    ~crashes:r.r_crashes ~triggered:r.r_triggered
+    ~corpus:(report_dir, r.r_saved, r.r_dups)
 
 let fuzz system_name budget_s tests jobs bugs seed telemetry report_dir
     journal_dir progress =
@@ -243,8 +256,7 @@ let fuzz system_name budget_s tests jobs bugs seed telemetry report_dir
                   ()
               in
               Printf.printf "fuzzed %s: " system.s_name;
-              print_parallel_result r;
-              print_corpus_line report_dir r;
+              print_result ~hunt:false report_dir r;
               write_telemetry telemetry))
 
 let system_t =
@@ -430,17 +442,7 @@ let hunt budget_s tests jobs seed telemetry report_dir journal_dir progress =
           ()
       in
       Printf.printf "seeded-bug hunt: ";
-      print_parallel_result ~triggered:true r;
-      let tbl = Hashtbl.create 32 in
-      List.iter (fun (id, n) -> Hashtbl.replace tbl id n) r.r_triggered;
-      List.iter
-        (fun (sys, trans, conv, uncls, crash, sem) ->
-          Printf.printf
-            "  %-9s transformation=%d conversion=%d unclassified=%d \
-             (crash=%d, semantic=%d)\n"
-            sys trans conv uncls crash sem)
-        (D.Bughunt.distribution tbl);
-      print_corpus_line report_dir r;
+      print_result ~hunt:true report_dir r;
       write_telemetry telemetry)
 
 let hunt_cmd =
@@ -510,15 +512,10 @@ let fleet dir tests procs hunt bugs seed system_names resume max_nodes
             dir s.Fleet.fs_shards s.fs_tests tests s.fs_session_tests
             (float_of_int s.fs_session_tests
             /. Float.max 1e-6 (s.fs_elapsed_ms /. 1000.));
-          List.iter (fun (k, n) -> Printf.printf "  %-12s %d\n" k n)
-            s.fs_verdicts;
-          Printf.printf "unique failures: %d\n"
-            (List.length s.fs_failure_keys);
-          List.iter (fun (k, n) -> Printf.printf "  %4dx %s\n" n k)
-            s.fs_crashes;
-          Printf.printf
-            "corpus: %d new case(s), %d duplicate(s) suppressed\n" s.fs_saved
-            s.fs_dups;
+          print_tallies ~hunt:(s.fs_kind = Fleet.Hunt) ~verdicts:s.fs_verdicts
+            ~failure_keys:s.fs_failure_keys ~crashes:s.fs_crashes
+            ~triggered:s.fs_triggered
+            ~corpus:(Some dir, s.fs_saved, s.fs_dups);
           if s.fs_worker_crashes > 0 then
             Printf.printf
               "worker crashes: %d (filed in the corpus; %d restart(s))\n"

@@ -14,8 +14,7 @@ type counters = {
 
 (* Only counters that record deterministic work are admitted.  Everything
    time-driven stays out by omission: journal/* (heartbeats are rate
-   limited by the wall clock), parallel/dropped_events (channel saturation
-   depends on scheduling), fleet/* (process lifetimes).  The corpus and
+   limited by the wall clock), fleet/* (process lifetimes).  The corpus and
    pool entries are exact names, which the prefix test also covers. *)
 let work_prefixes =
   [
@@ -27,7 +26,6 @@ let work_prefixes =
     "corpus/saved";
     "corpus/dup_suppressed";
     "parallel/tests";
-    "parallel/failures";
   ]
 
 let is_work_counter name =

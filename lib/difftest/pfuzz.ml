@@ -10,7 +10,11 @@
     give each worker an independently seeded stream instead, which is
     reproducible per (root, jobs) but not jobs-independent.  Every input
     search is iteration-capped, so a [Time_ms] budget may end a campaign
-    early but never changes what a test computes. *)
+    early but never changes what a test computes.
+
+    A test produces one {!outcome}; the {!Ledger} folds outcomes into the
+    campaign's tallies and corpus in test-index order, for the domain pool
+    here and for the multi-process fleet alike. *)
 
 module Graph = Nnsmith_ir.Graph
 module Op = Nnsmith_ir.Op
@@ -23,14 +27,10 @@ module Splitmix = Nnsmith_parallel.Splitmix
 module Corpus = Nnsmith_corpus.Corpus
 module Journal = Nnsmith_journal.Journal
 
-let incr_count tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+let add_count tbl key n =
+  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-let merge_counts ~into src =
-  Hashtbl.iter
-    (fun k n ->
-      Hashtbl.replace into k (n + Option.value ~default:0 (Hashtbl.find_opt into k)))
-    src
+let incr_count tbl key = add_count tbl key 1
 
 let sorted_counts tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
@@ -46,22 +46,8 @@ type failure = {
   f_verdict : Harness.verdict;
 }
 
-(** A worker-to-writer channel message: a failure tagged with its global
-    test index (must never be lost), a per-index completion marker
-    (likewise durable — the sink's ordering depends on it), or a
-    best-effort journal event (heartbeats). *)
-type msg =
-  | M_failure of int * failure
-  | M_event of Journal.event
-  | M_done of int
-
-let is_failure = function M_failure _ -> true | M_event _ | M_done _ -> false
-
-(* Failures and completion markers must survive channel saturation;
-   only heartbeat events are droppable. *)
-let is_durable = function M_event _ -> false | M_failure _ | M_done _ -> true
-
-(* Per-worker tallies; merged into the run result at join. *)
+(* Verdict tallies: one test's (its outcome) or the ledger's campaign
+   totals. *)
 type tally = {
   verdicts : (string, int) Hashtbl.t;  (* pass/crash/semantic/skipped/gen_fail *)
   crashes : (string, int) Hashtbl.t;  (* crash dedup-key -> count *)
@@ -80,22 +66,21 @@ let fresh_tally () =
     ops = Hashtbl.create 32;
   }
 
+(* The verdict-kind counts of op kind [op]. *)
+let ops_row t op =
+  match Hashtbl.find_opt t.ops op with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create 4 in
+      Hashtbl.replace t.ops op h;
+      h
+
 let record_ops t g verdict_kind =
   List.iter
     (fun (n : Graph.node) ->
       match n.op with
       | Op.Leaf _ -> ()
-      | op ->
-          let name = Op.name op in
-          let inner =
-            match Hashtbl.find_opt t.ops name with
-            | Some h -> h
-            | None ->
-                let h = Hashtbl.create 4 in
-                Hashtbl.replace t.ops name h;
-                h
-          in
-          incr_count inner verdict_kind)
+      | op -> incr_count (ops_row t (Op.name op)) verdict_kind)
     (Graph.nodes g)
 
 (* One point of a worker's coverage curve. *)
@@ -121,12 +106,12 @@ let index_pure ~generator ~max_nodes ~binning : source =
 let of_stream (gen : Generators.t) : source =
  fun ~seed:_ -> Option.map (fun g -> (gen.g_name, g)) (gen.next ())
 
-(* Worker-side campaign state: the model source, the tally, the coverage
-   curve and the heartbeat clock. *)
+(* Worker-side campaign state: the model source, the verdict counts its
+   heartbeats report, the coverage curve and the heartbeat clock. *)
 type wstate = {
   w_id : int;
   w_source : source;
-  w_tally : tally;
+  w_verdicts : (string, int) Hashtbl.t;
   w_start_ms : float;
   mutable w_curve : point list;  (* newest first *)
   mutable w_tests : int;
@@ -138,7 +123,7 @@ let fresh_wstate ~source worker =
   {
     w_id = worker;
     w_source = source;
-    w_tally = fresh_tally ();
+    w_verdicts = Hashtbl.create 8;
     w_start_ms = Tel.now_ms ();
     w_curve = [];
     w_tests = 0;
@@ -163,28 +148,26 @@ let heartbeat_interval_ms = 250.
    a heartbeat event carrying this worker's cumulative counters plus its
    domain-local coverage. *)
 let maybe_heartbeat ~journaling ws =
-  if not journaling then []
+  if not journaling then None
   else
     let now = Tel.now_ms () in
-    if now < ws.w_next_hb then []
+    if now < ws.w_next_hb then None
     else begin
       ws.w_next_hb <- now +. heartbeat_interval_ms;
       ws.w_seq <- ws.w_seq + 1;
       let snap = Cov.snapshot () in
-      [
-        M_event
-          (Journal.Heartbeat
-             {
-               h_worker = ws.w_id;
-               h_seq = ws.w_seq;
-               h_at_ms = now;
-               h_tests = ws.w_tests;
-               h_verdicts = sorted_counts ws.w_tally.verdicts;
-               h_cov_total = Cov.count snap;
-               h_cov_pass = Cov.count_pass snap;
-               h_cov_universe = Cov.universe_size ();
-             });
-      ]
+      Some
+        (Journal.Heartbeat
+           {
+             h_worker = ws.w_id;
+             h_seq = ws.w_seq;
+             h_at_ms = now;
+             h_tests = ws.w_tests;
+             h_verdicts = sorted_counts ws.w_verdicts;
+             h_cov_total = Cov.count snap;
+             h_cov_pass = Cov.count_pass snap;
+             h_cov_universe = Cov.universe_size ();
+           })
     end
 
 type result = {
@@ -207,135 +190,6 @@ let verdict_name = function
   | Harness.Semantic _ -> "semantic"
   | Harness.Crash _ -> "crash"
 
-(* The single-writer corpus/journal sink, run on the calling domain.
-   Bug journal events originate in the corpus (the authority on novelty);
-   when journaling without a corpus, a local dedup table stands in so the
-   journal still records first-vs-repeat.
-
-   Failures are applied in ascending test-index order, not arrival order:
-   with [jobs > 1] the worker domains' messages interleave
-   nondeterministically on the shared channel, and arrival-order corpus
-   writes would make index.jsonl (and which duplicate arrives first)
-   depend on the schedule.  Each worker's failures for index [i] precede
-   its [M_done i] marker (the channel is FIFO per producer), so buffering
-   until the next expected index is marked done replays the exact
-   jobs-independent order — the same discipline the multi-process fleet
-   applies to its per-index outcomes. *)
-let make_sink ?journal ?report_dir () =
-  let corpus = Option.map (fun d -> Corpus.open_ ?journal d) report_dir in
-  let saved = ref 0 and dups = ref 0 in
-  let jemit ev = Option.iter (fun j -> Journal.emit j ev) journal in
-  let seen = Hashtbl.create 16 in
-  let handle_failure f =
-    match corpus with
-    | Some c -> (
-        match
-          Report.save_failure c ~system:f.f_system ~generator:f.f_generator
-            ~seed:f.f_seed ~export_bugs:f.f_export_bugs f.f_graph f.f_binding
-            f.f_verdict
-        with
-        | `Saved _ -> incr saved
-        | `Duplicate _ -> incr dups
-        | `Not_failure -> ())
-    | None -> (
-        match Report.failure_key f.f_system f.f_verdict with
-        | None -> ()
-        | Some key ->
-            let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen key) in
-            Hashtbl.replace seen key n;
-            jemit
-              (Journal.Bug
-                 {
-                   b_at_ms = Journal.now_ms ();
-                   b_key = key;
-                   b_system = f.f_system.Systems.s_name;
-                   b_verdict = verdict_name f.f_verdict;
-                   b_case = "";
-                   b_nodes = Graph.size f.f_graph;
-                   b_count = n;
-                   b_new = n = 1;
-                   b_reducer = None;
-                 }))
-  in
-  let buf : (int, failure list) Hashtbl.t = Hashtbl.create 64 in
-  let finished : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let next = ref 0 in
-  let apply_index i =
-    match Hashtbl.find_opt buf i with
-    | None -> ()
-    | Some rev_fs ->
-        Hashtbl.remove buf i;
-        List.iter handle_failure (List.rev rev_fs)
-  in
-  let advance () =
-    while Hashtbl.mem finished !next do
-      Hashtbl.remove finished !next;
-      apply_index !next;
-      incr next
-    done
-  in
-  let sink = function
-    | M_event ev -> jemit ev
-    | M_failure (i, f) ->
-        Hashtbl.replace buf i
-          (f :: Option.value ~default:[] (Hashtbl.find_opt buf i))
-    | M_done i ->
-        Hashtbl.replace finished i ();
-        advance ()
-  in
-  (* Time budgets can leave index gaps (a worker hit its deadline before
-     reaching an index a faster worker passed); drain whatever is still
-     buffered in ascending index order.  Call after [Pool.run] returns —
-     the writer domain has been joined, so the buffers are safe to read. *)
-  let flush () =
-    Hashtbl.fold (fun i _ acc -> i :: acc) buf []
-    |> List.sort compare
-    |> List.iter apply_index;
-    Hashtbl.reset finished;
-    next := 0
-  in
-  (sink, flush, saved, dups)
-
-let assemble ~stats ~saved ~dups ~curve states =
-  let tallies = List.map (fun ws -> ws.w_tally) states in
-  let total = fresh_tally () in
-  List.iter
-    (fun t ->
-      merge_counts ~into:total.verdicts t.verdicts;
-      merge_counts ~into:total.crashes t.crashes;
-      merge_counts ~into:total.triggered t.triggered;
-      Hashtbl.iter (fun k () -> Hashtbl.replace total.keys k ()) t.keys;
-      Hashtbl.iter
-        (fun op inner ->
-          let into =
-            match Hashtbl.find_opt total.ops op with
-            | Some h -> h
-            | None ->
-                let h = Hashtbl.create 4 in
-                Hashtbl.replace total.ops op h;
-                h
-          in
-          merge_counts ~into inner)
-        t.ops)
-    tallies;
-  {
-    r_stats = stats;
-    r_verdicts = sorted_counts total.verdicts;
-    r_crashes = sorted_counts total.crashes;
-    r_failure_keys =
-      List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) total.keys []);
-    r_triggered = sorted_counts total.triggered;
-    r_ops =
-      Hashtbl.fold (fun op inner acc -> (op, sorted_counts inner) :: acc)
-        total.ops []
-      |> List.sort compare;
-    r_saved = !saved;
-    r_dups = !dups;
-    r_coverage = Cov.snapshot ();
-    r_curves =
-      (if curve then List.map (fun ws -> List.rev ws.w_curve) states else []);
-  }
-
 (* Campaign-lifecycle journal records, emitted on the calling domain. *)
 
 let pool_budget_to_journal = function
@@ -356,42 +210,6 @@ let journal_start ?journal ~kind ~systems ~generator ~root_seed ~jobs ~budget
              s_root_seed = root_seed;
              s_jobs = jobs;
              s_budget = pool_budget_to_journal budget;
-           }))
-    journal
-
-let journal_finish ?journal (r : result) =
-  Option.iter
-    (fun j ->
-      let now = Journal.now_ms () in
-      if r.r_ops <> [] then
-        Journal.emit j (Journal.Op_stats { o_at_ms = now; o_ops = r.r_ops });
-      Journal.emit j
-        (Journal.Coverage
-           {
-             c_at_ms = now;
-             c_tests = r.r_stats.Pool.st_tests;
-             c_total = Cov.count r.r_coverage;
-             c_pass = Cov.count_pass r.r_coverage;
-           });
-      if r.r_stats.Pool.st_dropped > 0 then begin
-        Tel.incr "journal/dropped" ~by:r.r_stats.Pool.st_dropped;
-        Journal.emit j
-          (Journal.Dropped
-             { d_at_ms = now; d_count = r.r_stats.Pool.st_dropped })
-      end;
-      Journal.emit j
-        (Journal.Summary
-           {
-             f_at_ms = now;
-             f_tests = r.r_stats.Pool.st_tests;
-             f_tests_per_sec = r.r_stats.Pool.st_tests_per_sec;
-             f_verdicts = r.r_verdicts;
-             f_failures = List.length r.r_failure_keys;
-             f_saved = r.r_saved;
-             f_dups = r.r_dups;
-             f_cov_total = Cov.count r.r_coverage;
-             f_cov_pass = Cov.count_pass r.r_coverage;
-             f_dropped = r.r_stats.Pool.st_dropped;
            }))
     journal
 
@@ -487,11 +305,9 @@ let run_test ?(attribute_semantic = false) t (source : source) ~systems
       fs
 
 (* ------------------------------------------------------------------ *)
-(* Per-index outcome: the serializable result of one test, shared by the
-   in-process domain pool and the multi-process fleet.  [run_one] is the
-   single definition of "run test index i"; a fleet worker ships the
-   outcome over its pipe, the supervisor absorbs it exactly as [assemble]
-   absorbs worker tallies.                                              *)
+(* Per-index outcome: the serializable result of one test, the one thing
+   a campaign test produces.  A pool worker sends it over the channel, a
+   fleet worker over its pipe; the {!Ledger} folds it.                  *)
 
 type outcome = {
   o_verdicts : (string * int) list;  (** sorted verdict-kind counts *)
@@ -516,28 +332,192 @@ let outcome_of_tally t fs =
     o_failures = fs;
   }
 
-let run_one ?attribute_semantic ?(generator = "NNSmith") ?(max_nodes = 10)
-    ?(binning = true) ~systems ~seed () =
+let run_source ?attribute_semantic source ~systems ~seed =
   let t = fresh_tally () in
-  let fs =
-    run_test ?attribute_semantic t
-      (index_pure ~generator ~max_nodes ~binning)
-      ~systems ~seed
-  in
+  let fs = run_test ?attribute_semantic t source ~systems ~seed in
   outcome_of_tally t fs
 
-(* Persisting a verdict — journal append, minimization, corpus I/O — is
-   the only per-failure work still on the generation path at [jobs = 1];
-   when any persistence is configured, stream it through the pool's
-   writer domain instead ({!Pool.run}'s [async_sink]).  Without
-   persistence the sink is a no-op and the inline path is cheaper. *)
-let async_sink_wanted ~journal ~report_dir =
-  Option.is_some journal || Option.is_some report_dir
+let run_one ?attribute_semantic ?(generator = "NNSmith") ?(max_nodes = 10)
+    ?(binning = true) ~systems ~seed () =
+  run_source ?attribute_semantic
+    (index_pure ~generator ~max_nodes ~binning)
+    ~systems ~seed
+
+(* ------------------------------------------------------------------ *)
+(* The ledger: the one place a campaign's outcomes become tallies, corpus
+   cases and journal [Bug] events.
+
+   Outcomes are applied in ascending test-index order, not arrival order:
+   pool workers and fleet processes deliver them in a schedule-dependent
+   interleaving, and arrival-order corpus writes would make index.jsonl
+   (and which duplicate arrives first) depend on the schedule.  Buffering
+   each outcome until every lower index has been applied replays the
+   exact jobs- and shards-independent order.                            *)
+
+module Ledger = struct
+  type totals = {
+    t_verdicts : (string * int) list;
+    t_crashes : (string * int) list;
+    t_keys : string list;
+    t_triggered : (string * int) list;
+    t_ops : (string * (string * int) list) list;
+    t_saved : int;
+    t_dups : int;
+  }
+
+  type 'a t = {
+    l_tally : tally;
+    l_corpus : Corpus.t option;
+    l_journal : Journal.t option;
+    l_seen : (string, int) Hashtbl.t;
+        (* key -> hits, for [Bug] events when journaling without a corpus *)
+    mutable l_saved : int;
+    mutable l_dups : int;
+    l_buf : (int, outcome * 'a) Hashtbl.t;
+    mutable l_next : int;
+  }
+
+  let add_outcome t o =
+    List.iter (fun (k, n) -> add_count t.verdicts k n) o.o_verdicts;
+    List.iter (fun (k, n) -> add_count t.crashes k n) o.o_crashes;
+    List.iter (fun k -> Hashtbl.replace t.keys k ()) o.o_keys;
+    List.iter (fun (k, n) -> add_count t.triggered k n) o.o_triggered;
+    List.iter
+      (fun (op, vs) ->
+        let row = ops_row t op in
+        List.iter (fun (k, n) -> add_count row k n) vs)
+      o.o_ops
+
+  let create ?journal ?report_dir ?from () =
+    let l =
+      {
+        l_tally = fresh_tally ();
+        l_corpus = Option.map (fun d -> Corpus.open_ ?journal d) report_dir;
+        l_journal = journal;
+        l_seen = Hashtbl.create 16;
+        l_saved = 0;
+        l_dups = 0;
+        l_buf = Hashtbl.create 64;
+        l_next = 0;
+      }
+    in
+    Option.iter
+      (fun (next, t) ->
+        add_outcome l.l_tally
+          {
+            o_verdicts = t.t_verdicts;
+            o_crashes = t.t_crashes;
+            o_keys = t.t_keys;
+            o_triggered = t.t_triggered;
+            o_ops = t.t_ops;
+            o_failures = [];
+          };
+        l.l_saved <- t.t_saved;
+        l.l_dups <- t.t_dups;
+        l.l_next <- next)
+      from;
+    l
+
+  (* Bug journal events originate in the corpus (the authority on
+     novelty); when journaling without a corpus, [l_seen] stands in so the
+     journal still records first-vs-repeat. *)
+  let persist l f =
+    match l.l_corpus with
+    | Some c -> (
+        match
+          Report.save_failure c ~system:f.f_system ~generator:f.f_generator
+            ~seed:f.f_seed ~export_bugs:f.f_export_bugs f.f_graph f.f_binding
+            f.f_verdict
+        with
+        | `Saved _ -> l.l_saved <- l.l_saved + 1
+        | `Duplicate _ -> l.l_dups <- l.l_dups + 1
+        | `Not_failure -> ())
+    | None -> (
+        match (l.l_journal, Report.failure_key f.f_system f.f_verdict) with
+        | Some j, Some key ->
+            let n = 1 + Option.value ~default:0 (Hashtbl.find_opt l.l_seen key) in
+            Hashtbl.replace l.l_seen key n;
+            Journal.emit j
+              (Journal.Bug
+                 {
+                   b_at_ms = Journal.now_ms ();
+                   b_key = key;
+                   b_system = f.f_system.Systems.s_name;
+                   b_verdict = verdict_name f.f_verdict;
+                   b_case = "";
+                   b_nodes = Graph.size f.f_graph;
+                   b_count = n;
+                   b_new = n = 1;
+                   b_reducer = None;
+                 })
+        | _ -> ())
+
+  let apply_at l i =
+    let o, x = Hashtbl.find l.l_buf i in
+    Hashtbl.remove l.l_buf i;
+    l.l_next <- i + 1;
+    add_outcome l.l_tally o;
+    List.iter (persist l) o.o_failures;
+    x
+
+  let offer l i o x =
+    if i >= l.l_next && not (Hashtbl.mem l.l_buf i) then
+      Hashtbl.replace l.l_buf i (o, x)
+
+  let apply_next l =
+    if Hashtbl.mem l.l_buf l.l_next then Some (apply_at l l.l_next) else None
+
+  let flush l =
+    Hashtbl.fold (fun i _ acc -> i :: acc) l.l_buf []
+    |> List.sort compare
+    |> List.map (apply_at l)
+
+  let applied l = l.l_next
+
+  let totals l =
+    let o = outcome_of_tally l.l_tally [] in
+    {
+      t_verdicts = o.o_verdicts;
+      t_crashes = o.o_crashes;
+      t_keys = o.o_keys;
+      t_triggered = o.o_triggered;
+      t_ops = o.o_ops;
+      t_saved = l.l_saved;
+      t_dups = l.l_dups;
+    }
+
+  let journal_finish j ~tests ~tests_per_sec ~coverage t =
+    let now = Journal.now_ms () in
+    if t.t_ops <> [] then
+      Journal.emit j (Journal.Op_stats { o_at_ms = now; o_ops = t.t_ops });
+    Journal.emit j
+      (Journal.Coverage
+         {
+           c_at_ms = now;
+           c_tests = tests;
+           c_total = Cov.count coverage;
+           c_pass = Cov.count_pass coverage;
+         });
+    Journal.emit j
+      (Journal.Summary
+         {
+           f_at_ms = now;
+           f_tests = tests;
+           f_tests_per_sec = tests_per_sec;
+           f_verdicts = t.t_verdicts;
+           f_failures = List.length t.t_keys;
+           f_saved = t.t_saved;
+           f_dups = t.t_dups;
+           f_cov_total = Cov.count coverage;
+           f_cov_pass = Cov.count_pass coverage;
+           f_dropped = 0;
+         })
+end
 
 (* [fuzz], [coverage] and [hunt] all run through here: journal the start,
    shard the test stream over the pool (each worker drawing its models
-   from [gen_of_seed]'s stream, or index-pure NNSmith without one),
-   persist failures through the single-writer sink, then assemble and
+   from [gen_of_seed]'s stream, or index-pure NNSmith without one), fold
+   each test's outcome through the ledger on the calling domain, then
    journal the result.  With [curve], every test appends a point to its
    worker's coverage curve. *)
 let drive ?jobs ?journal ?report_dir ?gen_of_seed ?(max_nodes = 10)
@@ -545,12 +525,10 @@ let drive ?jobs ?journal ?report_dir ?gen_of_seed ?(max_nodes = 10)
     ~systems ~generator ~root_seed ~budget () =
   journal_start ?journal ~kind ~systems ~generator ~root_seed
     ~jobs:(resolved_jobs jobs) ~budget ();
-  let sink, flush, saved, dups = make_sink ?journal ?report_dir () in
+  let ledger = Ledger.create ?journal ?report_dir () in
   let journaling = journal <> None in
   let stats, states =
-    Pool.run ?jobs ~is_failure ~is_durable
-      ~async_sink:(async_sink_wanted ~journal ~report_dir)
-      ~root_seed ~budget
+    Pool.run ?jobs ~root_seed ~budget
       ~init:(fun ~worker ->
         let source =
           match gen_of_seed with
@@ -564,19 +542,46 @@ let drive ?jobs ?journal ?report_dir ?gen_of_seed ?(max_nodes = 10)
         in
         fresh_wstate ~source worker)
       ~test:(fun ws ~index ~seed ->
-        let fs =
-          run_test ?attribute_semantic ws.w_tally ws.w_source ~systems ~seed
-        in
+        let o = run_source ?attribute_semantic ws.w_source ~systems ~seed in
+        List.iter (fun (k, n) -> add_count ws.w_verdicts k n) o.o_verdicts;
         ws.w_tests <- ws.w_tests + 1;
         if curve then record_point ws;
-        List.map (fun f -> M_failure (index, f)) fs
-        @ maybe_heartbeat ~journaling ws
-        @ [ M_done index ])
-      ~finish:Fun.id ~sink ()
+        [ (index, o, maybe_heartbeat ~journaling ws) ])
+      ~finish:Fun.id
+      ~sink:(fun (index, o, heartbeat) ->
+        (match (journal, heartbeat) with
+        | Some j, Some ev -> Journal.emit j ev
+        | _ -> ());
+        Ledger.offer ledger index o ();
+        while Option.is_some (Ledger.apply_next ledger) do
+          ()
+        done)
+      ()
   in
-  flush ();
-  let r = assemble ~stats ~saved ~dups ~curve states in
-  journal_finish ?journal r;
+  (* A time budget can leave index gaps (a worker hit its deadline before
+     reaching an index a faster worker passed). *)
+  ignore (Ledger.flush ledger);
+  let t = Ledger.totals ledger in
+  let r =
+    {
+      r_stats = stats;
+      r_verdicts = t.t_verdicts;
+      r_crashes = t.t_crashes;
+      r_failure_keys = t.t_keys;
+      r_triggered = t.t_triggered;
+      r_ops = t.t_ops;
+      r_saved = t.t_saved;
+      r_dups = t.t_dups;
+      r_coverage = Cov.snapshot ();
+      r_curves =
+        (if curve then List.map (fun ws -> List.rev ws.w_curve) states else []);
+    }
+  in
+  Option.iter
+    (fun j ->
+      Ledger.journal_finish j ~tests:stats.st_tests
+        ~tests_per_sec:stats.st_tests_per_sec ~coverage:r.r_coverage t)
+    journal;
   r
 
 (** Sharded NNSmith differential-testing campaign.  Runs with whatever

@@ -11,7 +11,11 @@
     jobs), not jobs-independent.  Every input search is capped at
     {!Nnsmith_grad.Search.default_max_iters} iterations, so a [Time_ms]
     budget may end a campaign early but never changes what a test
-    computes. *)
+    computes.
+
+    A test produces one {!outcome}.  Every campaign, in worker domains here
+    or in the processes of [Nnsmith_fleet.Fleet], folds its outcomes
+    through one {!Ledger}, in test-index order. *)
 
 type failure = {
   f_system : Systems.t;
@@ -22,18 +26,8 @@ type failure = {
   f_binding : Nnsmith_ops.Runner.binding;
   f_verdict : Harness.verdict;
 }
-(** A failure observed by a worker, shipped over the pool's channel to
-    the corpus-writer domain. *)
-
-type msg =
-  | M_failure of int * failure
-  | M_event of Nnsmith_journal.Journal.event
-  | M_done of int
-(** What rides the pool's worker-to-writer channel: failures tagged with
-    their global test index (never dropped), per-index completion markers
-    (also never dropped — the sink applies failures in ascending index
-    order so corpus bytes are jobs-independent), and best-effort journal
-    events (worker heartbeats). *)
+(** A failure observed by a worker, shipped in its test's {!outcome} to
+    the corpus-writing domain or process. *)
 
 type outcome = {
   o_verdicts : (string * int) list;  (** sorted verdict-kind counts *)
@@ -44,8 +38,8 @@ type outcome = {
       (** op kind -> verdict kind -> count, both levels sorted *)
   o_failures : failure list;  (** in emission order *)
 }
-(** The serializable result of running one test index — what a fleet
-    worker ships over its pipe to the supervisor. *)
+(** The serializable result of running one test index — what a pool
+    worker sends over its channel and a fleet worker over its pipe. *)
 
 val run_one :
   ?attribute_semantic:bool ->
@@ -66,6 +60,70 @@ val run_one :
 val verdict_name : Harness.verdict -> string
 (** ["pass" | "skipped" | "semantic" | "crash"] — the journal/corpus
     verdict-kind vocabulary. *)
+
+(** The one fold from per-index outcomes to campaign state.  Outcomes may
+    be offered in any order; each is applied — tallied, its failures saved
+    to the corpus ([Report.save_failure]) or, journaling without a
+    corpus, recorded as journal [Bug] events — only once every lower index
+    has been applied, so index.jsonl bytes and the first-vs-duplicate
+    split do not depend on the schedule.  ['a] is a caller payload handed
+    back when its index is applied. *)
+module Ledger : sig
+  type totals = {
+    t_verdicts : (string * int) list;
+        (** verdict kind (pass/crash/semantic/skipped/gen_fail/error) -> count *)
+    t_crashes : (string * int) list;  (** crash dedup-key -> count *)
+    t_keys : string list;  (** sorted unique failure dedup-keys *)
+    t_triggered : (string * int) list;  (** seeded bug id -> hits *)
+    t_ops : (string * (string * int) list) list;
+        (** op kind -> verdict kind -> count, both levels sorted *)
+    t_saved : int;  (** new corpus cases *)
+    t_dups : int;  (** corpus duplicates *)
+  }
+  (** A campaign's tallies over its applied outcomes. *)
+
+  type 'a t
+
+  val create :
+    ?journal:Nnsmith_journal.Journal.t ->
+    ?report_dir:string ->
+    ?from:int * totals ->
+    unit ->
+    'a t
+  (** A ledger that saves failures to the corpus in [report_dir], opened
+      with [journal] (which then receives the corpus's [Bug] events);
+      without [report_dir], failures become [journal] [Bug] events only.
+      [from] resumes a checkpointed campaign: indices below it are already
+      applied, with these totals. *)
+
+  val offer : 'a t -> int -> outcome -> 'a -> unit
+  (** [offer l i o x] buffers outcome [o] of test index [i] with payload
+      [x].  An index already applied or already offered is ignored. *)
+
+  val apply_next : 'a t -> 'a option
+  (** Apply the outcome at index {!applied}, if it has been offered, and
+      return its payload; [None] leaves the ledger unchanged. *)
+
+  val flush : 'a t -> 'a list
+  (** Apply every buffered outcome in ascending index order, across the
+      gaps a time budget leaves; returns their payloads in that order. *)
+
+  val applied : 'a t -> int
+  (** One past the last applied index: without {!flush}, indices
+      [\[0, applied)] are exactly the applied ones. *)
+
+  val totals : 'a t -> totals
+
+  val journal_finish :
+    Nnsmith_journal.Journal.t ->
+    tests:int ->
+    tests_per_sec:float ->
+    coverage:Nnsmith_coverage.Coverage.snapshot ->
+    totals ->
+    unit
+  (** A campaign's closing [Op_stats] (when any op ran), [Coverage] and
+      [Summary] journal events. *)
+end
 
 type point = {
   p_tests : int;  (** tests this worker has run, this one included *)
@@ -99,10 +157,10 @@ type result = {
 }
 
 (** Each driver, when given [journal], brackets the run with [Start] and
-    [Op_stats]/[Coverage]/[Dropped]/[Summary] events, streams per-worker
-    [Heartbeat]s (rate-limited on the worker, delivered best-effort), and
-    has the corpus emit a [Bug] event per save/duplicate — all written by
-    the calling domain only. *)
+    {!Ledger.journal_finish}'s events, streams per-worker [Heartbeat]s
+    (rate-limited on the worker, riding its test's message), and has the
+    corpus emit a [Bug] event per save/duplicate — all written by the
+    calling domain only. *)
 
 val fuzz :
   ?jobs:int ->

@@ -8,31 +8,30 @@
     each worker's pipe.
 
     The supervisor is the only process that writes campaign state (corpus,
-    journal, checkpoint): worker outcomes are re-ordered into strict
-    global index order through a buffer and applied one at a time, so a
-    single [applied] high-water mark captures progress exactly.  The
-    periodic {!Checkpoint} records that mark plus the corpus index length;
-    {!run}[ ~resume:true] truncates [index.jsonl] back to the checkpoint
-    (undoing un-checkpointed appends) and deterministically re-runs
-    indices [>= applied] — the resumed campaign's corpus, coverage and
-    failure keys are byte-identical to an uninterrupted run's.
+    journal, checkpoint): worker outcomes go through the domain pool's
+    {!Pfuzz.Ledger}, which applies them one at a time in strict global
+    index order, so a single [applied] high-water mark captures progress
+    exactly.  The periodic {!Checkpoint} records that mark plus the corpus
+    index length; {!run}[ ~resume:true] truncates [index.jsonl] back to
+    the checkpoint (undoing un-checkpointed appends) and deterministically
+    re-runs indices [>= applied] — the resumed campaign's corpus, coverage
+    and failure keys are byte-identical to an uninterrupted run's.
 
-    Worker death is a test outcome, not a campaign failure: the death is
-    charged to the index the worker was presumed to be running, filed in
-    the corpus as a [Crash] with the offending derived seed, and the shard
-    restarts past it under bounded exponential backoff.  SIGTERM/SIGINT
-    drain workers gracefully and leave a resumable checkpoint. *)
+    Worker death is a test outcome, not a campaign failure: a one-crash
+    outcome is offered at the index the worker was presumed to be running,
+    filed in the corpus as a [Crash] with the offending derived seed, and
+    the shard restarts past it under bounded exponential backoff.
+    SIGTERM/SIGINT drain workers gracefully and leave a resumable
+    checkpoint. *)
 
 module Cov = Nnsmith_coverage.Coverage
 module Tel = Nnsmith_telemetry.Telemetry
 module Json = Nnsmith_telemetry.Json
 module Journal = Nnsmith_journal.Journal
 module Progress = Nnsmith_journal.Progress
-module Corpus = Nnsmith_corpus.Corpus
 module Splitmix = Nnsmith_parallel.Splitmix
 module Systems = Nnsmith_difftest.Systems
 module Harness = Nnsmith_difftest.Harness
-module Report = Nnsmith_difftest.Report
 module Pfuzz = Nnsmith_difftest.Pfuzz
 module Faults = Nnsmith_faults.Faults
 module Gen = Nnsmith_core.Gen
@@ -98,6 +97,7 @@ let default_config ~dir ~tests =
   }
 
 type summary = {
+  fs_kind : kind;
   fs_tests : int;  (** total indices applied, all sessions *)
   fs_session_tests : int;  (** applied by this invocation *)
   fs_shards : int;
@@ -116,66 +116,38 @@ type summary = {
   fs_complete : bool;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Cumulative campaign state (restored from the checkpoint on resume)  *)
-(* ------------------------------------------------------------------ *)
-
-type cum = {
-  mutable c_cov : Cov.snapshot;
-  c_verdicts : (string, int) Hashtbl.t;
-  c_crashes : (string, int) Hashtbl.t;
-  c_keys : (string, unit) Hashtbl.t;
-  c_triggered : (string, int) Hashtbl.t;
-  c_ops : (string, (string, int) Hashtbl.t) Hashtbl.t;
-  mutable c_saved : int;
-  mutable c_dups : int;
-  mutable c_worker_crashes : int;
-  mutable c_restarts : int;
-}
-
-let fresh_cum () =
+let totals_of_checkpoint (ck : Checkpoint.t) : Pfuzz.Ledger.totals =
   {
-    c_cov = Cov.empty;
-    c_verdicts = Hashtbl.create 8;
-    c_crashes = Hashtbl.create 8;
-    c_keys = Hashtbl.create 8;
-    c_triggered = Hashtbl.create 8;
-    c_ops = Hashtbl.create 16;
-    c_saved = 0;
-    c_dups = 0;
-    c_worker_crashes = 0;
-    c_restarts = 0;
+    t_verdicts = ck.ck_verdicts;
+    t_crashes = ck.ck_crashes;
+    t_keys = ck.ck_keys;
+    t_triggered = ck.ck_triggered;
+    t_ops = ck.ck_ops;
+    t_saved = ck.ck_saved;
+    t_dups = ck.ck_dups;
   }
 
-let incr_count tbl k by =
-  Hashtbl.replace tbl k (by + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-
-let sorted_counts tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let sorted_ops tbl =
-  Hashtbl.fold (fun op vs acc -> (op, sorted_counts vs) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let cum_of_checkpoint (ck : Checkpoint.t) =
-  let c = fresh_cum () in
-  c.c_cov <- Cov.of_list ck.ck_coverage;
-  List.iter (fun (k, n) -> Hashtbl.replace c.c_verdicts k n) ck.ck_verdicts;
-  List.iter (fun (k, n) -> Hashtbl.replace c.c_crashes k n) ck.ck_crashes;
-  List.iter (fun k -> Hashtbl.replace c.c_keys k ()) ck.ck_keys;
-  List.iter (fun (k, n) -> Hashtbl.replace c.c_triggered k n) ck.ck_triggered;
-  List.iter
-    (fun (op, vs) ->
-      let t = Hashtbl.create 4 in
-      List.iter (fun (k, n) -> Hashtbl.replace t k n) vs;
-      Hashtbl.replace c.c_ops op t)
-    ck.ck_ops;
-  c.c_saved <- ck.ck_saved;
-  c.c_dups <- ck.ck_dups;
-  c.c_worker_crashes <- ck.ck_worker_crashes;
-  c.c_restarts <- ck.ck_restarts;
-  c
+let summary_of ~kind ~applied ~session ~shards ~(totals : Pfuzz.Ledger.totals)
+    ~cov ~worker_crashes ~restarts ~elapsed_ms ~complete =
+  {
+    fs_kind = kind;
+    fs_tests = applied;
+    fs_session_tests = session;
+    fs_shards = shards;
+    fs_verdicts = totals.t_verdicts;
+    fs_crashes = totals.t_crashes;
+    fs_failure_keys = totals.t_keys;
+    fs_triggered = totals.t_triggered;
+    fs_ops = totals.t_ops;
+    fs_saved = totals.t_saved;
+    fs_dups = totals.t_dups;
+    fs_worker_crashes = worker_crashes;
+    fs_restarts = restarts;
+    fs_cov_total = Cov.count cov;
+    fs_cov_pass = Cov.count_pass cov;
+    fs_elapsed_ms = elapsed_ms;
+    fs_complete = complete;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Crash filing                                                        *)
@@ -209,6 +181,33 @@ let crash_graph ~seed ~max_nodes ~binning =
 let crash_message ~worker ~cause ~index =
   Printf.sprintf "[fleet.worker] worker %d died (%s) at index %d" worker cause
     index
+
+(* A worker death as the one-crash outcome the ledger applies at [index],
+   filed against [fleet_system] with the derived seed of that index. *)
+let death_outcome ~root_seed ~max_nodes ~binning ~worker ~cause ~index :
+    Pfuzz.outcome =
+  let msg = crash_message ~worker ~cause ~index in
+  let key = Harness.dedup_key msg in
+  let seed = Splitmix.derive ~root:root_seed ~index in
+  {
+    o_verdicts = [ ("crash", 1) ];
+    o_crashes = [ (key, 1) ];
+    o_keys = [ key ];
+    o_triggered = [];
+    o_ops = [];
+    o_failures =
+      [
+        {
+          f_system = fleet_system;
+          f_generator = "NNSmith";
+          f_seed = seed;
+          f_export_bugs = [];
+          f_graph = crash_graph ~seed ~max_nodes ~binning;
+          f_binding = [];
+          f_verdict = Harness.Crash msg;
+        };
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Worker main (child-process side)                                    *)
@@ -293,10 +292,6 @@ let worker_main () =
 
 exception Power_cut
 
-type pending =
-  | P_outcome of Proto.outcome_frame
-  | P_crash of { pc_worker : int; pc_index : int; pc_cause : string }
-
 let index_path dir = Filename.concat dir "index.jsonl"
 
 let index_bytes dir =
@@ -366,26 +361,13 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
   | Ok (Some ck) when resume && ck.Checkpoint.ck_complete ->
       (* Nothing to do; report the completed campaign as-is. *)
       Lazy.force release_lock;
-      let cov = Cov.of_list ck.ck_coverage in
+      let* kind = kind_of_name ck.ck_kind in
       Ok
-        {
-          fs_tests = ck.ck_applied;
-          fs_session_tests = 0;
-          fs_shards = ck.ck_shards;
-          fs_verdicts = ck.ck_verdicts;
-          fs_crashes = ck.ck_crashes;
-          fs_failure_keys = ck.ck_keys;
-          fs_triggered = ck.ck_triggered;
-          fs_ops = ck.ck_ops;
-          fs_saved = ck.ck_saved;
-          fs_dups = ck.ck_dups;
-          fs_worker_crashes = ck.ck_worker_crashes;
-          fs_restarts = ck.ck_restarts;
-          fs_cov_total = Cov.count cov;
-          fs_cov_pass = Cov.count_pass cov;
-          fs_elapsed_ms = 0.;
-          fs_complete = true;
-        }
+        (summary_of ~kind ~applied:ck.ck_applied ~session:0
+           ~shards:ck.ck_shards ~totals:(totals_of_checkpoint ck)
+           ~cov:(Cov.of_list ck.ck_coverage)
+           ~worker_crashes:ck.ck_worker_crashes ~restarts:ck.ck_restarts
+           ~elapsed_ms:0. ~complete:true)
   | Ok ck_opt -> (
       (* Campaign shape comes from the checkpoint on resume — the resumed
          run must re-derive exactly the same index space. *)
@@ -463,15 +445,27 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
               let journal =
                 Journal.create ?observer ~path:(Journal.in_dir dir) ()
               in
-              let corpus = Corpus.open_ ~journal dir in
-              let cum =
-                match restored with
-                | None -> fresh_cum ()
-                | Some ck -> cum_of_checkpoint ck
+              (* Each applied index's payload: the worker's coverage
+                 delta, or [None] for a worker death. *)
+              let ledger : (string * bool) list option Pfuzz.Ledger.t =
+                Pfuzz.Ledger.create ~journal ~report_dir:dir
+                  ?from:
+                    (Option.map
+                       (fun ck ->
+                         (ck.Checkpoint.ck_applied, totals_of_checkpoint ck))
+                       restored)
+                  ()
               in
-              let applied = ref applied0 in
+              let applied () = Pfuzz.Ledger.applied ledger in
+              let cov, worker_crashes, restarts =
+                match restored with
+                | None -> (ref Cov.empty, ref 0, ref 0)
+                | Some ck ->
+                    ( ref (Cov.of_list ck.ck_coverage),
+                      ref ck.ck_worker_crashes,
+                      ref ck.ck_restarts )
+              in
               let last_ck = ref applied0 in
-              let buf : (int, pending) Hashtbl.t = Hashtbl.create 64 in
               let start_ms = Tel.now_ms () in
               (match restored with
               | None ->
@@ -536,7 +530,8 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
               let save_checkpoint ~complete =
                 (* Fold in the supervisor-domain hits (reduce probes) so a
                    resume reproduces only the un-checkpointed window. *)
-                cum.c_cov <- Cov.union cum.c_cov (Cov.snapshot ());
+                cov := Cov.union !cov (Cov.snapshot ());
+                let t = Pfuzz.Ledger.totals ledger in
                 Checkpoint.save dir
                   {
                     Checkpoint.ck_version = Checkpoint.version;
@@ -548,97 +543,40 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                     ck_binning = binning;
                     ck_systems = List.map (fun s -> s.Systems.s_name) systems;
                     ck_faults = faults;
-                    ck_applied = !applied;
+                    ck_applied = applied ();
                     ck_shard_next =
-                      Checkpoint.shard_next ~applied:!applied ~shards:shards_n;
+                      Checkpoint.shard_next ~applied:(applied ())
+                        ~shards:shards_n;
                     ck_index_bytes = index_bytes dir;
-                    ck_coverage = Cov.to_list cum.c_cov;
-                    ck_verdicts = sorted_counts cum.c_verdicts;
-                    ck_crashes = sorted_counts cum.c_crashes;
-                    ck_keys =
-                      List.sort compare
-                        (Hashtbl.fold (fun k () acc -> k :: acc) cum.c_keys []);
-                    ck_triggered = sorted_counts cum.c_triggered;
-                    ck_ops = sorted_ops cum.c_ops;
-                    ck_saved = cum.c_saved;
-                    ck_dups = cum.c_dups;
-                    ck_worker_crashes = cum.c_worker_crashes;
-                    ck_restarts = cum.c_restarts;
+                    ck_coverage = Cov.to_list !cov;
+                    ck_verdicts = t.t_verdicts;
+                    ck_crashes = t.t_crashes;
+                    ck_keys = t.t_keys;
+                    ck_triggered = t.t_triggered;
+                    ck_ops = t.t_ops;
+                    ck_saved = t.t_saved;
+                    ck_dups = t.t_dups;
+                    ck_worker_crashes = !worker_crashes;
+                    ck_restarts = !restarts;
                     ck_complete = complete;
                     ck_at_ms = Tel.now_ms ();
                   };
-                last_ck := !applied
+                last_ck := applied ()
               in
-              let apply_outcome (fr : Proto.outcome_frame) =
-                let o = fr.Proto.fo_outcome in
-                List.iter
-                  (fun (k, n) -> incr_count cum.c_verdicts k n)
-                  o.Pfuzz.o_verdicts;
-                List.iter
-                  (fun (k, n) -> incr_count cum.c_crashes k n)
-                  o.Pfuzz.o_crashes;
-                List.iter (fun k -> Hashtbl.replace cum.c_keys k ()) o.Pfuzz.o_keys;
-                List.iter
-                  (fun (k, n) -> incr_count cum.c_triggered k n)
-                  o.Pfuzz.o_triggered;
-                List.iter
-                  (fun (op, vs) ->
-                    let t =
-                      match Hashtbl.find_opt cum.c_ops op with
-                      | Some t -> t
-                      | None ->
-                          let t = Hashtbl.create 4 in
-                          Hashtbl.replace cum.c_ops op t;
-                          t
-                    in
-                    List.iter (fun (k, n) -> incr_count t k n) vs)
-                  o.Pfuzz.o_ops;
-                cum.c_cov <- Cov.union cum.c_cov (Cov.of_list fr.Proto.fo_cov_delta);
-                List.iter
-                  (fun (f : Pfuzz.failure) ->
-                    match
-                      Report.save_failure corpus ~system:f.Pfuzz.f_system
-                        ~generator:f.Pfuzz.f_generator ~seed:f.Pfuzz.f_seed
-                        ~export_bugs:f.Pfuzz.f_export_bugs f.Pfuzz.f_graph
-                        f.Pfuzz.f_binding f.Pfuzz.f_verdict
-                    with
-                    | `Saved _ -> cum.c_saved <- cum.c_saved + 1
-                    | `Duplicate _ -> cum.c_dups <- cum.c_dups + 1
-                    | `Not_failure -> ())
-                  o.Pfuzz.o_failures
-              in
-              let apply_crash ~worker ~index ~cause =
-                cum.c_worker_crashes <- cum.c_worker_crashes + 1;
-                incr_count cum.c_verdicts "crash" 1;
-                let msg = crash_message ~worker ~cause ~index in
-                let key = Harness.dedup_key msg in
-                incr_count cum.c_crashes key 1;
-                Hashtbl.replace cum.c_keys key ();
-                let seed = Splitmix.derive ~root:root_seed ~index in
-                let graph = crash_graph ~seed ~max_nodes ~binning in
-                match
-                  Report.save_failure corpus ~system:fleet_system
-                    ~generator:"NNSmith" ~seed graph [] (Harness.Crash msg)
-                with
-                | `Saved _ -> cum.c_saved <- cum.c_saved + 1
-                | `Duplicate _ -> cum.c_dups <- cum.c_dups + 1
-                | `Not_failure -> ()
-              in
+              (* Apply every outcome the ledger can, one index at a time:
+                 each may close a checkpoint interval or trip the
+                 power-cut hook. *)
               let rec drain_apply () =
-                match Hashtbl.find_opt buf !applied with
+                match Pfuzz.Ledger.apply_next ledger with
                 | None -> ()
-                | Some p ->
-                    Hashtbl.remove buf !applied;
-                    (match p with
-                    | P_outcome fr -> apply_outcome fr
-                    | P_crash { pc_worker; pc_index; pc_cause } ->
-                        apply_crash ~worker:pc_worker ~index:pc_index
-                          ~cause:pc_cause);
-                    incr applied;
+                | Some payload ->
+                    (match payload with
+                    | Some delta -> cov := Cov.union !cov (Cov.of_list delta)
+                    | None -> incr worker_crashes);
                     (match cfg.fc_stop_after_applied with
-                    | Some k when !applied >= k -> raise Power_cut
+                    | Some k when applied () >= k -> raise Power_cut
                     | _ -> ());
-                    if !applied - !last_ck >= cfg.fc_checkpoint_every then
+                    if applied () - !last_ck >= cfg.fc_checkpoint_every then
                       save_checkpoint ~complete:false;
                     drain_apply ()
               in
@@ -663,7 +601,7 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                   sh.Supervise.sh_restarts <- sh.Supervise.sh_restarts + 1;
                   sh.Supervise.sh_consec_deaths <-
                     sh.Supervise.sh_consec_deaths + 1;
-                  cum.c_restarts <- cum.c_restarts + 1;
+                  incr restarts;
                   Tel.incr "fleet/worker_crashes";
                   Journal.emit journal
                     (Journal.Worker_crash
@@ -675,14 +613,10 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                          wc_cause = cause;
                          wc_restarts = sh.Supervise.sh_restarts;
                        });
-                  if not (Hashtbl.mem buf index) && index >= !applied then
-                    Hashtbl.replace buf index
-                      (P_crash
-                         {
-                           pc_worker = sh.Supervise.sh_id;
-                           pc_index = index;
-                           pc_cause = cause;
-                         });
+                  Pfuzz.Ledger.offer ledger index
+                    (death_outcome ~root_seed ~max_nodes ~binning
+                       ~worker:sh.Supervise.sh_id ~cause ~index)
+                    None;
                   sh.Supervise.sh_next <- index + shards_n;
                   if sh.Supervise.sh_consec_deaths > cfg.fc_max_restarts then
                     sh.Supervise.sh_state <- Supervise.Abandoned
@@ -727,9 +661,13 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                          h_seq = sh.Supervise.sh_seq;
                          h_at_ms = now;
                          h_tests = sh.Supervise.sh_tests;
-                         h_verdicts = sorted_counts sh.Supervise.sh_verdicts;
-                         h_cov_total = Cov.count cum.c_cov;
-                         h_cov_pass = Cov.count_pass cum.c_cov;
+                         h_verdicts =
+                           List.sort compare
+                             (Hashtbl.fold
+                                (fun k n acc -> (k, n) :: acc)
+                                sh.Supervise.sh_verdicts []);
+                         h_cov_total = Cov.count !cov;
+                         h_cov_pass = Cov.count_pass !cov;
                          h_cov_universe = fr.Proto.fo_cov_universe;
                        })
                 end
@@ -744,12 +682,14 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                     sh.Supervise.sh_consec_deaths <- 0;
                     sh.Supervise.sh_tests <- sh.Supervise.sh_tests + 1;
                     List.iter
-                      (fun (k, n) -> incr_count sh.Supervise.sh_verdicts k n)
+                      (fun (k, n) ->
+                        Hashtbl.replace sh.Supervise.sh_verdicts k
+                          (n
+                          + Option.value ~default:0
+                              (Hashtbl.find_opt sh.Supervise.sh_verdicts k)))
                       fr.Proto.fo_outcome.Pfuzz.o_verdicts;
-                    if
-                      fr.Proto.fo_index >= !applied
-                      && not (Hashtbl.mem buf fr.Proto.fo_index)
-                    then Hashtbl.replace buf fr.Proto.fo_index (P_outcome fr);
+                    Pfuzz.Ledger.offer ledger fr.Proto.fo_index
+                      fr.Proto.fo_outcome (Some fr.Proto.fo_cov_delta);
                     maybe_heartbeat sh fr
                 | Proto.Shard_done { tests = done_tests; last_index } ->
                     p.Supervise.p_done <- true;
@@ -925,26 +865,11 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                 Lazy.force release_lock
               in
               let summary ~complete =
-                {
-                  fs_tests = !applied;
-                  fs_session_tests = !applied - applied0;
-                  fs_shards = shards_n;
-                  fs_verdicts = sorted_counts cum.c_verdicts;
-                  fs_crashes = sorted_counts cum.c_crashes;
-                  fs_failure_keys =
-                    List.sort compare
-                      (Hashtbl.fold (fun k () acc -> k :: acc) cum.c_keys []);
-                  fs_triggered = sorted_counts cum.c_triggered;
-                  fs_ops = sorted_ops cum.c_ops;
-                  fs_saved = cum.c_saved;
-                  fs_dups = cum.c_dups;
-                  fs_worker_crashes = cum.c_worker_crashes;
-                  fs_restarts = cum.c_restarts;
-                  fs_cov_total = Cov.count cum.c_cov;
-                  fs_cov_pass = Cov.count_pass cum.c_cov;
-                  fs_elapsed_ms = Tel.now_ms () -. start_ms;
-                  fs_complete = complete;
-                }
+                summary_of ~kind ~applied:(applied ())
+                  ~session:(applied () - applied0) ~shards:shards_n
+                  ~totals:(Pfuzz.Ledger.totals ledger) ~cov:!cov
+                  ~worker_crashes:!worker_crashes ~restarts:!restarts
+                  ~elapsed_ms:(Tel.now_ms () -. start_ms) ~complete
               in
               match loop () with
               | () ->
@@ -971,37 +896,14 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                   end
                   else begin
                     (* Normal completion: every index applied exactly once. *)
-                    assert (!applied = tests && Hashtbl.length buf = 0);
-                    let now = Tel.now_ms () in
-                    Journal.emit journal
-                      (Journal.Op_stats
-                         { o_at_ms = now; o_ops = sorted_ops cum.c_ops });
-                    cum.c_cov <- Cov.union cum.c_cov (Cov.snapshot ());
-                    Journal.emit journal
-                      (Journal.Coverage
-                         {
-                           c_at_ms = now;
-                           c_tests = tests;
-                           c_total = Cov.count cum.c_cov;
-                           c_pass = Cov.count_pass cum.c_cov;
-                         });
-                    let elapsed = Float.max 1e-6 (now -. start_ms) in
-                    Journal.emit journal
-                      (Journal.Summary
-                         {
-                           f_at_ms = now;
-                           f_tests = tests;
-                           f_tests_per_sec =
-                             float_of_int (tests - applied0)
-                             /. (elapsed /. 1000.);
-                           f_verdicts = sorted_counts cum.c_verdicts;
-                           f_failures = Hashtbl.length cum.c_keys;
-                           f_saved = cum.c_saved;
-                           f_dups = cum.c_dups;
-                           f_cov_total = Cov.count cum.c_cov;
-                           f_cov_pass = Cov.count_pass cum.c_cov;
-                           f_dropped = 0;
-                         });
+                    assert (applied () = tests);
+                    cov := Cov.union !cov (Cov.snapshot ());
+                    let elapsed = Float.max 1e-6 (Tel.now_ms () -. start_ms) in
+                    Pfuzz.Ledger.journal_finish journal ~tests
+                      ~tests_per_sec:
+                        (float_of_int (tests - applied0) /. (elapsed /. 1000.))
+                      ~coverage:!cov
+                      (Pfuzz.Ledger.totals ledger);
                     save_checkpoint ~complete:true;
                     (* The canonical coverage artefact the CI identity gate
                        compares across resumed vs. uninterrupted runs. *)
@@ -1010,15 +912,14 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                       (Json.to_string
                          (Json.Obj
                             [
-                              ("total", Json.Num (float_of_int (Cov.count cum.c_cov)));
+                              ("total", Json.Num (float_of_int (Cov.count !cov)));
                               ( "pass",
-                                Json.Num
-                                  (float_of_int (Cov.count_pass cum.c_cov)) );
+                                Json.Num (float_of_int (Cov.count_pass !cov)) );
                               ( "sites",
                                 Json.Obj
                                   (List.map
                                      (fun (s, p) -> (s, Json.Bool p))
-                                     (Cov.to_list cum.c_cov)) );
+                                     (Cov.to_list !cov)) );
                             ])
                       ^ "\n");
                     if cfg.fc_dashboard_every_ms > 0. then regen_dashboard ();

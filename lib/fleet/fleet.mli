@@ -2,16 +2,19 @@
 
     Shards the index-pure test space by residue class across child OS
     processes (spawned on the campaign binary's hidden [fleet-worker]
-    mode), applies worker outcomes in strict global index order, and
-    checkpoints a single [applied] high-water mark plus the corpus index
-    length — so [run ~resume:true] after any kill (worker or supervisor,
-    SIGTERM or SIGKILL) replays to a corpus, coverage and failure-key set
-    byte-identical to an uninterrupted run.
+    mode) and folds worker outcomes through the in-process domain pool's
+    own {!Nnsmith_difftest.Pfuzz.Ledger}: outcomes are applied in strict
+    global index order, and a fleet writes the pool's corpus and tallies
+    by construction.  It checkpoints the ledger's [applied] high-water
+    mark plus the corpus index length, so [run ~resume:true] after any
+    kill (worker or supervisor, SIGTERM or SIGKILL) replays to a corpus,
+    coverage and failure-key set byte-identical to an uninterrupted run.
 
-    A worker death is a test outcome: it is charged to the index the
-    worker was running, filed in the corpus as a [Crash] against the
-    synthetic ["Fleet"] system with the offending derived seed, and the
-    shard restarts past it under bounded exponential backoff.  A shard
+    A worker death is a test outcome: a one-crash outcome offered to the
+    ledger at the index the worker was running, filed in the corpus as a
+    [Crash] against the synthetic ["Fleet"] system with the offending
+    derived seed; the shard restarts past it under bounded exponential
+    backoff.  A shard
     that dies more than [fc_max_restarts] consecutive times without
     completing a test is abandoned and the campaign returns an error
     (checkpoint intact, resumable). *)
@@ -52,6 +55,7 @@ type config = {
 val default_config : dir:string -> tests:int -> config
 
 type summary = {
+  fs_kind : kind;  (** the campaign's kind (the checkpoint's, on resume) *)
   fs_tests : int;  (** total indices applied, all sessions *)
   fs_session_tests : int;  (** applied by this invocation *)
   fs_shards : int;

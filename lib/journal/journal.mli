@@ -65,8 +65,9 @@ type event =
           (** op kind -> verdict kind -> count; both levels sorted *)
     }
   | Dropped of { d_at_ms : float; d_count : int }
-      (** events lost to a saturated cross-domain channel — recorded, never
-          silently discarded *)
+      (** events a saturated cross-domain channel refused.  Only journals
+          written before every test's events rode one unbounded message
+          carry it; it is still read so they stay readable. *)
   | Shard_done of {
       sd_at_ms : float;
       sd_worker : int;
@@ -100,7 +101,7 @@ type event =
       f_dups : int;
       f_cov_total : int;
       f_cov_pass : int;
-      f_dropped : int;
+      f_dropped : int;  (** always 0 now; see [Dropped] *)
     }
 
 val now_ms : unit -> float

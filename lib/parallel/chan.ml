@@ -1,24 +1,21 @@
 (* A multi-producer single-consumer channel (mutex + condition variable):
-   the funnel through which worker domains hand failures to the one domain
-   allowed to write the bug-report corpus.  Unbounded — failures are rare
-   relative to tests, so senders never block. *)
+   the funnel through which worker domains hand their per-test messages to
+   the one domain allowed to write the bug-report corpus.  Unbounded — one
+   message per test, so senders never block. *)
 
 type 'a t = {
   q : 'a Queue.t;
   m : Mutex.t;
   nonempty : Condition.t;
-  capacity : int;  (* try_send refuses past this; send ignores it *)
   mutable producers : int;  (* open producer handles; 0 = stream finished *)
 }
 
-let create ?(capacity = max_int) ~producers () =
+let create ~producers () =
   if producers < 0 then invalid_arg "Chan.create: negative producer count";
-  if capacity < 1 then invalid_arg "Chan.create: capacity must be positive";
   {
     q = Queue.create ();
     m = Mutex.create ();
     nonempty = Condition.create ();
-    capacity;
     producers;
   }
 
@@ -27,16 +24,6 @@ let send t x =
   Queue.push x t.q;
   Condition.signal t.nonempty;
   Mutex.unlock t.m
-
-let try_send t x =
-  Mutex.lock t.m;
-  let ok = Queue.length t.q < t.capacity in
-  if ok then begin
-    Queue.push x t.q;
-    Condition.signal t.nonempty
-  end;
-  Mutex.unlock t.m;
-  ok
 
 let producer_done t =
   Mutex.lock t.m;
@@ -61,9 +48,3 @@ let recv t =
   let r = wait () in
   Mutex.unlock t.m;
   r
-
-let length t =
-  Mutex.lock t.m;
-  let n = Queue.length t.q in
-  Mutex.unlock t.m;
-  n

@@ -1,21 +1,14 @@
-(** Multi-producer single-consumer channel: worker domains [send] failures,
-    the single corpus-writer domain [recv]s them.  The stream ends once
+(** Multi-producer single-consumer channel: worker domains [send] their
+    messages, the one consuming domain [recv]s them.  The stream ends once
     every producer has called {!producer_done} and the queue is drained. *)
 
 type 'a t
 
-val create : ?capacity:int -> producers:int -> unit -> 'a t
-(** A channel expecting exactly [producers] {!producer_done} calls.
-    [capacity] (default unbounded) only bounds {!try_send}; {!send}
-    always succeeds, so must-not-lose traffic is never dropped. *)
+val create : producers:int -> unit -> 'a t
+(** A channel expecting exactly [producers] {!producer_done} calls. *)
 
 val send : 'a t -> 'a -> unit
-(** Enqueue; never blocks (unbounded). *)
-
-val try_send : 'a t -> 'a -> bool
-(** Enqueue unless the queue already holds [capacity] items; [false]
-    means the item was refused.  For best-effort traffic (journal
-    events) whose loss the caller accounts for explicitly. *)
+(** Enqueue; never blocks (unbounded), so nothing sent is ever lost. *)
 
 val producer_done : 'a t -> unit
 (** Retire one producer handle.  Raises [Invalid_argument] when called more
@@ -24,6 +17,3 @@ val producer_done : 'a t -> unit
 val recv : 'a t -> 'a option
 (** Block until an item is available ([Some]) or every producer has
     retired and the queue is empty ([None]). *)
-
-val length : 'a t -> int
-(** Items currently queued (racy by nature; for stats only). *)

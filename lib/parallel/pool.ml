@@ -10,10 +10,10 @@
    Side effects are partitioned by domain: telemetry, coverage and the
    seeded-fault set are all domain-local (see [Nnsmith_telemetry],
    [Nnsmith_coverage], [Nnsmith_faults]), accumulated privately by each
-   worker and folded into the spawning domain at join.  Failures — the only
-   cross-domain data flow during the run — are funnelled through one MPSC
-   channel to the spawning domain, which is the single writer of the
-   bug-report corpus, so dedup and index.jsonl stay race-free. *)
+   worker and folded into the spawning domain at join.  Emitted items —
+   the only cross-domain data flow during the run — are funnelled through
+   one MPSC channel to the spawning domain, which is the single writer of
+   the bug-report corpus, so dedup and index.jsonl stay race-free. *)
 
 module Tel = Nnsmith_telemetry.Telemetry
 module Cov = Nnsmith_coverage.Coverage
@@ -24,18 +24,14 @@ type budget = Time_ms of float | Tests of int
 type worker_report = {
   wr_worker : int;
   wr_tests : int;
-  wr_failures : int;
   wr_errors : int;  (** tests whose [test] callback raised *)
-  wr_dropped : int;  (** best-effort items refused by the saturated channel *)
   wr_elapsed_ms : float;
 }
 
 type stats = {
   st_jobs : int;
   st_tests : int;
-  st_failures : int;
   st_errors : int;
-  st_dropped : int;
   st_elapsed_ms : float;
   st_tests_per_sec : float;
   st_workers : worker_report list;
@@ -45,9 +41,7 @@ let default_jobs () = Domain.recommended_domain_count ()
 
 let record_worker_stats (r : worker_report) =
   Tel.incr "parallel/tests" ~by:r.wr_tests;
-  Tel.incr "parallel/failures" ~by:r.wr_failures;
   if r.wr_errors > 0 then Tel.incr "parallel/test_errors" ~by:r.wr_errors;
-  if r.wr_dropped > 0 then Tel.incr "parallel/dropped_events" ~by:r.wr_dropped;
   Tel.observe "parallel/worker_tests" (float_of_int r.wr_tests);
   Tel.observe "parallel/worker_ms" r.wr_elapsed_ms
 
@@ -57,21 +51,16 @@ let mk_stats ~jobs ~elapsed_ms workers =
   {
     st_jobs = jobs;
     st_tests = tests;
-    st_failures = sum (fun w -> w.wr_failures);
     st_errors = sum (fun w -> w.wr_errors);
-    st_dropped = sum (fun w -> w.wr_dropped);
     st_elapsed_ms = elapsed_ms;
     st_tests_per_sec = float_of_int tests /. Float.max 1e-9 (elapsed_ms /. 1000.);
     st_workers = workers;
   }
 
 (* One worker's index loop, shared by the inline (jobs = 1) and the
-   domain-sharded paths.  Only items [is_failure] classifies as failures
-   count in the failure tally — the rest of the emitted stream is
-   best-effort observability traffic riding the same channel. *)
-let shard_loop ~jobs ~worker ~root_seed ~limit ~deadline ~state ~test
-    ~is_failure ~emit =
-  let tests = ref 0 and failures = ref 0 and errors = ref 0 in
+   domain-sharded paths. *)
+let shard_loop ~jobs ~worker ~root_seed ~limit ~deadline ~state ~test ~emit =
+  let tests = ref 0 and errors = ref 0 in
   let i = ref worker in
   let within () =
     !i < limit
@@ -79,27 +68,14 @@ let shard_loop ~jobs ~worker ~root_seed ~limit ~deadline ~state ~test
   in
   while within () do
     (match test state ~index:!i ~seed:(Splitmix.derive ~root:root_seed ~index:!i) with
-    | fs ->
-        List.iter
-          (fun f ->
-            if is_failure f then incr failures;
-            emit f)
-          fs
+    | fs -> List.iter emit fs
     | exception _ -> incr errors);
     incr tests;
     i := !i + jobs
   done;
-  (!tests, !failures, !errors)
+  (!tests, !errors)
 
-let default_event_capacity = 4096
-
-let run ?jobs ?(is_failure = fun _ -> true) ?is_durable
-    ?(event_capacity = default_event_capacity) ?(async_sink = false)
-    ~root_seed ~budget ~init ~test ~finish ~sink () =
-  (* [is_durable] items ride the unconditional blocking send (never
-     dropped) without counting as failures — e.g. per-index completion
-     markers that downstream ordering depends on. *)
-  let is_durable = Option.value is_durable ~default:is_failure in
+let run ?jobs ~root_seed ~budget ~init ~test ~finish ~sink () =
   let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
   Tel.incr "parallel/runs";
   let t0 = Tel.now_ms () in
@@ -107,81 +83,20 @@ let run ?jobs ?(is_failure = fun _ -> true) ?is_durable
   let deadline =
     match budget with Time_ms b -> Some (t0 +. b) | Tests _ -> None
   in
-  if jobs = 1 && not async_sink then begin
-    (* Inline fast path: no domain spawn, no channel — the failure sink is
-       called synchronously, exactly like the pre-parallel campaign loop. *)
+  if jobs = 1 then begin
+    (* Inline path: no domain spawn, no channel — the sink is called
+       synchronously, exactly like a sequential campaign loop. *)
     let state = init ~worker:0 in
-    let tests, failures, errors =
+    let tests, errors =
       shard_loop ~jobs:1 ~worker:0 ~root_seed ~limit ~deadline ~state ~test
-        ~is_failure ~emit:sink
+        ~emit:sink
     in
     let elapsed_ms = Tel.now_ms () -. t0 in
     let report =
       {
         wr_worker = 0;
         wr_tests = tests;
-        wr_failures = failures;
         wr_errors = errors;
-        wr_dropped = 0;
-        wr_elapsed_ms = elapsed_ms;
-      }
-    in
-    record_worker_stats report;
-    (mk_stats ~jobs:1 ~elapsed_ms [ report ], [ finish state ])
-  end
-  else if jobs = 1 then begin
-    (* Async single-worker path: the test loop stays on the calling domain
-       (so the corpus replay sees identical domain-local caches to the
-       inline path), while [sink] — journal writes, minimization, corpus
-       I/O — runs on one writer domain fed through the same bounded MPSC
-       channel the sharded path uses.  The channel preserves emission
-       order, so the corpus index is written in the same byte order the
-       inline path produces; failures use the unconditional blocking send
-       and are never dropped. *)
-    let chan = Chan.create ~capacity:event_capacity ~producers:1 () in
-    let fault_ids = Faults.active_ids () in
-    let writer =
-      Domain.spawn (fun () ->
-          (* The sink may re-execute tests (minimization); it must see the
-             campaign's fault set, exactly as sharded workers do. *)
-          Faults.set_active fault_ids;
-          let rec drain () =
-            match Chan.recv chan with
-            | Some f ->
-                sink f;
-                drain ()
-            | None -> ()
-          in
-          drain ();
-          (Tel.current_sink (), Cov.export ()))
-    in
-    let dropped = ref 0 in
-    let emit f =
-      if is_failure f || is_durable f then Chan.send chan f
-      else if not (Chan.try_send chan f) then incr dropped
-    in
-    let state, tests, failures, errors =
-      Fun.protect
-        ~finally:(fun () -> Chan.producer_done chan)
-        (fun () ->
-          let state = init ~worker:0 in
-          let tests, failures, errors =
-            shard_loop ~jobs:1 ~worker:0 ~root_seed ~limit ~deadline ~state
-              ~test ~is_failure ~emit
-          in
-          (state, tests, failures, errors))
-    in
-    let tel, cov = Domain.join writer in
-    Tel.merge_sink tel;
-    Cov.absorb cov;
-    let elapsed_ms = Tel.now_ms () -. t0 in
-    let report =
-      {
-        wr_worker = 0;
-        wr_tests = tests;
-        wr_failures = failures;
-        wr_errors = errors;
-        wr_dropped = !dropped;
         wr_elapsed_ms = elapsed_ms;
       }
     in
@@ -189,48 +104,38 @@ let run ?jobs ?(is_failure = fun _ -> true) ?is_durable
     (mk_stats ~jobs:1 ~elapsed_ms [ report ], [ finish state ])
   end
   else begin
-    let chan = Chan.create ~capacity:event_capacity ~producers:jobs () in
+    let chan = Chan.create ~producers:jobs () in
     let fault_ids = Faults.active_ids () in
     let worker_main w () =
       (* A fresh domain starts with empty domain-local telemetry, coverage
          and fault tables; only the fault set is inherited explicitly. *)
       Faults.set_active fault_ids;
       let wt0 = Tel.now_ms () in
-      let dropped = ref 0 in
-      (* Failures must never be lost: unconditional send.  Everything else
-         (journal events) is best-effort against the capacity bound, with
-         every refusal counted — dropped, never silently discarded. *)
-      let emit f =
-        if is_failure f || is_durable f then Chan.send chan f
-        else if not (Chan.try_send chan f) then incr dropped
-      in
-      let state, tests, failures, errors =
+      let state, tests, errors =
         Fun.protect
           ~finally:(fun () -> Chan.producer_done chan)
           (fun () ->
             let state = init ~worker:w in
-            let tests, failures, errors =
+            let tests, errors =
               shard_loop ~jobs ~worker:w ~root_seed ~limit ~deadline ~state
-                ~test ~is_failure ~emit
+                ~test ~emit:(Chan.send chan)
             in
-            (state, tests, failures, errors))
+            (state, tests, errors))
       in
       let result = finish state in
       let report =
         {
           wr_worker = w;
           wr_tests = tests;
-          wr_failures = failures;
           wr_errors = errors;
-          wr_dropped = !dropped;
           wr_elapsed_ms = Tel.now_ms () -. wt0;
         }
       in
       (report, result, Tel.current_sink (), Cov.export ())
     in
     let domains = List.init jobs (fun w -> Domain.spawn (worker_main w)) in
-    (* This domain is the single corpus writer: drain failures while the
-       workers run. *)
+    (* This domain is the single corpus writer: drain the channel while
+       the workers run. *)
     let rec drain () =
       match Chan.recv chan with
       | Some f ->

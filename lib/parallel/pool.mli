@@ -8,13 +8,13 @@
 
     Each worker accumulates telemetry and coverage in its own
     domain-local tables; at join they are folded into the caller's domain
-    via [Telemetry.merge_sink] and [Coverage.absorb].  Failures flow
-    through a single MPSC channel to the calling domain, which is the
-    only one to invoke [sink] — making it safe for [sink] to write the
-    bug-report corpus.
+    via [Telemetry.merge_sink] and [Coverage.absorb].  Only the calling
+    domain invokes [sink] — making it safe for [sink] to write the
+    bug-report corpus: with [jobs > 1] every emitted item reaches it
+    through a single unbounded MPSC channel.
 
     [jobs = 1] runs inline on the calling domain with no spawn and no
-    channel, matching the sequential campaign loop's overhead. *)
+    channel: [sink] is called synchronously after each test. *)
 
 type budget =
   | Time_ms of float  (** wall-clock budget; workload not jobs-stable *)
@@ -23,20 +23,14 @@ type budget =
 type worker_report = {
   wr_worker : int;
   wr_tests : int;
-  wr_failures : int;
   wr_errors : int;  (** tests whose [test] callback raised *)
-  wr_dropped : int;
-      (** best-effort items (journal events) refused by the saturated
-          channel; bumps the [parallel/dropped_events] counter *)
   wr_elapsed_ms : float;
 }
 
 type stats = {
   st_jobs : int;
   st_tests : int;
-  st_failures : int;
   st_errors : int;
-  st_dropped : int;
   st_elapsed_ms : float;
   st_tests_per_sec : float;
   st_workers : worker_report list;
@@ -45,15 +39,8 @@ type stats = {
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-val default_event_capacity : int
-(** Channel bound applied to best-effort traffic (4096). *)
-
 val run :
   ?jobs:int ->
-  ?is_failure:('f -> bool) ->
-  ?is_durable:('f -> bool) ->
-  ?event_capacity:int ->
-  ?async_sink:bool ->
   root_seed:int ->
   budget:budget ->
   init:(worker:int -> 'w) ->
@@ -68,30 +55,9 @@ val run :
     index and returns that test's emitted items (sent to the channel), and
     [finish] — still on the worker domain, after its shard is exhausted —
     reduces the state to a result.  [sink] is called on the {e calling}
-    domain for every delivered item, interleaved with the workers'
-    progress.
-
-    [async_sink] (default [false]) only affects [jobs = 1]: when set, the
-    test loop still runs on the calling domain but [sink] — journal
-    writes, minimization, corpus I/O — is moved to a dedicated writer
-    domain fed through the same bounded channel the sharded path uses, so
-    slow verdict persistence overlaps generation instead of stalling it.
-    Delivery order matches the inline path's call order, so corpus bytes
-    are identical; the writer is joined before [run] returns.
-
-    [is_failure] (default: everything) splits the emitted stream in two:
-    failures are counted in [wr_failures] and sent unconditionally, while
-    the rest — observability events — only count as tests' side traffic
-    and are dropped (and tallied in [wr_dropped]) once the channel holds
-    [event_capacity] undelivered items, so a slow consumer can never
-    stall the fuzzing hot path.  At [jobs = 1] everything reaches [sink]
-    synchronously and nothing is ever dropped.
-
-    [is_durable] (default: [is_failure]) marks additional items that must
-    ride the unconditional blocking send — delivered even when the
-    channel is saturated — without being counted in [wr_failures].  Use
-    it for per-index completion markers or other control messages whose
-    loss would corrupt downstream ordering.
+    domain for every emitted item, interleaved with the workers'
+    progress; each worker's items arrive in its emission order, and none
+    is ever dropped.
 
     Exceptions raised by [test] are counted in [wr_errors] and the shard
     continues; exceptions from [init]/[finish] kill that worker and are

@@ -170,19 +170,6 @@ let with_span name f =
         raise e
   end
 
-let timed name f =
-  if not (Atomic.get enabled) then f ()
-  else begin
-    let t0 = now_ms () in
-    match f () with
-    | r ->
-        observe name (now_ms () -. t0);
-        r
-    | exception e ->
-        observe name (now_ms () -. t0);
-        raise e
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Event ring buffer.                                                  *)
 

@@ -83,10 +83,6 @@ val bucket_range : int * int
 
 val with_span : string -> (unit -> 'a) -> 'a
 
-val timed : string -> (unit -> 'a) -> 'a
-(** Like [with_span] but records the duration into the histogram of the same
-    name instead of the span table. *)
-
 (** {1 Event ring buffer}
 
     The last-N notable events (generation failures, solver timeouts, crash

@@ -319,6 +319,91 @@ let test_lemon_cannot_trigger_shape_bugs () =
       check (b ^ " unreachable for LEMON") false (List.mem_assoc b r.r_triggered))
     shape_dependent
 
+(* The ledger's order rule.  Twelve outcomes, with failures, are offered
+   in a scrambled index order with one failing index held back: the ledger
+   applies only the prefix below that gap, its flush applies the rest in
+   ascending order, and the corpus bytes equal those of saving the same
+   failures directly in ascending index order. *)
+let test_ledger_order_rule () =
+  let module Ledger = D.Pfuzz.Ledger in
+  let all_ids = List.map (fun (b : Faults.bug) -> b.b_id) Faults.catalogue in
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  let with_dir k =
+    let dir = Filename.temp_file "nnsmith_ledger_test" "" in
+    Sys.remove dir;
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> k dir)
+  in
+  let index_bytes dir =
+    let path = Filename.concat dir "index.jsonl" in
+    if not (Sys.file_exists path) then ""
+    else In_channel.with_open_bin path In_channel.input_all
+  in
+  Faults.with_bugs all_ids @@ fun () ->
+  let n = 12 in
+  let outcomes =
+    Array.init n (fun i ->
+        D.Pfuzz.run_one ~systems:D.Systems.all
+          ~seed:(Nnsmith_parallel.Splitmix.derive ~root:7 ~index:i)
+          ())
+  in
+  let failing =
+    List.filter
+      (fun i -> outcomes.(i).D.Pfuzz.o_failures <> [])
+      (List.init n Fun.id)
+  in
+  check "at least three failing indices" true (List.length failing >= 3);
+  let gap = List.nth failing 1 in
+  let order =
+    List.filter (fun i -> i <> gap) [ 9; 3; 11; 0; 7; 1; 5; 10; 2; 8; 4; 6 ]
+  in
+  check "failures arrive out of index order" true
+    (let arrivals = List.filter (fun i -> List.mem i failing) order in
+     arrivals <> List.sort compare arrivals);
+  with_dir @@ fun dir ->
+  let l = Ledger.create ~report_dir:dir () in
+  let applied = ref [] in
+  List.iter
+    (fun i ->
+      Ledger.offer l i outcomes.(i) i;
+      let rec drain () =
+        match Ledger.apply_next l with
+        | Some j ->
+            applied := j :: !applied;
+            drain ()
+        | None -> ()
+      in
+      drain ())
+    order;
+  check_int "the applied prefix stops at the gap" gap (Ledger.applied l);
+  check "the prefix is applied in index order" true
+    (List.rev !applied = List.init gap Fun.id);
+  check "the flush applies the rest in ascending order" true
+    (Ledger.flush l = List.filter (fun i -> i > gap) (List.init n Fun.id));
+  with_dir @@ fun ref_dir ->
+  let corpus = Nnsmith_corpus.Corpus.open_ ref_dir in
+  List.iter
+    (fun i ->
+      if i <> gap then
+        List.iter
+          (fun (f : D.Pfuzz.failure) ->
+            ignore
+              (D.Report.save_failure corpus ~system:f.f_system
+                 ~generator:f.f_generator ~seed:f.f_seed
+                 ~export_bugs:f.f_export_bugs f.f_graph f.f_binding
+                 f.f_verdict))
+          outcomes.(i).o_failures)
+    (List.init n Fun.id);
+  check "the corpus has cases" true (index_bytes ref_dir <> "");
+  check "corpus bytes equal an in-order save" true
+    (index_bytes dir = index_bytes ref_dir)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "difftest"
@@ -360,4 +445,5 @@ let () =
           tc "finds seeded bugs" `Slow test_bughunt_finds_seeded_bugs;
           tc "lemon limits" `Slow test_lemon_cannot_trigger_shape_bugs;
         ] );
+      ("ledger", [ tc "order rule" `Quick test_ledger_order_rule ]);
     ]

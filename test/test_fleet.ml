@@ -320,10 +320,24 @@ let with_faults_clear k =
      process (the reducer probes there); don't leak it into later tests *)
   Fun.protect ~finally:Faults.deactivate_all k
 
+(* Every total a fleet summary shares with the in-process result. *)
+let check_same_totals tag (s : Fleet.summary) (r : D.Pfuzz.result) =
+  check (tag "failure keys agree") true
+    (s.Fleet.fs_failure_keys = r.D.Pfuzz.r_failure_keys);
+  check (tag "verdict counts agree") true
+    (s.Fleet.fs_verdicts = r.D.Pfuzz.r_verdicts);
+  check (tag "crash counts agree") true
+    (s.Fleet.fs_crashes = r.D.Pfuzz.r_crashes);
+  check (tag "triggered defects agree") true
+    (s.Fleet.fs_triggered = r.D.Pfuzz.r_triggered);
+  check (tag "op counts agree") true (s.Fleet.fs_ops = r.D.Pfuzz.r_ops);
+  check_int (tag "saved cases agree") r.D.Pfuzz.r_saved s.Fleet.fs_saved;
+  check_int (tag "duplicates agree") r.D.Pfuzz.r_dups s.Fleet.fs_dups
+
 let test_fleet_matches_inline () =
   (* the whole point of index-purity: a fleet of 1 to 4 processes writes
-     the same corpus index, key set and verdict counts as the in-process
-     driver *)
+     the same corpus index and every total the in-process driver does,
+     and so does a 2-shard hunt over every system and fault *)
   with_faults_clear @@ fun () ->
   with_tmp_dir @@ fun inline_dir ->
   Faults.set_active all_fault_ids;
@@ -340,11 +354,28 @@ let test_fleet_matches_inline () =
       check_int (tag "all indices applied") 60 s.Fleet.fs_tests;
       check (tag "corpus index byte-identical to inline run") true
         (index_of fleet_dir = index_of inline_dir);
-      check (tag "failure keys agree") true
-        (s.Fleet.fs_failure_keys = r.D.Pfuzz.r_failure_keys);
-      check (tag "verdict counts agree") true
-        (s.Fleet.fs_verdicts = r.D.Pfuzz.r_verdicts))
-    [ 1; 2; 3; 4 ]
+      check_same_totals tag s r)
+    [ 1; 2; 3; 4 ];
+  with_tmp_dir @@ fun hunt_dir ->
+  let r =
+    D.Pfuzz.hunt ~jobs:1 ~report_dir:hunt_dir ~root_seed:7
+      ~budget:(P.Pool.Tests 60) ()
+  in
+  with_tmp_dir @@ fun fleet_dir ->
+  let s =
+    run_ok
+      {
+        (fleet_config ~shards:2 fleet_dir) with
+        Fleet.fc_kind = Fleet.Hunt;
+        fc_systems = D.Systems.all;
+      }
+  in
+  let tag what = "2-shard hunt: " ^ what in
+  check (tag "fleet campaign completes") true s.Fleet.fs_complete;
+  check (tag "the hunt triggered defects") true (r.D.Pfuzz.r_triggered <> []);
+  check (tag "corpus index byte-identical to inline hunt") true
+    (index_of fleet_dir = index_of hunt_dir);
+  check_same_totals tag s r
 
 let with_abort_indices indices k =
   Unix.putenv Proto.abort_env_var (String.concat "," indices);

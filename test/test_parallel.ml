@@ -145,8 +145,7 @@ let test_pool_test_exceptions_counted () =
       ~finish:ignore ~sink:ignore ()
   in
   check_int "all indices attempted" 10 stats.Pool.st_tests;
-  check_int "even indices errored" 5 stats.Pool.st_errors;
-  check_int "no failures" 0 stats.Pool.st_failures
+  check_int "even indices errored" 5 stats.Pool.st_errors
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry / coverage merge                                          *)

@@ -466,9 +466,9 @@ let prop_plan_search_bit_identical =
 (* The cohort plan pool and the sharded schedule must be invisible to
    campaign outcomes: a fixed-seed campaign writes bit-identical failure
    keys, coverage sites and corpus index bytes at one worker or two, where
-   each worker's pool sees a different sequence of graphs.  [report_dir]
-   also routes the jobs=1 run through the async writer-domain sink, so
-   this doubles as the byte-identity check for that path. *)
+   each worker's pool sees a different sequence of graphs.  At two workers
+   the outcomes reach the ledger out of index order, so this also checks
+   that its reordering restores the inline run's corpus bytes. *)
 let rec remove_path path =
   match Unix.lstat path with
   | { Unix.st_kind = Unix.S_DIR; _ } ->

@@ -19,12 +19,16 @@
 #                 tests/sec is advisory only)
 #   dashboard     journaled mini-campaign -> static HTML (balanced tags,
 #                 non-empty triage table, no NaN, no scripts)
-#   fleet         worker + supervisor kill -9, resume bit-identity
+#   fleet         worker + supervisor kill -9, resume bit-identity; the
+#                 reference campaign's index.jsonl and coverage.json must
+#                 also match their committed md5s
 #   cohort        jobs=1 vs jobs=2 campaign bit-identity; the reference
 #                 index.jsonl must also match its committed md5
 #   perfbench     perfbench/bench.exe selftest --workload fuzz-10n (the
 #                 campaign benchmark's loop matches Pfuzz.fuzz and its
-#                 work counters repeat exactly)
+#                 work counters repeat exactly); the Pfuzz.fuzz digest's
+#                 verdicts, failure keys and coverage must equal their
+#                 committed values
 #   suite-hunt    perfbench/bench.exe run --workload suite-hunt: the
 #                 digest's failure keys, coverage and index.jsonl bytes
 #                 must equal their committed values (OxRT/TRT/Lotus
@@ -154,14 +158,26 @@ note "fleet smoke (worker + supervisor kill -9, resume bit-identity)"
 # uninterrupted; the second has one worker and then the supervisor
 # SIGKILLed mid-run and is finished with --resume.  The checkpointed
 # queue must land both on byte-identical corpus indexes (which carry the
-# failure-key set) and coverage exports.
+# failure-key set) and coverage exports.  The reference outputs are also
+# pinned to their committed md5s (index.jsonl 44,613 bytes), so a change
+# to the crash bundles or to the fleet's fold is checked against the
+# commit before it, not only against itself.  Re-baseline them only with
+# a deliberate output change, together with the cohort md5 below.
 nn=_build/default/bin/nnsmith_cli.exe
 if [ -x "$nn" ]; then
   fleet_ref=$(mktemp -d)
   fleet_kill=$(mktemp -d)
   fleet_args="--tests 300 --procs 2 --bugs --seed 7 --checkpoint-every 5"
+  fleet_index_md5=e88917bd3b7acb7e7fcecf035c3139b4
+  fleet_cov_md5=1d9785cfbffa531db6f8f1e4aed21460
   export NNSMITH_FLEET_ABORT_INDICES="23,71"
   if "$nn" fleet "$fleet_ref" $fleet_args >/dev/null 2>&1; then
+    got_md5=$(md5sum < "$fleet_ref/index.jsonl" | cut -d' ' -f1)
+    [ "$got_md5" = "$fleet_index_md5" ] \
+      || err "fleet smoke: index.jsonl md5 $got_md5, committed $fleet_index_md5"
+    got_md5=$(md5sum < "$fleet_ref/coverage.json" | cut -d' ' -f1)
+    [ "$got_md5" = "$fleet_cov_md5" ] \
+      || err "fleet smoke: coverage.json md5 $got_md5, committed $fleet_cov_md5"
     "$nn" fleet "$fleet_kill" $fleet_args >/dev/null 2>&1 &
     sup=$!
     # wait for the campaign to be genuinely mid-flight (first checkpoint)
@@ -227,10 +243,23 @@ note "perfbench selftest (fuzz-10n)"
 # own copy of the fuzz loop.  The selftest runs the fuzz-10n workload
 # twice and checks it against Pfuzz.fuzz, so a drift between the two
 # loops, or a work counter that does not repeat, fails here rather than
-# only when the benchmark is next run.
+# only when the benchmark is next run.  The Pfuzz.fuzz digest is also
+# pinned: what the three systems report on fuzz-10n's 1000 generated
+# graphs with every defect off (verdicts, failure keys, coverage).
+# Re-baseline it only with a deliberate output change.
 pb=_build/default/perfbench/bench.exe
 if [ -x "$pb" ]; then
-  "$pb" selftest --workload fuzz-10n || err "perfbench fuzz-10n selftest failed"
+  st_out=$("$pb" selftest --workload fuzz-10n 2>&1) \
+    || err "perfbench fuzz-10n selftest failed"
+  printf '%s\n' "$st_out"
+  st_digest=$(printf '%s\n' "$st_out" | grep '^Pfuzz.fuzz digest:')
+  for want in 'verdicts[pass=2752,semantic=5,skipped=243]' \
+      keys=1/058ff47c3385d5c8ac0ddf6013f0b6aa cov=431; do
+    case "$st_digest " in
+      *" $want "*) ;;
+      *) err "fuzz-10n digest lacks $want: ${st_digest:-no digest line}" ;;
+    esac
+  done
 else
   err "perfbench selftest: $pb missing (dune build @ci should have built it)"
 fi
