@@ -55,7 +55,6 @@ type t = {
   slots : slot array;
   slot_of_id : (int, int) Hashtbl.t;
   consumers : int array array;
-  values_tbl : (int, Nd.t) Hashtbl.t;
   visited : bool array;
 }
 
@@ -408,41 +407,16 @@ let compile_kernel (op : int Op.t) (ins : (Dtype.t * Shape.t) array)
   | Op.Conv2d { stride; padding; _ } ->
       arity 2;
       let xd, xs = ins.(0) and wd, ws = ins.(1) in
-      let nb, c, h, w, f, kh, kw, oh, ow =
-        Linalg.conv2d_dims ~stride:(stride, stride) ~padding:(padding, padding)
-          ~dilation:(1, 1) (phantom xd xs) (phantom wd ws)
+      let stride = (stride, stride) and padding = (padding, padding) in
+      let nb, _, _, _, f, _, _, oh, ow =
+        Linalg.conv2d_dims ~stride ~padding (phantom xd xs) (phantom wd ws)
       in
       if (not (Shape.equal [| nb; f; oh; ow |] os)) || not (Dtype.equal od xd)
       then None
       else
-        let f64 = Dtype.equal od Dtype.F64 in
         Some
           (fun ib dst ->
-            let x = Nd.float_data ib.(0)
-            and wt = Nd.float_data ib.(1)
-            and o = Nd.float_data dst in
-            for li = 0 to (nb * f * oh * ow) - 1 do
-              let ow_i = li mod ow in
-              let oh_i = li / ow mod oh in
-              let f_i = li / (ow * oh) mod f in
-              let n_i = li / (ow * oh * f) in
-              let acc = ref 0. in
-              for ci = 0 to c - 1 do
-                for ki = 0 to kh - 1 do
-                  let hi = (oh_i * stride) - padding + ki in
-                  if hi >= 0 && hi < h then begin
-                    let xrow = ((((n_i * c) + ci) * h) + hi) * w in
-                    let wrow = ((((f_i * c) + ci) * kh) + ki) * kw in
-                    for kj = 0 to kw - 1 do
-                      let wi = (ow_i * stride) - padding + kj in
-                      if wi >= 0 && wi < w then
-                        acc := !acc +. (fget x (xrow + wi) *. fget wt (wrow + kj))
-                    done
-                  end
-                done
-              done;
-              fset o li (if f64 then !acc else Dtype.round_f32 !acc)
-            done)
+            Linalg.conv2d_into ~stride ~padding ~dst ib.(0) ib.(1))
   | Op.Pool2d (kind, { p_kh; p_kw; p_stride; p_padding }) ->
       arity 1;
       let xd, xs = ins.(0) in
@@ -732,7 +706,9 @@ let build ~reuse g =
     | Some r -> r := b :: !r
     | None -> Hashtbl.replace pool key (ref [ b ])
   in
-  let values_tbl = Hashtbl.create (2 * max 1 nslots) in
+  (* each op slot's buffer, so a dead input's storage can be recovered while
+     the slot array is still being built *)
+  let buffers = Array.make nslots dummy in
   let fallbacks = ref 0 in
   let slots =
     Array.mapi
@@ -780,11 +756,9 @@ let build ~reuse g =
                 let dt = Conc.dtype src.Graph.out_type in
                 give
                   (repr_kind dt, Shape.numel (Conc.shape src.Graph.out_type))
-                  (* the slot array is still being built; recover the buffer
-                     from the values table populated below *)
-                  (Hashtbl.find values_tbl src.Graph.id))
+                  buffers.(j))
             (List.sort_uniq compare (Array.to_list in_slots.(i)));
-        if not is_leaf then Hashtbl.replace values_tbl node.id buffer;
+        buffers.(i) <- buffer;
         {
           node;
           in_slots = in_slots.(i);
@@ -806,7 +780,6 @@ let build ~reuse g =
     slots;
     slot_of_id;
     consumers;
-    values_tbl;
     visited = Array.make nslots false;
   }
 
@@ -836,8 +809,7 @@ let exec_node p i =
       Array.iteri (fun j sj -> ib.(j) <- p.slots.(sj).value) s.in_slots;
       if not (s.value == s.buffer) then begin
         s.value <- s.buffer;
-        s.decl_ok <- true;
-        Hashtbl.replace p.values_tbl s.node.Graph.id s.buffer
+        s.decl_ok <- true
       end;
       k ib s.buffer
   | _ ->
@@ -846,8 +818,7 @@ let exec_node p i =
       s.value <- v;
       s.decl_ok <-
         Dtype.equal (Nd.dtype v) s.decl_dtype
-        && Shape.equal (Nd.shape v) s.decl_shape;
-      Hashtbl.replace p.values_tbl s.node.Graph.id v
+        && Shape.equal (Nd.shape v) s.decl_shape
 
 let set_leaf p id v =
   let i = Hashtbl.find p.slot_of_id id in
@@ -855,11 +826,14 @@ let set_leaf p id v =
   s.value <- v;
   s.decl_ok <-
     Dtype.equal (Nd.dtype v) s.decl_dtype && Shape.equal (Nd.shape v) s.decl_shape;
-  s.valid <- false;
-  Hashtbl.replace p.values_tbl id v
+  s.valid <- false
 
 let leaf_value p id = p.slots.(Hashtbl.find p.slot_of_id id).value
-let values p = p.values_tbl
+let slot_count p = Array.length p.slots
+let slot_of p id = Hashtbl.find p.slot_of_id id
+let slot_node p i = p.slots.(i).node
+let slot_inputs p i = p.slots.(i).in_slots
+let slot_value p i = p.slots.(i).value
 
 let invalidate_all p =
   Array.iter (fun s -> s.valid <- false) p.slots
@@ -932,8 +906,7 @@ let run_reference p binding =
         s.value <- v;
         s.decl_ok <-
           Dtype.equal (Nd.dtype v) s.decl_dtype
-          && Shape.equal (Nd.shape v) s.decl_shape;
-        Hashtbl.replace p.values_tbl s.node.Graph.id v
+          && Shape.equal (Nd.shape v) s.decl_shape
     | _ ->
         exec_node p i;
         incr kernel_runs);

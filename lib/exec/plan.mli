@@ -5,8 +5,9 @@
     hashtable), per-op kernels with precomputed broadcast/stride/reduction
     index maps, and preallocated output buffers.  Two flavours exist:
 
-    - {!for_search}: every node keeps a private buffer (backprop reads all
-      intermediate values) and a validity bit enables dirty-set re-execution —
+    - {!for_search}: every node keeps a private buffer (the search's reverse
+      pass reads every intermediate value through the slot accessors below)
+      and a validity bit enables dirty-set re-execution —
       after an optimiser step touches leaf set L, only nodes reachable from L
       recompute.
     - {!for_oracle}: a liveness-based buffer arena — a node whose last
@@ -47,9 +48,27 @@ val set_leaf : t -> int -> Nnsmith_tensor.Nd.t -> unit
 val leaf_value : t -> int -> Nnsmith_tensor.Nd.t
 (** Current value of any node (used for leaves: the bound tensor). *)
 
-val values : t -> (int, Nnsmith_tensor.Nd.t) Hashtbl.t
-(** Live id -> value table, maintained across passes — the [~values]
-    argument {!Nnsmith_grad.Backprop.grad_wrt_leaves} expects. *)
+(** {2 Slots}
+
+    A plan holds one slot per graph node, numbered in the topological order
+    of [Graph.nodes]; a program compiled over the plan (the search's reverse
+    pass) addresses nodes by slot index. *)
+
+val slot_count : t -> int
+
+val slot_of : t -> int -> int
+(** Slot index of a node id.  Raises [Not_found] for an id not in the
+    graph. *)
+
+val slot_node : t -> int -> Nnsmith_ir.Graph.node
+
+val slot_inputs : t -> int -> int array
+(** Slot indices of the node's inputs, in input order (shared; do not
+    mutate). *)
+
+val slot_value : t -> int -> Nnsmith_tensor.Nd.t
+(** The slot's current value: its last forward result, or the bound tensor
+    for a leaf. *)
 
 val invalidate_all : t -> unit
 

@@ -143,6 +143,9 @@ let search ?budget_ms ?(max_iters = default_max_iters) ?(lr = 0.5) ?(lo = 1.)
     |> List.map (fun (n : Graph.node) ->
            (n.Graph.id, Plan.leaf_value plan n.Graph.id))
   in
+  (* The reverse program is built at the search's first backward pass, so a
+     search that never runs one pays nothing for it. *)
+  let reverse = lazy (Backprop.create ~proxy:(method_ = Gradient) plan) in
   let start = now_ms () in
   let iterations = ref 0 and restarts = ref 0 in
   let last_target = ref None in
@@ -187,7 +190,6 @@ let search ?budget_ms ?(max_iters = default_max_iters) ?(lr = 0.5) ?(lo = 1.)
               restart ();
               loop ()
           | Gradient | Gradient_no_proxy -> (
-              let proxy = method_ = Gradient in
               match Vulnerability.of_op node.op with
               | None ->
                   restart ();
@@ -218,10 +220,7 @@ let search ?budget_ms ?(max_iters = default_max_iters) ?(lr = 0.5) ?(lo = 1.)
                                | None -> [])
                              node.inputs input_grads)
                       in
-                      match
-                        Backprop.grad_wrt_leaves ~proxy g
-                          ~values:(Plan.values plan) ~seeds
-                      with
+                      match Backprop.run (Lazy.force reverse) ~seeds with
                       | [] ->
                           restart ();
                           loop ()

@@ -1,6 +1,19 @@
-(** Vector-Jacobian products for every differentiable operator, with the
-    proxy derivatives of §3.3 for operators that are non-differentiable
-    (Floor, Ceil, Round, Sign) or have zero-gradient regions (Relu, Clip).
+(** Compiled vector-Jacobian products for every differentiable operator,
+    with the proxy derivatives of §3.3 for operators that are
+    non-differentiable (Floor, Ceil, Round, Sign) or have zero-gradient
+    regions (Relu, Clip).
+
+    [compile] resolves an operator's index arithmetic once, for the dtypes
+    and shapes of its operands: broadcast maps, permutations, slice, pad and
+    concat offsets, and clipped conv and pool windows.  The closure it
+    returns reads the forward values' float payloads directly and writes
+    each input's gradient into a caller-owned F64 buffer.
+
+    Every gradient is computed with the arithmetic, the per-element order
+    and the starting value of the tensor-level formulation (an allocating
+    [Nd.create]-then-accumulate per operator, with F64 casts of its
+    operands): a scatter-add starts each element from +0.0, and a one-shot
+    element is written as computed, so a -0.0 survives exactly where it did.
 
     [proxy:false] disables the proxies (they return true, often zero,
     derivatives), which reproduces the paper's "Gradient (no proxy)"
@@ -9,462 +22,605 @@
 module Nd = Nnsmith_tensor.Nd
 module Dtype = Nnsmith_tensor.Dtype
 module Shape = Nnsmith_tensor.Shape
-module Linalg = Nnsmith_tensor.Linalg
-module Reduce = Nnsmith_tensor.Reduce
 module Transform = Nnsmith_tensor.Transform
 module Op = Nnsmith_ir.Op
+module Eval = Nnsmith_ops.Eval
+
+type farray = Nd.farray
+
+type t = {
+  grads : bool array;
+  run : gout:farray -> Nd.t array -> Nd.t -> farray array -> unit;
+}
 
 let proxy_alpha = 0.01
 (** Magnitude of proxy derivatives, kept small as for LeakyReLU (§3.3). *)
 
 let sqrt2pi = Float.sqrt (2. *. Float.pi)
 
-(* Sum a gradient down to a (possibly broadcast) source shape. *)
-let reduce_to (g : Nd.t) (target : Shape.t) : Nd.t =
-  let g = ref g in
-  while Nd.rank !g > Array.length target do
-    g := Reduce.sum ~axes:[ 0 ] !g
-  done;
-  Array.iteri
-    (fun i d ->
-      if d = 1 && (Nd.shape !g).(i) > 1 then
-        g := Reduce.sum ~keepdims:true ~axes:[ i ] !g)
-    target;
-  !g
+(* Unchecked accessors: [Backprop] runs a closure only on values of the
+   dtypes and shapes it was compiled for, into buffers of the inputs' element
+   counts, and every index below is derived from those shapes. *)
+let fget : farray -> int -> float = Bigarray.Array1.unsafe_get
+let fset : farray -> int -> float -> unit = Bigarray.Array1.unsafe_set
+let zero (a : farray) = Bigarray.Array1.fill a 0.
+
+(* A forward value's payload as floats; non-float values are read the way
+   [Nd.to_float] reads them. *)
+let fdata (t : Nd.t) =
+  match t.Nd.data with
+  | Nd.F a -> a
+  | Nd.I _ | Nd.B _ -> Nd.float_data (Nd.cast t Dtype.F64)
+
+let bools (t : Nd.t) =
+  match t.Nd.data with
+  | Nd.B a -> a
+  | Nd.F _ | Nd.I _ -> invalid_arg "Nd.get_b: not a bool tensor"
+
+(* [i -> i] for an identity broadcast, else the materialised map. *)
+let reader = function None -> fun i -> i | Some m -> Array.unsafe_get m
+
+let none arity = { grads = Array.make arity false; run = (fun ~gout:_ _ _ _ -> ()) }
 
 (* Elementwise unary derivative as a function of (x, y). *)
-let unary_derivative ~proxy (u : Op.unary) (x : float) (y : float) : float =
+let derivative ~proxy (u : Op.unary) : float -> float -> float =
   match u with
-  | Op.Abs -> if x >= 0. then 1. else -1.
-  | Neg -> -1.
-  | Exp -> y
-  | Log -> 1. /. x
-  | Log2 -> 1. /. (x *. Float.log 2.)
-  | Sqrt -> 1. /. (2. *. Float.sqrt x)
-  | Sin -> Float.cos x
-  | Cos -> -.Float.sin x
-  | Tan -> 1. +. (y *. y)
-  | Asin -> 1. /. Float.sqrt (1. -. (x *. x))
-  | Acos -> -1. /. Float.sqrt (1. -. (x *. x))
-  | Atan -> 1. /. (1. +. (x *. x))
-  | Tanh -> 1. -. (y *. y)
-  | Sigmoid -> y *. (1. -. y)
-  | Relu -> if x > 0. then 1. else if proxy then proxy_alpha else 0.
+  | Op.Abs -> fun x _ -> if x >= 0. then 1. else -1.
+  | Neg -> fun _ _ -> -1.
+  | Exp -> fun _ y -> y
+  | Log -> fun x _ -> 1. /. x
+  | Log2 -> fun x _ -> 1. /. (x *. Float.log 2.)
+  | Sqrt -> fun x _ -> 1. /. (2. *. Float.sqrt x)
+  | Sin -> fun x _ -> Float.cos x
+  | Cos -> fun x _ -> -.Float.sin x
+  | Tan -> fun _ y -> 1. +. (y *. y)
+  | Asin -> fun x _ -> 1. /. Float.sqrt (1. -. (x *. x))
+  | Acos -> fun x _ -> -1. /. Float.sqrt (1. -. (x *. x))
+  | Atan -> fun x _ -> 1. /. (1. +. (x *. x))
+  | Tanh -> fun _ y -> 1. -. (y *. y)
+  | Sigmoid -> fun _ y -> y *. (1. -. y)
+  | Relu ->
+      let neg = if proxy then proxy_alpha else 0. in
+      fun x _ -> if x > 0. then 1. else neg
   | Gelu ->
-      let phi = Float.exp (-.(x *. x) /. 2.) /. sqrt2pi in
-      (0.5 *. (1. +. Nnsmith_ops.Eval.erf (x /. Float.sqrt 2.))) +. (x *. phi)
-  | Floor | Ceil | Round -> if proxy then 1. else 0.
-  | Sign -> if proxy then proxy_alpha else 0.
-  | Reciprocal -> -.(y *. y)
-  | Erf -> 2. /. Float.sqrt Float.pi *. Float.exp (-.(x *. x))
-  | Softplus -> 1. /. (1. +. Float.exp (-.x))
+      fun x _ ->
+        let phi = Float.exp (-.(x *. x) /. 2.) /. sqrt2pi in
+        (0.5 *. (1. +. Eval.erf (x /. Float.sqrt 2.))) +. (x *. phi)
+  | Floor | Ceil | Round ->
+      let d = if proxy then 1. else 0. in
+      fun _ _ -> d
+  | Sign ->
+      let d = if proxy then proxy_alpha else 0. in
+      fun _ _ -> d
+  | Reciprocal -> fun _ y -> -.(y *. y)
+  | Erf -> fun x _ -> 2. /. Float.sqrt Float.pi *. Float.exp (-.(x *. x))
+  | Softplus -> fun x _ -> 1. /. (1. +. Float.exp (-.x))
   | Softsign ->
-      let d = 1. +. Float.abs x in
-      1. /. (d *. d)
-  | Elu -> if x > 0. then 1. else Float.exp x
+      fun x _ ->
+        let d = 1. +. Float.abs x in
+        1. /. (d *. d)
+  | Elu -> fun x _ -> if x > 0. then 1. else Float.exp x
   | Selu ->
-      if x > 0. then Nnsmith_ops.Eval.selu_lambda
-      else Nnsmith_ops.Eval.selu_lambda *. Nnsmith_ops.Eval.selu_alpha *. Float.exp x
+      fun x _ ->
+        if x > 0. then Eval.selu_lambda
+        else Eval.selu_lambda *. Eval.selu_alpha *. Float.exp x
   | Hardswish ->
-      if x <= -3. then if proxy then proxy_alpha else 0.
-      else if x >= 3. then 1.
-      else ((2. *. x) +. 3.) /. 6.
+      let sat = if proxy then proxy_alpha else 0. in
+      fun x _ ->
+        if x <= -3. then sat else if x >= 3. then 1. else ((2. *. x) +. 3.) /. 6.
   | Hardsigmoid ->
-      if x > -3. && x < 3. then 1. /. 6.
-      else if proxy then proxy_alpha
-      else 0.
+      let sat = if proxy then proxy_alpha else 0. in
+      fun x _ -> if x > -3. && x < 3. then 1. /. 6. else sat
 
-(* Per-element binary partials (dz/dx, dz/dy). *)
-let binary_partials ~proxy (b : Op.binary) (x : float) (y : float) :
-    float * float =
+(* Per-element binary partials dz/dx and dz/dy. *)
+let partials ~proxy (b : Op.binary) :
+    (float -> float -> float) * (float -> float -> float) =
   match b with
-  | Op.Add -> (1., 1.)
-  | Sub -> (1., -1.)
-  | Mul -> (y, x)
-  | Div -> (1. /. y, -.x /. (y *. y))
+  | Op.Add -> ((fun _ _ -> 1.), fun _ _ -> 1.)
+  | Sub -> ((fun _ _ -> 1.), fun _ _ -> -1.)
+  | Mul -> ((fun _ y -> y), fun x _ -> x)
+  | Div -> ((fun _ y -> 1. /. y), fun x y -> -.x /. (y *. y))
   | Pow ->
-      let dz_dx = if x = 0. then 0. else y *. Float.pow x (y -. 1.) in
-      let dz_dy = if x > 0. then Float.pow x y *. Float.log x else 0. in
-      (dz_dx, dz_dy)
+      ( (fun x y -> if x = 0. then 0. else y *. Float.pow x (y -. 1.)),
+        fun x y -> if x > 0. then Float.pow x y *. Float.log x else 0. )
   | Max2 ->
-      if x > y then (1., 0.)
-      else if x < y then (0., 1.)
-      else (0.5, 0.5)
+      ( (fun x y -> if x > y then 1. else if x < y then 0. else 0.5),
+        fun x y -> if x > y then 0. else if x < y then 1. else 0.5 )
   | Min2 ->
-      if x < y then (1., 0.)
-      else if x > y then (0., 1.)
-      else (0.5, 0.5)
+      ( (fun x y -> if x < y then 1. else if x > y then 0. else 0.5),
+        fun x y -> if x < y then 0. else if x > y then 1. else 0.5 )
   | Mod2 ->
-      let q = if proxy then -.Float.trunc (x /. y) else 0. in
-      (1., q)
+      ((fun _ _ -> 1.), fun x y -> if proxy then -.Float.trunc (x /. y) else 0.)
 
-let elementwise_unary ~proxy u x out gout =
-  Nd.init_f Dtype.F64 (Nd.shape x) (fun i ->
-      Nd.to_float gout i
-      *. unary_derivative ~proxy u (Nd.to_float x i) (Nd.to_float out i))
-
-let broadcast_binary_grads ~proxy b x y gout =
-  let out_shape = Nd.shape gout in
-  let ox = Nd.broadcast_offsets ~src:(Nd.shape x) ~dst:out_shape
-  and oy = Nd.broadcast_offsets ~src:(Nd.shape y) ~dst:out_shape in
-  let gx = Nd.create Dtype.F64 (Nd.shape x)
-  and gy = Nd.create Dtype.F64 (Nd.shape y) in
-  for i = 0 to Nd.numel gout - 1 do
-    let xv = Nd.to_float x (ox i) and yv = Nd.to_float y (oy i) in
-    let dx, dy = binary_partials ~proxy b xv yv in
-    let g = Nd.to_float gout i in
-    Nd.set_f gx (ox i) (Nd.get_f gx (ox i) +. (g *. dx));
-    Nd.set_f gy (oy i) (Nd.get_f gy (oy i) +. (g *. dy))
-  done;
-  (gx, gy)
-
-let swap_last_two t =
-  let r = Nd.rank t in
-  let perm = Array.init r Fun.id in
-  perm.(r - 1) <- r - 2;
-  perm.(r - 2) <- r - 1;
-  Transform.transpose t perm
-
-let matmul_grads a b gout =
-  let ra = Nd.rank a and rb = Nd.rank b in
-  let a2 = if ra = 1 then Transform.unsqueeze a 0 else a in
-  let b2 = if rb = 1 then Transform.unsqueeze b 1 else b in
-  let sa = Nd.shape a2 and sb = Nd.shape b2 in
-  let ra2 = Array.length sa and rb2 = Array.length sb in
-  let m = sa.(ra2 - 2) and n = sb.(rb2 - 1) in
-  let batch =
-    match
-      Shape.broadcast (Array.sub sa 0 (ra2 - 2)) (Array.sub sb 0 (rb2 - 2))
-    with
-    | Some s -> s
-    | None -> [||]
+(* Summing a gradient down to a broadcast source shape: whole leading axes
+   first, then every axis the source holds at 1, each a single-axis sum
+   (outer, d, inner) from +0.0 in ascending order along the axis, as
+   [Reduce.sum] folds.  [None] when the shapes already agree. *)
+let reduce_to (src : Shape.t) (target : Shape.t) :
+    (farray -> farray -> unit) option =
+  let g = ref src and steps = ref [] in
+  let step axis ~keep =
+    let s = !g in
+    let r = Array.length s in
+    steps :=
+      ( Shape.numel (Array.sub s 0 axis),
+        s.(axis),
+        Shape.numel (Array.sub s (axis + 1) (r - axis - 1)) )
+      :: !steps;
+    g :=
+      if keep then Array.mapi (fun k d -> if k = axis then 1 else d) s
+      else Array.sub s 1 (r - 1)
   in
-  let out2_shape = Array.append batch [| m; n |] in
-  let gout2 = Transform.reshape (Nd.cast gout Dtype.F64) out2_shape in
-  let a64 = Nd.cast a2 Dtype.F64 and b64 = Nd.cast b2 Dtype.F64 in
-  let ga2 = Linalg.matmul gout2 (swap_last_two b64) in
-  let gb2 = Linalg.matmul (swap_last_two a64) gout2 in
-  let ga = Transform.reshape (reduce_to ga2 sa) (Nd.shape a) in
-  let gb = Transform.reshape (reduce_to gb2 sb) (Nd.shape b) in
-  (ga, gb)
+  while Array.length !g > Array.length target do
+    step 0 ~keep:false
+  done;
+  Array.iteri (fun i d -> if d = 1 && !g.(i) > 1 then step i ~keep:true) target;
+  let sum (outer, d, inner) (s : farray) (dst : farray) =
+    for o = 0 to outer - 1 do
+      for i = 0 to inner - 1 do
+        let acc = ref 0. in
+        for a = 0 to d - 1 do
+          acc := !acc +. fget s ((((o * d) + a) * inner) + i)
+        done;
+        fset dst ((o * inner) + i) !acc
+      done
+    done
+  in
+  match List.rev !steps with
+  | [] -> None
+  | steps ->
+      (* every step but the last writes a preallocated intermediate *)
+      let last = List.length steps - 1 in
+      let bufs =
+        List.mapi
+          (fun k (outer, _, inner) ->
+            if k = last then None
+            else
+              Some
+                (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+                   (outer * inner)))
+          steps
+      in
+      Some
+        (fun s dst ->
+          ignore
+            (List.fold_left2
+               (fun s st buf ->
+                 let d = Option.value buf ~default:dst in
+                 sum st s d;
+                 d)
+               s steps bufs))
 
-let conv2d_grads ~stride ~padding x w gout =
-  let sx = Nd.shape x and sw = Nd.shape w in
-  let n = sx.(0) and c = sx.(1) and h = sx.(2) and wd = sx.(3) in
-  let f = sw.(0) and kh = sw.(2) and kw = sw.(3) in
-  let so = Nd.shape gout in
-  let oh = so.(2) and ow = so.(3) in
-  let gx = Nd.create Dtype.F64 sx and gw = Nd.create Dtype.F64 sw in
-  for ni = 0 to n - 1 do
-    for fi = 0 to f - 1 do
-      for ohi = 0 to oh - 1 do
-        for owi = 0 to ow - 1 do
-          let g = Nd.to_float gout ((((ni * f) + fi) * oh + ohi) * ow + owi) in
-          if g <> 0. then
-            for ci = 0 to c - 1 do
-              for ki = 0 to kh - 1 do
-                for kj = 0 to kw - 1 do
-                  let hi = (ohi * stride) - padding + ki
-                  and wi = (owi * stride) - padding + kj in
-                  if hi >= 0 && hi < h && wi >= 0 && wi < wd then begin
-                    let xoff = (((ni * c) + ci) * h + hi) * wd + wi in
-                    let woff = (((fi * c) + ci) * kh + ki) * kw + kj in
-                    Nd.set_f gx xoff
-                      (Nd.get_f gx xoff +. (g *. Nd.to_float w woff));
-                    Nd.set_f gw woff
-                      (Nd.get_f gw woff +. (g *. Nd.to_float x xoff))
-                  end
+let copy ~gout _ _ (dsts : farray array) = Bigarray.Array1.blit gout dsts.(0)
+
+(* [dst_i = gout_i *. d x_i y_i] over a unary-shaped operator. *)
+let elementwise n d =
+  fun ~gout (ins : Nd.t array) out (dsts : farray array) ->
+    let x = fdata ins.(0) and y = fdata out and dst = dsts.(0) in
+    for i = 0 to n - 1 do
+      fset dst i (fget gout i *. d (fget x i) (fget y i))
+    done
+
+let binary ~proxy b ~xs ~ys ~os =
+  let dx, dy = partials ~proxy b in
+  let n = Shape.numel os in
+  let mx = Nd.index_map ~src:xs ~dst:os and my = Nd.index_map ~src:ys ~dst:os in
+  let ox = reader mx and oy = reader my in
+  fun ~gout (ins : Nd.t array) _ (dsts : farray array) ->
+    let x = fdata ins.(0) and y = fdata ins.(1) in
+    let gx = dsts.(0) and gy = dsts.(1) in
+    zero gx;
+    zero gy;
+    if mx = None && my = None then
+      for i = 0 to n - 1 do
+        let xv = fget x i and yv = fget y i and g = fget gout i in
+        fset gx i (fget gx i +. (g *. dx xv yv));
+        fset gy i (fget gy i +. (g *. dy xv yv))
+      done
+    else
+      for i = 0 to n - 1 do
+        let xi = ox i and yi = oy i in
+        let xv = fget x xi and yv = fget y yi and g = fget gout i in
+        fset gx xi (fget gx xi +. (g *. dx xv yv));
+        fset gy yi (fget gy yi +. (g *. dy xv yv))
+      done
+
+(* dx = y * (g - sum(g * y, axis)), the sum taken from +0.0 along the axis. *)
+let softmax ~axis (os : Shape.t) =
+  let r = Array.length os in
+  if axis < 0 || axis >= r then invalid_arg "Reduce: bad axis";
+  let outer = Shape.numel (Array.sub os 0 axis)
+  and d = os.(axis)
+  and inner = Shape.numel (Array.sub os (axis + 1) (r - axis - 1)) in
+  fun ~gout _ out (dsts : farray array) ->
+    let y = fdata out and dst = dsts.(0) in
+    for o = 0 to outer - 1 do
+      for i = 0 to inner - 1 do
+        let at a = (((o * d) + a) * inner) + i in
+        let s = ref 0. in
+        for a = 0 to d - 1 do
+          s := !s +. (fget gout (at a) *. fget y (at a))
+        done;
+        for a = 0 to d - 1 do
+          fset dst (at a) ((fget gout (at a) -. !s) *. fget y (at a))
+        done
+      done
+    done
+
+(* The cotangent of a reduction, broadcast back over the input: the reduced
+   axes are re-inserted as size 1 unless kept. *)
+let reduce (r : Op.reduce) ~axes ~keepdims ~(xs : Shape.t) ~(os : Shape.t) =
+  let gs =
+    if keepdims then os
+    else
+      Array.of_list
+        (List.fold_left
+           (fun dims a ->
+             List.filteri (fun i _ -> i < a) dims
+             @ [ 1 ]
+             @ List.filteri (fun i _ -> i >= a) dims)
+           (Array.to_list os) (List.sort compare axes))
+  in
+  if Shape.numel gs <> Shape.numel os then
+    invalid_arg "Transform.reshape: element count mismatch";
+  let window = List.fold_left (fun acc a -> acc * xs.(a)) 1 axes in
+  let n = Shape.numel xs in
+  let b = reader (Nd.index_map ~src:gs ~dst:xs) in
+  match r with
+  | Op.R_sum ->
+      fun ~gout _ _ (dsts : farray array) ->
+        let dst = dsts.(0) in
+        for i = 0 to n - 1 do
+          fset dst i (fget gout (b i))
+        done
+  | R_mean ->
+      let w = float_of_int window in
+      fun ~gout _ _ (dsts : farray array) ->
+        let dst = dsts.(0) in
+        for i = 0 to n - 1 do
+          fset dst i (fget gout (b i) /. w)
+        done
+  | R_max | R_min ->
+      fun ~gout (ins : Nd.t array) out (dsts : farray array) ->
+        let x = fdata ins.(0) and o = fdata out and dst = dsts.(0) in
+        for i = 0 to n - 1 do
+          let bi = b i in
+          fset dst i (if fget x i = fget o bi then fget gout bi else 0.)
+        done
+  | R_prod ->
+      fun ~gout (ins : Nd.t array) out (dsts : farray array) ->
+        let x = fdata ins.(0) and o = fdata out and dst = dsts.(0) in
+        for i = 0 to n - 1 do
+          let xi = fget x i and bi = b i in
+          fset dst i (if xi = 0. then 0. else fget gout bi *. fget o bi /. xi)
+        done
+
+(* Batched matmul with numpy rank-1 promotion.  ga = g . b^T and
+   gb = a^T . g, each sum taken from +0.0 ascending over the contraction
+   index, then summed down over broadcast batch dims. *)
+let matmul ~(sa : Shape.t) ~(sb : Shape.t) =
+  let sa = if Array.length sa = 1 then [| 1; sa.(0) |] else sa in
+  let sb = if Array.length sb = 1 then [| sb.(0); 1 |] else sb in
+  let ra = Array.length sa and rb = Array.length sb in
+  let m = sa.(ra - 2) and k = sa.(ra - 1) and n = sb.(rb - 1) in
+  if sb.(rb - 2) <> k then invalid_arg "Linalg.matmul: contraction mismatch";
+  let batch_a = Array.sub sa 0 (ra - 2) and batch_b = Array.sub sb 0 (rb - 2) in
+  let batch =
+    match Shape.broadcast batch_a batch_b with
+    | Some s -> s
+    | None -> invalid_arg "Linalg.matmul: batch dims do not broadcast"
+  in
+  let nb = Shape.numel batch in
+  (* offset of each batch entry's matrix inside an operand *)
+  let bases src rows cols =
+    let o =
+      Nd.broadcast_offsets
+        ~src:(Array.append src [| rows; cols |])
+        ~dst:(Array.append batch [| rows; cols |])
+    in
+    Array.init nb (fun bi -> o (bi * rows * cols))
+  in
+  let abase = bases batch_a m k and bbase = bases batch_b k n in
+  let ga2 (g : farray) (b : farray) (dst : farray) =
+    for bi = 0 to nb - 1 do
+      let bb = bbase.(bi) in
+      for i = 0 to m - 1 do
+        let grow = ((bi * m) + i) * n in
+        for j = 0 to k - 1 do
+          let brow = bb + (j * n) in
+          let acc = ref 0. in
+          for l = 0 to n - 1 do
+            acc := !acc +. (fget g (grow + l) *. fget b (brow + l))
+          done;
+          fset dst ((((bi * m) + i) * k) + j) !acc
+        done
+      done
+    done
+  in
+  let gb2 (a : farray) (g : farray) (dst : farray) =
+    for bi = 0 to nb - 1 do
+      let ab = abase.(bi) in
+      for i = 0 to k - 1 do
+        for j = 0 to n - 1 do
+          let acc = ref 0. in
+          for l = 0 to m - 1 do
+            acc :=
+              !acc
+              +. (fget a (ab + (l * k) + i) *. fget g ((((bi * m) + l) * n) + j))
+          done;
+          fset dst ((((bi * k) + i) * n) + j) !acc
+        done
+      done
+    done
+  in
+  (* with a broadcast batch, the full-batch product is staged and summed *)
+  let staged full target kernel =
+    match reduce_to (Array.append batch full) target with
+    | None -> kernel
+    | Some sum ->
+        let buf =
+          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+            (nb * Shape.numel full)
+        in
+        fun x y dst ->
+          kernel x y buf;
+          sum buf dst
+  in
+  let ga = staged [| m; k |] sa ga2 and gb = staged [| k; n |] sb gb2 in
+  fun ~gout (ins : Nd.t array) _ (dsts : farray array) ->
+    let a = fdata ins.(0) and b = fdata ins.(1) in
+    ga gout b dsts.(0);
+    gb a gout dsts.(1)
+
+(* Each output cell's gradient reaches only the in-bounds taps of its
+   window; visiting the clipped window in (ci, ki, kj) order hits every
+   input and weight element in the order a full sweep with a bounds test
+   does, so each scatter-add sums the same terms in the same order.  A zero
+   output gradient contributes nothing. *)
+let conv2d ~stride ~padding ~(xs : Shape.t) ~(ws : Shape.t) ~(os : Shape.t) =
+  let nb = xs.(0) and c = xs.(1) and h = xs.(2) and w = xs.(3) in
+  let f = ws.(0) and kh = ws.(2) and kw = ws.(3) in
+  let oh = os.(2) and ow = os.(3) in
+  fun ~gout (ins : Nd.t array) _ (dsts : farray array) ->
+    let x = fdata ins.(0) and wt = fdata ins.(1) in
+    let gx = dsts.(0) and gw = dsts.(1) in
+    zero gx;
+    zero gw;
+    for ni = 0 to nb - 1 do
+      for fi = 0 to f - 1 do
+        for ohi = 0 to oh - 1 do
+          let h0 = (ohi * stride) - padding in
+          let ki0 = max 0 (-h0) and ki1 = min kh (h - h0) in
+          for owi = 0 to ow - 1 do
+            let g = fget gout ((((((ni * f) + fi) * oh) + ohi) * ow) + owi) in
+            if g <> 0. then begin
+              let w0 = (owi * stride) - padding in
+              let kj0 = max 0 (-w0) and kj1 = min kw (w - w0) in
+              for ci = 0 to c - 1 do
+                for ki = ki0 to ki1 - 1 do
+                  let xrow = ((((((ni * c) + ci) * h) + h0 + ki) * w) + w0)
+                  and wrow = ((((fi * c) + ci) * kh) + ki) * kw in
+                  for kj = kj0 to kj1 - 1 do
+                    let xo = xrow + kj and wo = wrow + kj in
+                    fset gx xo (fget gx xo +. (g *. fget wt wo));
+                    fset gw wo (fget gw wo +. (g *. fget x xo))
+                  done
                 done
               done
-            done
+            end
+          done
         done
       done
     done
-  done;
-  (gx, gw)
 
-let pool2d_grads ~kind ~kernel ~stride ~padding x gout =
-  let sx = Nd.shape x in
-  let n = sx.(0) and c = sx.(1) and h = sx.(2) and w = sx.(3) in
-  let kh, kw = kernel in
-  let so = Nd.shape gout in
-  let oh = so.(2) and ow = so.(3) in
-  let gx = Nd.create Dtype.F64 sx in
-  for ni = 0 to n - 1 do
-    for ci = 0 to c - 1 do
+(* Average pooling spreads each output gradient evenly over the window's
+   in-bounds cells.  Max pooling routes it to one cell: the scan starts at
+   the last in-bounds cell in row-major order and walks backwards, replacing
+   the candidate only on a strict [>], so the last maximal cell wins and a
+   NaN wins only when it is that starting cell. *)
+let pool2d (kind : Op.pool) ~kh ~kw ~stride ~padding ~(xs : Shape.t)
+    ~(os : Shape.t) =
+  let planes = xs.(0) * xs.(1) and h = xs.(2) and w = xs.(3) in
+  let oh = os.(2) and ow = os.(3) in
+  fun ~gout (ins : Nd.t array) _ (dsts : farray array) ->
+    let x = fdata ins.(0) and gx = dsts.(0) in
+    zero gx;
+    for plane = 0 to planes - 1 do
       for ohi = 0 to oh - 1 do
+        let h0 = (ohi * stride) - padding in
+        let hlo = max 0 h0 and hhi = min h (h0 + kh) in
         for owi = 0 to ow - 1 do
-          let g = Nd.to_float gout ((((ni * c) + ci) * oh + ohi) * ow + owi) in
-          if g <> 0. then begin
-            (* collect in-bounds window cells *)
-            let cells = ref [] in
-            for ki = 0 to kh - 1 do
-              for kj = 0 to kw - 1 do
-                let hi = (ohi * stride) - padding + ki
-                and wi = (owi * stride) - padding + kj in
-                if hi >= 0 && hi < h && wi >= 0 && wi < w then
-                  cells := ((((ni * c) + ci) * h + hi) * w + wi) :: !cells
-              done
-            done;
+          let g = fget gout ((((plane * oh) + ohi) * ow) + owi) in
+          let w0 = (owi * stride) - padding in
+          let wlo = max 0 w0 and whi = min w (w0 + kw) in
+          if g <> 0. && hlo < hhi && wlo < whi then
             match kind with
-            | Linalg.Avg_pool ->
-                let share = g /. float_of_int (max 1 (List.length !cells)) in
-                List.iter
-                  (fun off -> Nd.set_f gx off (Nd.get_f gx off +. share))
-                  !cells
-            | Linalg.Max_pool -> (
-                match !cells with
-                | [] -> ()
-                | first :: rest ->
-                    let best = ref first and best_v = ref (Nd.to_float x first) in
-                    List.iter
-                      (fun off ->
-                        let v = Nd.to_float x off in
-                        if v > !best_v then begin
-                          best := off;
-                          best_v := v
-                        end)
-                      rest;
-                    Nd.set_f gx !best (Nd.get_f gx !best +. g))
-          end
+            | Op.P_avg ->
+                let share = g /. float_of_int ((hhi - hlo) * (whi - wlo)) in
+                for hi = hlo to hhi - 1 do
+                  let row = ((plane * h) + hi) * w in
+                  for wi = wlo to whi - 1 do
+                    fset gx (row + wi) (fget gx (row + wi) +. share)
+                  done
+                done
+            | Op.P_max ->
+                let best = ref ((((plane * h) + hhi - 1) * w) + whi - 1) in
+                let best_v = ref (fget x !best) in
+                for hi = hhi - 1 downto hlo do
+                  let row = ((plane * h) + hi) * w in
+                  for wi = whi - 1 downto wlo do
+                    let v = fget x (row + wi) in
+                    if v > !best_v then begin
+                      best := row + wi;
+                      best_v := v
+                    end
+                  done
+                done;
+                fset gx !best (fget gx !best +. g)
         done
       done
     done
+
+(* [dst_i = gout_(map_i)], or +0.0 where [map_i < 0]. *)
+let gather_from map =
+  fun ~gout _ _ (dsts : farray array) ->
+   let dst = dsts.(0) in
+   for i = 0 to Array.length map - 1 do
+     let j = Array.unsafe_get map i in
+     fset dst i (if j >= 0 then fget gout j else 0.)
+   done
+
+(* [dst_(map_i) += gout_i] from +0.0, in ascending i. *)
+let scatter_add map =
+  fun ~gout _ _ (dsts : farray array) ->
+   let dst = dsts.(0) in
+   zero dst;
+   for i = 0 to Array.length map - 1 do
+     let j = Array.unsafe_get map i in
+     fset dst j (fget dst j +. fget gout i)
+   done
+
+let slice ~axis ~start ~(xs : Shape.t) ~(os : Shape.t) =
+  let src = Array.make (Shape.numel xs) (-1) in
+  for i = 0 to Shape.numel os - 1 do
+    let idx = Shape.unravel os i in
+    idx.(axis) <- idx.(axis) + start;
+    src.(Shape.ravel xs idx) <- i
   done;
-  gx
+  gather_from src
 
-let softmax_grad ~axis out gout =
-  (* dx = y * (g - sum(g * y, axis)) *)
-  let gy = Nd.map2_f Dtype.F64 ( *. ) gout out in
-  let s = Reduce.sum ~keepdims:true ~axes:[ axis ] gy in
-  let centered = Nd.map2_f Dtype.F64 ( -. ) (Nd.cast gout Dtype.F64) s in
-  Nd.map2_f Dtype.F64 ( *. ) centered out
+let pad ~before ~(xs : Shape.t) ~(os : Shape.t) =
+  let before = Array.of_list before in
+  gather_from
+    (Array.init (Shape.numel xs) (fun i ->
+         let gidx = Array.mapi (fun k v -> v + before.(k)) (Shape.unravel xs i) in
+         if Array.for_all2 (fun v d -> v >= 0 && v < d) gidx os then
+           Shape.ravel os gidx
+         else -1))
 
-let reduce_grads (r : Op.reduce) ~axes ~keepdims x out gout =
-  let in_shape = Nd.shape x in
-  let rank = Array.length in_shape in
-  (* re-insert reduced axes as size-1 so gout broadcasts over the input *)
-  let expand t =
-    if keepdims then t
-    else begin
-      let dims = ref (Array.to_list (Nd.shape t)) in
-      List.iter
-        (fun a ->
-          let before = List.filteri (fun i _ -> i < a) !dims in
-          let after = List.filteri (fun i _ -> i >= a) !dims in
-          dims := before @ [ 1 ] @ after)
-        (List.sort compare axes);
-      Transform.reshape t (Array.of_list !dims)
-    end
-  in
-  ignore rank;
-  let g = expand (Nd.cast gout Dtype.F64) in
-  let window =
-    List.fold_left (fun acc a -> acc * in_shape.(a)) 1 axes
-  in
-  match r with
-  | Op.R_sum -> Nd.broadcast_to g in_shape
-  | R_mean ->
-      Nd.map_f (fun v -> v /. float_of_int window) (Nd.broadcast_to g in_shape)
-  | R_max | R_min ->
-      let o = expand out in
-      let go = Nd.broadcast_offsets ~src:(Nd.shape o) ~dst:in_shape in
-      Nd.init_f Dtype.F64 in_shape (fun i ->
-          if Nd.to_float x i = Nd.to_float o (go i) then Nd.to_float g (go i)
-          else 0.)
-  | R_prod ->
-      let o = expand out in
-      let go = Nd.broadcast_offsets ~src:(Nd.shape o) ~dst:in_shape in
-      Nd.init_f Dtype.F64 in_shape (fun i ->
-          let xi = Nd.to_float x i in
-          if xi = 0. then 0.
-          else Nd.to_float g (go i) *. Nd.to_float o (go i) /. xi)
+let concat ~axis (parts : Shape.t array) ~(os : Shape.t) =
+  let r = Array.length os in
+  let outer = Shape.numel (Array.sub os 0 axis)
+  and total = os.(axis)
+  and inner = Shape.numel (Array.sub os (axis + 1) (r - axis - 1)) in
+  let widths = Array.map (fun (s : Shape.t) -> s.(axis) * inner) parts in
+  let offsets = Array.make (Array.length parts) 0 in
+  for p = 1 to Array.length parts - 1 do
+    offsets.(p) <- offsets.(p - 1) + widths.(p - 1)
+  done;
+  fun ~gout _ _ (dsts : farray array) ->
+    Array.iteri
+      (fun p dst ->
+        let wd = widths.(p) and off = offsets.(p) in
+        for o = 0 to outer - 1 do
+          let src = (o * total * inner) + off and at = o * wd in
+          for e = 0 to wd - 1 do
+            fset dst (at + e) (fget gout (src + e))
+          done
+        done)
+      dsts
 
-(** Gradients of [gout . op(ins)] w.r.t. each input; [None] marks inputs with
-    no (or discarded) gradient. *)
-let vjp ~proxy (op : int Op.t) ~(ins : Nd.t list) ~(out : Nd.t)
-    ~(gout : Nd.t) : Nd.t option list =
+let where ~(cs : Shape.t) ~(ts : Shape.t) ~(fs : Shape.t) ~(os : Shape.t) =
+  let n = Shape.numel os in
+  let oc = reader (Nd.index_map ~src:cs ~dst:os)
+  and ot = reader (Nd.index_map ~src:ts ~dst:os)
+  and of_ = reader (Nd.index_map ~src:fs ~dst:os) in
+  fun ~gout (ins : Nd.t array) _ (dsts : farray array) ->
+    let c = bools ins.(0) and gt = dsts.(1) and gf = dsts.(2) in
+    zero gt;
+    zero gf;
+    for i = 0 to n - 1 do
+      let g = fget gout i in
+      if Array.unsafe_get c (oc i) then fset gt (ot i) (fget gt (ot i) +. g)
+      else fset gf (of_ i) (fget gf (of_ i) +. g)
+    done
+
+(* Scatter-add back through the (clamped) runtime index. *)
+let gather ~axis ~(ds : Shape.t) ~(is : Shape.t) ~(os : Shape.t) =
+  let ri = Array.length is in
+  let st = Shape.strides ds in
+  let n = Shape.numel os in
+  let ioff = Array.make n 0 and dbase = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let oidx = Shape.unravel os i in
+    ioff.(i) <- Shape.ravel is (Array.sub oidx axis ri);
+    let base = ref 0 in
+    Array.iteri
+      (fun k s ->
+        if k < axis then base := !base + (oidx.(k) * s)
+        else if k > axis then base := !base + (oidx.(k + ri - 1) * s))
+      st;
+    dbase.(i) <- !base
+  done;
+  let dmax = ds.(axis) - 1 and ast = st.(axis) in
+  fun ~gout (ins : Nd.t array) _ (dsts : farray array) ->
+    let idx = ins.(1) and gd = dsts.(0) in
+    zero gd;
+    for i = 0 to n - 1 do
+      let j = max 0 (min dmax (Nd.to_int idx ioff.(i))) in
+      let off = dbase.(i) + (j * ast) in
+      fset gd off (fget gd off +. fget gout i)
+    done
+
+let compile ~proxy (op : int Op.t) ~(ins : (Dtype.t * Shape.t) array)
+    ~(out : Dtype.t * Shape.t) : t =
+  let arity = Array.length ins in
+  let os = snd out in
+  let float k = Dtype.is_float (fst ins.(k)) in
+  let all run = { grads = Array.make arity true; run } in
   match (op, ins) with
-  | Op.Leaf _, _ -> []
-  | Op.Unary u, [ x ] ->
-      if Dtype.is_float (Nd.dtype x) then
-        [ Some (elementwise_unary ~proxy u x out gout) ]
-      else [ None ]
-  | Op.Binary b, [ x; y ] ->
-      if Dtype.is_float (Nd.dtype x) then begin
-        let gx, gy = broadcast_binary_grads ~proxy b x y gout in
-        [ Some gx; Some gy ]
-      end
-      else [ None; None ]
-  | Op.Compare _, [ _; _ ] | Op.Logical _, [ _; _ ] -> [ None; None ]
-  | Op.Not, [ _ ] -> [ None ]
-  | Op.Clip { c_lo; c_hi }, [ x ] ->
-      [
-        Some
-          (Nd.init_f Dtype.F64 (Nd.shape x) (fun i ->
-               let v = Nd.to_float x i in
-               let d =
-                 if v >= c_lo && v <= c_hi then 1.
-                 else if proxy then proxy_alpha
-                 else 0.
-               in
-               Nd.to_float gout i *. d));
-      ]
-  | Op.Leaky_relu { alpha }, [ x ] ->
-      [
-        Some
-          (Nd.init_f Dtype.F64 (Nd.shape x) (fun i ->
-               let d = if Nd.to_float x i >= 0. then 1. else alpha in
-               Nd.to_float gout i *. d));
-      ]
-  | Op.Cast target, [ x ] ->
-      if Dtype.is_float target && Dtype.is_float (Nd.dtype x) then
-        [ Some (Nd.cast gout Dtype.F64) ]
-      else [ None ]
-  | Op.Softmax { sm_axis }, [ _ ] -> [ Some (softmax_grad ~axis:sm_axis out gout) ]
-  | Op.Arg_max _, [ _ ] | Op.Arg_min _, [ _ ] -> [ None ]
-  | Op.Reduce (r, { r_axes; r_keepdims }), [ x ] ->
-      if Dtype.is_float (Nd.dtype x) then
-        [ Some (reduce_grads r ~axes:r_axes ~keepdims:r_keepdims x out gout) ]
-      else [ None ]
-  | Op.Mat_mul, [ a; b ] ->
-      let ga, gb = matmul_grads a b gout in
-      [ Some ga; Some gb ]
-  | Op.Conv2d { stride; padding; _ }, [ x; w ] ->
-      let gx, gw = conv2d_grads ~stride ~padding x w gout in
-      [ Some gx; Some gw ]
-  | Op.Pool2d (kind, { p_kh; p_kw; p_stride; p_padding }), [ x ] ->
-      let kind =
-        match kind with Op.P_max -> Linalg.Max_pool | P_avg -> Linalg.Avg_pool
-      in
-      [
-        Some
-          (pool2d_grads ~kind ~kernel:(p_kh, p_kw) ~stride:p_stride
-             ~padding:p_padding x gout);
-      ]
-  | Op.Reshape _, [ x ]
-  | Op.Flatten _, [ x ]
-  | Op.Squeeze _, [ x ]
-  | Op.Unsqueeze _, [ x ] ->
-      if Dtype.is_float (Nd.dtype x) then
-        [ Some (Transform.reshape (Nd.cast gout Dtype.F64) (Nd.shape x)) ]
-      else [ None ]
-  | Op.Transpose perm, [ x ] ->
-      if Dtype.is_float (Nd.dtype x) then begin
-        let inv = Array.make (Array.length perm) 0 in
-        Array.iteri (fun i p -> inv.(p) <- i) perm;
-        [ Some (Transform.transpose (Nd.cast gout Dtype.F64) inv) ]
-      end
-      else [ None ]
-  | Op.Slice { s_axis; s_start; _ }, [ x ] ->
-      if Dtype.is_float (Nd.dtype x) then begin
-        let gx = Nd.create Dtype.F64 (Nd.shape x) in
-        let out_shape = Nd.shape gout in
-        let n = Nd.numel gout in
-        for i = 0 to n - 1 do
-          let idx = Shape.unravel out_shape i in
-          idx.(s_axis) <- idx.(s_axis) + s_start;
-          let off = Shape.ravel (Nd.shape x) idx in
-          Nd.set_f gx off (Nd.to_float gout i)
-        done;
-        [ Some gx ]
-      end
-      else [ None ]
-  | Op.Pad (_, { pad_before; _ }), [ x ] ->
-      if Dtype.is_float (Nd.dtype x) then begin
-        (* interior extraction; border replication contributions are dropped
-           (a proxy, adequate for loss steering) *)
-        let gx = Nd.create Dtype.F64 (Nd.shape x) in
-        let sx = Nd.shape x in
-        let sg = Nd.shape gout in
-        let before = Array.of_list pad_before in
-        for i = 0 to Nd.numel x - 1 do
-          let idx = Shape.unravel sx i in
-          let gidx = Array.mapi (fun k v -> v + before.(k)) idx in
-          if
-            Array.for_all2 (fun v d -> v >= 0 && v < d) gidx sg
-          then Nd.set_f gx i (Nd.to_float gout (Shape.ravel sg gidx))
-        done;
-        [ Some gx ]
-      end
-      else [ None ]
-  | Op.Concat { cat_axis; _ }, xs ->
-      if List.for_all (fun x -> Dtype.is_float (Nd.dtype x)) xs then begin
-        let offset = ref 0 in
-        List.map
-          (fun x ->
-            let d = (Nd.shape x).(cat_axis) in
-            let r = Nd.rank x in
-            let starts = Array.make r 0
-            and stops = Array.copy (Nd.shape gout)
-            and steps = Array.make r 1 in
-            starts.(cat_axis) <- !offset;
-            stops.(cat_axis) <- !offset + d;
-            offset := !offset + d;
-            Some
-              (Transform.slice (Nd.cast gout Dtype.F64) ~starts ~stops ~steps))
-          xs
-      end
-      else List.map (fun _ -> None) xs
-  | Op.Where, [ c; t; f ] ->
-      if Dtype.is_float (Nd.dtype t) then begin
-        let out_shape = Nd.shape gout in
-        let oc = Nd.broadcast_offsets ~src:(Nd.shape c) ~dst:out_shape
-        and ot = Nd.broadcast_offsets ~src:(Nd.shape t) ~dst:out_shape
-        and of_ = Nd.broadcast_offsets ~src:(Nd.shape f) ~dst:out_shape in
-        let gt = Nd.create Dtype.F64 (Nd.shape t)
-        and gf = Nd.create Dtype.F64 (Nd.shape f) in
-        for i = 0 to Nd.numel gout - 1 do
-          let g = Nd.to_float gout i in
-          if Nd.get_b c (oc i) then Nd.set_f gt (ot i) (Nd.get_f gt (ot i) +. g)
-          else Nd.set_f gf (of_ i) (Nd.get_f gf (of_ i) +. g)
-        done;
-        [ None; Some gt; Some gf ]
-      end
-      else [ None; None; None ]
-  | Op.Expand _, [ x ] ->
-      if Dtype.is_float (Nd.dtype x) then
-        [ Some (reduce_to (Nd.cast gout Dtype.F64) (Nd.shape x)) ]
-      else [ None ]
-  | Op.Gather { g_axis }, [ data; indices ] ->
-      if Dtype.is_float (Nd.dtype data) then begin
-        (* scatter-add the output gradient back through the (clamped) index *)
-        let sd = Nd.shape data in
-        let rank = Array.length sd in
-        let si = Nd.shape indices in
-        let ri = Array.length si in
-        let out_shape = Nd.shape gout in
-        let gd = Nd.create Dtype.F64 sd in
-        for out_i = 0 to Nd.numel gout - 1 do
-          let oidx = Shape.unravel out_shape out_i in
-          let iidx = Array.sub oidx g_axis ri in
-          let raw = Nd.to_int indices (Shape.ravel si iidx) in
-          let j = max 0 (min (sd.(g_axis) - 1) raw) in
-          let didx =
-            Array.init rank (fun k ->
-                if k < g_axis then oidx.(k)
-                else if k = g_axis then j
-                else oidx.(k + ri - 1))
-          in
-          let off = Shape.ravel sd didx in
-          Nd.set_f gd off (Nd.get_f gd off +. Nd.to_float gout out_i)
-        done;
-        [ Some gd; None ]
-      end
-      else [ None; None ]
-  | Op.Tile _, [ x ] ->
-      if Dtype.is_float (Nd.dtype x) then begin
-        (* accumulate over repetitions by index modulo *)
-        let sx = Nd.shape x in
-        let out_shape = Nd.shape gout in
-        let gx = Nd.create Dtype.F64 sx in
-        for out_i = 0 to Nd.numel gout - 1 do
-          let oidx = Shape.unravel out_shape out_i in
-          let sidx = Array.mapi (fun k v -> v mod sx.(k)) oidx in
-          let off = Shape.ravel sx sidx in
-          Nd.set_f gx off (Nd.get_f gx off +. Nd.to_float gout out_i)
-        done;
-        [ Some gx ]
-      end
-      else [ None ]
-  | _, _ -> List.map (fun _ -> None) ins
+  | Op.Unary u, [| (_, xs) |] when float 0 ->
+      all (elementwise (Shape.numel xs) (derivative ~proxy u))
+  | Op.Binary b, [| (_, xs); (_, ys) |] when float 0 ->
+      all (binary ~proxy b ~xs ~ys ~os)
+  | Op.Clip { c_lo; c_hi }, [| (_, xs) |] ->
+      let out_d = if proxy then proxy_alpha else 0. in
+      all
+        (elementwise (Shape.numel xs) (fun v _ ->
+             if v >= c_lo && v <= c_hi then 1. else out_d))
+  | Op.Leaky_relu { alpha }, [| (_, xs) |] ->
+      all (elementwise (Shape.numel xs) (fun v _ -> if v >= 0. then 1. else alpha))
+  | Op.Cast target, [| _ |] when Dtype.is_float target && float 0 -> all copy
+  | Op.Softmax { sm_axis }, [| _ |] -> all (softmax ~axis:sm_axis os)
+  | Op.Reduce (r, { r_axes; r_keepdims }), [| (_, xs) |] when float 0 ->
+      all (reduce r ~axes:r_axes ~keepdims:r_keepdims ~xs ~os)
+  | Op.Mat_mul, [| (_, sa); (_, sb) |] -> all (matmul ~sa ~sb)
+  | Op.Conv2d { stride; padding; _ }, [| (_, xs); (_, ws) |] ->
+      all (conv2d ~stride ~padding ~xs ~ws ~os)
+  | Op.Pool2d (kind, { p_kh; p_kw; p_stride; p_padding }), [| (_, xs) |] ->
+      all
+        (pool2d kind ~kh:p_kh ~kw:p_kw ~stride:p_stride ~padding:p_padding ~xs
+           ~os)
+  | (Op.Reshape _ | Op.Flatten _ | Op.Squeeze _ | Op.Unsqueeze _), [| _ |]
+    when float 0 ->
+      all copy
+  | Op.Transpose perm, [| _ |] when float 0 ->
+      let inv = Array.make (Array.length perm) 0 in
+      Array.iteri (fun i p -> inv.(p) <- i) perm;
+      all (gather_from (snd (Transform.transpose_map os inv)))
+  | Op.Slice { s_axis; s_start; _ }, [| (_, xs) |] when float 0 ->
+      all (slice ~axis:s_axis ~start:s_start ~xs ~os)
+  | Op.Pad (_, { pad_before; _ }), [| (_, xs) |] when float 0 ->
+      all (pad ~before:pad_before ~xs ~os)
+  | Op.Concat { cat_axis; _ }, _
+    when Array.for_all (fun (d, _) -> Dtype.is_float d) ins ->
+      all (concat ~axis:cat_axis (Array.map snd ins) ~os)
+  | Op.Where, [| (_, cs); (_, ts); (_, fs) |] when float 1 ->
+      {
+        grads = [| false; true; true |];
+        run = where ~cs ~ts ~fs ~os;
+      }
+  | Op.Expand _, [| (_, xs) |] when float 0 ->
+      all
+        (match reduce_to os xs with
+        | None -> copy
+        | Some sum -> fun ~gout _ _ dsts -> sum gout dsts.(0))
+  | Op.Gather { g_axis }, [| (_, ds); (_, is) |] when float 0 ->
+      { grads = [| true; false |]; run = gather ~axis:g_axis ~ds ~is ~os }
+  | Op.Tile _, [| (_, xs) |] when float 0 ->
+      all
+        (scatter_add
+           (Array.init (Shape.numel os) (fun i ->
+                Shape.ravel xs
+                  (Array.mapi (fun k v -> v mod xs.(k)) (Shape.unravel os i)))))
+  | _ -> none arity

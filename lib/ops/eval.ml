@@ -148,8 +148,7 @@ let eval (op : int Op.t) (ins : Nd.t list) : Nd.t =
       f ~keepdims:r_keepdims ~axes:r_axes x)
   | Op.Mat_mul, [ a; b ] -> Linalg.matmul a b
   | Op.Conv2d { stride; padding; _ }, [ x; w ] ->
-      Linalg.conv2d ~stride:(stride, stride) ~padding:(padding, padding)
-        ~dilation:(1, 1) x w
+      Linalg.conv2d ~stride:(stride, stride) ~padding:(padding, padding) x w
   | Op.Pool2d (kind, { p_kh; p_kw; p_stride; p_padding }), [ x ] ->
       let kind =
         match kind with Op.P_max -> Linalg.Max_pool | P_avg -> Linalg.Avg_pool

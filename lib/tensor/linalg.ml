@@ -80,7 +80,7 @@ let matmul a b =
   in
   if rb = 1 then Transform.squeeze out [ Nd.rank out - 1 ] else out
 
-let conv2d_dims ~stride ~padding ~dilation (input : Nd.t) (weight : Nd.t) =
+let conv2d_dims ~stride ~padding (input : Nd.t) (weight : Nd.t) =
   require_float "conv2d" input;
   require_float "conv2d" weight;
   if Nd.rank input <> 4 || Nd.rank weight <> 4 then
@@ -89,52 +89,70 @@ let conv2d_dims ~stride ~padding ~dilation (input : Nd.t) (weight : Nd.t) =
   let n = si.(0) and c = si.(1) and h = si.(2) and w = si.(3) in
   let f = sw.(0) and cw = sw.(1) and kh = sw.(2) and kw = sw.(3) in
   if c <> cw then invalid_arg "Linalg.conv2d: channel mismatch";
-  let sh, sw_ = stride and ph, pw = padding and dh, dw = dilation in
-  let oh = ((h + (2 * ph) - (dh * (kh - 1)) - 1) / sh) + 1
-  and ow = ((w + (2 * pw) - (dw * (kw - 1)) - 1) / sw_) + 1 in
+  let sh, sw_ = stride and ph, pw = padding in
+  let oh = ((h + (2 * ph) - kh) / sh) + 1
+  and ow = ((w + (2 * pw) - kw) / sw_) + 1 in
   if oh < 1 || ow < 1 then invalid_arg "Linalg.conv2d: empty output";
   (n, c, h, w, f, kh, kw, oh, ow)
 
-let conv2d_into ?bias ~stride ~padding ~dilation ~dst input weight =
+(* Visits only the in-bounds taps of each window, channel then row then
+   column: the order in which a full ci -> ki -> kj sweep with a bounds test
+   visits them, so every sum equals the sweep's.  Each accumulator starts
+   from the bias (or +0.0) and is rounded to the output dtype once.  The
+   payload lengths are checked against the shapes up front, which makes the
+   unchecked reads in the loop safe. *)
+let conv2d_into ?bias ~stride ~padding ~dst input weight =
   let n, c, h, w, f, kh, kw, oh, ow =
-    conv2d_dims ~stride ~padding ~dilation input weight
+    conv2d_dims ~stride ~padding input weight
   in
   if
     (not (Dtype.equal input.Nd.dtype (Nd.dtype dst)))
     || not (Shape.equal [| n; f; oh; ow |] (Nd.shape dst))
   then invalid_arg "Linalg.conv2d_into: destination mismatch";
-  let sh, sw_ = stride and ph, pw = padding and dh, dw = dilation in
-  let get_bias fo = match bias with None -> 0. | Some b -> Nd.to_float b fo in
-  for li = 0 to (n * f * oh * ow) - 1 do
-    let ow_i = li mod ow in
-    let oh_i = li / ow mod oh in
-    let f_i = li / (ow * oh) mod f in
-    let n_i = li / (ow * oh * f) in
-    let acc = ref (get_bias f_i) in
-    for ci = 0 to c - 1 do
-      for ki = 0 to kh - 1 do
-        for kj = 0 to kw - 1 do
-          let hi = (oh_i * sh) - ph + (ki * dh) in
-          let wi = (ow_i * sw_) - pw + (kj * dw) in
-          if hi >= 0 && hi < h && wi >= 0 && wi < w then begin
-            let iv = Nd.to_float input ((((n_i * c) + ci) * h + hi) * w + wi) in
-            let wv =
-              Nd.to_float weight ((((f_i * c) + ci) * kh + ki) * kw + kj)
-            in
-            acc := !acc +. (iv *. wv)
-          end
+  let x = Nd.float_data input
+  and wt = Nd.float_data weight
+  and o = Nd.float_data dst in
+  if
+    Bigarray.Array1.dim x <> n * c * h * w
+    || Bigarray.Array1.dim wt <> f * c * kh * kw
+    || Bigarray.Array1.dim o <> n * f * oh * ow
+  then invalid_arg "Linalg.conv2d_into: payload and shape disagree";
+  let get : Nd.farray -> int -> float = Bigarray.Array1.unsafe_get in
+  let sh, sw_ = stride and ph, pw = padding in
+  let dtype = input.Nd.dtype in
+  let bias_of fi = match bias with None -> 0. | Some b -> Nd.to_float b fi in
+  for ni = 0 to n - 1 do
+    for fi = 0 to f - 1 do
+      let b0 = bias_of fi in
+      for ohi = 0 to oh - 1 do
+        let h0 = (ohi * sh) - ph in
+        let ki0 = max 0 (-h0) and ki1 = min kh (h - h0) in
+        for owi = 0 to ow - 1 do
+          let w0 = (owi * sw_) - pw in
+          let kj0 = max 0 (-w0) and kj1 = min kw (w - w0) in
+          let acc = ref b0 in
+          for ci = 0 to c - 1 do
+            let xplane = ((ni * c) + ci) * h and wplane = ((fi * c) + ci) * kh in
+            for ki = ki0 to ki1 - 1 do
+              let xrow = ((xplane + h0 + ki) * w) + w0
+              and wrow = (wplane + ki) * kw in
+              for kj = kj0 to kj1 - 1 do
+                acc := !acc +. (get x (xrow + kj) *. get wt (wrow + kj))
+              done
+            done
+          done;
+          Bigarray.Array1.unsafe_set o
+            ((((((ni * f) + fi) * oh) + ohi) * ow) + owi)
+            (Dtype.normalize_float dtype !acc)
         done
       done
-    done;
-    Nd.set_f dst li !acc
+    done
   done
 
-let conv2d ?bias ~stride ~padding ~dilation input weight =
-  let n, _, _, _, f, _, _, oh, ow =
-    conv2d_dims ~stride ~padding ~dilation input weight
-  in
+let conv2d ?bias ~stride ~padding input weight =
+  let n, _, _, _, f, _, _, oh, ow = conv2d_dims ~stride ~padding input weight in
   let out = Nd.create input.Nd.dtype [| n; f; oh; ow |] in
-  conv2d_into ?bias ~stride ~padding ~dilation ~dst:out input weight;
+  conv2d_into ?bias ~stride ~padding ~dst:out input weight;
   out
 
 type pool_kind = Max_pool | Avg_pool

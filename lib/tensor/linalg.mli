@@ -13,21 +13,15 @@ val matmul_into : dst:Nd.t -> Nd.t -> Nd.t -> unit
     bits. *)
 
 val conv2d :
-  ?bias:Nd.t ->
-  stride:int * int ->
-  padding:int * int ->
-  dilation:int * int ->
-  Nd.t ->
-  Nd.t ->
-  Nd.t
-(** [conv2d ~stride ~padding ~dilation input weight] with input
-    [n,c,h,w] and weight [f,c,kh,kw]; output [n,f,oh,ow] where
-    [oh = (h + 2*ph - dh*(kh-1) - 1) / sh + 1]. *)
+  ?bias:Nd.t -> stride:int * int -> padding:int * int -> Nd.t -> Nd.t -> Nd.t
+(** [conv2d ~stride ~padding input weight] with input [n,c,h,w] and weight
+    [f,c,kh,kw]; output [n,f,oh,ow] where [oh = (h + 2*ph - kh) / sh + 1].
+    Each output sums its in-bounds taps channel by channel, row by row,
+    starting from the bias (or +0.0), and rounds to the input dtype once. *)
 
 val conv2d_dims :
   stride:int * int ->
   padding:int * int ->
-  dilation:int * int ->
   Nd.t ->
   Nd.t ->
   int * int * int * int * int * int * int * int * int
@@ -39,13 +33,14 @@ val conv2d_into :
   ?bias:Nd.t ->
   stride:int * int ->
   padding:int * int ->
-  dilation:int * int ->
   dst:Nd.t ->
   Nd.t ->
   Nd.t ->
   unit
 (** Destination-passing {!conv2d}; [dst] must be the [n,f,oh,ow] output
-    tensor with the input's dtype. *)
+    tensor with the input's dtype.  The loop visits only the clipped window
+    of each output, so a kernel much wider than the input costs nothing
+    extra. *)
 
 type pool_kind = Max_pool | Avg_pool
 

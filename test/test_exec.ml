@@ -191,7 +191,7 @@ let test_dirty_set_diamond () =
   let got =
     List.map
       (fun (n : Graph.node) ->
-        (n.Graph.id, Hashtbl.find (Plan.values plan) n.Graph.id))
+        (n.Graph.id, Plan.leaf_value plan n.Graph.id))
       (Graph.outputs g)
   in
   check "dirty-set values match interpreter" true (outputs_equal want got)

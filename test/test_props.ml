@@ -139,8 +139,7 @@ let prop_conv2d =
       let x = random_tensor rng [ 1; c; h; h ]
       and w = random_tensor rng [ f; c; k; k ] in
       tensors_close
-        (L.conv2d ~stride:(stride, stride) ~padding:(padding, padding)
-           ~dilation:(1, 1) x w)
+        (L.conv2d ~stride:(stride, stride) ~padding:(padding, padding) x w)
         (naive_conv x w ~stride ~padding))
 
 (* ------------------------------------------------------------------ *)

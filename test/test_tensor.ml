@@ -290,26 +290,26 @@ let test_conv2d_identity () =
   let x = Nd.init_f Dtype.F64 [| 1; 1; 3; 3 |] (fun i -> float_of_int i) in
   let w = nd [ 1; 1; 1; 1 ] [ 1. ] in
   check "1x1 kernel id" true
-    (Nd.equal (L.conv2d ~stride:(1, 1) ~padding:(0, 0) ~dilation:(1, 1) x w) x)
+    (Nd.equal (L.conv2d ~stride:(1, 1) ~padding:(0, 0) x w) x)
 
 let test_conv2d_sum_kernel () =
   let x = Nd.init_f Dtype.F64 [| 1; 1; 3; 3 |] (fun _ -> 1.) in
   let w = Nd.init_f Dtype.F64 [| 1; 1; 2; 2 |] (fun _ -> 1.) in
-  let y = L.conv2d ~stride:(1, 1) ~padding:(0, 0) ~dilation:(1, 1) x w in
+  let y = L.conv2d ~stride:(1, 1) ~padding:(0, 0) x w in
   Alcotest.(check (array int)) "shape" [| 1; 1; 2; 2 |] (Nd.shape y);
   check_values "all 4" [ 4.; 4.; 4.; 4. ] y;
-  let padded = L.conv2d ~stride:(1, 1) ~padding:(1, 1) ~dilation:(1, 1) x w in
+  let padded = L.conv2d ~stride:(1, 1) ~padding:(1, 1) x w in
   Alcotest.(check (array int)) "padded shape" [| 1; 1; 4; 4 |] (Nd.shape padded);
   checkf "corner sees 1 cell" 1. (Nd.get_f padded 0)
 
 let test_conv2d_stride_channels () =
   let x = Nd.init_f Dtype.F64 [| 1; 2; 4; 4 |] (fun _ -> 1.) in
   let w = Nd.init_f Dtype.F64 [| 3; 2; 2; 2 |] (fun _ -> 1.) in
-  let y = L.conv2d ~stride:(2, 2) ~padding:(0, 0) ~dilation:(1, 1) x w in
+  let y = L.conv2d ~stride:(2, 2) ~padding:(0, 0) x w in
   Alcotest.(check (array int)) "shape" [| 1; 3; 2; 2 |] (Nd.shape y);
   checkf "sums both channels" 8. (Nd.get_f y 0);
   let bias = nd [ 3 ] [ 10.; 20.; 30. ] in
-  let yb = L.conv2d ~bias ~stride:(2, 2) ~padding:(0, 0) ~dilation:(1, 1) x w in
+  let yb = L.conv2d ~bias ~stride:(2, 2) ~padding:(0, 0) x w in
   checkf "bias channel 1" 28. (Nd.get_f yb 4)
 
 let test_pool2d () =
@@ -323,6 +323,41 @@ let test_pool2d () =
   (* avg excludes padded cells from the divisor (count_include_pad = 0) *)
   let avgp = L.pool2d ~kind:L.Avg_pool ~kernel:(2, 2) ~stride:(2, 2) ~padding:(1, 1) x in
   checkf "corner avg over 1 cell" 1. (Nd.get_f avgp 0)
+
+(* The full-sweep conv kernel [Linalg.conv2d_into] used before it clipped
+   its windows, kept as the reference: every ci x kh x kw tap of a window is
+   visited and bounds-tested, reading operands through [Nd.to_float]. *)
+let conv2d_full_sweep ?bias ~stride ~padding input weight =
+  let n, c, h, w, f, kh, kw, oh, ow =
+    L.conv2d_dims ~stride ~padding input weight
+  in
+  let dst = Nd.create (Nd.dtype input) [| n; f; oh; ow |] in
+  let sh, sw_ = stride and ph, pw = padding in
+  let get_bias fo = match bias with None -> 0. | Some b -> Nd.to_float b fo in
+  for li = 0 to (n * f * oh * ow) - 1 do
+    let ow_i = li mod ow in
+    let oh_i = li / ow mod oh in
+    let f_i = li / (ow * oh) mod f in
+    let n_i = li / (ow * oh * f) in
+    let acc = ref (get_bias f_i) in
+    for ci = 0 to c - 1 do
+      for ki = 0 to kh - 1 do
+        for kj = 0 to kw - 1 do
+          let hi = (oh_i * sh) - ph + ki in
+          let wi = (ow_i * sw_) - pw + kj in
+          if hi >= 0 && hi < h && wi >= 0 && wi < w then begin
+            let iv = Nd.to_float input ((((n_i * c) + ci) * h + hi) * w + wi) in
+            let wv =
+              Nd.to_float weight ((((f_i * c) + ci) * kh + ki) * kw + kj)
+            in
+            acc := !acc +. (iv *. wv)
+          end
+        done
+      done
+    done;
+    Nd.set_f dst li !acc
+  done;
+  dst
 
 (* The full-sweep pool kernel [Linalg.pool2d_into] used before it clipped
    its windows, kept as the reference: every one of the kh x kw window
@@ -489,6 +524,53 @@ let test_tser_roundtrip_all_dtypes () =
   check "binding bytes" true
     (String.equal (Tser.encode_binding b) (Tser.encode_binding b'))
 
+(* Random NCHW operands drawn from values that stress the bit-identity
+   argument (NaN, the infinities, -0.0 and exact ties), kernels up to
+   larger than the input, strides 1-3, and every padding from -h to kh that
+   [conv2d_dims] accepts, with and without a bias: the clipped windows must
+   equal the full sweep bit for bit. *)
+let qcheck_conv2d_matches_full_sweep =
+  QCheck.Test.make ~name:"conv2d = full sweep" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+      let dtype = if Random.State.bool rng then Dtype.F32 else Dtype.F64 in
+      let n = int 1 2 and c = int 1 3 and f = int 1 3 in
+      let h = int 1 5 and w = int 1 5 in
+      let pool =
+        [| Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.; 1.; 1.;
+           -1.; 2.; 0.5 |]
+      in
+      let value () =
+        if Random.State.int rng 3 = 0 then Random.State.float rng 8. -. 4.
+        else pool.(Random.State.int rng (Array.length pool))
+      in
+      let kh = int 1 (h + 3) and kw = int 1 (w + 3) in
+      let x = Nd.init_f dtype [| n; c; h; w |] (fun _ -> value ()) in
+      let wt = Nd.init_f dtype [| f; c; kh; kw |] (fun _ -> value ()) in
+      let bias =
+        if Random.State.bool rng then None
+        else Some (Nd.init_f dtype [| f |] (fun _ -> value ()))
+      in
+      let stride = (int 1 3, int 1 3) in
+      let ok = ref true in
+      for ph = -h to kh do
+        for pw = -w to kw do
+          let padding = (ph, pw) in
+          match L.conv2d_dims ~stride ~padding x wt with
+          | exception Invalid_argument _ -> ()
+          | _ ->
+              if
+                not
+                  (Nd.equal
+                     (L.conv2d ?bias ~stride ~padding x wt)
+                     (conv2d_full_sweep ?bias ~stride ~padding x wt))
+              then ok := false
+        done
+      done;
+      !ok)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "tensor"
@@ -544,6 +626,7 @@ let () =
           tc "conv2d identity" `Quick test_conv2d_identity;
           tc "conv2d sum kernel" `Quick test_conv2d_sum_kernel;
           tc "conv2d stride/channels/bias" `Quick test_conv2d_stride_channels;
+          QCheck_alcotest.to_alcotest qcheck_conv2d_matches_full_sweep;
           tc "pool2d" `Quick test_pool2d;
           QCheck_alcotest.to_alcotest qcheck_pool2d_matches_full_sweep;
         ] );
