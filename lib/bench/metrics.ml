@@ -23,6 +23,7 @@ let work_prefixes =
     "grad/";
     "exec/";
     "cov/";
+    "hunt/";
     "corpus/saved";
     "corpus/dup_suppressed";
     "parallel/tests";

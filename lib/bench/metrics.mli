@@ -33,7 +33,8 @@ type counters = {
 val work_prefixes : string list
 (** Counter-name prefixes admitted into {!counters.mc_work}: deterministic
     work recorders only ([smt/], [gen/], [grad/], [exec/], [cov/], the
-    corpus save/dedup tallies and the pool's test/failure totals).  An
+    hunt's isolation re-runs ([hunt/]), the corpus save/dedup tallies and
+    the pool's test/failure totals).  An
     exact counter name is a valid prefix of itself. *)
 
 val is_work_counter : string -> bool

@@ -10,7 +10,14 @@ val attribute_semantic :
   unit
 (** Attribute a semantic mismatch by re-running with each candidate
     semantic defect enabled in isolation, bumping the triggered table.
-    (Used by {!Pfuzz.hunt}.) *)
+    (Used by {!Pfuzz.hunt}.)
+
+    A defect acts only where [Faults.enabled id] returns true, so a run
+    that never consults its candidate's guard is the fault-free run.  The
+    first such run's verdict stands for every later candidate whose guard
+    it did not consult; only the others are re-run.  The table is the one
+    a re-run of every candidate gives.  Counts [hunt/isolation_runs] and
+    [hunt/isolation_skipped]. *)
 
 val distribution :
   (string, int) Hashtbl.t ->

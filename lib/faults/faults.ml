@@ -122,15 +122,21 @@ let catalogue : bug list =
 
 let find b_id = List.find_opt (fun b -> b.b_id = b_id) catalogue
 
-(* Active set: which seeded defects currently fire.  Domain-local so that
-   concurrent fuzzing workers can flip fault sets (e.g. the semantic
-   attribution re-runs of [Bughunt]) without racing each other; a freshly
-   spawned domain starts with no active faults and inherits the parent's
-   set explicitly via [active_ids]/[set_active]. *)
-let dls : (string, unit) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+(* Per-domain state: the active set (which seeded defects currently fire)
+   and, inside a [record_consulted] scope, the ids whose guards the scope
+   consulted.  Domain-local so that concurrent fuzzing workers can flip
+   fault sets (e.g. the semantic attribution re-runs of [Bughunt]) without
+   racing each other; a freshly spawned domain starts with no active faults
+   and inherits the parent's set explicitly via [active_ids]/[set_active]. *)
+type state = {
+  active : (string, unit) Hashtbl.t;
+  mutable consulted : (string, unit) Hashtbl.t option;
+}
 
-let active () = Domain.DLS.get dls
+let dls : state Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { active = Hashtbl.create 16; consulted = None })
+
+let active () = (Domain.DLS.get dls).active
 
 let set_active ids =
   let tbl = active () in
@@ -146,7 +152,27 @@ let active_ids () =
 
 let activate_all () = set_active (List.map (fun b -> b.b_id) catalogue)
 let deactivate_all () = Hashtbl.reset (active ())
-let enabled b_id = Hashtbl.mem (active ()) b_id
+
+let enabled b_id =
+  let s = Domain.DLS.get dls in
+  (match s.consulted with Some t -> Hashtbl.replace t b_id () | None -> ());
+  Hashtbl.mem s.active b_id
+
+(* A nested scope hands its ids on to the enclosing one, so every scope
+   sees each guard consulted while it ran. *)
+let record_consulted f =
+  let s = Domain.DLS.get dls in
+  let outer = s.consulted in
+  let t = Hashtbl.create 8 in
+  s.consulted <- Some t;
+  let x =
+    Fun.protect
+      ~finally:(fun () ->
+        s.consulted <- outer;
+        Option.iter (fun o -> Hashtbl.iter (Hashtbl.replace o) t) outer)
+      f
+  in
+  (x, List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t []))
 
 let with_bugs ids f =
   let saved = active_ids () in

@@ -89,13 +89,18 @@ let test_harness_semantic_localisation () =
           check "error measured" true (rel_err > 0.)
       | _ -> Alcotest.fail "expected a semantic verdict")
 
+(* Relu -> Clip(-1, 1) at f64 on all -3s: "oxrt.fuse_relu_clip_f64" drops
+   the fused lower bound. *)
+let relu_clip_f64_case () =
+  let g = Graph.empty in
+  let g, x = B.input g Dtype.F64 [ 4 ] in
+  let g, r = B.op g (Op.Unary Op.Relu) [ x ] in
+  let g, _ = B.op g (Op.Clip { c_lo = -1.; c_hi = 1. }) [ r ] in
+  (g, [ (x, Nd.full_f Dtype.F64 [| 4 |] (-3.)) ])
+
 let test_harness_opt_localisation () =
   with_bug "oxrt.fuse_relu_clip_f64" (fun () ->
-      let g = Graph.empty in
-      let g, x = B.input g Dtype.F64 [ 4 ] in
-      let g, r = B.op g (Op.Unary Op.Relu) [ x ] in
-      let g, _ = B.op g (Op.Clip { c_lo = -1.; c_hi = 1. }) [ r ] in
-      let b = [ (x, Nd.full_f Dtype.F64 [| 4 |] (-3.)) ] in
+      let g, b = relu_clip_f64_case () in
       match D.Harness.test D.Systems.oxrt g b with
       | D.Harness.Semantic { sem_kind; _ } ->
           (* fusion happens only at O2 -> the optimizer is to blame *)
@@ -319,6 +324,135 @@ let test_lemon_cannot_trigger_shape_bugs () =
       check (b ^ " unreachable for LEMON") false (List.mem_assoc b r.r_triggered))
     shape_dependent
 
+(* Attribution oracle: the exhaustive loop, every semantic candidate of
+   the system and of the exporter re-run with only itself on.  Returns the
+   triggered table as sorted pairs. *)
+let exhaustive_attribution (system : D.Systems.t) g binding =
+  List.filter_map
+    (fun (b : Faults.bug) ->
+      if
+        b.effect = Faults.Semantic
+        && (b.system = system.s_name || b.system = "Exporter")
+        && Faults.with_bugs [ b.b_id ] (fun () ->
+               let exported, _ = D.Exporter.export g in
+               match D.Harness.test ~exported system g binding with
+               | D.Harness.Semantic _ -> true
+               | Pass | Crash _ | Skipped _ -> false
+               | exception _ -> false)
+      then Some (b.b_id, 1)
+      else None)
+    Faults.catalogue
+  |> List.sort compare
+
+let check_attribution what system g binding =
+  let triggered = Hashtbl.create 8 in
+  D.Bughunt.attribute_semantic system g binding triggered;
+  Alcotest.(check (list (pair string int)))
+    what
+    (exhaustive_attribution system g binding)
+    (List.sort compare (List.of_seq (Hashtbl.to_seq triggered)))
+
+(* Skipping the candidates whose guard the fault-free run never consults
+   gives the exhaustive loop's table: on two hand-built OxRT models, one
+   whose first candidate acts (so the first run is not the fault-free run)
+   and one whose defect is a later candidate; on every semantic failure of
+   the 100-test hunt at root 55; and on three models whose fault-free Lotus
+   compile already mismatches, so that the skipped candidates are credited
+   with its Semantic verdict. *)
+let test_attribution_exact () =
+  let module Tel = Nnsmith_telemetry.Telemetry in
+  let was_enabled = Tel.is_enabled () in
+  Tel.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was_enabled) @@ fun () ->
+  let runs0 = Tel.counter_value "hunt/isolation_runs"
+  and skipped0 = Tel.counter_value "hunt/isolation_skipped" in
+  let g, b = relu_clip_f64_case () in
+  check_attribution "Relu-Clip f64" D.Systems.oxrt g b;
+  let g, x = avgpool_graph () in
+  check_attribution "include-pad AveragePool" D.Systems.oxrt g
+    [ (x, Nd.full_f Dtype.F32 [| 1; 1; 2; 2 |] 4.) ];
+  let all_ids = List.map (fun (b : Faults.bug) -> b.b_id) Faults.catalogue in
+  let semantic =
+    Faults.with_bugs all_ids (fun () ->
+        List.concat_map
+          (fun i ->
+            let o =
+              D.Pfuzz.run_one ~systems:D.Systems.all
+                ~seed:(Nnsmith_parallel.Splitmix.derive ~root:55 ~index:i)
+                ()
+            in
+            List.filter
+              (fun (f : D.Pfuzz.failure) ->
+                match f.f_verdict with D.Harness.Semantic _ -> true | _ -> false)
+              o.o_failures)
+          (List.init 100 Fun.id))
+  in
+  check "the hunt has semantic failures" true (List.length semantic >= 3);
+  List.iter
+    (fun (f : D.Pfuzz.failure) ->
+      check_attribution
+        (Printf.sprintf "seed %d on %s" f.f_seed f.f_system.s_name)
+        f.f_system f.f_graph f.f_binding)
+    semantic;
+  List.iter
+    (fun seed ->
+      let g =
+        Nnsmith_core.Gen.generate
+          { Nnsmith_core.Config.default with seed; max_nodes = 8 }
+      in
+      let binding =
+        D.Inputs.find_binding (Random.State.make [| seed |]) g
+      in
+      (match no_faults (fun () -> D.Harness.test D.Systems.lotus g binding) with
+      | D.Harness.Semantic _ -> ()
+      | _ ->
+          Alcotest.failf
+            "model seed %d: the fault-free Lotus compile no longer \
+             mismatches; pick a model on which it does"
+            seed);
+      check_attribution (Printf.sprintf "model seed %d" seed) D.Systems.lotus g
+        binding)
+    [ 2250; 10527; 76227 ];
+  check "some candidates were re-run" true
+    (Tel.counter_value "hunt/isolation_runs" > runs0);
+  check "some candidates took the fault-free verdict" true
+    (Tel.counter_value "hunt/isolation_skipped" > skipped0)
+
+(* The recorder sees exactly the guards a scope consults: a compile that
+   reaches no AveragePool never consults that defect's guard, and a scope
+   that raises still hands its ids to the enclosing scope, which records
+   again once it is back in charge. *)
+let test_record_consulted () =
+  let g, _ = relu_graph () in
+  let b = Runner.random_binding (rng ()) g in
+  let v, ids =
+    Faults.record_consulted (fun () -> D.Harness.test D.Systems.oxrt g b)
+  in
+  check "relu passes" true (v = D.Harness.Pass);
+  check "an OxRT guard was consulted" true
+    (List.exists (fun id -> String.starts_with ~prefix:"oxrt." id) ids);
+  check "the unreached AveragePool guard was not" false
+    (List.mem "oxrt.avgpool_include_pad" ids);
+  check "no Lotus guard was consulted" false
+    (List.exists (fun id -> String.starts_with ~prefix:"lotus." id) ids);
+  check "ids are sorted" true (ids = List.sort compare ids);
+  let (), outer =
+    Faults.record_consulted (fun () ->
+        (match
+           Faults.record_consulted (fun () ->
+               ignore (Faults.enabled "lotus.vectorize_tail");
+               failwith "scope raised")
+         with
+        | _ -> Alcotest.fail "the inner scope must raise"
+        | exception Failure _ -> ());
+        ignore (Faults.enabled "oxrt.cast_chain_wrap"))
+  in
+  check "inner ids reach the outer scope; the outer scope records again"
+    true
+    (outer = [ "lotus.vectorize_tail"; "oxrt.cast_chain_wrap" ]);
+  let (), fresh = Faults.record_consulted (fun () -> ()) in
+  check "a new scope starts empty" true (fresh = [])
+
 (* The ledger's order rule.  Twelve outcomes, with failures, are offered
    in a scrambled index order with one failing index held back: the ledger
    applies only the prefix below that gap, its flush applies the rest in
@@ -444,6 +578,8 @@ let () =
         [
           tc "finds seeded bugs" `Slow test_bughunt_finds_seeded_bugs;
           tc "lemon limits" `Slow test_lemon_cannot_trigger_shape_bugs;
+          tc "attribution = exhaustive" `Slow test_attribution_exact;
+          tc "consulted guards" `Quick test_record_consulted;
         ] );
       ("ledger", [ tc "order rule" `Quick test_ledger_order_rule ]);
     ]

@@ -30,9 +30,10 @@
 #                 verdicts, failure keys and coverage must equal their
 #                 committed values
 #   suite-hunt    perfbench/bench.exe run --workload suite-hunt: the
-#                 digest's failure keys, coverage and index.jsonl bytes
-#                 must equal their committed values (OxRT/TRT/Lotus
-#                 outputs with every seeded defect on)
+#                 digest's verdicts, failure keys, coverage, index.jsonl
+#                 bytes and the md5 of its triggered-defect table must
+#                 equal their committed values (OxRT/TRT/Lotus outputs and
+#                 their attribution with every seeded defect on)
 #   style         no tabs / trailing whitespace; new lib modules need .mli;
 #                 one clock: under lib/, bin/ and bench/, only
 #                 lib/telemetry/telemetry.ml reads a clock
@@ -267,21 +268,29 @@ fi
 note "perfbench suite-hunt digest (compilers under every seeded defect)"
 # One suite-hunt run retests the 1500 stored models on OxRT, TRT and Lotus
 # with every seeded defect on, so its digest pins what the compilers under
-# test compute: the failure keys, the coverage edges and the corpus index
-# bytes (two passes, ~10 s on 2 cores).  A kernel change that claims to
-# leave outputs alone must keep all three.  Re-baseline them only with a
-# deliberate output change, together with the cohort md5 above.
+# test compute and what the hunt attributes to each defect: the verdict
+# counts, the failure keys, the coverage edges, the corpus index bytes and
+# the triggered table (`triggered[...]`, pinned by its md5; it is what
+# Bughunt.attribute_semantic's isolation re-runs produce).  Two passes,
+# ~7 s on 2 cores.  A change that claims to leave outputs alone must keep
+# all five.  Re-baseline them only with a deliberate output change,
+# together with the cohort md5 above.
 if [ -x "$pb" ]; then
   sh_out=$("$pb" run --workload suite-hunt --seed 1 --seconds 1 --trace 0 2>&1) \
     || err "perfbench suite-hunt run failed"
   sh_digest=$(printf '%s\n' "$sh_out" | grep '^digest:')
-  for want in keys=121/1e5fa6273f0d53e34ba965f7f39c4d60 cov=453 \
+  sh_triggered=$(printf '%s\n' "$sh_digest" | tr ' ' '\n' | grep '^triggered\[')
+  sh_triggered_md5=$(printf '%s' "$sh_triggered" | md5sum | cut -d' ' -f1)
+  for want in 'verdicts[crash=1510,pass=2026,semantic=547,skipped=417]' \
+      keys=121/1e5fa6273f0d53e34ba965f7f39c4d60 cov=453 \
       index.jsonl=198532B/9d7647eeeceec2df8e2885e5b89ae9d0; do
     case "$sh_digest " in
       *" $want "*) ;;
       *) err "suite-hunt digest lacks $want: ${sh_digest:-no digest line}" ;;
     esac
   done
+  [ "$sh_triggered_md5" = 9a9a371b4438eeb93fb6199ded745f3b ] \
+    || err "suite-hunt triggered table md5 $sh_triggered_md5, committed 9a9a371b4438eeb93fb6199ded745f3b: ${sh_triggered:-no triggered token}"
 else
   err "perfbench suite-hunt: $pb missing"
 fi
