@@ -556,7 +556,7 @@ let abl_solver () =
 
    Each gated experiment owns one fixed-seed round whose work counters
    (solver checks / component solves / search steps, compiled kernel
-   runs / dirty-set recomputes / arena reuses, generator tallies) and
+   runs / dirty-set recomputes / plan compiles, generator tallies) and
    allocation words are bit-stable run to run.  Running the experiment
    captures its round with Nnsmith_bench.Metrics and appends a schema-2
    row (commit + parent, workload key, digest, counters and an advisory

@@ -119,8 +119,8 @@ let () =
     (Corpus.size c)
 
 (* Execution-plan wiring: over a handful of fixed-seed models, the compiled
-   arena plan must produce reference outputs bitwise equal to the
-   interpreter's, including across repeated runs of one plan. *)
+   plan must produce reference outputs bitwise equal to the interpreter's,
+   including across repeated runs of one plan. *)
 let () =
   let module Gen = Nnsmith_core.Gen in
   let module Config = Nnsmith_core.Config in
@@ -135,7 +135,7 @@ let () =
     | exception Gen.Gen_failure _ -> ()
     | g ->
         incr checked;
-        (* oracle parity: arena plan vs interpreter, two rounds *)
+        (* oracle parity: plan vs interpreter, two rounds *)
         let binding = Runner.random_binding (Random.State.make [| seed + 1 |]) g in
         let all = Runner.run g binding in
         let want =
@@ -145,7 +145,7 @@ let () =
               (Graph.outputs g),
             List.exists (fun (_, v) -> Nd.has_bad v) all )
         in
-        let plan = Plan.build ~reuse:true g in
+        let plan = Plan.build g in
         for _ = 1 to 2 do
           let got = Plan.run_reference plan binding in
           if snd got <> snd want then

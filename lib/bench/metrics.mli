@@ -5,7 +5,7 @@
     quantities captured here are different: they count {e work}, not time —
     allocation words from [Gc.quick_stat] deltas and the fuzzer's own
     telemetry counters (solver checks, cache hits/misses, component solves,
-    search steps, compiled-kernel runs, dirty-set recomputes, arena reuses,
+    search steps, compiled-kernel runs, dirty-set recomputes, plan compiles,
     generator accept/reject tallies).  Campaigns are fixed-seed
     bit-identical, so these counters are bit-stable across runs and across
     machines, and a CI gate can demand {e exact equality} on them (and a

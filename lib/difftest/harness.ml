@@ -39,13 +39,16 @@ let worst_rel_err reference got =
       (fun acc (_, a) (_, b) -> Float.max acc (Nd.max_rel_error a b))
       0. reference got
 
-(* Reference outputs plus the §2.3 any-NaN/Inf flag, from the graph's
-   compiled arena plan, reused across probes.  The plan is bit-identical to
-   interpreting the graph with [Runner.run] and raises the same
-   exceptions. *)
+(* Reference outputs plus the §2.3 any-NaN/Inf flag, from the graph's one
+   execution plan.  That is the plan the input search ran, so the binding
+   it returned is already computed there, and each system, isolation re-run
+   and reduction probe recomputes only what its binding changed.  The
+   result is bit-identical to interpreting the graph with [Runner.run] and
+   raises the same exceptions; the outputs are views into the plan's
+   slots, valid until the next run on that plan. *)
 let reference_outputs (g : Graph.t) (binding : Runner.binding) :
     (int * Nd.t) list * bool =
-  Plan.run_reference (Plan.for_oracle g) binding
+  Plan.run_reference (Plan.for_graph g) binding
 
 (** Differentially test [g] on [system] under [binding].  The reference
     semantics come from the *pre-export* model (the "PyTorch" results);

@@ -21,9 +21,11 @@ val reference_outputs :
   Nnsmith_ops.Runner.binding ->
   (int * Nnsmith_tensor.Nd.t) list * bool
 (** Reference outputs in [Graph.outputs] order, plus whether any node value
-    contained NaN/Inf (the §2.3 exclusion flag).  Runs the graph's compiled
-    arena plan, bit-identical to interpreting it with
-    {!Nnsmith_ops.Runner.run}. *)
+    contained NaN/Inf (the §2.3 exclusion flag).  Runs the graph's one
+    execution plan ({!Nnsmith_exec.Plan.run_reference}), bit-identical to
+    interpreting it with {!Nnsmith_ops.Runner.run}; after a search on the
+    graph returned [binding], nothing recomputes.  The outputs are views
+    that stay valid until the next run on that plan. *)
 
 val test :
   ?exported:Nnsmith_ir.Graph.t ->

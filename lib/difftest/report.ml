@@ -75,13 +75,20 @@ let save_failure corpus ~(system : Systems.t) ~generator ?(seed = 0)
       | Some id -> `Duplicate id
       | None ->
           let reduce_seed = Hashtbl.hash key in
+          (* The last probe that reproduced.  [minimize] accepts exactly the
+             candidates the predicate holds on and returns the last one it
+             accepted (or [g]), so this is the reduced graph's probe: the
+             probe is deterministic, and running it again would repeat it. *)
+          let last = ref None in
           let reproduces g' =
             match Validate.check g' with
             | Error _ -> false
             | Ok () -> (
                 match probe system ~reduce_seed g' with
-                | Some (_, _, v) -> failure_key system v = Some key
-                | None -> false)
+                | Some ((_, _, v) as triple) when failure_key system v = Some key ->
+                    last := Some triple;
+                    true
+                | Some _ | None -> false)
           in
           let t0 = Tel.now_ms () in
           let reduced =
@@ -94,25 +101,21 @@ let save_failure corpus ~(system : Systems.t) ~generator ?(seed = 0)
           let red_ms = Tel.now_ms () -. t0 in
           Tel.observe "corpus/reduce_ms" red_ms;
           let graph, binding, verdict, export_bugs, reduction =
-            match reduced with
-            | Some (rg, stats) -> (
-                (* deterministic: the probe repeats what minimize accepted *)
-                match probe system ~reduce_seed rg with
-                | Some (b, fired, v) when failure_key system v = Some key ->
-                    ( rg,
-                      b,
-                      v,
-                      fired,
-                      Some
-                        {
-                          Corpus.red_attempts = stats.Reduce.attempts;
-                          red_accepted = stats.Reduce.accepted;
-                          red_initial = stats.Reduce.initial_size;
-                          red_final = stats.Reduce.final_size;
-                          red_ms;
-                        } )
-                | Some _ | None -> (g, binding, verdict, export_bugs, None))
-            | None -> (g, binding, verdict, export_bugs, None)
+            match (reduced, !last) with
+            | Some (rg, stats), Some (b, fired, v) ->
+                ( rg,
+                  b,
+                  v,
+                  fired,
+                  Some
+                    {
+                      Corpus.red_attempts = stats.Reduce.attempts;
+                      red_accepted = stats.Reduce.accepted;
+                      red_initial = stats.Reduce.initial_size;
+                      red_final = stats.Reduce.final_size;
+                      red_ms;
+                    } )
+            | _ -> (g, binding, verdict, export_bugs, None)
           in
           let meta =
             {

@@ -9,10 +9,9 @@
       per-iteration [Hashtbl] keyed by node id);
     - broadcast / stride / reduction index arithmetic is materialised into
       flat offset arrays per op at compile time;
-    - each op gets a destination-passing kernel writing into a preallocated
-      output buffer; in arena mode ({!for_oracle}) buffers whose last consumer
-      has run are recycled for later nodes of matching representation and
-      element count, so steady-state passes allocate nothing.
+    - each op gets a destination-passing kernel writing into its own
+      preallocated output buffer, so steady-state passes allocate nothing
+      and every slot keeps its value until the slot recomputes.
 
     Bit-identity with the reference interpreter is a hard invariant: every
     kernel is either a raw-array specialisation performing the interpreter's
@@ -55,7 +54,9 @@ type t = {
   slots : slot array;
   slot_of_id : (int, int) Hashtbl.t;
   consumers : int array array;
-  visited : bool array;
+  outputs : (int * int) list;  (* (node id, slot) in [Graph.outputs] order *)
+  visited : bool array;  (* [invalidate]'s marks *)
+  changed : bool array;  (* [run_reference]'s rebound/recomputed marks *)
 }
 
 let graph p = p.graph
@@ -662,14 +663,9 @@ let compile_kernel op ins od os =
 (* ------------------------------------------------------------------ *)
 (* Plan construction.                                                  *)
 
-let repr_kind = function
-  | Dtype.F32 | F64 -> 0
-  | I32 | I64 -> 1
-  | Bool -> 2
-
 let dummy = Nd.scalar_f Dtype.F64 0.
 
-let build ~reuse g =
+let build g =
   Tel.incr "exec/plan_compile";
   let nodes = Array.of_list (Graph.nodes g) in
   let nslots = Array.length nodes in
@@ -686,29 +682,6 @@ let build ~reuse g =
     (fun i ins -> Array.iter (fun j -> consumers_l.(j) <- i :: consumers_l.(j)) ins)
     in_slots;
   let consumers = Array.map (fun l -> Array.of_list (List.rev l)) consumers_l in
-  (* liveness: the slot index of each buffer's last read; graph outputs (no
-     consumers) live forever *)
-  let last_use =
-    Array.map
-      (fun cs -> if Array.length cs = 0 then max_int else Array.fold_left max 0 cs)
-      consumers
-  in
-  let pool : (int * int, Nd.t list ref) Hashtbl.t = Hashtbl.create 16 in
-  let take key =
-    match Hashtbl.find_opt pool key with
-    | Some ({ contents = b :: rest } as r) ->
-        r := rest;
-        Some b
-    | _ -> None
-  in
-  let give key b =
-    match Hashtbl.find_opt pool key with
-    | Some r -> r := b :: !r
-    | None -> Hashtbl.replace pool key (ref [ b ])
-  in
-  (* each op slot's buffer, so a dead input's storage can be recovered while
-     the slot array is still being built *)
-  let buffers = Array.make nslots dummy in
   let fallbacks = ref 0 in
   let slots =
     Array.mapi
@@ -728,37 +701,7 @@ let build ~reuse g =
               decl_dtype decl_shape
         in
         if (not is_leaf) && kernel = None then incr fallbacks;
-        let buffer =
-          if is_leaf then dummy
-          else begin
-            let key = (repr_kind decl_dtype, Shape.numel decl_shape) in
-            match if reuse then take key else None with
-            | Some b -> { Nd.dtype = decl_dtype; shape = decl_shape; data = b.Nd.data }
-            | None -> (
-                (* first try storage retired by an evicted cohort member:
-                   kernels fully overwrite destinations, so stale contents
-                   are unobservable *)
-                match Arena.take ~kind:(fst key) ~numel:(snd key) with
-                | Some data -> { Nd.dtype = decl_dtype; shape = decl_shape; data }
-                | None -> Nd.create decl_dtype decl_shape)
-          end
-        in
-        (* release this node's dead inputs only after its own buffer is
-           allocated, so a destination never aliases one of its inputs *)
-        if reuse then
-          List.iter
-            (fun j ->
-              let src = nodes.(j) in
-              if
-                last_use.(j) = i
-                && match src.Graph.op with Op.Leaf _ -> false | _ -> true
-              then
-                let dt = Conc.dtype src.Graph.out_type in
-                give
-                  (repr_kind dt, Shape.numel (Conc.shape src.Graph.out_type))
-                  buffers.(j))
-            (List.sort_uniq compare (Array.to_list in_slots.(i)));
-        buffers.(i) <- buffer;
+        let buffer = if is_leaf then dummy else Nd.create decl_dtype decl_shape in
         {
           node;
           in_slots = in_slots.(i);
@@ -780,18 +723,13 @@ let build ~reuse g =
     slots;
     slot_of_id;
     consumers;
+    outputs =
+      List.map
+        (fun (n : Graph.node) -> (n.Graph.id, Hashtbl.find slot_of_id n.Graph.id))
+        (Graph.outputs g);
     visited = Array.make nslots false;
+    changed = Array.make nslots false;
   }
-
-let fallback_nodes p =
-  Array.fold_left
-    (fun acc s -> if (not s.is_leaf) && s.kernel = None then acc + 1 else acc)
-    0 p.slots
-
-let slot_buffers p =
-  Array.to_list p.slots
-  |> List.filter_map (fun s ->
-         if s.is_leaf then None else Some (s.node.Graph.id, s.buffer))
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
@@ -820,12 +758,14 @@ let exec_node p i =
         Dtype.equal (Nd.dtype v) s.decl_dtype
         && Shape.equal (Nd.shape v) s.decl_shape
 
-let set_leaf p id v =
-  let i = Hashtbl.find p.slot_of_id id in
-  let s = p.slots.(i) in
+let bind_leaf s v =
   s.value <- v;
   s.decl_ok <-
-    Dtype.equal (Nd.dtype v) s.decl_dtype && Shape.equal (Nd.shape v) s.decl_shape;
+    Dtype.equal (Nd.dtype v) s.decl_dtype && Shape.equal (Nd.shape v) s.decl_shape
+
+let set_leaf p id v =
+  let s = p.slots.(Hashtbl.find p.slot_of_id id) in
+  bind_leaf s v;
   s.valid <- false
 
 let leaf_value p id = p.slots.(Hashtbl.find p.slot_of_id id).value
@@ -882,144 +822,92 @@ let forward_until_bad p =
   if !computed > 0 then Tel.incr ~by:!computed "exec/dirty_recomputes";
   (!result, !computed)
 
+(* The binding's tensor for a leaf: the first occurrence of its id wins, as
+   in [Runner.run]. *)
+let rec bound (id : int) = function
+  | [] -> None
+  | (j, v) :: rest -> if j = id then Some v else bound id rest
+
+(* Incremental reference pass.  Both passes keep one invariant: a valid
+   slot holds the value its inputs determine, and that value is finite.  So
+   a leaf whose slot is valid and already holds the binding's very tensor
+   is unchanged; an op slot recomputes when it is invalid or one of its
+   inputs was rebound or recomputed in this pass; every other slot keeps
+   its value, and the any-NaN/Inf flag only needs the slots this pass
+   touched.  Physical equality is sound because no tensor a plan holds is
+   written in place except by the search, which invalidates what it
+   writes, and the compilers under test never write into their inputs. *)
 let run_reference p binding =
-  let btbl = Hashtbl.create 16 in
-  List.iter
-    (fun (id, v) -> if not (Hashtbl.mem btbl id) then Hashtbl.add btbl id v)
-    binding;
-  let any_bad = ref false in
-  let kernel_runs = ref 0 in
-  for i = 0 to Array.length p.slots - 1 do
-    let s = p.slots.(i) in
-    (match s.node.Graph.op with
-    | Op.Leaf kind ->
-        let v =
-          match (Hashtbl.find_opt btbl s.node.Graph.id, kind) with
-          | Some t, _ -> t
-          | None, Op.Const_fill c ->
-              Runner.tensor_of_leaf
-                (Random.State.make [| 0 |])
-                (Op.Const_fill c) s.node.Graph.out_type ~lo:0. ~hi:0.
-          | None, (Op.Model_input | Op.Model_weight) ->
-              raise (Runner.Missing_leaf s.node.Graph.id)
-        in
-        s.value <- v;
-        s.decl_ok <-
-          Dtype.equal (Nd.dtype v) s.decl_dtype
-          && Shape.equal (Nd.shape v) s.decl_shape
-    | _ ->
-        exec_node p i;
-        incr kernel_runs);
-    s.valid <- false;
-    if Nd.has_bad s.value then any_bad := true
-  done;
+  let slots = p.slots and changed = p.changed in
+  let any_bad = ref false and kernel_runs = ref 0 in
+  (try
+     for i = 0 to Array.length slots - 1 do
+       let s = slots.(i) in
+       let touched =
+         match s.node.Graph.op with
+         | Op.Leaf kind ->
+             let id = s.node.Graph.id in
+             let v =
+               match (bound id binding, kind) with
+               | Some t, _ -> t
+               | None, Op.Const_fill c ->
+                   Runner.tensor_of_leaf
+                     (Random.State.make [| 0 |])
+                     (Op.Const_fill c) s.node.Graph.out_type ~lo:0. ~hi:0.
+               | None, (Op.Model_input | Op.Model_weight) ->
+                   raise (Runner.Missing_leaf id)
+             in
+             if s.valid && v == s.value then false
+             else begin
+               bind_leaf s v;
+               true
+             end
+         | _ ->
+             if s.valid && not (Array.exists (fun j -> changed.(j)) s.in_slots)
+             then false
+             else begin
+               exec_node p i;
+               incr kernel_runs;
+               true
+             end
+       in
+       changed.(i) <- touched;
+       if touched then begin
+         let bad = Nd.has_bad s.value in
+         s.valid <- not bad;
+         if bad then any_bad := true
+       end
+     done
+   with e ->
+     (* slots after the raise were never reached: trust none of them *)
+     invalidate_all p;
+     raise e);
   if !kernel_runs > 0 then Tel.incr ~by:!kernel_runs "exec/kernel_runs";
-  let outs =
-    List.map
-      (fun (n : Graph.node) ->
-        (n.Graph.id, p.slots.(Hashtbl.find p.slot_of_id n.Graph.id).value))
-      (Graph.outputs p.graph)
-  in
-  (outs, !any_bad)
+  (List.map (fun (id, j) -> (id, slots.(j).value)) p.outputs, !any_bad)
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain plan cache.                                              *)
 
-type cache_entry = {
-  mutable ce_graph : Graph.t;
-  ce_key : string;  (* content key: the graph's canonical text form *)
-  mutable ce_search : t option;
-  mutable ce_oracle : t option;
-}
-
-(* Cohort plan pool: the [cohort_size] most recent graphs keep their
-   compiled plans alive, MRU-first, per domain.  Single-model loops hit
-   the head entry by physical equality, exactly as the old one-entry
-   cache did; corpus replays and cohort campaigns regenerate graphs as
-   physically distinct but content-identical values, which the content
-   key recognises so the replay reuses the campaign's plans instead of
-   recompiling.  Evicted entries retire their slot storage to the
-   {!Arena}, where the next compilation picks it up. *)
+(* The plans of the [cohort_size] most recent graphs, MRU first, per
+   domain, looked up by physical equality: a campaign test runs its search,
+   its references, its attribution re-runs and its reduction probes on the
+   same graph value, so one plan serves them all. *)
 let cohort_size = 4
 
-let cache : cache_entry list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let cache : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-(* Donate a retired plan's slot storage.  Buffers are deduplicated by
-   physical identity (oracle plans share storage across slots); the leaf
-   placeholder is excluded by the [is_leaf] guard. *)
-let retire e =
-  let donate p =
-    let seen = ref [] in
-    Array.iter
-      (fun s ->
-        if not s.is_leaf then begin
-          let d = s.buffer.Nd.data in
-          if not (List.memq d !seen) then begin
-            seen := d :: !seen;
-            Arena.give
-              ~kind:(repr_kind s.decl_dtype)
-              ~numel:(Shape.numel s.decl_shape)
-              d
-          end
-        end)
-      p.slots
-  in
-  Option.iter donate e.ce_search;
-  Option.iter donate e.ce_oracle
+let cohort_clear () = Domain.DLS.get cache := []
 
-let cohort_clear () =
-  let slot = Domain.DLS.get cache in
-  slot := [];
-  Arena.clear ()
-
-let entry_for g =
-  let slot = Domain.DLS.get cache in
-  let move_to_front e =
-    (match !slot with
-    | e0 :: _ when e0 == e -> ()
-    | _ -> slot := e :: List.filter (fun x -> not (x == e)) !slot);
-    e
-  in
-  match List.find_opt (fun e -> e.ce_graph == g) !slot with
-  | Some e -> move_to_front e
-  | None -> (
-      let key = Graph.to_string g in
-      match List.find_opt (fun e -> String.equal e.ce_key key) !slot with
-      | Some e ->
-          Tel.incr "exec/cohort_content_hit";
-          e.ce_graph <- g;
-          move_to_front e
-      | None ->
-          let e = { ce_graph = g; ce_key = key; ce_search = None; ce_oracle = None } in
-          let rec trim i l =
-            if i >= cohort_size then begin
-              List.iter retire l;
-              []
-            end
-            else match l with [] -> [] | x :: tl -> x :: trim (i + 1) tl
-          in
-          slot := trim 0 (e :: !slot);
-          e)
-
-let for_search g =
-  let e = entry_for g in
-  match e.ce_search with
+let for_graph g =
+  let cached = Domain.DLS.get cache in
+  match List.find_opt (fun p -> p.graph == g) !cached with
   | Some p ->
       Tel.incr "exec/plan_hit";
+      (match !cached with
+      | p0 :: _ when p0 == p -> ()
+      | l -> cached := p :: List.filter (fun x -> not (x == p)) l);
       p
   | None ->
-      let p = build ~reuse:false g in
-      e.ce_search <- Some p;
-      p
-
-let for_oracle g =
-  let e = entry_for g in
-  match e.ce_oracle with
-  | Some p ->
-      Tel.incr "exec/plan_hit";
-      p
-  | None ->
-      let p = build ~reuse:true g in
-      e.ce_oracle <- Some p;
+      let p = build g in
+      cached := p :: List.filteri (fun i _ -> i < cohort_size - 1) !cached;
       p

@@ -3,17 +3,13 @@
     A plan is built once per graph and reused across every forward pass of
     that model: dense topologically-ordered value slots (no per-iteration
     hashtable), per-op kernels with precomputed broadcast/stride/reduction
-    index maps, and preallocated output buffers.  Two flavours exist:
-
-    - {!for_search}: every node keeps a private buffer (the search's reverse
-      pass reads every intermediate value through the slot accessors below)
-      and a validity bit enables dirty-set re-execution —
-      after an optimiser step touches leaf set L, only nodes reachable from L
-      recompute.
-    - {!for_oracle}: a liveness-based buffer arena — a node whose last
-      consumer has run donates its buffer to later nodes of matching
-      representation and element count, so a steady-state reference run
-      allocates nothing.
+    index maps, and one preallocated output buffer per node.  Each graph has
+    one plan, shared by the input search and the differential oracle: every
+    slot keeps its value, and a validity bit lets both re-execute only what
+    changed — after an optimiser step touches leaf set L, only nodes
+    reachable from L recompute ({!forward_until_bad}), and a reference pass
+    over the binding the search returned recomputes nothing
+    ({!run_reference}).
 
     Results are bit-identical to the {!Nnsmith_ops.Eval} interpreter: kernels
     share their element formulas with the interpreter's (via the [_into]
@@ -25,25 +21,20 @@ type t
 
 val graph : t -> Nnsmith_ir.Graph.t
 
-val for_search : Nnsmith_ir.Graph.t -> t
-(** Keep-all-buffers plan from the per-domain cohort pool (compiled on
-    first request; the pool holds the plans of the 4 most recent graphs,
-    looked up by physical equality with a content-key fallback so a
-    replayed graph — regenerated as a physically distinct but identical
-    value — reuses the original's plans; evicted plans retire their
-    buffers to {!Arena}). *)
+val for_graph : Nnsmith_ir.Graph.t -> t
+(** The graph's plan from the per-domain cohort pool (compiled on first
+    request; the pool holds the plans of the 4 most recent graphs, looked
+    up by physical equality). *)
 
-val for_oracle : Nnsmith_ir.Graph.t -> t
-(** Arena plan (buffer reuse) from the per-domain cohort pool. *)
-
-val build : reuse:bool -> Nnsmith_ir.Graph.t -> t
-(** Compile a fresh plan, bypassing the cache; [reuse] enables the buffer
-    arena.  Never raises — unsupported nodes get interpreter fallbacks. *)
+val build : Nnsmith_ir.Graph.t -> t
+(** Compile a fresh plan, bypassing the pool.  Never raises — unsupported
+    nodes get interpreter fallbacks. *)
 
 val set_leaf : t -> int -> Nnsmith_tensor.Nd.t -> unit
 (** Bind a leaf's value and mark the leaf invalid.  Does NOT propagate
     invalidity: callers follow with {!invalidate} over the changed ids (or
-    {!invalidate_all} on a restart). *)
+    {!invalidate_all} on a restart).  A caller that writes into a bound
+    tensor in place must invalidate its leaf the same way. *)
 
 val leaf_value : t -> int -> Nnsmith_tensor.Nd.t
 (** Current value of any node (used for leaves: the bound tensor). *)
@@ -86,21 +77,25 @@ val run_reference :
   t ->
   (int * Nnsmith_tensor.Nd.t) list ->
   (int * Nnsmith_tensor.Nd.t) list * bool
-(** Full oracle pass over a binding: every node recomputes (leaves read from
-    the binding; unbound [Const_fill] leaves materialise their fill exactly
-    as [Runner.run] does).  Returns the graph outputs in [Graph.outputs]
-    order and whether ANY node value contained NaN/Inf.  Raises
-    [Runner.Missing_leaf] / [Eval.Eval_error] at the same node, in the same
-    topological position, as [Runner.run]. *)
+(** Oracle pass over a binding, equal to [Runner.run]: returns the graph
+    outputs in [Graph.outputs] order and whether ANY node value contained
+    NaN/Inf, and raises [Runner.Missing_leaf] / [Eval.Eval_error] at the
+    same node, in the same topological position, as [Runner.run] (unbound
+    [Const_fill] leaves materialise their fill as it does).
 
-val slot_buffers : t -> (int * Nnsmith_tensor.Nd.t) list
-(** Non-leaf (node id, preallocated buffer) pairs in topological order —
-    introspection for the arena-aliasing tests.  Buffers of distinct ids are
-    physically shared exactly when the arena reused one. *)
+    The pass is incremental.  A leaf is unchanged only when its slot is
+    valid and the binding holds the very tensor (physical equality) the slot
+    holds.  In topological order, an op slot recomputes when it is invalid
+    or one of its inputs was rebound or recomputed; a slot stays valid only
+    if its value is finite, and a raise invalidates every slot.  So the
+    binding {!leaf_value} reports after a successful search costs no kernel
+    run.  The binding's tensors must not have been written in place since
+    they were bound, unless their leaves were invalidated.
 
-val fallback_nodes : t -> int
-(** Number of op nodes without a compiled kernel (interpreter fallback). *)
+    The outputs are views into the plan's slots: they stay valid until the
+    next run on this plan (a search or a reference pass), which may
+    overwrite them. *)
 
 val cohort_clear : unit -> unit
-(** Drop the calling domain's pooled plans and arena buffers — used by
-    benches and tests to start from a cold pool. *)
+(** Drop the calling domain's pooled plans — used by benches and tests to
+    start from a cold pool. *)

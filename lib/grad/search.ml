@@ -73,7 +73,7 @@ let search ?budget_ms ?(max_iters = default_max_iters) ?(lr = 0.5) ?(lo = 1.)
   (* The compiled plan runs every forward with dirty-set re-execution, and
      the fused in-place Adam step updates its leaves.  Moments are
      preallocated once per plan. *)
-  let plan = Plan.for_search g in
+  let plan = Plan.for_graph g in
   let leaves = Array.of_list (Graph.leaves g) in
   Adam.preallocate adam
     (Array.to_list leaves

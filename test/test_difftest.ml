@@ -107,6 +107,52 @@ let test_harness_opt_localisation () =
           check "kind" true (sem_kind = `Optimization)
       | _ -> Alcotest.fail "expected a semantic verdict")
 
+(* No compiler under test writes into its inputs.  The oracle's reference
+   is computed on the plan that holds the search binding's very tensors and
+   is reused while they stay physically the same, so a system that mutated
+   one would make that reference stale.  Every system at both levels, with
+   the defects off and all on, must leave each binding tensor with the bits
+   of a copy taken beforehand (a crash included). *)
+let test_systems_leave_inputs_intact () =
+  let models =
+    List.filter_map
+      (fun seed ->
+        match
+          Nnsmith_core.Gen.generate
+            { Nnsmith_core.Config.default with seed; max_nodes = 10 }
+        with
+        | exception Nnsmith_core.Gen.Gen_failure _ -> None
+        | g -> Some (seed, g, D.Inputs.find_binding (Random.State.make [| seed |]) g))
+      (List.init 20 (fun i -> i + 1))
+  in
+  check "enough models" true (List.length models >= 10);
+  List.iter
+    (fun (label, bugs) ->
+      Faults.with_bugs bugs (fun () ->
+          List.iter
+            (fun (seed, g, binding) ->
+              let exported, _ = D.Exporter.export g in
+              List.iter
+                (fun (sys : D.Systems.t) ->
+                  List.iter
+                    (fun (level, opt) ->
+                      let before = List.map (fun (id, v) -> (id, Nd.copy v)) binding in
+                      (try ignore (sys.compile_and_run opt exported binding)
+                       with _ -> ());
+                      List.iter2
+                        (fun (id, v) (_, v0) ->
+                          if not (Nd.equal v v0) then
+                            Alcotest.failf "%s: %s %s wrote into leaf %d of model seed %d"
+                              label sys.s_name level id seed)
+                        binding before)
+                    [ ("O0", D.Systems.O0); ("O2", D.Systems.O2) ])
+                D.Systems.all)
+            models))
+    [
+      ("defects off", []);
+      ("all defects on", List.map (fun (b : Faults.bug) -> b.b_id) Faults.catalogue);
+    ]
+
 let test_bug_id_parsing () =
   check "valid id" true
     (D.Harness.bug_id_of_message "[oxrt.cse_ignores_attrs] blah"
@@ -550,6 +596,7 @@ let () =
           tc "semantic frontend localisation" `Quick test_harness_semantic_localisation;
           tc "semantic optimizer localisation" `Quick test_harness_opt_localisation;
           tc "bug id parsing" `Quick test_bug_id_parsing;
+          tc "systems leave inputs intact" `Quick test_systems_leave_inputs_intact;
         ] );
       ( "exporter",
         [

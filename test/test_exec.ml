@@ -1,5 +1,5 @@
 (* Tests for compiled execution plans (lib/exec): bit-identity against the
-   interpreter, buffer-arena aliasing safety, dirty-set re-execution, and
+   interpreter, incremental reference passes, dirty-set re-execution, and
    the fused in-place Adam step. *)
 
 module Dtype = Nnsmith_tensor.Dtype
@@ -12,6 +12,7 @@ module Config = Nnsmith_core.Config
 module Runner = Nnsmith_ops.Runner
 module Adam = Nnsmith_grad.Adam
 module Plan = Nnsmith_exec.Plan
+module Tel = Nnsmith_telemetry.Telemetry
 
 let check = Alcotest.(check bool)
 let rng_of seed = Random.State.make [| seed |]
@@ -34,9 +35,31 @@ let outputs_equal a b =
   List.length a = List.length b
   && List.for_all2 (fun (i, x) (j, y) -> i = j && Nd.equal x y) a b
 
+(* [Plan.run_reference] agrees with [Runner.run]: the same outputs bit for
+   bit and the same NaN/Inf flag, or the same exception. *)
+let check_reference ~what plan g binding =
+  let attempt f = match f () with r -> Ok r | exception e -> Error e in
+  match
+    ( attempt (fun () -> interp_reference g binding),
+      attempt (fun () -> Plan.run_reference plan binding) )
+  with
+  | Ok want, Ok got ->
+      check (what ^ ": bad flag") (snd want) (snd got);
+      check (what ^ ": outputs") true (outputs_equal (fst want) (fst got))
+  | Error e, Error e' ->
+      Alcotest.(check string)
+        (what ^ ": exception") (Printexc.to_string e) (Printexc.to_string e')
+  | Ok _, Error e ->
+      Alcotest.failf "%s: only the plan raised %s" what (Printexc.to_string e)
+  | Error e, Ok _ ->
+      Alcotest.failf "%s: only the interpreter raised %s" what
+        (Printexc.to_string e)
+
 (* ------------------------------------------------------------------ *)
-(* run_reference is bit-identical to Runner.run, arena on and off,
-   including across repeated (steady-state) runs of one plan.           *)
+(* run_reference is bit-identical to Runner.run across the rounds of one
+   plan: the same binding again (nothing recomputes unless a value was
+   NaN/Inf), a physically fresh copy (every leaf rebound), one leaf
+   rebound, and back to the first binding.                              *)
 
 let test_run_reference_matches_runner () =
   let tested = ref 0 in
@@ -45,108 +68,36 @@ let test_run_reference_matches_runner () =
     | None -> ()
     | Some g ->
         incr tested;
-        let binding = Runner.random_binding (rng_of (seed + 1)) g in
-        let want = interp_reference g binding in
-        let arena = Plan.build ~reuse:true g in
-        let keep = Plan.build ~reuse:false g in
-        List.iter
-          (fun (plan, name) ->
-            (* twice: the second run exercises steady-state buffer reuse *)
-            for round = 1 to 2 do
-              let got = Plan.run_reference plan binding in
-              check
-                (Printf.sprintf "seed %d %s round %d: bad flag" seed name round)
-                (snd want) (snd got);
-              check
-                (Printf.sprintf "seed %d %s round %d: outputs" seed name round)
-                true
-                (outputs_equal (fst want) (fst got))
-            done)
-          [ (arena, "arena"); (keep, "keep-all") ]
+        let rng = rng_of (seed + 1) in
+        let binding = Runner.random_binding rng g in
+        let copy = List.map (fun (id, v) -> (id, Nd.copy v)) binding in
+        let rebound =
+          let k = seed mod List.length copy in
+          List.mapi
+            (fun i (id, v) ->
+              if i <> k then (id, v)
+              else
+                match (Graph.find g id).Graph.op with
+                | Op.Leaf kind ->
+                    (id, Runner.tensor_of_leaf rng kind (Graph.find g id).out_type ~lo:(-9.) ~hi:9.)
+                | _ -> assert false)
+            copy
+        in
+        let plan = Plan.build g in
+        List.iteri
+          (fun round (name, b) ->
+            check_reference
+              ~what:(Printf.sprintf "seed %d round %d (%s)" seed (round + 1) name)
+              plan g b)
+          [
+            ("binding", binding);
+            ("same binding", binding);
+            ("fresh copy", copy);
+            ("one leaf rebound", rebound);
+            ("first binding", binding);
+          ]
   done;
   check "generated enough graphs" true (!tested > 60)
-
-(* ------------------------------------------------------------------ *)
-(* Arena aliasing safety: two slots may share storage only when every
-   consumer of the earlier node has already run by the time the later
-   node executes (and only donors with consumers are ever pooled).      *)
-
-let same_storage (a : Nd.t) (b : Nd.t) =
-  match (a.Nd.data, b.Nd.data) with
-  | Nd.F x, Nd.F y -> x == y
-  | Nd.I x, Nd.I y -> x == y
-  | Nd.B x, Nd.B y -> x == y
-  | _ -> false
-
-let test_arena_aliasing_safe () =
-  let shared_pairs = ref 0 in
-  for seed = 0 to 119 do
-    match gen_graph seed with
-    | None -> ()
-    | Some g ->
-        let plan = Plan.build ~reuse:true g in
-        let topo = Array.of_list (Graph.nodes g) in
-        let pos = Hashtbl.create 32 in
-        Array.iteri
-          (fun i (n : Graph.node) -> Hashtbl.replace pos n.Graph.id i)
-          topo;
-        let last_use id =
-          List.fold_left
-            (fun acc (c : Graph.node) ->
-              max acc (Hashtbl.find pos c.Graph.id))
-            (-1)
-            (Graph.consumers g id)
-        in
-        let buffers = Array.of_list (Plan.slot_buffers plan) in
-        Array.iteri
-          (fun i (id_a, buf_a) ->
-            Array.iteri
-              (fun j (id_b, buf_b) ->
-                if i < j && same_storage buf_a buf_b then begin
-                  incr shared_pairs;
-                  let lu = last_use id_a in
-                  check
-                    (Printf.sprintf "seed %d: donor %d has consumers" seed id_a)
-                    true (lu >= 0);
-                  check
-                    (Printf.sprintf
-                       "seed %d: nodes %d/%d share a buffer but %d is live"
-                       seed id_a id_b id_a)
-                    true
-                    (lu < Hashtbl.find pos id_b)
-                end)
-              buffers)
-          buffers
-  done;
-  check "arena shared at least one buffer somewhere" true (!shared_pairs > 0)
-
-(* A relu chain must reuse buffers: node k's output dies as soon as node
-   k+1 has run, so node k+2 can take its storage. *)
-let chain_graph n =
-  let ty = Conc.make Dtype.F32 [ 8 ] in
-  let g, x = Graph.add_node Graph.empty ~op:(Op.Leaf Op.Model_input) ~inputs:[] ~out_type:ty in
-  let g = ref g and prev = ref x in
-  for _ = 1 to n do
-    let g', id = Graph.add_node !g ~op:(Op.Unary Op.Relu) ~inputs:[ !prev ] ~out_type:ty in
-    g := g';
-    prev := id
-  done;
-  !g
-
-let test_arena_reuses_chain () =
-  let g = chain_graph 6 in
-  let plan = Plan.build ~reuse:true g in
-  let buffers = Array.of_list (Plan.slot_buffers plan) in
-  let shared = ref 0 in
-  Array.iteri
-    (fun i (_, a) ->
-      Array.iteri (fun j (_, b) -> if i < j && same_storage a b then incr shared) buffers)
-    buffers;
-  check "relu chain reuses buffers" true (!shared > 0);
-  (* and still computes the right thing *)
-  let binding = Runner.random_binding (rng_of 7) g in
-  check "chain outputs match interpreter" true
-    (outputs_equal (fst (interp_reference g binding)) (fst (Plan.run_reference plan binding)))
 
 (* ------------------------------------------------------------------ *)
 (* Dirty-set re-execution: after touching one leaf, only nodes reachable
@@ -159,7 +110,7 @@ let test_dirty_set_diamond () =
   let g, c = Graph.add_node g ~op:(Op.Unary Op.Tanh) ~inputs:[ a ] ~out_type:ty in
   let g, d = Graph.add_node g ~op:(Op.Unary Op.Tanh) ~inputs:[ b ] ~out_type:ty in
   let g, _e = Graph.add_node g ~op:(Op.Binary Op.Add) ~inputs:[ c; d ] ~out_type:ty in
-  let plan = Plan.build ~reuse:false g in
+  let plan = Plan.build g in
   let v x = Nd.full_f Dtype.F64 [| 4 |] x in
   Plan.set_leaf plan a (v 1.);
   Plan.set_leaf plan b (v 2.);
@@ -194,7 +145,50 @@ let test_dirty_set_diamond () =
         (n.Graph.id, Plan.leaf_value plan n.Graph.id))
       (Graph.outputs g)
   in
-  check "dirty-set values match interpreter" true (outputs_equal want got)
+  check "dirty-set values match interpreter" true (outputs_equal want got);
+  (* the reference pass over the plan's own leaves recomputes nothing;
+     rebinding [b] recomputes d and e; a NaN leaf is flagged, stays invalid
+     and recomputes with its consumers on the next pass *)
+  let kernel_runs f =
+    let before = Tel.counter_value "exec/kernel_runs" in
+    let r = f () in
+    (r, Tel.counter_value "exec/kernel_runs" - before)
+  in
+  Tel.set_enabled true;
+  let own = [ (a, Plan.leaf_value plan a); (b, Plan.leaf_value plan b) ] in
+  let (got, bad), runs = kernel_runs (fun () -> Plan.run_reference plan own) in
+  check "reference over the search's leaves runs no kernel" true
+    (runs = 0 && (not bad) && outputs_equal want got);
+  let rebound = [ (a, Plan.leaf_value plan a); (b, v 2.) ] in
+  let (got, _), runs = kernel_runs (fun () -> Plan.run_reference plan rebound) in
+  check "rebinding b recomputes d and e" true (runs = 2 && outputs_equal want got);
+  let nan = [ (a, Plan.leaf_value plan a); (b, v Float.nan) ] in
+  let (_, bad), runs = kernel_runs (fun () -> Plan.run_reference plan nan) in
+  check "NaN leaf: d and e recompute, flag set" true (runs = 2 && bad);
+  let (_, bad), runs = kernel_runs (fun () -> Plan.run_reference plan nan) in
+  check "NaN slots recompute again" true (runs = 2 && bad);
+  let (got, bad), runs = kernel_runs (fun () -> Plan.run_reference plan rebound) in
+  check "back to a finite binding" true
+    (runs = 2 && (not bad) && outputs_equal want got);
+  (* a leaf written in place and marked with [set_leaf] is rebound: its
+     consumers recompute *)
+  let ta = Plan.leaf_value plan a in
+  Nd.set_f ta 0 7.;
+  Plan.set_leaf plan a ta;
+  let (got, _), runs = kernel_runs (fun () -> Plan.run_reference plan rebound) in
+  check "in-place write recomputes c and e" true
+    (runs = 2 && outputs_equal (fst (interp_reference g rebound)) got);
+  (* a raise leaves no stale slot behind: [a] is rebound before [b] is
+     found missing, so c and e must recompute on the next pass *)
+  let a4 = v 4. in
+  (match Plan.run_reference plan [ (a, a4) ] with
+  | exception Runner.Missing_leaf id -> check "missing b raised" true (id = b)
+  | _ -> Alcotest.fail "missing leaf not raised");
+  let after = [ (a, a4); (b, Plan.leaf_value plan b) ] in
+  let got, _ = Plan.run_reference plan after in
+  check "after a raise the pass matches the interpreter" true
+    (outputs_equal (fst (interp_reference g after)) got);
+  Tel.set_enabled false
 
 (* ------------------------------------------------------------------ *)
 (* The fused in-place Adam step is bit-identical to the allocating one. *)
@@ -261,17 +255,21 @@ let test_adam_reset_zeroes () =
   check "reset state matches fresh state" true (Nd.equal a b)
 
 (* ------------------------------------------------------------------ *)
-(* The per-domain plan cache hands back the same compiled plan for the
-   same graph (and a fresh one after the graph changes).                *)
+(* The per-domain plan cache hands back one compiled plan per graph value
+   (and a fresh one for a physically distinct copy).                    *)
 
 let test_plan_cache () =
   match gen_graph 42 with
   | None -> Alcotest.fail "seed 42 failed to generate"
   | Some g ->
-      check "for_search cached" true (Plan.for_search g == Plan.for_search g);
-      check "for_oracle cached" true (Plan.for_oracle g == Plan.for_oracle g);
-      check "search and oracle plans differ" true
-        (Plan.graph (Plan.for_search g) == Plan.graph (Plan.for_oracle g))
+      Plan.cohort_clear ();
+      let p = Plan.for_graph g in
+      check "one plan per graph" true (Plan.for_graph g == p);
+      check "the plan of that graph" true (Plan.graph p == g);
+      let copy = Graph.of_nodes (Graph.nodes g) in
+      check "a physically distinct copy gets its own plan" true
+        (not (Plan.for_graph copy == p));
+      check "the graph keeps its plan" true (Plan.for_graph g == p)
 
 let () =
   Alcotest.run "exec"
@@ -282,13 +280,6 @@ let () =
             test_run_reference_matches_runner;
           Alcotest.test_case "plan cache by physical graph" `Quick
             test_plan_cache;
-        ] );
-      ( "arena",
-        [
-          Alcotest.test_case "aliasing respects liveness" `Quick
-            test_arena_aliasing_safe;
-          Alcotest.test_case "relu chain reuses buffers" `Quick
-            test_arena_reuses_chain;
         ] );
       ( "dirty-set",
         [

@@ -840,9 +840,9 @@ let test_adam_reset () =
 (* ------------------------------------------------------------------ *)
 (* Backprop through a graph: the compiled reverse program over a plan  *)
 
-(* A search plan holding every node's value under [binding]. *)
+(* A plan holding every node's value under [binding]. *)
 let plan_of g binding =
-  let plan = Plan.build ~reuse:false g in
+  let plan = Plan.build g in
   ignore (Plan.run_reference plan binding);
   plan
 
@@ -1062,7 +1062,7 @@ let test_reverse_matches_oracle () =
   let compared = ref 0 in
   List.iter
     (fun (name, g) ->
-      let plan = Plan.build ~reuse:false g in
+      let plan = Plan.build g in
       List.iter
         (fun proxy ->
           let prog = Backprop.create ~proxy plan in

@@ -396,8 +396,12 @@ let prop_binning_ranges_respected =
    way the search applies them ([set_leaf] + [invalidate] over the changed
    ids), the plan's dirty-set forward stops at the same first bad node as
    the [Eval] interpreter run from scratch, with the same inputs, and holds
-   the same bits for every node the interpreter computed.  Wide leaf ranges
-   make bad forwards common. *)
+   the same bits for every node the interpreter computed.  The oracle shares
+   the plan: after each round, [run_reference] over the plan's own leaf
+   tensors (reusing what the forward left valid) and over fresh copies of
+   them (every leaf rebound) equals [Runner.run] — the same output bits and
+   NaN/Inf flag, or both raise — and the next round's forward still agrees.
+   Wide leaf ranges make bad forwards common. *)
 let prop_plan_search_bit_identical =
   QCheck.Test.make ~name:"exec plan transparent to gradient search" ~count:60
     QCheck.(int_range 0 100000)
@@ -408,7 +412,7 @@ let prop_plan_search_bit_identical =
           let module Plan = Nnsmith_exec.Plan in
           let module Search = Nnsmith_grad.Search in
           let rng = rng_of (seed + 7) in
-          let plan = Plan.for_search g in
+          let plan = Plan.for_graph g in
           let leaves = Graph.leaves g in
           let draw (n : Graph.node) =
             let lo, hi = if Random.State.bool rng then (1., 9.) else (-9., 9.) in
@@ -429,10 +433,23 @@ let prop_plan_search_bit_identical =
               && List.for_all2 Nd.equal pins eins
             in
             let attempt f = match f () with r -> Ok r | exception e -> Error e in
-            match
-              ( attempt (fun () -> Plan.forward_until_bad plan),
-                attempt (fun () -> Search.forward_until_bad g binding) )
-            with
+            let reference_agrees binding =
+              match
+                ( attempt (fun () -> Plan.run_reference plan binding),
+                  attempt (fun () -> Runner.run g binding) )
+              with
+              | Error _, Error _ -> true
+              | Ok (outs, bad), Ok all ->
+                  bad = List.exists (fun (_, v) -> Nd.has_bad v) all
+                  && List.for_all
+                       (fun (id, v) -> Nd.equal v (List.assoc id all))
+                       outs
+              | _ -> false
+            in
+            (match
+               ( attempt (fun () -> Plan.forward_until_bad plan),
+                 attempt (fun () -> Search.forward_until_bad g binding) )
+             with
             | Error _, Error _ -> true
             | Ok (pbad, _), Ok (values, ebad) ->
                 (match (pbad, ebad) with
@@ -442,7 +459,10 @@ let prop_plan_search_bit_identical =
                 && Hashtbl.fold
                      (fun id v ok -> ok && Nd.equal (Plan.leaf_value plan id) v)
                      values true
-            | _ -> false
+            | _ -> false)
+            && reference_agrees binding
+            && reference_agrees
+                 (List.map (fun (id, v) -> (id, Nd.copy v)) binding)
           in
           List.iter (fun n -> Plan.set_leaf plan n.Graph.id (draw n)) leaves;
           Plan.invalidate_all plan;
