@@ -888,26 +888,21 @@ let run_reference p binding =
 (* ------------------------------------------------------------------ *)
 (* Per-domain plan cache.                                              *)
 
-(* The plans of the [cohort_size] most recent graphs, MRU first, per
-   domain, looked up by physical equality: a campaign test runs its search,
-   its references, its attribution re-runs and its reduction probes on the
-   same graph value, so one plan serves them all. *)
-let cohort_size = 4
+(* The plan of the most recent graph, per domain, looked up by physical
+   equality: a campaign test runs its search, its references, its
+   attribution re-runs and its reduction probes on one graph value at a
+   time, so one slot serves them all. *)
+let cache : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-let cache : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let cohort_clear () = Domain.DLS.get cache := []
+let cohort_clear () = Domain.DLS.get cache := None
 
 let for_graph g =
   let cached = Domain.DLS.get cache in
-  match List.find_opt (fun p -> p.graph == g) !cached with
-  | Some p ->
+  match !cached with
+  | Some p when p.graph == g ->
       Tel.incr "exec/plan_hit";
-      (match !cached with
-      | p0 :: _ when p0 == p -> ()
-      | l -> cached := p :: List.filter (fun x -> not (x == p)) l);
       p
-  | None ->
+  | _ ->
       let p = build g in
-      cached := p :: List.filteri (fun i _ -> i < cohort_size - 1) !cached;
+      cached := Some p;
       p

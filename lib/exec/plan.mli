@@ -23,8 +23,8 @@ val graph : t -> Nnsmith_ir.Graph.t
 
 val for_graph : Nnsmith_ir.Graph.t -> t
 (** The graph's plan from the per-domain cohort pool (compiled on first
-    request; the pool holds the plans of the 4 most recent graphs, looked
-    up by physical equality). *)
+    request; the pool holds the plan of the most recent graph, looked up
+    by physical equality). *)
 
 val build : Nnsmith_ir.Graph.t -> t
 (** Compile a fresh plan, bypassing the pool.  Never raises — unsupported

@@ -153,14 +153,26 @@ let zero = int 0
 let one = int 1
 
 (* Floor division: round toward negative infinity, as in shape arithmetic
-   for negative padding.  [fmod] is the matching remainder. *)
+   for negative padding; [cdiv] rounds toward positive infinity and [fmod]
+   is [fdiv]'s remainder.  Each takes one hardware division: the truncated
+   remainder is [a - q * b] (exact in wrapping arithmetic, also for
+   [min_int / -1]), and it has [a]'s sign, so the truncated quotient is
+   one too high for the floor, or one too low for the ceiling, exactly
+   when the remainder is nonzero and its sign differs from (floor) or
+   matches (ceiling) the divisor's. *)
 let fdiv a b =
-  let q = a / b and r = a mod b in
-  if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q
+  let q = a / b in
+  let r = a - (q * b) in
+  if r <> 0 && r lxor b < 0 then q - 1 else q
+
+let cdiv a b =
+  let q = a / b in
+  let r = a - (q * b) in
+  if r <> 0 && r lxor b >= 0 then q + 1 else q
 
 let fmod a b =
-  let r = a mod b in
-  if r <> 0 && (r < 0) <> (b < 0) then r + b else r
+  let r = a - (a / b * b) in
+  if r <> 0 && r lxor b < 0 then r + b else r
 
 let ( + ) a b =
   match (a, b) with

@@ -72,8 +72,11 @@ val eval : (var -> int) -> t -> int
     [Division_by_zero]; floor semantics match the solver's. *)
 
 val fdiv : int -> int -> int
+val cdiv : int -> int -> int
 val fmod : int -> int -> int
-(** Floor division / modulo on concrete ints ([fdiv (-7) 2 = -4]). *)
+(** Floor division, ceiling division and floor modulo on concrete ints
+    ([fdiv (-7) 2 = -4], [cdiv (-7) 2 = -3], [fmod (-7) 2 = 1]), each with
+    one hardware division.  Division by zero raises [Division_by_zero]. *)
 
 val intern : t -> t
 (** [intern e] returns the canonical (hash-consed) representative of [e] for

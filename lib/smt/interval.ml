@@ -21,11 +21,13 @@ let inter a b =
 let hull a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
 
 (* Saturating scalar ops: all operands are within [-big, big], so sums fit in
-   native ints; only products can overflow, checked by division. *)
+   native ints; only products can overflow.  Operands in [-2^30, 2^30)
+   multiply exactly, others are checked by division. *)
 let sat_add a b = clamp (a + b)
 
 let sat_mul a b =
-  if a = 0 || b = 0 then 0
+  if ((a + 0x4000_0000) lor (b + 0x4000_0000)) lsr 31 = 0 then clamp (a * b)
+  else if a = 0 || b = 0 then 0
   else
     let p = a * b in
     if p / a <> b then if (a > 0) = (b > 0) then big else -big else clamp p
@@ -67,24 +69,9 @@ let pp ppf i = Fmt.pf ppf "[%d, %d]" i.lo i.hi
 (* ------------------------------------------------------------------ *)
 (* Abstract evaluation over expressions and formulas.
 
-   The forward evaluator and the three-valued formula evaluator are the
-   single shared implementation behind both the solver's propagation loop
-   and the pre-screening layer: the screen may only report definitely-UNSAT
-   when the solver would also refute, so the two must agree on every
-   abstract-semantics detail (saturation, floor division, Mod widening). *)
-
-(* The forward step of each binary constructor: the one definition of its
-   abstract semantics, shared by [eval_expr] and [eval_tree]. *)
-let step2 (e : Expr.t) a b =
-  match e with
-  | Add _ -> add a b
-  | Sub _ -> sub a b
-  | Mul _ -> mul a b
-  | Div _ -> div a b
-  | Mod _ -> rem a b
-  | Min _ -> min_ a b
-  | Max _ -> max_ a b
-  | Const _ | Var _ | Neg _ -> invalid_arg "Interval.step2: not a binary term"
+   The reference semantics of the solver's propagation engine, which
+   computes the same operations over dense int arrays (saturation, floor
+   division, Mod widening); the tests compare the two. *)
 
 let eval_expr ~lookup e =
   let rec go (e : Expr.t) =
@@ -92,29 +79,13 @@ let eval_expr ~lookup e =
     | Expr.Const n -> point n
     | Var v -> lookup v
     | Neg a -> neg (go a)
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
-    | Min (a, b) | Max (a, b) ->
-        step2 e (go a) (go b)
-  in
-  go e
-
-type tree = Leaf of t | Unary of t * tree | Binary of t * tree * tree
-
-let tree_value = function Leaf i | Unary (i, _) | Binary (i, _, _) -> i
-
-let eval_tree ~lookup e =
-  let rec go (e : Expr.t) =
-    match e with
-    | Expr.Const n -> Leaf (point n)
-    | Var v -> Leaf (lookup v)
-    | Neg a ->
-        let ta = go a in
-        Unary (neg (tree_value ta), ta)
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
-    | Min (a, b) | Max (a, b) ->
-        let ta = go a in
-        let tb = go b in
-        Binary (step2 e (tree_value ta) (tree_value tb), ta, tb)
+    | Add (a, b) -> add (go a) (go b)
+    | Sub (a, b) -> sub (go a) (go b)
+    | Mul (a, b) -> mul (go a) (go b)
+    | Div (a, b) -> div (go a) (go b)
+    | Mod (a, b) -> rem (go a) (go b)
+    | Min (a, b) -> min_ (go a) (go b)
+    | Max (a, b) -> max_ (go a) (go b)
   in
   go e
 

@@ -11,6 +11,14 @@ type t = private { lo : int; hi : int }
 val big : int
 (** Magnitude at which bounds saturate. *)
 
+val clamp : int -> int
+(** Clamp to [\[-big, big\]]. *)
+
+val sat_add : int -> int -> int
+val sat_mul : int -> int -> int
+(** Saturating sum and product of bounds in [\[-big, big\]]: the exact
+    result, clamped. *)
+
 val make : int -> int -> t
 (** [make lo hi] clamps both bounds; raises [Invalid_argument] if
     [lo > hi]. *)
@@ -46,31 +54,14 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Abstract evaluation}
 
-    The shared abstract semantics behind the solver's HC4 propagation and
-    the candidate pre-screening layer.  [lookup] supplies the interval of
-    each variable (typically its current narrowed domain, falling back to
-    the declared [lo]/[hi] bounds); over-approximating lookups yield
-    over-approximating results, which is the soundness property the screen
-    relies on: a {!F} verdict under sound domains proves the formula has no
-    model within them. *)
+    The reference semantics of the solver's propagation engine, which
+    computes the same operations over dense arrays of bounds.  [lookup]
+    supplies the interval of each variable; over-approximating lookups
+    yield over-approximating results: a {!F} verdict under sound domains
+    proves the formula has no model within them. *)
 
 val eval_expr : lookup:(Expr.var -> t) -> Expr.t -> t
 (** Forward interval evaluation of an expression. *)
-
-(** Forward intervals of every subterm, in the shape of the expression:
-    [Leaf] for a constant or a variable, [Unary] for [Neg], [Binary] for
-    the two-operand constructors, each holding its subterm's interval
-    first. *)
-type tree = Leaf of t | Unary of t * tree | Binary of t * tree * tree
-
-val tree_value : tree -> t
-(** The interval at the root of a tree. *)
-
-val eval_tree : lookup:(Expr.var -> t) -> Expr.t -> tree
-(** {!eval_expr} that keeps every subterm's interval:
-    [tree_value (eval_tree ~lookup e) = eval_expr ~lookup e], built from
-    the same per-constructor steps.  The solver's narrowing reads the
-    children's intervals from it instead of re-evaluating them. *)
 
 type tv = T | F | U
 (** Three-valued formula verdict: definitely true, definitely false,

@@ -126,268 +126,525 @@ let rec split_conj atoms ors (f : Formula.t) =
   | Not _ -> assert false (* eliminated by nnf *)
 
 (* ------------------------------------------------------------------ *)
-(* Interval propagation (HC4 revise).                                  *)
+(* The propagation engine: HC4 revise over a compiled constraint set.
 
-type domains = (Expr.var * Interval.t) Imap.t
+   A solve compiles its atoms and residual disjunctions once.  Variables
+   are numbered densely and their domains live in the int arrays [lo] and
+   [hi].  Every term occurrence is a node laid out in post-order, so the
+   subterm at node [n] is the node range [first.(n) .. n] and its forward
+   interval is one pass over that range into the per-node slots
+   [vlo]/[vhi].  A narrowing bumps [narrowings] and pushes the variable's
+   previous domain on the trail, so a search child undoes to its parent's
+   mark instead of keeping an immutable map.
+
+   Each revise step reads the intervals the map-based HC4 loop read: a
+   subterm's slots are evaluated again exactly where that loop rebuilt the
+   subterm's annotation (a narrowing happened since), and every kernel is
+   [Interval]'s operation on the same bounds.  So every narrowing, round
+   and Conflict is that loop's; the tests keep it as an oracle. *)
 
 exception Conflict
 
-let mk lo hi =
-  match Interval.make_opt lo hi with Some i -> i | None -> raise Conflict
+type op = Oconst | Ovar | Oadd | Osub | Omul | Odiv | Omod | Oneg | Omin | Omax
 
-let dom (d : domains) (v : Expr.var) =
-  match Imap.find v.id d with
-  | _, i -> i
-  | exception Not_found -> Interval.make v.lo v.hi
+(* A comparison atom: the root nodes of its sides, whose nodes are the
+   range [first.(a) .. b]. *)
+type atom = { cmp : Formula.cmp; a : int; b : int }
 
-(* Forward evaluation and three-valued formula verdicts share one
-   implementation with the pre-screening layer (see interval.mli): the
-   screen's definitely-UNSAT answers are sound precisely because they use
-   the same abstract semantics as the propagation loop. *)
-let fwd d (e : Expr.t) : Interval.t = Interval.eval_expr ~lookup:(dom d) e
-let tree d (e : Expr.t) = Interval.eval_tree ~lookup:(dom d) e
-let value = Interval.tree_value
+(* A formula's three-valued verdict over the compiled atoms. *)
+type verdict =
+  | Vtrue
+  | Vfalse
+  | Vcmp of atom
+  | Vand of verdict list
+  | Vor of verdict list
 
-(* [t] annotates [e] under the map [d0].  A narrowing always builds a new
-   map, so while [d == d0] nothing [e] reads has changed and [t] still
-   holds; otherwise [e] is evaluated again under [d]. *)
-let tree_at d0 d e t = if d == d0 then t else tree d e
-let value_at d0 d e t = if d == d0 then value t else fwd d e
+(* A disjunct of a residual disjunction, and the atoms it narrows with when
+   it is the last one unrefuted ([None] when its conjunction holds
+   [False]). *)
+type disjunct = { verdict : verdict; narrows : atom array option }
 
-let cdiv a b = -Expr.fdiv (-a) b
-
-(* Narrow [x] given that x * y ∈ [tgt] with y ∈ [iy]. *)
-let mul_arg_target (iy : Interval.t) (tgt : Interval.t) : Interval.t option =
-  if iy.lo <= 0 && iy.hi >= 0 then None
-  else
-    let f = Expr.fdiv in
-    let lo =
-      Int.min
-        (Int.min (f tgt.lo iy.lo) (f tgt.lo iy.hi))
-        (Int.min (f tgt.hi iy.lo) (f tgt.hi iy.hi))
-    and hi =
-      Int.max
-        (Int.max (cdiv tgt.lo iy.lo) (cdiv tgt.lo iy.hi))
-        (Int.max (cdiv tgt.hi iy.lo) (cdiv tgt.hi iy.hi))
-    in
-    Interval.make_opt lo hi
-
-(* Narrow [d] so that [e] can take a value in [tgt].  [te] is [e]'s
-   annotated forward tree under [d]: each level reads its children's
-   intervals from it while the map is unchanged, where a plain recursion
-   would re-evaluate every subterm at every level.  [note] is called with
-   each variable whose domain narrows; it threads the caller's own
-   bookkeeping, so concurrent or nested solves never share a flag. *)
-let rec refine ~note (d : domains) (e : Expr.t) (te : Interval.tree)
-    (tgt : Interval.t) : domains =
-  match Interval.inter (value te) tgt with
-  | None -> raise Conflict
-  | Some tgt -> (
-      match (e, te) with
-      | Const _, _ -> d
-      | Var v, _ ->
-          if Interval.equal (value te) tgt then d
-          else begin
-            note v;
-            Imap.add v.id (v, tgt) d
-          end
-      | Add (x, y), Binary (_, tx, ty) ->
-          let d' = refine ~note d x tx (Interval.sub tgt (value ty)) in
-          refine ~note d' y (tree_at d d' y ty)
-            (Interval.sub tgt (value_at d d' x tx))
-      | Sub (x, y), Binary (_, tx, ty) ->
-          let d' = refine ~note d x tx (Interval.add tgt (value ty)) in
-          refine ~note d' y (tree_at d d' y ty)
-            (Interval.sub (value_at d d' x tx) tgt)
-      | Neg x, Unary (_, tx) -> refine ~note d x tx (Interval.neg tgt)
-      | Mul (x, y), Binary (_, tx, ty) -> (
-          let d' =
-            match mul_arg_target (value ty) tgt with
-            | Some t -> refine ~note d x tx t
-            | None -> d
-          in
-          match mul_arg_target (value_at d d' x tx) tgt with
-          | Some t -> refine ~note d' y (tree_at d d' y ty) t
-          | None -> d')
-      | Div (x, _), Binary (_, tx, ty) ->
-          (* floor(x / y) ∈ tgt; narrow x when y is known positive. *)
-          let iy = value ty in
-          if iy.lo >= 1 then
-            let lo_x = Int.min (tgt.lo * iy.lo) (tgt.lo * iy.hi)
-            and hi_x =
-              Int.max ((tgt.hi + 1) * iy.lo) ((tgt.hi + 1) * iy.hi) - 1
-            in
-            refine ~note d x tx (mk lo_x hi_x)
-          else d
-      | Mod (_, _), _ -> d
-      | Min (x, y), Binary (_, tx, ty) ->
-          (* both operands are >= tgt.lo; at least one is <= tgt.hi *)
-          let d1 = refine ~note d x tx (mk tgt.lo Interval.big) in
-          let d2 =
-            refine ~note d1 y (tree_at d d1 y ty) (mk tgt.lo Interval.big)
-          in
-          let tx = tree_at d d2 x tx and ty = tree_at d d2 y ty in
-          if (value tx).lo > tgt.hi then
-            refine ~note d2 y ty (mk (-Interval.big) tgt.hi)
-          else if (value ty).lo > tgt.hi then
-            refine ~note d2 x tx (mk (-Interval.big) tgt.hi)
-          else d2
-      | Max (x, y), Binary (_, tx, ty) ->
-          let d1 = refine ~note d x tx (mk (-Interval.big) tgt.hi) in
-          let d2 =
-            refine ~note d1 y (tree_at d d1 y ty) (mk (-Interval.big) tgt.hi)
-          in
-          let tx = tree_at d d2 x tx and ty = tree_at d d2 y ty in
-          if (value tx).hi < tgt.lo then
-            refine ~note d2 y ty (mk tgt.lo Interval.big)
-          else if (value ty).hi < tgt.lo then
-            refine ~note d2 x tx (mk tgt.lo Interval.big)
-          else d2
-      | (Add _ | Sub _ | Neg _ | Mul _ | Div _ | Min _ | Max _), _ ->
-          invalid_arg "Solver.refine: tree does not match the term")
-
-let narrow_atom ~note d (f : Formula.t) =
-  match f with
-  | Cmp (((Le | Lt) as c), a, b) ->
-      (* a <= b - strict: [Lt] is [Le] with a gap of one *)
-      let strict = match c with Lt -> 1 | _ -> 0 in
-      let ta = tree d a and tb = tree d b in
-      let hi_a = (value tb).hi - strict in
-      let d' = refine ~note d a ta (mk (-Interval.big) hi_a) in
-      let lo_b = (value_at d d' a ta).lo + strict in
-      refine ~note d' b (tree_at d d' b tb) (mk lo_b Interval.big)
-  | Cmp (Eq, a, b) -> (
-      let ta = tree d a and tb = tree d b in
-      match Interval.inter (value ta) (value tb) with
-      | None -> raise Conflict
-      | Some m ->
-          let d' = refine ~note d a ta m in
-          refine ~note d' b (tree_at d d' b tb) m)
-  | Cmp (Ne, a, b) ->
-      let ta = tree d a and tb = tree d b in
-      let ia = value ta and ib = value tb in
-      let pa = ia.lo = ia.hi and pb = ib.lo = ib.hi in
-      if pa && pb then if ia.lo = ib.lo then raise Conflict else d
-      else if pa then
-        if ia.lo = ib.lo then refine ~note d b tb (mk (ib.lo + 1) ib.hi)
-        else if ia.lo = ib.hi then refine ~note d b tb (mk ib.lo (ib.hi - 1))
-        else d
-      else if pb then
-        if ib.lo = ia.lo then refine ~note d a ta (mk (ia.lo + 1) ia.hi)
-        else if ib.lo = ia.hi then refine ~note d a ta (mk ia.lo (ia.hi - 1))
-        else d
-      else d
-  | True | False | And _ | Or _ | Not _ -> d
-
-let tv_eval d (f : Formula.t) : Interval.tv =
-  Interval.eval_formula ~lookup:(dom d) f
-
-(* Apply one propagation item: a conjunctive atom narrows directly; a
-   residual disjunction narrows with its last unrefuted branch. *)
-let apply ~note d (f : Formula.t) =
-  match f with
-  | Cmp _ -> narrow_atom ~note d f
-  | Or disjuncts -> (
-      match List.filter (fun g -> tv_eval d g <> Interval.F) disjuncts with
-      | [] -> raise Conflict
-      | [ g ] -> (
-          match split_conj [] [] g with
-          | atoms', _nested -> List.fold_left (narrow_atom ~note) d atoms'
-          | exception Exit -> raise Conflict)
-      | _ :: _ :: _ -> d)
-  | True | False | And _ | Not _ -> d
-
-(* Watch lists.  An item reads only its variables' domains, so applying it
-   again to a map where none of them changed since an application that
-   returned the map unchanged is again a no-op.  Each item carries a dirty
-   flag: it is cleared when an application leaves the map physically
-   unchanged, and set again when any variable the item reads is narrowed.
-   Skipping clean items therefore replays exactly the narrowing steps,
-   rounds and Conflicts of sweeping every item in every round. *)
-type plan = {
-  items : Formula.t array;  (* the atoms, then the residual disjunctions *)
-  watchers : (int, int list) Hashtbl.t;  (* var id -> items reading it *)
-}
-
-let plan atoms ors =
-  let items = Array.of_list (atoms @ ors) in
-  let watchers = Hashtbl.create 16 in
-  let watch k (v : Expr.var) =
-    let ks = Option.value ~default:[] (Hashtbl.find_opt watchers v.id) in
-    Hashtbl.replace watchers v.id (k :: ks)
-  in
-  Array.iteri (fun k f -> List.iter (watch k) (Formula.vars f)) items;
-  { items; watchers }
-
-let mark p dirty (v : Expr.var) =
-  match Hashtbl.find_opt p.watchers v.id with
-  | Some ks -> List.iter (fun k -> dirty.(k) <- true) ks
-  | None -> ()
+type item = Atom of atom | Disj of disjunct array
 
 (* Deterministic propagation work, summed per solve: items applied, and
    propagations stopped at the round cap. *)
 type work = { mutable visits : int; mutable capped : int }
 
+type engine = {
+  vars : Expr.var array;
+  lo : int array;
+  hi : int array;
+  op : op array;
+  arg1 : int array;  (* [Ovar]: the variable; otherwise the (left) child *)
+  arg2 : int array;  (* the right child *)
+  first : int array;
+  vlo : int array;
+  vhi : int array;
+  items : item array;  (* the atoms, then the residual disjunctions *)
+  watchers : int array array;  (* variable -> the items reading it *)
+  dirty : bool array;
+  mutable trail : int array;  (* (variable, lo, hi) before each narrowing *)
+  mutable trail_len : int;
+  mutable narrowings : int;
+  work : work;
+}
+
+let rec term_size : Expr.t -> int = function
+  | Const _ | Var _ -> 1
+  | Neg a -> 1 + term_size a
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
+  | Min (a, b) | Max (a, b) ->
+      1 + term_size a + term_size b
+
+(* Compile the items (negation normal form: [Cmp] atoms, then [Or]
+   disjunctions) over [vars], numbered first and in order, and any other
+   variable they mention, numbered as met.  Domains start at the declared
+   bounds and every item starts dirty.  An item watches every variable its
+   formula mentions. *)
+let compile ?(vars = []) ~work atoms ors =
+  let index = Hashtbl.create 16 and order = ref [] in
+  let var_index (v : Expr.var) =
+    match Hashtbl.find_opt index v.id with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length index in
+        Hashtbl.add index v.id i;
+        order := v :: !order;
+        i
+  in
+  List.iter (fun v -> ignore (var_index v)) vars;
+  let forms = atoms @ ors in
+  let n =
+    List.fold_left
+      (fun n f ->
+        List.fold_left
+          (fun n (_, a, b) -> n + term_size a + term_size b)
+          n (Formula.atoms f))
+      0 forms
+  in
+  let op = Array.make n Oconst and arg1 = Array.make n 0
+  and arg2 = Array.make n 0 and first = Array.make n 0
+  and vlo = Array.make n 0 and vhi = Array.make n 0 in
+  let next = ref 0 in
+  let rec emit (e : Expr.t) =
+    let f = !next in
+    let o, x, y =
+      match e with
+      | Const c ->
+          vlo.(f) <- Interval.clamp c;
+          vhi.(f) <- Interval.clamp c;
+          (Oconst, 0, 0)
+      | Var v -> (Ovar, var_index v, 0)
+      | Neg a -> (Oneg, emit a, 0)
+      | Add (a, b) -> bin Oadd a b
+      | Sub (a, b) -> bin Osub a b
+      | Mul (a, b) -> bin Omul a b
+      | Div (a, b) -> bin Odiv a b
+      | Mod (a, b) -> bin Omod a b
+      | Min (a, b) -> bin Omin a b
+      | Max (a, b) -> bin Omax a b
+    in
+    let i = !next in
+    next := i + 1;
+    op.(i) <- o;
+    arg1.(i) <- x;
+    arg2.(i) <- y;
+    first.(i) <- f;
+    i
+  and bin o a b =
+    let a = emit a in
+    (o, a, emit b)
+  in
+  let atom cmp a b =
+    let a = emit a in
+    { cmp; a; b = emit b }
+  in
+  let rec verdict (f : Formula.t) =
+    match f with
+    | True -> Vtrue
+    | False -> Vfalse
+    | Cmp (c, a, b) -> Vcmp (atom c a b)
+    | And fs -> Vand (List.map verdict fs)
+    | Or fs -> Vor (List.map verdict fs)
+    | Not _ -> assert false (* eliminated by nnf *)
+  in
+  (* [split_conj]'s atoms, in its order; a nested disjunction is skipped *)
+  let rec split acc = function
+    | Vtrue | Vor _ -> acc
+    | Vfalse -> raise Exit
+    | Vcmp t -> t :: acc
+    | Vand vs -> List.fold_left split acc vs
+  in
+  let disjunct g =
+    let verdict = verdict g in
+    let narrows = try Some (Array.of_list (split [] verdict)) with Exit -> None in
+    { verdict; narrows }
+  in
+  let item (f : Formula.t) =
+    let start = !next in
+    let item =
+      match f with
+      | Cmp (c, a, b) -> Atom (atom c a b)
+      | Or ds -> Disj (Array.of_list (List.map disjunct ds))
+      | True | False | And _ | Not _ -> assert false (* split by split_conj *)
+    in
+    (item, start, !next)
+  in
+  let items = Array.of_list (List.map item forms) in
+  let watchers = Array.make (Hashtbl.length index) [] in
+  Array.iteri
+    (fun k (_, start, stop) ->
+      for i = start to stop - 1 do
+        let v = arg1.(i) in
+        if op.(i) = Ovar then
+          match watchers.(v) with
+          | k' :: _ when k' = k -> ()
+          | ks -> watchers.(v) <- k :: ks
+      done)
+    items;
+  let vars = Array.of_list (List.rev !order) in
+  let domain (v : Expr.var) = Interval.make v.lo v.hi in
+  {
+    vars;
+    lo = Array.map (fun v -> (domain v).lo) vars;
+    hi = Array.map (fun v -> (domain v).hi) vars;
+    op;
+    arg1;
+    arg2;
+    first;
+    vlo;
+    vhi;
+    items = Array.map (fun (item, _, _) -> item) items;
+    watchers = Array.map Array.of_list watchers;
+    dirty = Array.make (Array.length items) true;
+    trail = Array.make (3 * (Array.length vars + 8)) 0;
+    trail_len = 0;
+    narrowings = 0;
+    work;
+  }
+
+let big = Interval.big
+let clamp = Interval.clamp
+let sat_add = Interval.sat_add
+let sat_mul = Interval.sat_mul
+
+let set g i lo hi =
+  g.vlo.(i) <- lo;
+  g.vhi.(i) <- hi
+
+(* Forward-evaluate the nodes [i0 .. i1]: each node's slots get
+   [Interval]'s operation on its children's.  A quotient's extreme corners
+   follow from the signs, as floor division is monotone in each operand on
+   a divisor interval that excludes 0. *)
+let eval_range g i0 i1 =
+  let vlo = g.vlo and vhi = g.vhi in
+  for i = i0 to i1 do
+    let x = g.arg1.(i) and y = g.arg2.(i) in
+    match g.op.(i) with
+    | Oconst -> ()
+    | Ovar -> set g i g.lo.(x) g.hi.(x)
+    | Oneg -> set g i (-vhi.(x)) (-vlo.(x))
+    | Oadd -> set g i (sat_add vlo.(x) vlo.(y)) (sat_add vhi.(x) vhi.(y))
+    | Osub -> set g i (sat_add vlo.(x) (-vhi.(y))) (sat_add vhi.(x) (-vlo.(y)))
+    | Omul ->
+        let xl = vlo.(x) and xh = vhi.(x) and yl = vlo.(y) and yh = vhi.(y) in
+        if xl >= 0 && yl >= 0 then set g i (sat_mul xl yl) (sat_mul xh yh)
+        else
+          let c1 = sat_mul xl yl and c2 = sat_mul xl yh
+          and c3 = sat_mul xh yl and c4 = sat_mul xh yh in
+          set g i
+            (Int.min (Int.min c1 c2) (Int.min c3 c4))
+            (Int.max (Int.max c1 c2) (Int.max c3 c4))
+    | Odiv ->
+        let xl = vlo.(x) and xh = vhi.(x) and yl = vlo.(y) and yh = vhi.(y) in
+        if yl > 0 then
+          set g i
+            (Expr.fdiv xl (if xl >= 0 then yh else yl))
+            (Expr.fdiv xh (if xh >= 0 then yl else yh))
+        else if yh < 0 then
+          set g i
+            (Expr.fdiv xh (if xh >= 0 then yh else yl))
+            (Expr.fdiv xl (if xl >= 0 then yl else yh))
+        else set g i (-big) big
+    | Omod ->
+        if vlo.(y) >= 1 then set g i 0 (vhi.(y) - 1)
+        else if vhi.(y) <= -1 then set g i (vlo.(y) + 1) 0
+        else set g i (-big) big
+    | Omin -> set g i (Int.min vlo.(x) vlo.(y)) (Int.min vhi.(x) vhi.(y))
+    | Omax -> set g i (Int.max vlo.(x) vlo.(y)) (Int.max vhi.(x) vhi.(y))
+  done
+
+(* Narrow variable [v] to [lo, hi], recording its domain on the trail and
+   marking the items that read it dirty. *)
+let narrow g v lo hi =
+  let k = g.trail_len in
+  if k + 3 > Array.length g.trail then begin
+    let t = Array.make (2 * Array.length g.trail) 0 in
+    Array.blit g.trail 0 t 0 k;
+    g.trail <- t
+  end;
+  g.trail.(k) <- v;
+  g.trail.(k + 1) <- g.lo.(v);
+  g.trail.(k + 2) <- g.hi.(v);
+  g.trail_len <- k + 3;
+  g.lo.(v) <- lo;
+  g.hi.(v) <- hi;
+  g.narrowings <- g.narrowings + 1;
+  let ks = g.watchers.(v) in
+  for j = 0 to Array.length ks - 1 do
+    g.dirty.(ks.(j)) <- true
+  done
+
+(* Restore the domains to the trail mark [mark]. *)
+let undo g mark =
+  while g.trail_len > mark do
+    let k = g.trail_len - 3 in
+    let v = g.trail.(k) in
+    g.lo.(v) <- g.trail.(k + 1);
+    g.hi.(v) <- g.trail.(k + 2);
+    g.trail_len <- k
+  done
+
+(* Narrow so that node [n] can take a value in [tlo, thi].  The slots of
+   [n]'s subterm hold its forward intervals under the current domains;
+   once a child's narrowing changed a domain, the slots the next step
+   reads are evaluated again. *)
+let rec refine g n tlo thi =
+  let lo = Int.max g.vlo.(n) tlo and hi = Int.min g.vhi.(n) thi in
+  if lo > hi then raise Conflict;
+  let x = g.arg1.(n) and y = g.arg2.(n) and c = g.narrowings in
+  match g.op.(n) with
+  | Oconst | Omod -> ()
+  | Ovar -> if lo <> g.vlo.(n) || hi <> g.vhi.(n) then narrow g x lo hi
+  | Oneg -> refine g x (-hi) (-lo)
+  | Oadd ->
+      refine g x (sat_add lo (-g.vhi.(y))) (sat_add hi (-g.vlo.(y)));
+      if g.narrowings <> c then eval_range g g.first.(x) y;
+      refine g y (sat_add lo (-g.vhi.(x))) (sat_add hi (-g.vlo.(x)))
+  | Osub ->
+      refine g x (sat_add lo g.vlo.(y)) (sat_add hi g.vhi.(y));
+      if g.narrowings <> c then eval_range g g.first.(x) y;
+      refine g y (sat_add g.vlo.(x) (-hi)) (sat_add g.vhi.(x) (-lo))
+  | Omul ->
+      refine_factor g x g.vlo.(y) g.vhi.(y) lo hi;
+      if g.narrowings <> c then eval_range g g.first.(x) y;
+      refine_factor g y g.vlo.(x) g.vhi.(x) lo hi
+  | Odiv ->
+      (* floor(x / y) ∈ [lo, hi]; narrow x when y is known positive *)
+      let yl = g.vlo.(y) and yh = g.vhi.(y) in
+      if yl >= 1 then
+        refine_mk g x
+          (Int.min (lo * yl) (lo * yh))
+          (Int.max ((hi + 1) * yl) ((hi + 1) * yh) - 1)
+  | Omin ->
+      (* both operands are >= lo; at least one is <= hi *)
+      refine g x lo big;
+      if g.narrowings <> c then eval_range g g.first.(y) y;
+      refine g y lo big;
+      if g.narrowings <> c then eval_range g g.first.(x) y;
+      if g.vlo.(x) > hi then refine g y (-big) hi
+      else if g.vlo.(y) > hi then refine g x (-big) hi
+  | Omax ->
+      refine g x (-big) hi;
+      if g.narrowings <> c then eval_range g g.first.(y) y;
+      refine g y (-big) hi;
+      if g.narrowings <> c then eval_range g g.first.(x) y;
+      if g.vhi.(x) < lo then refine g y lo big
+      else if g.vhi.(y) < lo then refine g x lo big
+
+(* [x * y ∈ [tlo, thi]] with [y ∈ [yl, yh]]: when [y] excludes 0, narrow
+   [x] to the floor of the least quotient and the ceiling of the greatest,
+   the corners picked by sign. *)
+and refine_factor g x yl yh tlo thi =
+  if yl > 0 then
+    refine g x
+      (Expr.fdiv tlo (if tlo >= 0 then yh else yl))
+      (Expr.cdiv thi (if thi >= 0 then yl else yh))
+  else if yh < 0 then
+    refine g x
+      (Expr.fdiv thi (if thi >= 0 then yh else yl))
+      (Expr.cdiv tlo (if tlo >= 0 then yl else yh))
+
+(* [refine] to [Interval.make lo hi], a Conflict when it is empty. *)
+and refine_mk g n lo hi =
+  if lo > hi then raise Conflict;
+  refine g n (clamp lo) (clamp hi)
+
+let narrow_atom g { cmp; a; b } =
+  eval_range g g.first.(a) b;
+  let c = g.narrowings in
+  match cmp with
+  | Le | Lt ->
+      (* a <= b - strict: [Lt] is [Le] with a gap of one *)
+      let strict = match cmp with Lt -> 1 | _ -> 0 in
+      refine_mk g a (-big) (g.vhi.(b) - strict);
+      if g.narrowings <> c then eval_range g g.first.(a) b;
+      refine_mk g b (g.vlo.(a) + strict) big
+  | Eq ->
+      let lo = Int.max g.vlo.(a) g.vlo.(b) and hi = Int.min g.vhi.(a) g.vhi.(b) in
+      if lo > hi then raise Conflict;
+      refine g a lo hi;
+      if g.narrowings <> c then eval_range g g.first.(b) b;
+      refine g b lo hi
+  | Ne ->
+      let al = g.vlo.(a) and ah = g.vhi.(a) and bl = g.vlo.(b) and bh = g.vhi.(b) in
+      if al = ah && bl = bh then (if al = bl then raise Conflict)
+      else if al = ah then (
+        if al = bl then refine_mk g b (bl + 1) bh
+        else if al = bh then refine_mk g b bl (bh - 1))
+      else if bl = bh then
+        if bl = al then refine_mk g a (al + 1) ah
+        else if bl = ah then refine_mk g a al (ah - 1)
+
+let cmp_verdict g { cmp; a; b } : Interval.tv =
+  eval_range g g.first.(a) b;
+  let al = g.vlo.(a) and ah = g.vhi.(a) and bl = g.vlo.(b) and bh = g.vhi.(b) in
+  let disjoint = Int.max al bl > Int.min ah bh
+  and same_point = al = ah && bl = bh in
+  match cmp with
+  | Le -> if ah <= bl then T else if al > bh then F else U
+  | Lt -> if ah < bl then T else if al >= bh then F else U
+  | Eq -> if disjoint then F else if same_point then T else U
+  | Ne -> if disjoint then T else if same_point then F else U
+
+(* [Interval.eval_formula]'s verdict; a conjunction stops at its first
+   [F] and a disjunction at its first [T], which decide it. *)
+let rec verdict g (v : verdict) : Interval.tv =
+  match v with
+  | Vtrue -> T
+  | Vfalse -> F
+  | Vcmp t -> cmp_verdict g t
+  | Vand vs -> verdict_fold g Interval.F Interval.T vs
+  | Vor vs -> verdict_fold g Interval.T Interval.F vs
+
+and verdict_fold g decides acc = function
+  | [] -> acc
+  | v :: vs -> (
+      match verdict g v with
+      | U -> verdict_fold g decides U vs
+      | r -> if r == decides then r else verdict_fold g decides acc vs)
+
+(* The index of the only disjunct from [i] on that is not refuted: [found]
+   if none is, -2 if two are. *)
+let rec sole_survivor g ds i found =
+  if i = Array.length ds then found
+  else
+    match verdict g ds.(i).verdict with
+    | F -> sole_survivor g ds (i + 1) found
+    | T | U -> if found >= 0 then -2 else sole_survivor g ds (i + 1) i
+
+(* Apply one item: an atom narrows directly; a residual disjunction
+   narrows with its last unrefuted disjunct. *)
+let apply g k =
+  match g.items.(k) with
+  | Atom t -> narrow_atom g t
+  | Disj ds -> (
+      match sole_survivor g ds 0 (-1) with
+      | -1 -> raise Conflict
+      | -2 -> ()
+      | i -> (
+          match ds.(i).narrows with
+          | Some ts ->
+              for j = 0 to Array.length ts - 1 do
+                narrow_atom g ts.(j)
+              done
+          | None -> raise Conflict))
+
 let max_rounds = 64
 
 (* Narrow to a fixpoint, at most [rounds] rounds: each round applies the
    dirty items in order, and the loop stops after a round that narrowed
-   nothing, i.e. left the map physically unchanged.  [dirty] is updated in
-   place. *)
-let propagate ?(rounds = max_rounds) ~work p dirty d =
-  let note = mark p dirty in
-  let rec loop d0 rounds =
-    if rounds = 0 then begin
-      work.capped <- work.capped + 1;
-      d0
-    end
-    else begin
-      let d = ref d0 in
-      for k = 0 to Array.length p.items - 1 do
-        if dirty.(k) then begin
-          work.visits <- work.visits + 1;
-          let before = !d in
-          d := apply ~note before p.items.(k);
-          if !d == before then dirty.(k) <- false
-        end
-      done;
-      if !d == d0 then d0 else loop !d (rounds - 1)
-    end
-  in
-  loop d rounds
+   nothing.  An item turns clean when an application narrows nothing and
+   dirty again when a variable it reads narrows, so skipping clean items
+   replays exactly the narrowing steps, rounds and Conflicts of sweeping
+   every item in every round.  Returns whether the cap stopped it: only
+   then can items be left dirty. *)
+let rec propagate ~rounds g =
+  if rounds = 0 then begin
+    g.work.capped <- g.work.capped + 1;
+    true
+  end
+  else begin
+    let c0 = g.narrowings in
+    for k = 0 to Array.length g.items - 1 do
+      if g.dirty.(k) then begin
+        g.work.visits <- g.work.visits + 1;
+        let c = g.narrowings in
+        apply g k;
+        if g.narrowings = c then g.dirty.(k) <- false
+      end
+    done;
+    g.narrowings <> c0 && propagate ~rounds:(rounds - 1) g
+  end
 
-(* Pin [v] to [n] in a search child: the child starts from its parent's
-   flags, with only the items reading [v] dirty. *)
-let branch p dirty d (v : Expr.var) n =
-  let dirty = Array.copy dirty in
-  let d =
-    refine ~note:(mark p dirty) d (Var v) (Interval.Leaf (dom d v))
-      (Interval.point n)
-  in
-  (d, dirty)
+(* Fix variable [v] to [n] (clamped, as [Interval.point n]): the search's
+   branching step. *)
+let pin g v n =
+  let n = clamp n in
+  if n < g.lo.(v) || n > g.hi.(v) then raise Conflict;
+  if g.lo.(v) <> n || g.hi.(v) <> n then narrow g v n n
 
-(* Test-only: the loop as one search path runs it (see solver.mli). *)
-let propagate_for_test ?(rounds = max_rounds) ~init atoms ors branches =
-  let p = plan atoms ors in
-  let work = { visits = 0; capped = 0 } in
-  let d0 =
-    List.fold_left
-      (fun d ((v : Expr.var), i) -> Imap.add v.id (v, i) d)
-      Imap.empty init
+(* Test-only: an engine over [atoms] and [ors] with the domains [init]. *)
+let test_engine ~init atoms ors pinned =
+  let vars =
+    List.map fst init @ pinned @ List.concat_map Formula.vars (atoms @ ors)
+    |> List.sort_uniq (fun (a : Expr.var) b -> Int.compare a.id b.id)
   in
-  let pin (d, dirty) (v, n) =
-    let d, dirty = branch p dirty d v n in
-    (propagate ~rounds ~work p dirty d, dirty)
+  let g = compile ~vars ~work:{ visits = 0; capped = 0 } atoms ors in
+  let slot (v : Expr.var) =
+    let rec go i = if g.vars.(i).id = v.id then i else go (i + 1) in
+    go 0
   in
-  let outcome =
+  List.iter
+    (fun (v, (d : Interval.t)) ->
+      g.lo.(slot v) <- d.lo;
+      g.hi.(slot v) <- d.hi)
+    init;
+  (g, slot)
+
+let propagate_for_test ?(rounds = max_rounds) ~init atoms ors pins =
+  let g, slot = test_engine ~init atoms ors (List.map fst pins) in
+  (* the variables of [init] and those narrowed since, as a map-based
+     loop's bindings *)
+  let domains () =
+    let bound = Array.make (Array.length g.vars) false in
+    List.iter (fun (v, _) -> bound.(slot v) <- true) init;
+    for k = 0 to (g.trail_len / 3) - 1 do
+      bound.(g.trail.(3 * k)) <- true
+    done;
+    List.filteri (fun i _ -> bound.(i)) (Array.to_list g.vars)
+    |> List.map (fun v -> (v, Interval.make g.lo.(slot v) g.hi.(slot v)))
+  in
+  let stage run =
+    let mark = g.trail_len and flags = Array.copy g.dirty in
     match
-      let dirty = Array.make (Array.length p.items) true in
-      List.fold_left pin (propagate ~rounds ~work p dirty d0, dirty) branches
+      run ();
+      propagate ~rounds g
     with
-    | d, _ -> Some (List.map snd (Imap.bindings d))
-    | exception Conflict -> None
+    | _ -> Some (domains ())
+    | exception Conflict ->
+        undo g mark;
+        Array.blit flags 0 g.dirty 0 (Array.length flags);
+        None
   in
-  (outcome, work.capped)
+  let rec pin_each = function
+    | [] -> []
+    | (v, n) :: pins ->
+        let s = stage (fun () -> pin g (slot v) n) in
+        s :: pin_each pins
+  in
+  let stages =
+    match stage ignore with None -> [ None ] | s -> s :: pin_each pins
+  in
+  (stages, g.work.capped)
+
+let eval_for_test ~init e =
+  let g, _ = test_engine ~init [ Formula.Cmp (Eq, e, e) ] [] [] in
+  match g.items.(0) with
+  | Atom { a; _ } ->
+      eval_range g g.first.(a) a;
+      Interval.make g.vlo.(a) g.vhi.(a)
+  | Disj _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Backtracking search.                                                *)
@@ -431,12 +688,20 @@ let disjunct_hints formulas =
   List.iter (scan false) formulas;
   hints
 
-let extract_model vars d =
-  List.fold_left
-    (fun m v ->
-      let i = dom d v in
-      Model.add v i.Interval.lo m)
-    Model.empty vars
+(* The unfixed variable of least width, the first in order on a tie; -1
+   when every variable is fixed. *)
+let narrowest g =
+  let best = ref (-1) and width = ref 0 in
+  for i = 0 to Array.length g.vars - 1 do
+    if g.lo.(i) <> g.hi.(i) then begin
+      let w = clamp (g.hi.(i) - g.lo.(i)) in
+      if !best < 0 || w < !width then begin
+        best := i;
+        width := w
+      end
+    end
+  done;
+  !best
 
 (* [vars] must list every variable of [formulas]; the caller supplies them
    in canonical first-occurrence order so that search explores isomorphic
@@ -453,66 +718,58 @@ let solve_formulas ~max_steps ~rng ~vars ~work formulas :
   | exception Exit -> (Unsat, None, 0)
   | atoms, ors -> (
       let hints = disjunct_hints nnf_formulas in
-      let p = plan atoms ors in
-      (* Memoized base domains: seeding the map once per solve means [dom]
-         never re-allocates an interval for an unbound variable in the hot
-         propagate/backtrack loop. *)
-      let base_domains =
-        List.fold_left
-          (fun d (v : Expr.var) ->
-            Imap.add v.id (v, Interval.make v.lo v.hi) d)
-          Imap.empty vars
+      let g = compile ~vars ~work atoms ors in
+      let nitems = Array.length g.items in
+      let check_leaf () =
+        let m = ref Model.empty in
+        Array.iteri (fun i v -> m := Model.add v g.lo.(i) !m) g.vars;
+        if List.for_all (Model.eval_formula !m) formulas then Some !m else None
       in
-      let check_leaf d =
-        let m = extract_model vars d in
-        if List.for_all (Model.eval_formula m) formulas then Some m else None
-      in
-      let rec search d dirty =
+      (* A child starts from its parent's flags after propagation — all
+         clean unless the round cap stopped it — and undoes to the
+         parent's trail mark when it fails. *)
+      let rec search () =
         incr steps;
         if !steps > max_steps then raise Step_limit;
-        match propagate ~work p dirty d with
+        match propagate ~rounds:max_rounds g with
         | exception Conflict ->
             Tel.incr "smt/backtracks";
             None
-        | d -> (
-            let unassigned =
-              List.filter_map
-                (fun v ->
-                  let i = dom d v in
-                  match Interval.is_point i with
-                  | Some _ -> None
-                  | None -> Some (v, i))
-                vars
-            in
-            match unassigned with
-            | [] -> check_leaf d
-            | first :: rest ->
-                let v, i =
-                  List.fold_left
-                    (fun ((_, bi) as best) ((_, ci) as cur) ->
-                      if Interval.width ci < Interval.width bi then cur
-                      else best)
-                    first rest
-                in
+        | capped -> (
+            match narrowest g with
+            | -1 -> check_leaf ()
+            | v ->
+                let i = Interval.make g.lo.(v) g.hi.(v) in
                 if Interval.width i > enumeration_width then incomplete := true;
                 let hinted =
-                  Option.value ~default:[] (Hashtbl.find_opt hints v.id)
+                  Option.value ~default:[]
+                    (Hashtbl.find_opt hints g.vars.(v).id)
                   |> List.filter (fun c -> Interval.mem c i)
                 in
-                let try_value found value =
-                  match found with
-                  | Some _ -> found
-                  | None -> (
-                      match branch p dirty d v value with
-                      | d', dirty' -> search d' dirty'
-                      | exception Conflict ->
-                          Tel.incr "smt/backtracks";
-                          None)
+                let flags = if capped then Some (Array.copy g.dirty) else None
+                and mark = g.trail_len in
+                let rec try_values = function
+                  | [] -> None
+                  | n :: ns -> (
+                      (match flags with
+                      | Some f -> Array.blit f 0 g.dirty 0 nitems
+                      | None -> Array.fill g.dirty 0 nitems false);
+                      match
+                        match pin g v n with
+                        | () -> search ()
+                        | exception Conflict ->
+                            Tel.incr "smt/backtracks";
+                            None
+                      with
+                      | Some _ as found -> found
+                      | None ->
+                          undo g mark;
+                          try_values ns)
                 in
-                List.fold_left try_value None
+                try_values
                   (List.sort_uniq Int.compare (hinted @ candidates rng i)))
       in
-      match search base_domains (Array.make (Array.length p.items) true) with
+      match search () with
       | Some m -> (Sat, Some m, !steps)
       | None -> ((if !incomplete then Unknown else Unsat), None, !steps)
       | exception Step_limit -> (Unknown, None, !steps))
@@ -638,6 +895,14 @@ let prescreen_enabled () = Atomic.get prescreen_flag
    generic HC4 pass was measured to cost more on the commit path than the
    extra ~1% of screened probes recovered, and skipping narrowing keeps
    [sd] an over-approximation either way. *)
+let dom (d : screen_domains) (v : Expr.var) =
+  match Imap.find v.id d with
+  | _, i -> i
+  | exception Not_found -> Interval.make v.lo v.hi
+
+let mk lo hi =
+  match Interval.make_opt lo hi with Some i -> i | None -> raise Conflict
+
 let absorb_bound d (v : Expr.var) lo hi =
   let old = dom d v in
   let nlo = Int.max old.Interval.lo lo and nhi = Int.min old.Interval.hi hi in
@@ -683,53 +948,48 @@ let screen_absorb1 s f =
    prefix and HC4 narrowing never removes a solution, so a Conflict proves
    prefix + probe unsatisfiable — the solver would have answered Unsat (or
    Unknown), and [try_add_constraints] would have returned [false] either
-   way.  Anything short of a Conflict falls through to the real solve. *)
-let rec screen_unsat s fs =
-  match fs with
-  | [ (Formula.Cmp _ as f) ] -> (
-      (* single-atom probe — the most common shape by far; [nnf] and
-         [split_conj] would return it unchanged, so skip them *)
-      tv_eval s.sd f = Interval.F
-      ||
-      match
-        let d = narrow_atom ~note:ignore s.sd f in
-        if d != s.sd then ignore (narrow_atom ~note:ignore d f)
-      with
-      | exception Conflict -> true
-      | () -> false)
-  | _ -> screen_unsat_general s fs
+   way.  Anything short of a Conflict falls through to the real solve.
 
-and screen_unsat_general s fs =
+   Forward evaluation refutes most infeasible probes (a numel cap already
+   blown by fixed dims, a broadcast between incompatible points) without
+   the narrowing pass; an [F] verdict under over-approximating domains is
+   exactly the Conflict propagation would reach, just cheaper.  The
+   narrowing fallback runs a short two-round pass (a single atom narrows,
+   and narrows again if that changed a domain) rather than the solver's
+   full fixpoint: conflicts reachable only through long narrowing chains
+   are rare, and a missed one just sends the probe to the solver — the
+   screen stays sound, it only answers less often. *)
+let screen_unsat s fs =
   match
     List.fold_left
       (fun (atoms, ors) f -> split_conj atoms ors (nnf true f))
       ([], []) fs
   with
   | exception Exit -> true
-  | atoms, ors ->
-      (* Forward evaluation refutes most infeasible probes (a numel cap
-         already blown by fixed dims, a broadcast between incompatible
-         points) without the narrowing pass; [tv_eval = F] under
-         over-approximating domains is exactly the Conflict [propagate]
-         would reach, just cheaper.  The narrowing fallback runs a short
-         two-round pass rather than the solver's full fixpoint: conflicts
-         reachable only through long narrowing chains are rare, and a
-         missed one just sends the probe to the solver — the screen stays
-         sound, it only answers less often. *)
-      List.exists (fun a -> tv_eval s.sd a = Interval.F) atoms
+  | atoms, ors -> (
+      let g = compile ~work:{ visits = 0; capped = 0 } atoms ors in
+      Array.iteri
+        (fun i (v : Expr.var) ->
+          match Imap.find_opt v.id s.sd with
+          | Some (_, (d : Interval.t)) ->
+              g.lo.(i) <- d.lo;
+              g.hi.(i) <- d.hi
+          | None -> ())
+        g.vars;
+      Array.exists
+        (function
+          | Atom t -> ( match cmp_verdict g t with F -> true | T | U -> false)
+          | Disj _ -> false)
+        g.items
       ||
-      (match
-         let p = plan atoms ors in
-         let dirty = Array.make (Array.length p.items) true in
-         propagate ~rounds:2 ~work:{ visits = 0; capped = 0 } p dirty s.sd
-       with
+      match propagate ~rounds:2 g with
       | exception Conflict -> true
       | _ -> false)
 
 (* Screened bounds of an expression under the current assertion set: the
    generator's per-op feasibility memo keys on these (see Spec.feasible). *)
 let screen_interval s e =
-  let i = fwd s.sd e in
+  let i = Interval.eval_expr ~lookup:(dom s.sd) e in
   (i.Interval.lo, i.Interval.hi)
 
 (* Exposed for the soundness property test. *)
@@ -840,6 +1100,13 @@ let components (fs : Formula.t list) : Formula.t list list =
           Hashtbl.add buckets key [ f ])
     with_vars;
   List.rev_map (fun key -> List.rev (Hashtbl.find buckets key)) !order
+
+let components_for_test ~max_steps fs =
+  List.map
+    (fun comp ->
+      let key, vars = canonical_key ~max_steps comp in
+      (comp, vars, hash_key key))
+    (components fs)
 
 (* Solve one component from scratch, in its canonical variable order with
    the rng seeded from its canonical key. *)

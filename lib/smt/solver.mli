@@ -4,7 +4,11 @@
     This is the stand-in for Z3 in the paper's Algorithm 1.  The fragment it
     decides — (non)linear arithmetic over small integer shape variables — is
     solved by interval propagation (HC4-style narrowing) combined with
-    bounded backtracking search.  The search tries the lower bound of a
+    bounded backtracking search.  Each solve compiles its constraint set
+    once into a propagation engine (dense domains with an undo trail,
+    per-node interval slots), which the search and the interval screen
+    both run; its narrowing steps are those of {!Interval}'s record
+    operations, which the tests use as the reference.  The search tries the lower bound of a
     domain first, so unconstrained dimensions concretise to their minimum;
     this reproduces the boundary-value model bias the paper observed in Z3
     and motivates attribute binning (Algorithm 2).
@@ -110,14 +114,28 @@ val propagate_for_test :
   Formula.t list ->
   Formula.t list ->
   (Expr.var * int) list ->
-  (Expr.var * Interval.t) list option * int
-(** [propagate_for_test ~init atoms ors pins] runs the propagation loop as
-    one path of the search does.  [atoms] are [Cmp] formulas and [ors] are
-    [Or] formulas, the split a solve makes of its constraint set.  Starting
+  (Expr.var * Interval.t) list option list * int
+(** [propagate_for_test ~init atoms ors pins] runs the propagation engine
+    as the search does.  [atoms] are [Cmp] formulas and [ors] are [Or]
+    formulas, the split a solve makes of its constraint set.  Starting
     from the domains [init] (other variables keep their declared bounds), it
     narrows to a fixpoint or the round cap ([rounds], default 64, the
     solver's), then for each [(v, n)] of [pins] in turn fixes [v] to [n] and
-    narrows again.  Returns the final domains in variable-id order, [None]
-    on a conflict, and the number of propagations stopped at the cap.  A
-    small [rounds] exposes the domains after each round, not only at the
+    narrows again.  A pin that conflicts is undone as the search backtracks:
+    the next pin starts from the domains and dirty flags before it.
+    Returns one entry for the first narrowing and one per pin (none after
+    a first narrowing that conflicts): [None] on a conflict, otherwise the
+    domains of [init]'s variables and of every variable narrowed since, in
+    variable-id order; and the number of propagations stopped at the cap.
+    A small [rounds] exposes the domains after each round, not only at the
     fixpoint. *)
+
+val eval_for_test : init:(Expr.var * Interval.t) list -> Expr.t -> Interval.t
+(** The engine's forward interval of a term under the domains [init]
+    (other variables keep their declared bounds). *)
+
+val components_for_test :
+  max_steps:int -> Formula.t list -> (Formula.t list * Expr.var list * int) list
+(** The components a {!check} on a fresh solver with these assertions
+    solves, in order, each with the variable order and the rng seed of its
+    search. *)

@@ -269,7 +269,10 @@ let test_plan_cache () =
       let copy = Graph.of_nodes (Graph.nodes g) in
       check "a physically distinct copy gets its own plan" true
         (not (Plan.for_graph copy == p));
-      check "the graph keeps its plan" true (Plan.for_graph g == p)
+      (* one slot: the copy's lookup replaced g's plan *)
+      let p' = Plan.for_graph g in
+      check "g's plan again after the copy" true (Plan.graph p' == g);
+      check "repeated lookups share it" true (Plan.for_graph g == p')
 
 let () =
   Alcotest.run "exec"

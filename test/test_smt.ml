@@ -39,7 +39,11 @@ let test_floor_division () =
   check_int "-7/-2" 3 (E.fdiv (-7) (-2));
   check_int "mod pos" 1 (E.fmod 7 2);
   check_int "mod neg num" 1 (E.fmod (-7) 2);
-  check_int "mod neg den" (-1) (E.fmod 7 (-2))
+  check_int "mod neg den" (-1) (E.fmod 7 (-2));
+  check_int "ceil -7/2" (-3) (E.cdiv (-7) 2);
+  check_int "ceil 7/2" 4 (E.cdiv 7 2);
+  check_int "min_int / -1" min_int (E.fdiv min_int (-1));
+  check_int "min_int mod -1" 0 (E.fmod min_int (-1))
 
 let test_eval () =
   let x = E.fresh_var "x" and y = E.fresh_var "y" in
@@ -55,6 +59,45 @@ let test_vars () =
   let x = E.fresh "x" and y = E.fresh "y" in
   check_int "distinct" 2 (List.length (E.vars E.(x + (y * x))));
   check_int "const" 0 (List.length (E.vars (E.int 42)))
+
+(* The two-division definitions [Expr]'s one-division ones replace. *)
+let fdiv2 a b =
+  let q = a / b and r = a mod b in
+  if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q
+
+let cdiv2 a b =
+  let q = a / b and r = a mod b in
+  if r <> 0 && (r < 0) = (b < 0) then q + 1 else q
+
+let fmod2 a b =
+  let r = a mod b in
+  if r <> 0 && (r < 0) <> (b < 0) then r + b else r
+
+let qcheck_one_division =
+  let operand =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range (-1000) 1000);
+          (2, oneofl [ 1; -1; 0; min_int; max_int; min_int + 1; max_int - 1 ]);
+          (1, map (fun k -> min_int + k) (int_range 0 1000));
+          (1, map (fun k -> max_int - k) (int_range 0 1000));
+          (2, int);
+        ])
+  in
+  QCheck.Test.make ~name:"fdiv/cdiv/fmod = two-division definitions"
+    ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair int int) (QCheck.Gen.pair operand operand))
+    (fun (a, b) ->
+      if b = 0 then
+        List.for_all
+          (fun f ->
+            match f a b with
+            | _ -> false
+            | exception Division_by_zero -> true)
+          [ E.fdiv; E.cdiv; E.fmod ]
+      else
+        E.fdiv a b = fdiv2 a b && E.cdiv a b = cdiv2 a b && E.fmod a b = fmod2 a b)
 
 let qcheck_fdiv_fmod =
   QCheck.Test.make ~name:"fdiv/fmod euclidean identity" ~count:500
@@ -331,11 +374,12 @@ let qcheck_solver_sound =
 (* ------------------------------------------------------------------ *)
 (* Propagation oracle                                                  *)
 
-(* The solver's propagation as it was before watch lists and annotated
-   intervals: every round re-applies every item, and [refine] re-evaluates
-   [fwd] at every level.  The solver's loop must make exactly the same
-   narrowing steps: the same final domains, the same Conflicts, and the
-   same propagations stopped at the 64-round cap. *)
+(* The solver's propagation as it was before watch lists and the compiled
+   engine: persistent map domains, every round re-applies every item, and
+   [refine] re-evaluates [fwd] at every level.  The engine must make
+   exactly the same narrowing steps: the same final domains, the same
+   Conflicts, and the same propagations stopped at the 64-round cap.
+   [note] is called with each variable a step narrows. *)
 module Oracle = struct
   module Imap = Map.Make (Int)
 
@@ -360,7 +404,7 @@ module Oracle = struct
       and hi = List.fold_left max min_int (corners cdiv) in
       I.make_opt lo hi
 
-  let rec refine ~ch d (e : E.t) (tgt : I.t) =
+  let rec refine ~note d (e : E.t) (tgt : I.t) =
     match I.inter (fwd d e) tgt with
     | None -> raise Conflict
     | Some tgt -> (
@@ -369,24 +413,24 @@ module Oracle = struct
         | Var v ->
             if I.equal (dom d v) tgt then d
             else begin
-              ch := true;
+              note v;
               Imap.add v.id (v, tgt) d
             end
         | Add (x, y) ->
-            let d = refine ~ch d x (I.sub tgt (fwd d y)) in
-            refine ~ch d y (I.sub tgt (fwd d x))
+            let d = refine ~note d x (I.sub tgt (fwd d y)) in
+            refine ~note d y (I.sub tgt (fwd d x))
         | Sub (x, y) ->
-            let d = refine ~ch d x (I.add tgt (fwd d y)) in
-            refine ~ch d y (I.sub (fwd d x) tgt)
-        | Neg x -> refine ~ch d x (I.neg tgt)
+            let d = refine ~note d x (I.add tgt (fwd d y)) in
+            refine ~note d y (I.sub (fwd d x) tgt)
+        | Neg x -> refine ~note d x (I.neg tgt)
         | Mul (x, y) -> (
             let d =
               match mul_arg_target (fwd d y) tgt with
-              | Some t -> refine ~ch d x t
+              | Some t -> refine ~note d x t
               | None -> d
             in
             match mul_arg_target (fwd d x) tgt with
-            | Some t -> refine ~ch d y t
+            | Some t -> refine ~note d y t
             | None -> d)
         | Div (x, y) ->
             let iy = fwd d y in
@@ -395,49 +439,49 @@ module Oracle = struct
               and hi_x =
                 max ((tgt.hi + 1) * iy.lo) ((tgt.hi + 1) * iy.hi) - 1
               in
-              refine ~ch d x (mk lo_x hi_x)
+              refine ~note d x (mk lo_x hi_x)
             else d
         | Mod (_, _) -> d
         | Min (x, y) ->
-            let d = refine ~ch d x (mk tgt.lo I.big) in
-            let d = refine ~ch d y (mk tgt.lo I.big) in
+            let d = refine ~note d x (mk tgt.lo I.big) in
+            let d = refine ~note d y (mk tgt.lo I.big) in
             let ix = fwd d x and iy = fwd d y in
-            if ix.lo > tgt.hi then refine ~ch d y (mk (-I.big) tgt.hi)
-            else if iy.lo > tgt.hi then refine ~ch d x (mk (-I.big) tgt.hi)
+            if ix.lo > tgt.hi then refine ~note d y (mk (-I.big) tgt.hi)
+            else if iy.lo > tgt.hi then refine ~note d x (mk (-I.big) tgt.hi)
             else d
         | Max (x, y) ->
-            let d = refine ~ch d x (mk (-I.big) tgt.hi) in
-            let d = refine ~ch d y (mk (-I.big) tgt.hi) in
+            let d = refine ~note d x (mk (-I.big) tgt.hi) in
+            let d = refine ~note d y (mk (-I.big) tgt.hi) in
             let ix = fwd d x and iy = fwd d y in
-            if ix.hi < tgt.lo then refine ~ch d y (mk tgt.lo I.big)
-            else if iy.hi < tgt.lo then refine ~ch d x (mk tgt.lo I.big)
+            if ix.hi < tgt.lo then refine ~note d y (mk tgt.lo I.big)
+            else if iy.hi < tgt.lo then refine ~note d x (mk tgt.lo I.big)
             else d)
 
-  let narrow_atom ~ch d (f : F.t) =
+  let narrow_atom ~note d (f : F.t) =
     match f with
     | Cmp (Le, a, b) ->
         let ib = fwd d b in
-        let d = refine ~ch d a (mk (-I.big) ib.hi) in
-        refine ~ch d b (mk (fwd d a).lo I.big)
+        let d = refine ~note d a (mk (-I.big) ib.hi) in
+        refine ~note d b (mk (fwd d a).lo I.big)
     | Cmp (Lt, a, b) ->
         let ib = fwd d b in
-        let d = refine ~ch d a (mk (-I.big) (ib.hi - 1)) in
-        refine ~ch d b (mk ((fwd d a).lo + 1) I.big)
+        let d = refine ~note d a (mk (-I.big) (ib.hi - 1)) in
+        refine ~note d b (mk ((fwd d a).lo + 1) I.big)
     | Cmp (Eq, a, b) -> (
         match I.inter (fwd d a) (fwd d b) with
         | None -> raise Conflict
-        | Some m -> refine ~ch (refine ~ch d a m) b m)
+        | Some m -> refine ~note (refine ~note d a m) b m)
     | Cmp (Ne, a, b) -> (
         let ia = fwd d a and ib = fwd d b in
         match (I.is_point ia, I.is_point ib) with
         | Some x, Some y -> if x = y then raise Conflict else d
         | Some x, None ->
-            if x = ib.lo then refine ~ch d b (mk (ib.lo + 1) ib.hi)
-            else if x = ib.hi then refine ~ch d b (mk ib.lo (ib.hi - 1))
+            if x = ib.lo then refine ~note d b (mk (ib.lo + 1) ib.hi)
+            else if x = ib.hi then refine ~note d b (mk ib.lo (ib.hi - 1))
             else d
         | None, Some y ->
-            if y = ia.lo then refine ~ch d a (mk (ia.lo + 1) ia.hi)
-            else if y = ia.hi then refine ~ch d a (mk ia.lo (ia.hi - 1))
+            if y = ia.lo then refine ~note d a (mk (ia.lo + 1) ia.hi)
+            else if y = ia.hi then refine ~note d a (mk ia.lo (ia.hi - 1))
             else d
         | None, None -> d)
     | True | False | And _ | Or _ | Not _ -> d
@@ -452,28 +496,28 @@ module Oracle = struct
     | Or _ -> (atoms, f :: ors)
     | Not _ -> assert false
 
-  let propagate_once ~ch d atoms ors =
-    let d = List.fold_left (narrow_atom ~ch) d atoms in
-    let use_or d (orf : F.t) =
-      match orf with
-      | Or disjuncts -> (
-          match
-            List.filter
-              (fun g -> I.eval_formula ~lookup:(dom d) g <> I.F)
-              disjuncts
-          with
-          | [] -> raise Conflict
-          | [ g ] -> (
-              match split_conj [] [] g with
-              | atoms', _ -> List.fold_left (narrow_atom ~ch) d atoms'
-              | exception Exit -> raise Conflict)
-          | _ :: _ :: _ -> d)
-      | True | False | Cmp _ | And _ | Not _ -> d
-    in
-    List.fold_left use_or d ors
+  (* One item: an atom narrows; a disjunction narrows with its last
+     unrefuted disjunct. *)
+  let apply ~note d (f : F.t) =
+    match f with
+    | Cmp _ -> narrow_atom ~note d f
+    | Or disjuncts -> (
+        match
+          List.filter
+            (fun g -> I.eval_formula ~lookup:(dom d) g <> I.F)
+            disjuncts
+        with
+        | [] -> raise Conflict
+        | [ g ] -> (
+            match split_conj [] [] g with
+            | atoms', _ -> List.fold_left (narrow_atom ~note) d atoms'
+            | exception Exit -> raise Conflict)
+        | _ :: _ :: _ -> d)
+    | True | False | And _ | Not _ -> d
 
-  let propagate ~rounds ~capped d atoms ors =
+  let propagate ~rounds ~capped d items =
     let ch = ref false in
+    let note _ = ch := true in
     let rec loop d rounds =
       if rounds = 0 then begin
         incr capped;
@@ -481,59 +525,255 @@ module Oracle = struct
       end
       else begin
         ch := false;
-        let d = propagate_once ~ch d atoms ors in
+        let d = List.fold_left (apply ~note) d items in
         if !ch then loop d (rounds - 1) else d
       end
     in
     loop d rounds
 
-  (* The search's branching step, then propagation, for each pin. *)
+  (* The search's branching step, then propagation, for each pin; a pin
+     that conflicts leaves the domains as they were before it. *)
   let run ?(rounds = 64) ~init atoms ors pins =
     let capped = ref 0 in
+    let items = atoms @ ors in
     let d0 =
       List.fold_left
         (fun d ((v : E.var), i) -> Imap.add v.id (v, i) d)
         Imap.empty init
     in
-    let outcome =
-      match
-        List.fold_left
-          (fun d ((v : E.var), n) ->
-            let d = refine ~ch:(ref false) d (Var v) (I.point n) in
-            propagate ~rounds ~capped d atoms ors)
-          (propagate ~rounds ~capped d0 atoms ors)
-          pins
-      with
-      | d -> Some (List.map snd (Imap.bindings d))
-      | exception Conflict -> None
+    let bindings d = Some (List.map snd (Imap.bindings d)) in
+    let stages =
+      match propagate ~rounds ~capped d0 items with
+      | exception Conflict -> [ None ]
+      | d ->
+          let pin (d, acc) ((v : E.var), n) =
+            match
+              propagate ~rounds ~capped
+                (refine ~note:ignore d (Var v) (I.point n))
+                items
+            with
+            | d' -> (d', bindings d' :: acc)
+            | exception Conflict -> (d, None :: acc)
+          in
+          List.rev (snd (List.fold_left pin (d, [ bindings d ]) pins))
     in
-    (outcome, !capped)
+    (stages, !capped)
+end
+
+(* The solver's search as it was before the compiled engine: persistent
+   map domains, watch lists with a dirty-flag array copied for every
+   search child, and [Oracle]'s narrowing.  A solve must take the same
+   search steps, propagation visits, capped propagations and backtracks,
+   and return the same verdict and model. *)
+module Search_oracle = struct
+  open Oracle
+
+  type work = {
+    mutable visits : int;
+    mutable capped : int;
+    mutable backtracks : int;
+  }
+
+  type plan = { items : F.t array; watchers : (int, int list) Hashtbl.t }
+
+  let plan atoms ors =
+    let items = Array.of_list (atoms @ ors) in
+    let watchers = Hashtbl.create 16 in
+    let watch k (v : E.var) =
+      let ks = Option.value ~default:[] (Hashtbl.find_opt watchers v.id) in
+      Hashtbl.replace watchers v.id (k :: ks)
+    in
+    Array.iteri (fun k f -> List.iter (watch k) (F.vars f)) items;
+    { items; watchers }
+
+  let mark p dirty (v : E.var) =
+    match Hashtbl.find_opt p.watchers v.id with
+    | Some ks -> List.iter (fun k -> dirty.(k) <- true) ks
+    | None -> ()
+
+  let propagate ~work p dirty d =
+    let note = mark p dirty in
+    let rec loop d0 rounds =
+      if rounds = 0 then begin
+        work.capped <- work.capped + 1;
+        d0
+      end
+      else begin
+        let d = ref d0 in
+        for k = 0 to Array.length p.items - 1 do
+          if dirty.(k) then begin
+            work.visits <- work.visits + 1;
+            let before = !d in
+            d := apply ~note before p.items.(k);
+            if !d == before then dirty.(k) <- false
+          end
+        done;
+        if !d == d0 then d0 else loop !d (rounds - 1)
+      end
+    in
+    loop d 64
+
+  let branch p dirty d (v : E.var) n =
+    let dirty = Array.copy dirty in
+    (refine ~note:(mark p dirty) d (Var v) (I.point n), dirty)
+
+  let complement c a b =
+    match (c : F.cmp) with
+    | F.Eq -> F.Cmp (Ne, a, b)
+    | Ne -> Cmp (Eq, a, b)
+    | Le -> Cmp (Lt, b, a)
+    | Lt -> Cmp (Le, b, a)
+
+  let rec nnf pos (f : F.t) : F.t =
+    match f with
+    | True -> if pos then True else False
+    | False -> if pos then False else True
+    | Cmp (c, a, b) -> if pos then f else complement c a b
+    | And fs ->
+        let gs = List.map (nnf pos) fs in
+        if pos then F.and_ gs else F.or_ gs
+    | Or fs ->
+        let gs = List.map (nnf pos) fs in
+        if pos then F.or_ gs else F.and_ gs
+    | Not g -> nnf (not pos) g
+
+  let candidates rng (i : I.t) =
+    if I.width i <= 16 then List.init (i.hi - i.lo + 1) (fun k -> i.lo + k)
+    else
+      let r () = i.lo + Random.State.int rng (I.width i + 1) in
+      let mid = i.lo + ((i.hi - i.lo) / 2) in
+      [ i.lo; i.lo + 1; i.lo + 2; r (); r (); mid; i.hi ]
+      |> List.sort_uniq Int.compare
+      |> List.filter (fun v -> I.mem v i)
+      |> List.sort Int.compare
+
+  let disjunct_hints formulas =
+    let hints = Hashtbl.create 8 in
+    let add (v : E.var) c =
+      let prev = Option.value ~default:[] (Hashtbl.find_opt hints v.id) in
+      if not (List.mem c prev) then Hashtbl.replace hints v.id (c :: prev)
+    in
+    let rec scan under_or (f : F.t) =
+      match f with
+      | Cmp (Eq, Var v, Const c) | Cmp (Eq, Const c, Var v) when under_or ->
+          add v c
+      | And fs -> List.iter (scan under_or) fs
+      | Or fs -> List.iter (scan true) fs
+      | Not g -> scan under_or g
+      | True | False | Cmp _ -> ()
+    in
+    List.iter (scan false) formulas;
+    hints
+
+  exception Step_limit
+
+  let solve_formulas ~max_steps ~rng ~vars ~work formulas =
+    let steps = ref 0 and incomplete = ref false in
+    let nnf_formulas = List.map (nnf true) formulas in
+    match
+      List.fold_left (fun (a, o) f -> split_conj a o f) ([], []) nnf_formulas
+    with
+    | exception Exit -> (S.Unsat, None, 0)
+    | atoms, ors -> (
+        let hints = disjunct_hints nnf_formulas in
+        let p = plan atoms ors in
+        let check_leaf d =
+          let m =
+            List.fold_left (fun m v -> M.add v (dom d v).I.lo m) M.empty vars
+          in
+          if List.for_all (M.eval_formula m) formulas then Some m else None
+        in
+        let rec search d dirty =
+          incr steps;
+          if !steps > max_steps then raise Step_limit;
+          match propagate ~work p dirty d with
+          | exception Conflict ->
+              work.backtracks <- work.backtracks + 1;
+              None
+          | d -> (
+              let unassigned =
+                List.filter_map
+                  (fun v ->
+                    let i = dom d v in
+                    if i.I.lo = i.hi then None else Some (v, i))
+                  vars
+              in
+              match unassigned with
+              | [] -> check_leaf d
+              | first :: rest ->
+                  let v, i =
+                    List.fold_left
+                      (fun ((_, bi) as best) ((_, ci) as cur) ->
+                        if I.width ci < I.width bi then cur else best)
+                      first rest
+                  in
+                  if I.width i > 16 then incomplete := true;
+                  let hinted =
+                    Option.value ~default:[] (Hashtbl.find_opt hints v.E.id)
+                    |> List.filter (fun c -> I.mem c i)
+                  in
+                  let try_value found value =
+                    match found with
+                    | Some _ -> found
+                    | None -> (
+                        match branch p dirty d v value with
+                        | d', dirty' -> search d' dirty'
+                        | exception Conflict ->
+                            work.backtracks <- work.backtracks + 1;
+                            None)
+                  in
+                  List.fold_left try_value None
+                    (List.sort_uniq Int.compare (hinted @ candidates rng i)))
+        in
+        match search Imap.empty (Array.make (Array.length p.items) true) with
+        | Some m -> (S.Sat, Some m, !steps)
+        | None -> ((if !incomplete then S.Unknown else S.Unsat), None, !steps)
+        | exception Step_limit -> (S.Unknown, None, !steps))
+
+  (* A check on a fresh solver: the components in order, the first that
+     is not Sat deciding. *)
+  let check ~max_steps fs =
+    let work = { visits = 0; capped = 0; backtracks = 0 } in
+    let rec go model steps = function
+      | [] -> (S.Sat, Some model, steps)
+      | (comp, vars, seed) :: rest -> (
+          let rng = Random.State.make [| seed |] in
+          match solve_formulas ~max_steps ~rng ~vars ~work comp with
+          | S.Sat, m, st ->
+              let model =
+                List.fold_left
+                  (fun acc (v, n) -> M.add v n acc)
+                  model
+                  (match m with Some m -> M.bindings m | None -> [])
+              in
+              go model (steps + st) rest
+          | r, _, st -> (r, None, steps + st))
+    in
+    let r, m, steps = go M.empty 0 (S.components_for_test ~max_steps fs) in
+    (r, m, steps, work)
 end
 
 let show_dom ((v : E.var), i) = v.name ^ Fmt.to_to_string I.pp i
 
-let show_outcome (outcome, capped) =
-  let bindings =
-    match outcome with
+let show_outcome (stages, capped) =
+  let stage = function
     | None -> "conflict"
     | Some bs -> String.concat " " (List.map show_dom bs)
   in
-  Printf.sprintf "%s (capped %d)" bindings capped
+  Printf.sprintf "[%s] (capped %d)"
+    (String.concat " | " (List.map stage stages))
+    capped
 
 (* Random terms over [vars] built with the raw constructors, so no smart
    constructor folds a case away; every [Expr] constructor occurs. *)
-let rec gen_term vars depth =
+let rec gen_term ?(const = QCheck.Gen.int_range (-4) 9) vars depth =
   let open QCheck.Gen in
   let leaf =
-    oneof
-      [
-        map (fun n -> E.Const n) (int_range (-4) 9);
-        map (fun v -> E.Var v) (oneofl vars);
-      ]
+    oneof [ map (fun n -> E.Const n) const; map (fun v -> E.Var v) (oneofl vars) ]
   in
   if depth = 0 then leaf
   else
-    let sub = gen_term vars (depth - 1) in
+    let sub = gen_term ~const vars (depth - 1) in
     let bin f = map2 f sub sub in
     frequency
       [
@@ -602,7 +842,8 @@ let gen_prop_case =
   in
   let disjuncts = list_size (int_range 2 3) (gen_disjunct vars) in
   (* a low round cap compares the domains after every round, not only
-     at the fixpoint *)
+     at the fixpoint; up to five pins let a pin that conflicts, and is
+     undone, be followed by further pins *)
   oneofl [ 1; 2; 3; 64 ] >>= fun rounds ->
   map4
     (fun init atoms ors pins ->
@@ -610,7 +851,7 @@ let gen_prop_case =
     (flatten_l (List.map gen_init vars))
     (list_size (int_range 1 6) (gen_atom vars))
     (list_size (int_range 0 2) (map (fun ds -> F.Or ds) disjuncts))
-    (list_size (int_range 0 3) gen_pin)
+    (list_size (int_range 0 5) gen_pin)
 
 let print_prop_case c =
   Printf.sprintf "rounds=%d init=[%s] atoms=[%s] ors=[%s] pins=[%s]" c.rounds
@@ -622,6 +863,14 @@ let print_prop_case c =
           (fun ((v : E.var), n) -> Printf.sprintf "%s=%d" v.name n)
           c.pins))
 
+let same_outcome (o1, c1) (o2, c2) =
+  c1 = c2
+  && List.equal
+       (Option.equal
+          (List.equal (fun ((v1 : E.var), i1) ((v2 : E.var), i2) ->
+               v1.id = v2.id && I.equal i1 i2)))
+       o1 o2
+
 let qcheck_propagation_matches_oracle =
   QCheck.Test.make ~name:"propagation matches the full-sweep oracle" ~count:3000
     (QCheck.make ~print:print_prop_case gen_prop_case)
@@ -630,32 +879,86 @@ let qcheck_propagation_matches_oracle =
       and got =
         S.propagate_for_test ~rounds:c.rounds ~init:c.init c.atoms c.ors c.pins
       in
-      let same (o1, c1) (o2, c2) =
-        c1 = c2
-        &&
-        match (o1, o2) with
-        | None, None -> true
-        | Some b1, Some b2 ->
-            List.equal
-              (fun ((v1 : E.var), i1) ((v2 : E.var), i2) ->
-                v1.id = v2.id && I.equal i1 i2)
-              b1 b2
-        | _ -> false
-      in
-      same want got
+      same_outcome want got
       || QCheck.Test.fail_reportf "oracle %s@.solver %s" (show_outcome want)
            (show_outcome got))
 
-let qcheck_eval_tree_matches_eval_expr =
-  QCheck.Test.make ~name:"eval_tree root is eval_expr" ~count:1000
+(* A pin that conflicts only after its propagation narrowed other domains
+   must be undone, flags included, before the next pin: [x = 3] narrows y
+   through [x + y = 10] before [x <> 3] conflicts. *)
+let test_conflicting_pin_undone () =
+  let x = E.fresh_var ~lo:0 ~hi:10 "x" and y = E.fresh_var ~lo:0 ~hi:10 "y" in
+  let atoms =
+    F.[ Cmp (Eq, E.Add (Var x, Var y), Const 10); Cmp (Ne, Var x, Const 3) ]
+  in
+  let pins = [ (x, 3); (y, 4); (x, 6) ] in
+  let want = Oracle.run ~init:[] atoms [] pins
+  and got = S.propagate_for_test ~init:[] atoms [] pins in
+  Alcotest.(check string)
+    "same as oracle" (show_outcome want) (show_outcome got);
+  match fst got with
+  | [ Some _; None; Some [ (_, ix); (_, iy) ]; Some _ ] ->
+      check "y pinned after the undone pin" true
+        (I.equal iy (I.point 4) && I.equal ix (I.point 6))
+  | _ -> Alcotest.fail "expected: narrowed, conflict, pinned, pinned"
+
+(* Saturation at ±big: x * y is [64, big] for x ∈ [1, 2^50] and
+   y ∈ [64, 128], so [x * y <= z] with z ∈ [1, big] targets a range that
+   contains the forward value, yet dividing big by 64 narrows x to
+   [1, 2^49].  A rule skipping a subterm whose target contains its forward
+   value would leave x wide. *)
+let test_saturated_target_narrows () =
+  let x = E.fresh_var "x" and y = E.fresh_var "y" and z = E.fresh_var "z" in
+  let init =
+    [ (x, I.make 1 (1 lsl 50)); (y, I.make 64 128); (z, I.make 1 I.big) ]
+  in
+  let atoms = F.[ Cmp (Le, E.Mul (Var x, Var y), Var z) ] in
+  let want = Oracle.run ~init atoms [] [] in
+  let got = S.propagate_for_test ~init atoms [] [] in
+  Alcotest.(check string)
+    "same as oracle" (show_outcome want) (show_outcome got);
+  match fst got with
+  | [ Some ((_, ix) :: _) ] ->
+      check "x narrowed to [1, 2^49]" true (I.equal ix (I.make 1 (1 lsl 49)))
+  | _ -> Alcotest.fail "expected narrowed domains"
+
+(* Forward values against [Interval.eval_expr], with bounds and constants
+   near ±big (saturating sums and products) and divisor intervals that
+   span 0. *)
+let qcheck_engine_forward_matches_interval =
+  let open QCheck.Gen in
+  let bound =
+    frequency
+      [
+        (3, int_range (-20) 20);
+        (1, map (fun k -> I.big - k) (int_range 0 40));
+        (1, map (fun k -> k - I.big) (int_range 0 40));
+        (1, map (fun k -> 1 lsl k) (int_range 20 56));
+        (1, map (fun k -> -(1 lsl k)) (int_range 20 56));
+      ]
+  in
+  let gen =
+    int_range 1 3 >>= fun nv ->
+    flatten_l
+      (List.init nv (fun k ->
+           map2
+             (fun a b ->
+               let v = E.fresh_var ~lo:(-I.big) ~hi:I.big (Printf.sprintf "t%d" k) in
+               (v, I.make (min a b) (max a b)))
+             bound bound))
+    >>= fun init ->
+    map (fun e -> (init, e)) (gen_term ~const:bound (List.map fst init) 4)
+  in
+  QCheck.Test.make ~name:"engine forward = Interval.eval_expr" ~count:2000
     (QCheck.make
-       QCheck.Gen.(
-         pair (int_range (-20) 20) (int_range 0 40) >>= fun (lo, w) ->
-         let v = E.fresh_var ~lo ~hi:(lo + w) "t" in
-         gen_term [ v ] 4))
-    (fun e ->
-      let lookup (v : E.var) = I.make v.lo v.hi in
-      I.equal (I.tree_value (I.eval_tree ~lookup e)) (I.eval_expr ~lookup e))
+       ~print:(fun (init, e) ->
+         String.concat "; " (List.map show_dom init) ^ " |- " ^ E.to_string e)
+       gen)
+    (fun (init, e) ->
+      let lookup (v : E.var) = List.assq v init in
+      let want = I.eval_expr ~lookup e and got = S.eval_for_test ~init e in
+      I.equal want got
+      || QCheck.Test.fail_reportf "interval %a, engine %a" I.pp want I.pp got)
 
 (* [x < y] and [y < x] over [1, 65536] refute only after ~16k rounds of
    narrowing two by two; propagation stops at the round cap with the
@@ -669,9 +972,97 @@ let test_propagation_round_cap () =
     "same as oracle" (show_outcome want) (show_outcome got);
   check_int "stopped at the cap" 1 (snd got);
   match fst got with
-  | Some [ (_, ix); (_, iy) ] ->
+  | [ Some [ (_, ix); (_, iy) ] ] ->
       check "still wide" true (I.width ix > 60000 && I.width iy > 60000)
   | _ -> Alcotest.fail "expected two narrowed domains"
+
+(* Constraint sets shaped like the generator's: numel caps (products of
+   dims under a bound), conv output dims ((h + 2p - k) / s + 1), reshape
+   products, broadcast disjunctions, and small linear, Ne and Mod atoms;
+   a small step budget makes [Step_limit] fire. *)
+type solve_case = { max_steps : int; fs : F.t list }
+
+let gen_solve_case =
+  let open QCheck.Gen in
+  int_range 2 6 >>= fun nv ->
+  flatten_l
+    (List.init nv (fun k ->
+         map
+           (fun hi -> E.fresh_var ~lo:(if k = 0 then 0 else 1) ~hi (Printf.sprintf "d%d" k))
+           (oneofl [ 4; 16; 64; 65536 ])))
+  >>= fun vars ->
+  let v = map (fun x -> E.Var x) (oneofl vars) in
+  let c lo hi = map E.int (int_range lo hi) in
+  let product = map E.product (list_size (int_range 2 4) v) in
+  let conv =
+    map
+      (fun (h, k, s, p, o) ->
+        F.and_
+          F.[
+            k <= E.(h + (int 2 * p));
+            E.one <= s;
+            E.(((h + (int 2 * p) - k) / s) + one) = o;
+          ])
+      (tup5 v v v v (c 1 16))
+  in
+  let shape =
+    frequency
+      [
+        (3, map2 (fun p cap -> F.(p <= cap)) product (c 4 65536));
+        (2, conv);
+        (2, map2 (fun x y -> F.or_ F.[ x = y; x = E.one; y = E.one ]) v v);
+        (1, map2 (fun p q -> F.(p = q)) product product);
+        (1, map3 (fun x y n -> F.(E.(x + y) <= n)) v v (c 2 40));
+        (1, map2 (fun x y -> F.(x < y)) v v);
+        (1, map2 (fun x n -> F.(x <> n)) v (c 1 8));
+        (1, map3 (fun x m r -> F.(E.(x mod m) = r)) v (c 2 5) (c 0 1));
+      ]
+  in
+  map2
+    (fun max_steps fs -> { max_steps; fs })
+    (oneofl [ 1; 3; 10; 50; 2000 ])
+    (list_size (int_range 1 8) shape)
+
+let qcheck_solve_matches_search_oracle =
+  let counters = [ "smt/prop_visits"; "smt/prop_capped"; "smt/backtracks" ] in
+  let show (r, m, steps, work) =
+    Printf.sprintf "%s model=[%s] steps=%d visits=%d capped=%d backtracks=%d"
+      (match r with S.Sat -> "sat" | S.Unsat -> "unsat" | S.Unknown -> "unknown")
+      (String.concat " " (List.map (fun (id, n) -> Printf.sprintf "%d=%d" id n) m))
+      steps (List.nth work 0) (List.nth work 1) (List.nth work 2)
+  in
+  let ids m =
+    match m with
+    | None -> []
+    | Some m -> List.map (fun ((v : E.var), n) -> (v.id, n)) (M.bindings m)
+  in
+  QCheck.Test.make ~name:"solve matches the map-based search oracle" ~count:1000
+    (QCheck.make
+       ~print:(fun c ->
+         Printf.sprintf "max_steps=%d [%s]" c.max_steps
+           (String.concat "; " (List.map F.to_string c.fs)))
+       gen_solve_case)
+    (fun c ->
+      let module Tel = Nnsmith_telemetry.Telemetry in
+      Tel.set_enabled true;
+      let before = List.map Tel.counter_value counters in
+      let s = S.create ~max_steps:c.max_steps () in
+      S.assert_all s c.fs;
+      let r = S.check s in
+      let got =
+        ( r,
+          ids (S.model s),
+          S.check_steps s,
+          List.map2 (fun k b -> Tel.counter_value k - b) counters before )
+      in
+      let want =
+        let r, m, steps, (w : Search_oracle.work) =
+          Search_oracle.check ~max_steps:c.max_steps c.fs
+        in
+        (r, ids m, steps, [ w.visits; w.capped; w.backtracks ])
+      in
+      want = got
+      || QCheck.Test.fail_reportf "oracle %s@.solver %s" (show want) (show got))
 
 (* ------------------------------------------------------------------ *)
 (* Model reuse and components                                          *)
@@ -817,6 +1208,7 @@ let () =
           tc "eval" `Quick test_eval;
           tc "vars" `Quick test_vars;
           QCheck_alcotest.to_alcotest qcheck_fdiv_fmod;
+          QCheck_alcotest.to_alcotest qcheck_one_division;
         ] );
       ( "formula",
         [
@@ -853,8 +1245,11 @@ let () =
       ( "propagation",
         [
           tc "round cap" `Quick test_propagation_round_cap;
+          tc "conflicting pin undone" `Quick test_conflicting_pin_undone;
+          tc "saturated target narrows" `Quick test_saturated_target_narrows;
           QCheck_alcotest.to_alcotest qcheck_propagation_matches_oracle;
-          QCheck_alcotest.to_alcotest qcheck_eval_tree_matches_eval_expr;
+          QCheck_alcotest.to_alcotest qcheck_engine_forward_matches_interval;
+          QCheck_alcotest.to_alcotest qcheck_solve_matches_search_oracle;
         ] );
       ( "cache",
         [
