@@ -27,7 +27,6 @@ let global_pool2d : Spec.template =
   {
     t_name = "GlobalAvgPool";
     t_arity = 1;
-    t_feas = Spec.Feas_none;
     (* input type: one rank-4 float tensor, as in Listing 2 *)
     accepts = (function [ (dt, 4) ] -> Dtype.is_float dt | _ -> false);
     forward =

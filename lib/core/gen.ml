@@ -124,26 +124,6 @@ let insertion_constraints st (inst : Spec.instance) =
       (fun t -> Spec.out_positive t @ [ numel_cap st t ])
       inst.extra_inputs
 
-(* Sound per-op feasibility pre-screen: consult the template's rule on the
-   abstract input-shape signature (dtype + interval bounds of every input
-   dim under the accumulated constraints) before paying for a solver probe.
-   Consulted only after [forward] ran, so the rng stream is identical with
-   the screen on or off; a [false] answer proves every instantiation of the
-   signature unsatisfiable, so the skipped probe could only have answered
-   [false] too — no generation decision changes. *)
-let op_feasible st (tpl : Spec.compiled) combo =
-  (not (Solver.prescreen_enabled ()))
-  || tpl.c_base.Spec.t_feas = Spec.Feas_none
-  ||
-  let sg =
-    List.map
-      (fun n ->
-        ( Sym.dtype n.out_type,
-          List.map (Solver.screen_interval st.solver) n.out_type.Sym.dims ))
-      combo
-  in
-  Spec.feasible tpl sg
-
 let forward_insert st (tpl : Spec.compiled) : bool =
   let rec try_combo k =
     if k = 0 then false
@@ -164,12 +144,7 @@ let forward_insert st (tpl : Spec.compiled) : bool =
                 Tel.incr "gen/reject/forward_none";
                 try_combo (k - 1)
             | Some inst ->
-                if not (op_feasible st tpl combo) then begin
-                  Tel.incr "gen/reject/solver";
-                  Tel.incr "gen/prescreen/op_infeasible";
-                  try_combo (k - 1)
-                end
-                else if
+                if
                   Solver.try_add_constraints st.solver
                     (insertion_constraints st inst)
                 then begin

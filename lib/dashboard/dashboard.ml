@@ -396,7 +396,7 @@ let telemetry_section b input =
                 && String.sub k 0 (String.length p) = p)
               [
                 "journal/"; "parallel/"; "corpus/"; "exec/"; "cov/";
-                "smt/prescreen/"; "gen/prescreen/";
+                "smt/prescreen/";
               ])
           last.Tel.counters
       in

@@ -16,9 +16,9 @@ type t = {
   ty_memo : (Conc.t, string) Hashtbl.t;
   abs_seen : (string, unit) Hashtbl.t;
   (* Abstract instance accounting: operator name plus the (dtype, rank)
-     signature of its inputs — the key space of the generator's per-op
-     feasibility memo.  Tracking how few abstract signatures a campaign's
-     instances collapse into explains the memo's hit rate. *)
+     signature of its inputs — the key space of the compiled templates'
+     memoized type matching.  Tracking how few abstract signatures a
+     campaign's instances collapse into explains the memo's hit rate. *)
 }
 
 let create () : t =

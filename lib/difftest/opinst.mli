@@ -16,6 +16,7 @@ val count : t -> int
 val abs_count : t -> int
 (** Distinct abstract instances seen: operator name plus input
     (dtype, rank) signature, ignoring attributes and dimension magnitudes.
-    This is the key space of the generator's per-op feasibility memo, so
-    the ratio [count / abs_count] explains the memo's hit rate.  Each new
-    abstract signature also bumps the [cov/abs_sigs] counter. *)
+    This is the key space of the compiled templates' memoized type
+    matching ({!Nnsmith_ops.Spec.compiled}), so the ratio
+    [count / abs_count] explains that memo's hit rate.  Each new abstract
+    signature also bumps the [cov/abs_sigs] counter. *)

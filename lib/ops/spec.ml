@@ -16,7 +16,6 @@ module Formula = Nnsmith_smt.Formula
 module Dtype = Nnsmith_tensor.Dtype
 module Op = Nnsmith_ir.Op
 module Sym = Nnsmith_ir.Ttype.Sym
-module Tel = Nnsmith_telemetry.Telemetry
 
 type instance = {
   op : Expr.t Op.t;
@@ -31,21 +30,6 @@ type instance = {
 type signature = (Dtype.t * int) list
 (** Dtype and rank of each would-be input, used for type matching. *)
 
-type abs_sig = (Dtype.t * (int * int) list) list
-(** Abstract input-shape signature: dtype plus the interval bounds of each
-    input dimension under the generator's current constraint state.  The
-    key of the per-op feasibility memo. *)
-
-type feas_rule =
-  | Feas_none  (** no sound rule; always consult the solver *)
-  | Feas_bcast2
-      (** the template joins its first two matched inputs with
-          {!Shapegen.broadcast2} (or starts a [broadcast3] chain with
-          them): for every trailing-aligned dimension pair the instance
-          asserts exactly one of [x = y], [x = 1] or [y = 1], so if the
-          two dimensions' intervals are disjoint {e and} both exclude 1,
-          every possible instantiation is unsatisfiable. *)
-
 type template = {
   t_name : string;
   t_arity : int;  (** number of matched inputs (excludes [extra_inputs]) *)
@@ -59,8 +43,6 @@ type template = {
           insertion); returns the instance and the input placeholder types
           to create.  [None] when the template does not support backward
           insertion. *)
-  t_feas : feas_rule;
-      (** sound pre-screening rule for this operator's shape constraints *)
 }
 
 let instance ?(requires = []) ?(extra_inputs = []) op out_type =
@@ -80,10 +62,6 @@ let instance ?(requires = []) ?(extra_inputs = []) op out_type =
 type compiled = {
   c_base : template;
   c_accepts : signature -> bool;  (** memoized [accepts] *)
-  c_feas : (abs_sig, bool) Hashtbl.t;
-      (** memoized {!feasible} answers; sound because the key embeds the
-          interval bounds the rule depends on, so narrowed domains form a
-          different key rather than a stale hit *)
 }
 
 let compile (t : template) : compiled =
@@ -98,43 +76,9 @@ let compile (t : template) : compiled =
             let b = t.accepts sg in
             Hashtbl.add memo sg b;
             b);
-    c_feas = Hashtbl.create 32;
   }
 
 let compile_all = List.map compile
-
-(* The broadcast2 pair rule: a trailing-aligned dimension pair can be
-   matched unless its intervals are disjoint and both exclude 1 (one of
-   [x = y], [x = 1], [y = 1] is asserted, so any of the three being
-   satisfiable keeps the candidate alive). *)
-let bcast2_pair_ok (xlo, xhi) (ylo, yhi) =
-  (xlo <= yhi && ylo <= xhi) || (xlo <= 1 && 1 <= xhi) || (ylo <= 1 && 1 <= yhi)
-
-let bcast2_feasible (a : (int * int) list) (b : (int * int) list) =
-  (* trailing alignment, as in Shapegen.broadcast2: leading dims of the
-     longer shape pass through unconstrained. *)
-  let la = List.length a and lb = List.length b in
-  let drop n l = if n <= 0 then l else List.filteri (fun i _ -> i >= n) l in
-  let a = drop (la - lb) a and b = drop (lb - la) b in
-  List.for_all2 bcast2_pair_ok a b
-
-let feasible (c : compiled) (sg : abs_sig) : bool =
-  match c.c_base.t_feas with
-  | Feas_none -> true
-  | Feas_bcast2 -> (
-      match Hashtbl.find_opt c.c_feas sg with
-      | Some b ->
-          Tel.incr "gen/prescreen/sig_memo_hit";
-          b
-      | None ->
-          Tel.incr "gen/prescreen/sig_memo_miss";
-          let b =
-            match sg with
-            | (_, a) :: (_, b) :: _ -> bcast2_feasible a b
-            | _ -> true
-          in
-          Hashtbl.add c.c_feas sg b;
-          b)
 
 (* Helpers shared by the template definitions. *)
 

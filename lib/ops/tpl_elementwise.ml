@@ -16,7 +16,6 @@ let unary_tpl ?(dtypes = Dtype.floats) (u : Op.unary) =
   {
     t_name = Op.unary_name u;
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (dt, _) ] -> List.mem dt dtypes | _ -> false);
     forward =
       (fun _rng inputs ->
@@ -36,7 +35,6 @@ let not_tpl =
   {
     t_name = "Not";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (Dtype.Bool, _) ] -> true | _ -> false);
     forward =
       (fun _rng inputs ->
@@ -61,7 +59,6 @@ let clip_tpl =
   {
     t_name = "Clip";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (dt, _) ] -> Dtype.is_float dt | _ -> false);
     forward =
       (fun rng inputs ->
@@ -82,7 +79,6 @@ let leaky_relu_tpl =
   {
     t_name = "LeakyRelu";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (dt, _) ] -> Dtype.is_float dt | _ -> false);
     forward =
       (fun rng inputs ->
@@ -102,7 +98,6 @@ let cast_tpl =
   {
     t_name = "Cast";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ _ ] -> true | _ -> false);
     forward =
       (fun rng inputs ->
@@ -145,7 +140,6 @@ let binary_tpl ?(dtypes = Dtype.floats) (b : Op.binary) =
   {
     t_name = Op.binary_name b;
     t_arity = 2;
-    t_feas = Feas_bcast2;
     accepts =
       (function
       | [ (da, _); (db, _) ] -> da = db && List.mem da dtypes
@@ -175,7 +169,6 @@ let compare_tpl (c : Op.compare) =
   {
     t_name = Op.compare_name c;
     t_arity = 2;
-    t_feas = Feas_bcast2;
     accepts =
       (function
       | [ (da, _); (db, _) ] -> da = db && List.mem da numeric
@@ -203,7 +196,6 @@ let logical_tpl (l : Op.logical) =
   {
     t_name = Op.logical_name l;
     t_arity = 2;
-    t_feas = Feas_bcast2;
     accepts =
       (function
       | [ (Dtype.Bool, _); (Dtype.Bool, _) ] -> true
@@ -229,7 +221,6 @@ let where_tpl =
   {
     t_name = "Where";
     t_arity = 3;
-    t_feas = Feas_bcast2;
     accepts =
       (function
       | [ (Dtype.Bool, _); (dt, _); (df, _) ] -> dt = df && dt <> Dtype.Bool

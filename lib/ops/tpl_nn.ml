@@ -33,7 +33,6 @@ let matmul_tpl =
   {
     t_name = "MatMul";
     t_arity = 2;
-    t_feas = Feas_none;
     accepts =
       (function
       | [ (da, ra); (db, rb) ] ->
@@ -120,7 +119,6 @@ let conv2d_tpl =
   {
     t_name = "Conv2d";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts =
       (function [ (dt, 4) ] -> Dtype.is_float dt | _ -> false);
     forward =
@@ -229,7 +227,6 @@ let pool2d_tpl (kind : Op.pool) =
   {
     t_name = Op.pool_name kind;
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (dt, 4) ] -> Dtype.is_float dt | _ -> false);
     forward =
       (fun _rng inputs ->
@@ -317,7 +314,6 @@ let softmax_tpl =
   {
     t_name = "Softmax";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (dt, r) ] -> Dtype.is_float dt && r >= 1 | _ -> false);
     forward =
       (fun rng inputs ->
@@ -359,7 +355,6 @@ let reduce_tpl (r : Op.reduce) =
   {
     t_name = Op.reduce_name r;
     t_arity = 1;
-    t_feas = Feas_none;
     accepts =
       (function [ (dt, rk) ] -> List.mem dt dtypes && rk >= 1 | _ -> false);
     forward =
@@ -421,7 +416,6 @@ let arg_tpl ~is_max =
   {
     t_name = (if is_max then "ArgMax" else "ArgMin");
     t_arity = 1;
-    t_feas = Feas_none;
     accepts =
       (function [ (dt, r) ] -> List.mem dt numeric && r >= 1 | _ -> false);
     forward =

@@ -14,7 +14,6 @@ let reshape_tpl =
   {
     t_name = "Reshape";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ _ ] -> true | _ -> false);
     forward =
       (fun rng inputs ->
@@ -49,7 +48,6 @@ let flatten_tpl =
   {
     t_name = "Flatten";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (_, r) ] -> r >= 1 | _ -> false);
     forward =
       (fun rng inputs ->
@@ -70,7 +68,6 @@ let transpose_tpl =
   {
     t_name = "Transpose";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (_, r) ] -> r >= 2 | _ -> false);
     forward =
       (fun rng inputs ->
@@ -103,7 +100,6 @@ let squeeze_tpl =
   {
     t_name = "Squeeze";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (_, r) ] -> r >= 1 | _ -> false);
     forward =
       (fun rng inputs ->
@@ -134,7 +130,6 @@ let unsqueeze_tpl =
   {
     t_name = "Unsqueeze";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (_, r) ] -> r < Shapegen.max_rank | _ -> false);
     forward =
       (fun rng inputs ->
@@ -166,7 +161,6 @@ let slice_tpl =
   {
     t_name = "Slice";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (_, r) ] -> r >= 1 | _ -> false);
     forward =
       (fun rng inputs ->
@@ -227,7 +221,6 @@ let pad_tpl (mode : Op.pad_mode) =
   {
     t_name = Op.pad_mode_name mode;
     t_arity = 1;
-    t_feas = Feas_none;
     accepts =
       (function [ (dt, r) ] -> Dtype.is_float dt && r >= 1 | _ -> false);
     forward =
@@ -279,7 +272,6 @@ let concat_tpl n =
   {
     t_name = Printf.sprintf "Concat%d" n;
     t_arity = n;
-    t_feas = Feas_none;
     accepts =
       (fun sig_ ->
         match sig_ with
@@ -358,7 +350,6 @@ let expand_tpl =
   {
     t_name = "Expand";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ _ ] -> true | _ -> false);
     forward =
       (fun rng inputs ->
@@ -411,7 +402,6 @@ let gather_tpl =
   {
     t_name = "Gather";
     t_arity = 2;
-    t_feas = Feas_none;
     accepts =
       (function
       | [ (_, rd); (di, ri) ] ->
@@ -440,7 +430,6 @@ let tile_tpl =
   {
     t_name = "Tile";
     t_arity = 1;
-    t_feas = Feas_none;
     accepts = (function [ (_, r) ] -> r >= 1 | _ -> false);
     forward =
       (fun rng inputs ->

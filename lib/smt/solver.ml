@@ -4,35 +4,21 @@ module Tel = Nnsmith_telemetry.Telemetry
 type result = Sat | Unsat | Unknown
 
 type t = {
-  mutable frames : Formula.t list list;  (* head = most recent frame *)
-  mutable cached_model : Model.t option;
-  mutable last_steps : int;
-  max_steps : int;
-  (* [epoch] identifies the current frame-stack *content*: every mutation
-     (assert, merge) mints a fresh value, while push/pop save and restore
-     it, so two moments with the same epoch hold the same assertion set. *)
-  mutable epoch : int;
-  mutable epoch_src : int;
-  mutable epoch_stack : int list;  (* epochs saved by [push] *)
-  (* Model-validity chain: while [vchain] matches [epoch], the assertion
-     set is (a validated prefix that [cached_model] satisfies and whose
-     variables it binds) plus [pending] (asserted since, newest first).
-     Model reuse then only needs to evaluate [pending] and the probe —
-     the same decision, and the same extended model, as evaluating the
-     whole assertion list.  It is a pure shortcut inside the reuse step,
-     not a semantic change. *)
-  mutable vchain : int;
+  mutable asserted : Formula.t list;  (* newest first *)
+  (* [model] satisfies every assertion outside [pending] (the formulas
+     asserted since it was last validated, newest first) and binds their
+     variables, so model reuse only evaluates [pending] and the probe: the
+     same decision, and the same extended model, as evaluating every
+     assertion. *)
+  mutable model : Model.t option;
   mutable pending : Formula.t list;
   (* Screen domains: an interval over-approximation of the values every
-     variable can take under the current assertion set, maintained by
-     narrowing with each committed formula.  Soundness only needs the
-     over-approximation invariant — skipping a narrowing step (screen
-     disabled, residual disjunction, defensive Conflict recovery) is
-     always safe; what must never happen is keeping a narrowed domain
-     after the constraints that justified it are popped, so [push] saves
-     the map and [pop] restores it, exactly like [epoch_stack]. *)
+     variable can take under the assertions, narrowed by each asserted
+     formula.  Skipping a narrowing step is always sound; a rejected probe
+     never reaches them. *)
   mutable sd : screen_domains;
-  mutable sd_stack : screen_domains list;
+  mutable last_steps : int;
+  max_steps : int;
 }
 
 and screen_domains = (Expr.var * Interval.t) Imap.t
@@ -41,55 +27,19 @@ and screen_domains = (Expr.var * Interval.t) Imap.t
    set being solved (see [canonical_key]), so solving needs no seed. *)
 let create ?(max_steps = 2000) () =
   {
-    frames = [ [] ];
-    cached_model = None;
-    last_steps = 0;
-    max_steps;
-    epoch = 0;
-    epoch_src = 0;
-    epoch_stack = [];
-    vchain = -1;
+    asserted = [];
+    model = None;
     pending = [];
     sd = Imap.empty;
-    sd_stack = [];
+    last_steps = 0;
+    max_steps;
   }
 
-(* [cached_model] is known to satisfy every current assertion (and to bind
-   every variable occurring in them): restart the validity chain here. *)
-let validate s =
-  s.vchain <- s.epoch;
+(* [m] satisfies every assertion and binds every variable occurring in
+   them. *)
+let validate s m =
+  s.model <- Some m;
   s.pending <- []
-
-let fresh_epoch s =
-  s.epoch_src <- s.epoch_src + 1;
-  s.epoch_src
-
-let push s =
-  Tel.incr "smt/push";
-  if Tel.is_enabled () then
-    Tel.observe "smt/frame_depth" (float_of_int (List.length s.frames));
-  s.epoch_stack <- s.epoch :: s.epoch_stack;
-  s.sd_stack <- s.sd :: s.sd_stack;
-  s.frames <- [] :: s.frames
-
-let pop s =
-  Tel.incr "smt/pop";
-  match s.frames with
-  | [] | [ _ ] -> invalid_arg "Solver.pop: empty frame stack"
-  | _ :: rest ->
-      s.frames <- rest;
-      (match s.epoch_stack with
-      | e :: es ->
-          s.epoch <- e;
-          s.epoch_stack <- es
-      | [] -> ());
-      (match s.sd_stack with
-      | d :: ds ->
-          s.sd <- d;
-          s.sd_stack <- ds
-      | [] -> ())
-
-let assertions s = List.concat_map List.rev (List.rev s.frames)
 
 (* ------------------------------------------------------------------ *)
 (* Negation normal form: push [Not] down to (complemented) atoms.      *)
@@ -871,30 +821,27 @@ let hash_key (s : string) =
   String.iter (fun c -> h := ((!h lsl 5) + !h) lxor Char.code c) s;
   !h land max_int
 
-(* Interval pre-screening (and the concrete model fast path).  The switch
-   is a test and bench hook, global so it governs every worker domain,
-   while the screen domains live on individual solvers.  Screening is
-   semantically invisible: it only answers a probe when the answer
-   provably matches what the full solve would return. *)
+(* The interval screen's switch, a test hook: global so it governs every
+   worker domain, while the screen domains live on individual solvers.
+   The screen is semantically invisible: it only rejects a probe the full
+   solve would reject. *)
 let prescreen_flag = Atomic.make true
 let set_prescreen_enabled b = Atomic.set prescreen_flag b
 let prescreen_enabled () = Atomic.get prescreen_flag
 
-(* Narrow the screen domains with newly committed formulas.  Narrowing with
-   any subset of the assertions preserves every solution of the full set,
-   so absorbing only the conjunctive atoms (and skipping residual
-   disjunctions) is sound.  A propagation Conflict can only arise when a
-   caller asserts an infeasible set without checking; recover by keeping
-   the domains as they were — not narrowing is always sound.
+(* Narrow the screen domains with an asserted formula.  Narrowing with any
+   subset of the assertions preserves every solution of the full set, so
+   skipping a formula is sound.  A Conflict can only arise when a caller
+   asserts an infeasible set without checking; the domains then stay as
+   they were, since not narrowing is always sound.
 
-   Most committed formulas are trivial shapes — positivity bounds
-   [1 <= d] and broadcast links [x = y] / [x = 1] — that need a single
-   interval intersection, not the nnf / split_conj / HC4 recursion.
-   [absorb_one] handles exactly those and deliberately ignores composite
-   formulas (numel caps, attribute arithmetic): absorbing them through the
-   generic HC4 pass was measured to cost more on the commit path than the
-   extra ~1% of screened probes recovered, and skipping narrowing keeps
-   [sd] an over-approximation either way. *)
+   Most asserted formulas are trivial shapes, positivity bounds [1 <= d]
+   and broadcast links [x = y] / [x = 1], that need a single interval
+   intersection, not the nnf / split_conj / HC4 recursion.  [absorb]
+   handles exactly those and ignores composite formulas (numel caps,
+   attribute arithmetic): absorbing them through the generic HC4 pass was
+   measured to cost more on the commit path than the extra ~1% of
+   screened probes recovered. *)
 let dom (d : screen_domains) (v : Expr.var) =
   match Imap.find v.id d with
   | _, i -> i
@@ -909,39 +856,28 @@ let absorb_bound d (v : Expr.var) lo hi =
   if nlo = old.Interval.lo && nhi = old.Interval.hi then d
   else Imap.add v.id (v, mk nlo nhi) d
 
-let absorb_one d (f : Formula.t) =
-  match f with
-  | True -> d
-  | Cmp (Le, Const n, Var v) -> absorb_bound d v n Interval.big
-  | Cmp (Le, Var v, Const n) -> absorb_bound d v (-Interval.big) n
-  | Cmp (Lt, Const n, Var v) -> absorb_bound d v (n + 1) Interval.big
-  | Cmp (Lt, Var v, Const n) -> absorb_bound d v (-Interval.big) (n - 1)
-  | Cmp (Eq, Var v, Const n) | Cmp (Eq, Const n, Var v) ->
-      absorb_bound d v n n
-  | Cmp (Eq, Var x, Var y) ->
-      let ix = dom d x and iy = dom d y in
-      let m =
-        mk (Int.max ix.Interval.lo iy.Interval.lo)
-          (Int.min ix.Interval.hi iy.Interval.hi)
-      in
-      let d = if Interval.equal ix m then d else Imap.add x.id (x, m) d in
-      if Interval.equal iy m then d else Imap.add y.id (y, m) d
-  | _ -> d
-
-let screen_absorb s fs =
-  if prescreen_enabled () then begin
-    let d0 = s.sd in
-    let d = try List.fold_left absorb_one d0 fs with Conflict -> d0 in
-    s.sd <- d
-  end
-
-(* [assert_]'s single-formula case, avoiding the list and fold closure on
-   the hottest commit path. *)
-let screen_absorb1 s f =
-  if prescreen_enabled () then
-    match absorb_one s.sd f with
-    | d -> s.sd <- d
-    | exception Conflict -> ()
+let absorb s (f : Formula.t) =
+  let d = s.sd in
+  match
+    match f with
+    | Cmp (Le, Const n, Var v) -> absorb_bound d v n Interval.big
+    | Cmp (Le, Var v, Const n) -> absorb_bound d v (-Interval.big) n
+    | Cmp (Lt, Const n, Var v) -> absorb_bound d v (n + 1) Interval.big
+    | Cmp (Lt, Var v, Const n) -> absorb_bound d v (-Interval.big) (n - 1)
+    | Cmp (Eq, Var v, Const n) | Cmp (Eq, Const n, Var v) ->
+        absorb_bound d v n n
+    | Cmp (Eq, Var x, Var y) ->
+        let ix = dom d x and iy = dom d y in
+        let m =
+          mk (Int.max ix.Interval.lo iy.Interval.lo)
+            (Int.min ix.Interval.hi iy.Interval.hi)
+        in
+        let d = if Interval.equal ix m then d else Imap.add x.id (x, m) d in
+        if Interval.equal iy m then d else Imap.add y.id (y, m) d
+    | _ -> d
+  with
+  | d -> s.sd <- d
+  | exception Conflict -> ()
 
 (* The definitely-UNSAT screen: propagate the probe's atoms against the
    screen domains.  [sd] over-approximates the feasible set of the asserted
@@ -986,18 +922,12 @@ let screen_unsat s fs =
       | exception Conflict -> true
       | _ -> false)
 
-(* Screened bounds of an expression under the current assertion set: the
-   generator's per-op feasibility memo keys on these (see Spec.feasible). *)
-let screen_interval s e =
-  let i = Interval.eval_expr ~lookup:(dom s.sd) e in
-  (i.Interval.lo, i.Interval.hi)
-
 (* Exposed for the soundness property test. *)
 let prescreen_unsat s fs = screen_unsat s (Formula.normalize fs)
 
 (* Domain-local memo of each formula's variable list, keyed by physical
-   identity: frames persist across checks, so the same formula is asked
-   for its variables hundreds of times. *)
+   identity: assertions persist across checks, so the same formula is
+   asked for its variables hundreds of times. *)
 module FPhys = Hashtbl.Make (struct
   type t = Formula.t
 
@@ -1023,14 +953,15 @@ let fvars (f : Formula.t) : Expr.var list =
       vs
 
 (* ------------------------------------------------------------------ *)
-(* Model reuse: before solving, try to extend the previous model to the
-   current assertions (unseen variables take their lower bound).  This is
-   the interval-solver analogue of a warm-started incremental SMT check:
-   most successful [try_add_constraints] probes add constraints the current
-   model already satisfies. *)
+(* Model reuse: before solving, try to extend the model over the formulas
+   asserted since it was validated and then [fs] (unseen variables take
+   their lower bound).  This is the interval-solver analogue of a
+   warm-started incremental SMT check: most successful
+   [try_add_constraints] probes add constraints the current model already
+   satisfies. *)
 
-let reuse_model cached fs =
-  match cached with
+let reuse s fs =
+  match s.model with
   | None -> None
   | Some m ->
       let extra : (int, Expr.var * int) Hashtbl.t = Hashtbl.create 8 in
@@ -1044,7 +975,7 @@ let reuse_model cached fs =
                 Hashtbl.add extra v.id (v, v.lo);
                 v.lo)
       in
-      if List.for_all (Formula.eval env) fs then
+      if List.for_all (Formula.eval env) (List.rev_append s.pending fs) then
         Some (Hashtbl.fold (fun _ (v, n) acc -> Model.add v n acc) extra m)
       else None
 
@@ -1125,188 +1056,118 @@ let solve_component s comp : result * Model.t option * int =
   if work.capped > 0 then Tel.incr ~by:work.capped "smt/prop_capped";
   (result, m, steps)
 
-let finish_check s ~t0 ~bucket result =
-  if Tel.is_enabled () then begin
-    let dt = Tel.now_ms () -. t0 in
-    Tel.observe "smt/solve_ms" dt;
-    Tel.observe ("smt/solve_ms/" ^ bucket) dt;
-    Tel.observe
-      ("smt/solve_ms/" ^ bucket ^ "_"
-      ^ (match result with
-        | Sat -> "sat"
-        | Unsat -> "unsat"
-        | Unknown -> "unknown"))
-      dt;
-    Tel.observe "smt/steps" (float_of_int s.last_steps);
-    match result with
-    | Unknown -> Tel.incr "smt/unknown"
-    | Unsat -> Tel.incr "smt/unsat"
-    | Sat -> Tel.incr "smt/sat"
-  end;
-  result
+(* Solve [fs] from scratch.  Components are solved in deterministic
+   order; the first non-Sat one decides the verdict.  Component models are
+   variable-disjoint, so their union satisfies the whole set.  The model
+   comes only with Sat. *)
+let solve_all s fs =
+  let rec go model steps = function
+    | [] -> (Sat, Some model, steps)
+    | comp :: rest -> (
+        let r, m, st = solve_component s comp in
+        match r with
+        | Sat ->
+            let model =
+              match m with
+              | None -> model
+              | Some m ->
+                  List.fold_left
+                    (fun acc (v, n) -> Model.add v n acc)
+                    model (Model.bindings m)
+            in
+            go model (steps + st) rest
+        | _ -> (r, None, steps + st))
+  in
+  let result, m, steps = go Model.empty 0 (components fs) in
+  s.last_steps <- steps;
+  (result, m)
 
-(* An unchecked assert keeps the validity chain alive: the formula
-   extends its [pending] delta (the model has not been re-validated
-   against it). *)
-let assert_ s f =
-  Tel.incr "smt/assert";
-  match s.frames with
-  | frame :: rest ->
-      let chain = s.vchain = s.epoch in
-      s.frames <- (f :: frame) :: rest;
-      s.epoch <- fresh_epoch s;
-      if chain then begin
-        s.pending <- f :: s.pending;
-        s.vchain <- s.epoch
-      end;
-      screen_absorb1 s f
-  | [] -> assert false
-
-let assert_all s fs = List.iter (assert_ s) fs
-
-(* [skip_reuse] is set by the pre-screening layer when it already ran the
-   model-reuse attempt over this exact assertion set and saw it fail:
-   reuse is deterministic and no state changed since, so re-evaluating it
-   here could only fail again. *)
-let check_impl ~skip_reuse s =
+(* One counted and timed check: [run] answers with its histogram bucket
+   and verdict. *)
+let timed_check s run =
   Tel.with_span "smt/check" (fun () ->
       Tel.incr "smt/check";
       let t0 = if Tel.is_enabled () then Tel.now_ms () else 0. in
-      (* With an intact validity chain, reuse only needs to evaluate the
-         formulas asserted since the model was last validated — it decides
-         (and extends the model) exactly as evaluating everything would. *)
-      let reuse =
-        if skip_reuse then None
-        else
-          let chain = s.vchain = s.epoch in
-          let reuse_fs =
-            if chain then List.rev s.pending else assertions s
-          in
-          reuse_model s.cached_model reuse_fs
-      in
-      match reuse with
+      let bucket, result = run () in
+      if Tel.is_enabled () then begin
+        let dt = Tel.now_ms () -. t0 in
+        Tel.observe "smt/solve_ms" dt;
+        Tel.observe ("smt/solve_ms/" ^ bucket) dt;
+        Tel.observe
+          ("smt/solve_ms/" ^ bucket ^ "_"
+          ^ (match result with
+            | Sat -> "sat"
+            | Unsat -> "unsat"
+            | Unknown -> "unknown"))
+          dt;
+        Tel.observe "smt/steps" (float_of_int s.last_steps);
+        match result with
+        | Unknown -> Tel.incr "smt/unknown"
+        | Unsat -> Tel.incr "smt/unsat"
+        | Sat -> Tel.incr "smt/sat"
+      end;
+      result)
+
+(* An unchecked assert leaves the model to be validated against it. *)
+let assert_ s f =
+  Tel.incr "smt/assert";
+  s.asserted <- f :: s.asserted;
+  s.pending <- f :: s.pending;
+  absorb s f
+
+let assert_all s fs = List.iter (assert_ s) fs
+
+let check s =
+  timed_check s (fun () ->
+      match reuse s [] with
       | Some m ->
-          s.cached_model <- Some m;
-          s.last_steps <- 0;
-          validate s;
           Tel.incr "smt/model_reuse";
-          finish_check s ~t0 ~bucket:"hit" Sat
+          s.last_steps <- 0;
+          validate s m;
+          ("hit", Sat)
       | None ->
-          (* Components are solved in deterministic order; the first
-             non-Sat one decides the verdict.  Component models are
-             variable-disjoint, so their union satisfies the whole set. *)
-          let rec go model steps = function
-            | [] -> (Sat, Some model, steps)
-            | comp :: rest -> (
-                let r, m, st = solve_component s comp in
-                match r with
-                | Sat ->
-                    let model =
-                      match m with
-                      | None -> model
-                      | Some m ->
-                          List.fold_left
-                            (fun acc (v, n) -> Model.add v n acc)
-                            model (Model.bindings m)
-                    in
-                    go model (steps + st) rest
-                | _ -> (r, None, steps + st))
-          in
-          let result, m, steps =
-            go Model.empty 0 (components (assertions s))
-          in
-          s.last_steps <- steps;
-          (match m with Some _ -> s.cached_model <- m | None -> ());
-          if result = Sat then validate s;
-          finish_check s ~t0 ~bucket:"miss" result)
+          let result, m = solve_all s (List.rev s.asserted) in
+          Option.iter (validate s) m;
+          ("miss", result))
 
-let check s = check_impl ~skip_reuse:false s
+(* Keep a probe that [m] proves satisfiable together with the assertions. *)
+let commit s fs m =
+  s.asserted <- List.rev_append fs s.asserted;
+  validate s m;
+  List.iter (absorb s) fs
 
-(* Keep the probed constraints: append them to the top frame (same final
-   content as push + assert + merge) and mint the epoch for the new state. *)
-let commit_probe s fs =
-  (match s.frames with
-  | top :: rest -> s.frames <- List.rev_append fs top :: rest
-  | [] -> assert false);
-  s.epoch <- fresh_epoch s;
-  screen_absorb s fs
-
-(* The pre-screening layer: answer a probe without entering the check
-   machinery when the answer provably matches the full solve's.
-   - Concrete fast path: extend the cached model over the probe — exactly
-     the model-reuse step every check runs first, so a success commits the
-     same model, verdict and state, minus the whole check round-trip.
-   - Interval screen: a propagation conflict of the probe's atoms against
-     the screen domains proves prefix + probe UNSAT, so the rolled-back
-     [false] verdict is forced.
-   Returns [None] when the screen cannot decide (counted as a miss). *)
-let prescreen s fs =
-  let reuse_fs =
-    if s.vchain = s.epoch then List.rev_append s.pending fs
-    else assertions s @ fs
-  in
-  match reuse_model s.cached_model reuse_fs with
-  | Some m ->
-      Tel.incr "smt/prescreen/concrete";
-      s.cached_model <- Some m;
-      s.last_steps <- 0;
-      commit_probe s fs;
-      validate s;
-      Some true
-  | None ->
-      if screen_unsat s fs then begin
-        Tel.incr "smt/prescreen/unsat";
-        s.last_steps <- 0;
-        Some false
-      end
-      else begin
-        Tel.incr "smt/prescreen/miss";
-        None
-      end
-
+(* Algorithm 1's question, answered in three steps that write the state
+   only on Sat, so a rejected probe leaves nothing behind:
+   - the concrete path: extend the model over the probe, the model-reuse
+     step every check runs first;
+   - the interval screen: a propagation conflict of the probe's atoms
+     against the screen domains proves the probe unsatisfiable;
+   - the full solve of the assertions and the probe. *)
 let try_add_constraints s fs =
   let fs = Formula.normalize fs in
-  let screening = prescreen_enabled () in
-  match if screening then prescreen s fs else None with
-  | Some verdict -> verdict
-  | None -> (
-      let vchain0 = s.vchain and pending0 = s.pending in
-      push s;
-      assert_all s fs;
-      (* a screen miss already ran (and failed) the model-reuse attempt
-         over exactly this assertion set; don't pay for it twice *)
-      match check_impl ~skip_reuse:screening s with
-      | Sat ->
-          (* merge the tentative frame into its parent so the constraints
-             stay; drop (without restoring) the epoch saved by [push] since
-             the merged content is a new state *)
-          (match s.frames with
-          | tentative :: parent :: rest ->
-              s.frames <- (tentative @ parent) :: rest
-          | [] | [ _ ] -> assert false);
-          (match s.epoch_stack with
-          | _ :: es -> s.epoch_stack <- es
-          | [] -> ());
-          (* likewise drop the screen domains saved by [push]: the probed
-             constraints stay asserted, so the narrowing their [assert_]s
-             performed stays justified *)
-          (match s.sd_stack with
-          | _ :: ds -> s.sd_stack <- ds
-          | [] -> ());
-          s.epoch <- fresh_epoch s;
-          (* the merge leaves the assertion set the check just proved, so
-             the model it validated stays validated *)
-          validate s;
-          true
-      | Unsat | Unknown ->
-          pop s;
-          (* the rolled-back state is exactly the one the saved chain
-             described, and a non-Sat check never touches the model *)
-          s.vchain <- vchain0;
-          s.pending <- pending0;
-          false)
+  match reuse s fs with
+  | Some m ->
+      Tel.incr "smt/prescreen/concrete";
+      s.last_steps <- 0;
+      commit s fs m;
+      true
+  | None ->
+      let screening = prescreen_enabled () in
+      if screening && screen_unsat s fs then begin
+        Tel.incr "smt/prescreen/unsat";
+        s.last_steps <- 0;
+        false
+      end
+      else begin
+        if screening then Tel.incr "smt/prescreen/miss";
+        timed_check s (fun () ->
+            let result, m = solve_all s (List.rev_append s.asserted fs) in
+            Option.iter (commit s fs) m;
+            ("miss", result))
+        = Sat
+      end
 
-let model s = s.cached_model
+let model s = s.model
 let check_steps s = s.last_steps
 
 let solve ?max_steps formulas =

@@ -20,11 +20,14 @@
     results across solvers: what one test generates depends only on its
     own constraint sets.
 
-    Two fast paths answer a {!try_add_constraints} probe without a full
-    check, each only when the answer provably matches the full solve's:
-    the {e concrete path} extends the current model over the probe, and the
-    {e interval screen} refutes a probe whose atoms conflict with interval
-    over-approximations of the asserted prefix. *)
+    The solver keeps one state: the assertions, the model and the interval
+    screen's domains.  {!try_add_constraints} writes it only when the probe
+    is satisfiable, so a rejected probe needs no undo.  Two fast paths
+    answer a probe without a full solve, each only when the answer
+    provably matches the full solve's: the {e concrete path} extends the
+    current model over the probe, and the {e interval screen} refutes a
+    probe whose atoms conflict with interval over-approximations of the
+    assertions. *)
 
 type t
 
@@ -36,17 +39,9 @@ val create : ?max_steps:int -> unit -> t
 (** [max_steps] bounds the number of search-node expansions per [check]
     (default 2000).  Search randomness is content-derived (see above). *)
 
-val push : t -> unit
-val pop : t -> unit
-(** Assertion frames, as in SMT-LIB. [pop] on an empty stack raises
-    [Invalid_argument]. *)
-
 val assert_ : t -> Formula.t -> unit
 val assert_all : t -> Formula.t list -> unit
 (** Add constraints without checking satisfiability. *)
-
-val assertions : t -> Formula.t list
-(** All currently asserted formulas. *)
 
 val check : t -> result
 (** Decide the conjunction of all assertions; keeps the model on [Sat].
@@ -54,11 +49,12 @@ val check : t -> result
     connected component by interval propagation + search. *)
 
 val try_add_constraints : t -> Formula.t list -> bool
-(** The operation Algorithm 1 relies on: tentatively assert the formulas
-    (normalized via {!Formula.normalize}) and check; on [Sat] they are kept
-    (and the model kept), otherwise the solver state is rolled back and
-    the result is [false].  The concrete path and the interval screen (see
-    above) answer most probes before a full check. *)
+(** The operation Algorithm 1 relies on: can the formulas (normalized via
+    {!Formula.normalize}) be added?  In order, the concrete path, the
+    interval screen (see above) and one full solve of the assertions and
+    the formulas answer.  On [Sat] the formulas are asserted and the model
+    kept; otherwise the result is [false] and the solver is left exactly
+    as it was. *)
 
 val model : t -> Model.t option
 (** Model from the most recent successful [check]/[try_add_constraints]. *)
@@ -71,11 +67,6 @@ val check_steps : t -> int
 val solve : ?max_steps:int -> Formula.t list -> Model.t option
 (** One-shot convenience wrapper. *)
 
-val screen_interval : t -> Expr.t -> int * int
-(** Bounds of an expression under the screen domains of the current
-    assertion set (declared variable bounds when nothing narrowed them).
-    The generator's per-op feasibility memo keys on these. *)
-
 val cache_clear : unit -> unit
 (** Drop the calling domain's memo of formula variable lists.  It holds
     no results, only lets a run start from the allocation state of a
@@ -83,21 +74,22 @@ val cache_clear : unit -> unit
 
 (** {1 Test-only}
 
-    Not part of the solver's API: hooks for the property tests. *)
+    Not part of the solver's API: hooks for the property tests.  No module
+    outside [lib/smt/solver.ml] and the tests names them; [tools/ci.sh]'s
+    style stage fails if one under [lib/], [bin/], [bench/] or
+    [examples/] does. *)
 
 val set_prescreen_enabled : bool -> unit
-(** Turn the pre-screening layer on or off globally (default: on).  When
-    on, each solver maintains interval screen domains — an
-    over-approximation of the values its variables can take under the
-    current assertions — and answers a {!try_add_constraints} probe without
-    entering the check machinery whenever the answer is forced: either the
-    current model extends over the probe (the concrete path — same model
-    and state as the reuse step of a full check), or interval propagation
-    of the probe against the screen domains conflicts (definitely-UNSAT —
-    the solve could only have answered Unsat/Unknown, both of which reject
-    the probe).  The generator's per-op feasibility screen follows the
-    same switch.  Screening is semantically invisible: verdicts, models
-    and whole campaigns are bit-identical with the screen on or off. *)
+(** Turn the interval screen on or off globally (default: on).  It is the
+    only step of {!try_add_constraints} the switch governs: each solver
+    keeps its screen domains (an over-approximation of the values its
+    variables can take under the assertions) either way, and the concrete
+    path runs either way.  When on, a probe whose propagation against the
+    screen domains conflicts is rejected without a solve (definitely
+    UNSAT: the solve could only have answered Unsat or Unknown, both of
+    which reject the probe).  Screening is semantically invisible:
+    verdicts, models and whole campaigns are bit-identical with the screen
+    on or off. *)
 
 val prescreen_enabled : unit -> bool
 

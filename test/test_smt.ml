@@ -267,20 +267,6 @@ let test_try_add_rollback () =
       check "within" true (v >= 2 && v <= 5)
   | None -> Alcotest.fail "expected model"
 
-let test_push_pop () =
-  let s = S.create () in
-  let x = E.fresh "x" in
-  S.assert_ s F.(x <= E.int 5);
-  S.push s;
-  S.assert_ s F.(x > E.int 10);
-  check "unsat inner" true (S.check s = S.Unsat);
-  S.pop s;
-  check "sat after pop" true (S.check s = S.Sat);
-  Alcotest.check_raises "pop empty"
-    (Invalid_argument "Solver.pop: empty frame stack") (fun () ->
-      S.pop s;
-      S.pop s)
-
 let test_incremental_model_updates () =
   let s = S.create () in
   let x = E.fresh "x" in
@@ -902,6 +888,31 @@ let test_conflicting_pin_undone () =
         (I.equal iy (I.point 4) && I.equal ix (I.point 6))
   | _ -> Alcotest.fail "expected: narrowed, conflict, pinned, pinned"
 
+(* An undone pin restores the dirty flags as well as the domains.  With
+   one round, the first stage stops at the cap with [y <= x] dirty:
+   [x <= 5] narrowed x after it.  The pin [y = 0] cleans [y <= x], which
+   narrows nothing once y = 0, before the disjunction conflicts.  The pin
+   [w = 2] dirties no item, so its stage narrows y, to [0, 5] and then
+   through the disjunction to 5, only if the undo left [y <= x] dirty. *)
+let test_undone_pin_restores_flags () =
+  let x = E.fresh_var ~lo:0 ~hi:10 "x" and y = E.fresh_var ~lo:0 ~hi:10 "y"
+  and w = E.fresh_var ~lo:0 ~hi:10 "w" in
+  let atoms = F.[ Cmp (Le, Var y, Var x); Cmp (Le, Var x, Const 5) ] in
+  let ors = F.[ Or [ Cmp (Eq, Var y, Const 5); Cmp (Eq, Var y, Const 7) ] ] in
+  let pins = [ (y, 0); (w, 2) ] in
+  let want = Oracle.run ~rounds:1 ~init:[] atoms ors pins
+  and got = S.propagate_for_test ~rounds:1 ~init:[] atoms ors pins in
+  Alcotest.(check string)
+    "same as oracle" (show_outcome want) (show_outcome got);
+  match got with
+  | [ Some [ (_, ix) ]; None; Some [ (_, ix'); (_, iy); (_, iw) ] ], 2 ->
+      check "x narrowed, then y through the dirty item" true
+        (I.equal ix (I.make 0 5)
+        && I.equal ix' ix
+        && I.equal iy (I.point 5)
+        && I.equal iw (I.point 2))
+  | _ -> Alcotest.fail "expected: capped, conflict, capped with y narrowed"
+
 (* Saturation at ±big: x * y is [64, big] for x ∈ [1, 2^50] and
    y ∈ [64, 128], so [x * y <= z] with z ∈ [1, big] targets a range that
    contains the forward value, yet dividing big by 64 narrows x to
@@ -1155,46 +1166,44 @@ let qcheck_screen_probe_identity =
       let probes = probe_script seed in
       replay ~screen:true probes = replay ~screen:false probes)
 
-let test_probe_interleaved_with_push_pop () =
-  (* Explicit push/pop save and restore the screen domains ([sd_stack])
-     and the epochs the model-validity chain compares: probes interleaved
-     with push/pop and direct asserts must answer exactly as with the
-     screen off. *)
-  let run screen =
+(* A rejected probe writes nothing: not the assertions, not the model,
+   not the screen domains and not the formulas the model still has to be
+   checked against.  Two rejections, with the screen on and off: one the
+   interval screen can refute ([9 < z] against [z <= 4]) and one only the
+   full solve refutes ([y <= 3] against [x + y = 10], [x <= y]).  Each
+   rejected probe carries [y <= 3], a bound the screen domains would
+   absorb: afterwards the screen still answers a fixed probe as before,
+   and a probe the earlier model satisfies is still answered by model
+   reuse, with no search. *)
+let test_rejected_probe_leaves_nothing () =
+  let run ~screen ~screen_rejects probe =
     with_screen screen @@ fun () ->
     let x = E.fresh "x" and y = E.fresh "y" and z = E.fresh "z" in
     let s = S.create () in
-    let r1 = S.try_add_constraints s F.[ E.(x + y) = E.int 10; x <= y ] in
-    let r2 = S.try_add_constraints s F.[ z <= E.int 4 ] in
-    let r3 = S.try_add_constraints s F.[ y < x ] (* conflict *) in
-    S.push s;
-    S.assert_ s F.(z <= E.int 1) (* narrows z's screen domain *);
-    let inner_sat = S.check s in
-    S.assert_ s F.(z > E.int 9) (* conflicts with z <= 4 *);
-    let inner = S.check s in
-    S.pop s;
-    (* the model found under z <= 1 satisfies what the pop left and this
-       probe, so model reuse answers it; a chain still holding the popped
-       z > 9 would send it to the search *)
-    let r4 = S.try_add_constraints s F.[ z <= E.int 3 ] in
-    let reused = S.check_steps s = 0 in
-    (* feasible again once the pop restores z's screen domain *)
-    let r5 = S.try_add_constraints s F.[ E.int 3 <= z ] in
-    let r6 = S.try_add_constraints s F.[ E.int 2 <= x ] in
-    let after = S.check s in
-    let vals =
-      match S.model s with
-      | None -> []
-      | Some m -> List.map (fun v -> M.eval_expr m v) [ x; y; z ]
+    check "base" true
+      (S.try_add_constraints s F.[ E.(x + y) = E.int 10; x <= y ]);
+    check "z bound" true (S.try_add_constraints s F.[ z <= E.int 4 ]);
+    let fixed () =
+      List.map (S.prescreen_unsat s) F.[ [ E.int 4 <= y ]; [ E.int 5 < z ] ]
     in
-    ((r1, r2, r3, r4, r5, r6), (inner_sat, inner, after), reused, vals)
+    let before = fixed () and model = S.model s in
+    check "fixed probe answers" true (before = [ false; true ]);
+    let probe = probe y z in
+    check "rejecting step" screen_rejects (S.prescreen_unsat s probe);
+    check "rejected" false (S.try_add_constraints s probe);
+    if not screen_rejects then check "solved" true (S.check_steps s > 0);
+    check "screen unchanged" true (fixed () = before);
+    check "model unchanged" true (S.model s = model);
+    check "satisfied probe accepted" true
+      (S.try_add_constraints s F.[ z <= E.int 6; x <= y ]);
+    check_int "answered by model reuse" 0 (S.check_steps s)
   in
-  let on = run true in
-  check "screen on/off identical" true (on = run false);
-  let probes, checks, reused, _ = on in
-  check "probe verdicts" true (probes = (true, true, false, true, true, true));
-  check "check verdicts" true (checks = (S.Sat, S.Unsat, S.Sat));
-  check "answered by model reuse after pop" true reused
+  List.iter
+    (fun screen ->
+      run ~screen ~screen_rejects:true (fun y z ->
+          F.[ y <= E.int 3; E.int 9 < z ]);
+      run ~screen ~screen_rejects:false (fun y _ -> F.[ y <= E.int 3 ]))
+    [ true; false ]
 
 let () =
   let tc = Alcotest.test_case in
@@ -1234,7 +1243,6 @@ let () =
           tc "disjunction" `Quick test_solver_disjunction;
           tc "negation" `Quick test_solver_negation;
           tc "try_add rollback" `Quick test_try_add_rollback;
-          tc "push/pop" `Quick test_push_pop;
           tc "incremental" `Quick test_incremental_model_updates;
           tc "step limit" `Quick test_step_limit_unknown;
           tc "mod constraint" `Quick test_mod_constraint;
@@ -1246,6 +1254,7 @@ let () =
         [
           tc "round cap" `Quick test_propagation_round_cap;
           tc "conflicting pin undone" `Quick test_conflicting_pin_undone;
+          tc "undone pin restores flags" `Quick test_undone_pin_restores_flags;
           tc "saturated target narrows" `Quick test_saturated_target_narrows;
           QCheck_alcotest.to_alcotest qcheck_propagation_matches_oracle;
           QCheck_alcotest.to_alcotest qcheck_engine_forward_matches_interval;
@@ -1258,7 +1267,8 @@ let () =
         ] );
       ( "probe",
         [
-          tc "interleaved push/pop" `Quick test_probe_interleaved_with_push_pop;
+          tc "rejected probe leaves nothing behind" `Quick
+            test_rejected_probe_leaves_nothing;
           QCheck_alcotest.to_alcotest qcheck_screen_probe_identity;
         ] );
     ]

@@ -37,7 +37,10 @@
 #   style         no tabs / trailing whitespace; new lib modules need .mli;
 #                 one clock: under lib/, bin/ and bench/, only
 #                 lib/telemetry/telemetry.ml reads a clock
-#                 (Unix.gettimeofday, Unix.time, Unix.times, Sys.time)
+#                 (Unix.gettimeofday, Unix.time, Unix.times, Sys.time);
+#                 test-only solver hooks: under lib/, bin/, bench/ and
+#                 examples/, only lib/smt/solver.ml names a hook from the
+#                 Test-only section of lib/smt/solver.mli
 #   hygiene       no tracked _build/, CHANGES.md updated alongside HEAD
 #
 # Every stage is timed; a per-stage summary prints on exit (success or
@@ -335,6 +338,14 @@ done
 clocks=$(grep -rlE --include='*.ml' 'Unix\.(gettimeofday|times?)\b|Sys\.time\b' \
   lib bin bench | grep -vx 'lib/telemetry/telemetry.ml')
 [ -z "$clocks" ] || err "clock read outside lib/telemetry/telemetry.ml: $clocks"
+
+# Test-only solver hooks: the Test-only section of lib/smt/solver.mli
+# serves the property tests, so no program path can switch the interval
+# screen or decide anything through a hook.
+hooks=$(grep -rlE --include='*.ml' \
+  '\b(set_prescreen_enabled|prescreen_enabled|prescreen_unsat|propagate_for_test|eval_for_test|components_for_test)\b' \
+  lib bin bench examples | grep -vx 'lib/smt/solver.ml')
+[ -z "$hooks" ] || err "test-only solver hook named outside lib/smt/solver.ml: $hooks"
 
 note "repo hygiene"
 if git ls-files | grep -q '^_build/'; then
