@@ -579,8 +579,8 @@ let reset_workspace () =
   Faults.deactivate_all ();
   Nnsmith_smt.Solver.cache_clear ();
   Nnsmith_exec.Plan.cohort_clear ();
-  (* after the memos: hc_clear restarts the fresh-variable counter and
-     intern tables, so allocation realigns bit for bit run to run *)
+  (* after the memos: hc_clear restarts the fresh-variable counter, so
+     variable ids, and with them allocation, realign run to run *)
   Nnsmith_smt.Expr.hc_clear ()
 
 let counter_seed = 20230325
@@ -703,8 +703,8 @@ let counter_experiments =
   ]
 
 (* The uncaptured hashing round, from a reset workspace: it yields the
-   row's digest and warms process-lifetime state (operator registry,
-   hash-consed term interning) before a capture. *)
+   row's digest and warms process-lifetime state (the operator
+   registry) before a capture. *)
 let digest_round ce =
   reset_workspace ();
   ce.ce_prepare ();

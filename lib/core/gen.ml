@@ -6,7 +6,6 @@ module Expr = Nnsmith_smt.Expr
 module Formula = Nnsmith_smt.Formula
 module Solver = Nnsmith_smt.Solver
 module Model = Nnsmith_smt.Model
-module Dtype = Nnsmith_tensor.Dtype
 module Op = Nnsmith_ir.Op
 module Sym = Nnsmith_ir.Ttype.Sym
 module Conc = Nnsmith_ir.Ttype.Conc
@@ -24,10 +23,6 @@ type snode = {
   op : Expr.t Op.t option;  (** [None] while still a placeholder *)
   inputs : int list;
   out_type : Sym.t;
-  sig_entry : Dtype.t * int;
-      (** cached (dtype, rank) of [out_type], recomputed only when the node
-          is rewritten — signatures are assembled once per sampled combo
-          instead of walking the symbolic type each time *)
   weight_only : bool;
       (** placeholder must finalise as a weight (e.g. a Conv2d kernel) *)
 }
@@ -36,8 +31,6 @@ type state = {
   cfg : Config.t;
   rng : Random.State.t;
   solver : Solver.t;
-  templates : Spec.compiled list;
-      (** [cfg.templates] compiled once per generation (memoized accepts) *)
   mutable nodes : snode list;  (** reverse insertion order *)
   mutable next_id : int;
   mutable op_count : int;
@@ -62,7 +55,6 @@ let add_placeholder ?(weight_only = false) st (t : Sym.t) : snode =
       op = None;
       inputs = [];
       out_type = t;
-      sig_entry = (Sym.dtype t, Sym.rank t);
       weight_only;
     }
   in
@@ -92,7 +84,6 @@ let add_op_node st (inst : Spec.instance) ~inputs : snode =
       op = Some inst.op;
       inputs;
       out_type = inst.out_type;
-      sig_entry = (Sym.dtype inst.out_type, Sym.rank inst.out_type);
       weight_only = false;
     }
   in
@@ -124,22 +115,27 @@ let insertion_constraints st (inst : Spec.instance) =
       (fun t -> Spec.out_positive t @ [ numel_cap st t ])
       inst.extra_inputs
 
-let forward_insert st (tpl : Spec.compiled) : bool =
+let forward_insert st (tpl : Spec.template) : bool =
   let rec try_combo k =
     if k = 0 then false
     else begin
       Tel.incr "gen/forward_attempts";
-      match sample_combo st tpl.c_base.t_arity with
+      match sample_combo st tpl.t_arity with
       | None -> false
       | Some combo ->
-          if not (tpl.c_accepts (List.map (fun n -> n.sig_entry) combo))
+          if
+            not
+              (tpl.accepts
+                 (List.map
+                    (fun n -> (Sym.dtype n.out_type, Sym.rank n.out_type))
+                    combo))
           then begin
             Tel.incr "gen/reject/signature";
             try_combo (k - 1)
           end
           else begin
             let types = List.map (fun n -> n.out_type) combo in
-            match tpl.c_base.forward st.rng types with
+            match tpl.forward st.rng types with
             | None ->
                 Tel.incr "gen/reject/forward_none";
                 try_combo (k - 1)
@@ -174,8 +170,8 @@ let weight_slots : 'a Op.t -> int list = function
   | Op.Conv2d _ -> [ 1 ]
   | _ -> []
 
-let backward_insert st (tpl : Spec.compiled) : bool =
-  match tpl.c_base.backward with
+let backward_insert st (tpl : Spec.template) : bool =
+  match tpl.backward with
   | None -> false
   | Some backward -> (
       match placeholders st with
@@ -212,8 +208,6 @@ let backward_insert st (tpl : Spec.compiled) : bool =
                       op = Some inst.op;
                       inputs = new_inputs;
                       out_type = inst.out_type;
-                      sig_entry =
-                        (Sym.dtype inst.out_type, Sym.rank inst.out_type);
                     });
                 st.op_count <- st.op_count + 1;
                 true
@@ -228,7 +222,7 @@ let insert_one st : bool =
       let rec attempt k =
         if k = 0 then false
         else begin
-          let tpl = Spec.pick st.rng st.templates in
+          let tpl = Spec.pick st.rng st.cfg.templates in
           let forward_first =
             Random.State.float st.rng 1. < st.cfg.forward_prob
           in
@@ -447,7 +441,6 @@ let generate_with_stats (cfg : Config.t) : Graph.t * stats =
       cfg;
       rng = Random.State.make [| cfg.seed |];
       solver = Solver.create ~max_steps:cfg.solver_max_steps ();
-      templates = Spec.compile_all cfg.templates;
       nodes = [];
       next_id = 0;
       op_count = 0;

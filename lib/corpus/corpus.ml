@@ -15,6 +15,7 @@ module Serial = Nnsmith_ir.Serial
 module Nd = Nnsmith_tensor.Nd
 module Tser = Nnsmith_tensor.Tser
 module Journal = Nnsmith_journal.Journal
+open Json.Syntax
 
 exception Corpus_error of string
 
@@ -83,25 +84,18 @@ let verdict_to_json = function
   | Skipped r ->
       Json.Obj [ ("kind", Json.Str "skipped"); ("reason", Json.Str r) ]
 
-let str_field j k =
-  match Option.bind (Json.member k j) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field %S" k)
-
-let ( let* ) = Result.bind
-
 let verdict_of_json j =
-  let* kind = str_field j "kind" in
+  let* kind = Json.str_field j "kind" in
   match kind with
   | "pass" -> Ok Pass
   | "crash" ->
-      let* m = str_field j "message" in
+      let* m = Json.str_field j "message" in
       Ok (Crash m)
   | "skipped" ->
-      let* r = str_field j "reason" in
+      let* r = Json.str_field j "reason" in
       Ok (Skipped r)
   | "semantic" ->
-      let* sk = str_field j "sem_kind" in
+      let* sk = Json.str_field j "sem_kind" in
       let* sem_kind =
         match sk with
         | "optimization" -> Ok `Optimization
@@ -115,20 +109,6 @@ let verdict_of_json j =
       Ok (Semantic { sem_kind; rel_err })
   | k -> Error ("unknown verdict kind " ^ k)
 
-let strings_to_json xs = Json.Arr (List.map (fun s -> Json.Str s) xs)
-
-let strings_of_json k j =
-  match Json.member k j with
-  | Some (Json.Arr xs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Str s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "field %S: non-string element" k)
-      in
-      go [] xs
-  | Some _ -> Error (Printf.sprintf "field %S is not an array" k)
-  | None -> Ok []
-
 let reduction_to_json r =
   Json.Obj
     [
@@ -139,16 +119,11 @@ let reduction_to_json r =
       ("ms", Json.Num r.red_ms);
     ]
 
-let int_field j k =
-  match Option.bind (Json.member k j) Json.to_int with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "missing int field %S" k)
-
 let reduction_of_json j =
-  let* red_attempts = int_field j "attempts" in
-  let* red_accepted = int_field j "accepted" in
-  let* red_initial = int_field j "initial_nodes" in
-  let* red_final = int_field j "final_nodes" in
+  let* red_attempts = Json.int_field j "attempts" in
+  let* red_accepted = Json.int_field j "accepted" in
+  let* red_initial = Json.int_field j "initial_nodes" in
+  let* red_final = Json.int_field j "final_nodes" in
   let red_ms =
     Option.value ~default:0. (Option.bind (Json.member "ms" j) Json.to_float)
   in
@@ -162,9 +137,9 @@ let meta_to_json (m : meta) =
       ("system", Json.Str m.system);
       ("dedup_key", Json.Str m.dedup_key);
       ("verdict", verdict_to_json m.verdict);
-      ("active_bugs", strings_to_json m.active_bugs);
-      ("triggered_bugs", strings_to_json m.triggered_bugs);
-      ("export_bugs", strings_to_json m.export_bugs);
+      ("active_bugs", Json.strings_to_json m.active_bugs);
+      ("triggered_bugs", Json.strings_to_json m.triggered_bugs);
+      ("export_bugs", Json.strings_to_json m.export_bugs);
       ( "reduction",
         match m.reduction with
         | None -> Json.Null
@@ -172,18 +147,18 @@ let meta_to_json (m : meta) =
     ]
 
 let meta_of_json j : (meta, string) result =
-  let* seed = int_field j "seed" in
-  let* generator = str_field j "generator" in
-  let* system = str_field j "system" in
-  let* dedup_key = str_field j "dedup_key" in
+  let* seed = Json.int_field j "seed" in
+  let* generator = Json.str_field j "generator" in
+  let* system = Json.str_field j "system" in
+  let* dedup_key = Json.str_field j "dedup_key" in
   let* verdict =
     match Json.member "verdict" j with
     | Some v -> verdict_of_json v
     | None -> Error "missing verdict"
   in
-  let* active_bugs = strings_of_json "active_bugs" j in
-  let* triggered_bugs = strings_of_json "triggered_bugs" j in
-  let* export_bugs = strings_of_json "export_bugs" j in
+  let* active_bugs = Json.strings_of_json "active_bugs" j in
+  let* triggered_bugs = Json.strings_of_json "triggered_bugs" j in
+  let* export_bugs = Json.strings_of_json "export_bugs" j in
   let* reduction =
     match Json.member "reduction" j with
     | None | Some Json.Null -> Ok None
@@ -252,17 +227,17 @@ let entry_to_json e =
       ("dedup_key", Json.Str e.e_key);
       ("system", Json.Str e.e_system);
       ("verdict", Json.Str e.e_kind);
-      ("bugs", strings_to_json e.e_bugs);
+      ("bugs", Json.strings_to_json e.e_bugs);
       ("nodes", Json.Num (float_of_int e.e_nodes));
     ]
 
 let entry_of_json j =
-  let* e_id = str_field j "id" in
-  let* e_key = str_field j "dedup_key" in
-  let* e_system = str_field j "system" in
-  let* e_kind = str_field j "verdict" in
-  let* e_bugs = strings_of_json "bugs" j in
-  let* e_nodes = int_field j "nodes" in
+  let* e_id = Json.str_field j "id" in
+  let* e_key = Json.str_field j "dedup_key" in
+  let* e_system = Json.str_field j "system" in
+  let* e_kind = Json.str_field j "verdict" in
+  let* e_bugs = Json.strings_of_json "bugs" j in
+  let* e_nodes = Json.int_field j "nodes" in
   Ok { e_id; e_key; e_system; e_kind; e_bugs; e_nodes }
 
 let append_index t json =
@@ -314,7 +289,7 @@ let load_index t =
                     | Ok e -> register t e
                     | Error m -> fail "index line %d: %s" !lineno m)
                 | Some "dup" -> (
-                    match str_field j "dedup_key" with
+                    match Json.str_field j "dedup_key" with
                     | Ok k ->
                         bump t.counts k 1;
                         note_seen t k

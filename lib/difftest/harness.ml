@@ -89,21 +89,6 @@ let test ?(exported : Graph.t option) (system : Systems.t) (g : Graph.t)
           end
     end
 
-(** Cross-check two compilers against each other on the same model and
-    binding — the alternative oracle design §4 argues against (it is limited
-    to the common support matrix and cannot localise which side is wrong).
-    Provided for completeness; [None] when either side crashes. *)
-let cross_check (sys_a : Systems.t) (sys_b : Systems.t) (g : Graph.t)
-    (binding : Runner.binding) : [ `Agree | `Disagree of float ] option =
-  match
-    ( sys_a.compile_and_run Systems.O2 g binding,
-      sys_b.compile_and_run Systems.O2 g binding )
-  with
-  | a, b ->
-      if outputs_match a b then Some `Agree
-      else Some (`Disagree (worst_rel_err a b))
-  | exception _ -> None
-
 (** Crash-dedup key: digits (node ids, shapes) are masked so that the same
     defect reported against different nodes counts once, mirroring the
     paper's by-error-message dedup. *)

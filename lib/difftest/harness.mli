@@ -37,15 +37,6 @@ val test :
     pre-export model [g] (the "PyTorch" results); [exported] (default [g])
     is what the compiler receives. *)
 
-val cross_check :
-  Systems.t ->
-  Systems.t ->
-  Nnsmith_ir.Graph.t ->
-  Nnsmith_ops.Runner.binding ->
-  [ `Agree | `Disagree of float ] option
-(** Compiler cross-checking — the alternative oracle design §4 argues
-    against.  [None] when either side crashes. *)
-
 val dedup_key : string -> string
 (** Crash-dedup key: digits are masked so the same defect reported against
     different nodes counts once. *)

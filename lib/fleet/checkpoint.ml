@@ -15,6 +15,7 @@
 
 module Json = Nnsmith_telemetry.Json
 module Tel = Nnsmith_telemetry.Telemetry
+open Json.Syntax
 
 type t = {
   ck_version : int;
@@ -57,52 +58,6 @@ let next_index_for ~applied ~shards w =
 let shard_next ~applied ~shards =
   List.init shards (next_index_for ~applied ~shards)
 
-let ( let* ) = Result.bind
-
-let counts_to_json kvs =
-  Json.Obj (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) kvs)
-
-let counts_of_value = function
-  | Json.Obj kvs ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (key, Json.Num n) :: rest -> go ((key, int_of_float n) :: acc) rest
-        | (key, _) :: _ ->
-            Error (Printf.sprintf "count field %S not a number" key)
-      in
-      go [] kvs
-  | _ -> Error "counts field is not an object"
-
-let counts_of_json k j =
-  match Json.member k j with Some v -> counts_of_value v | None -> Ok []
-
-let strings_of_json k j =
-  match Json.member k j with
-  | Some (Json.Arr xs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Str s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "field %S: non-string element" k)
-      in
-      go [] xs
-  | Some _ -> Error (Printf.sprintf "field %S is not an array" k)
-  | None -> Ok []
-
-let int_field j k =
-  match Option.bind (Json.member k j) Json.to_int with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "missing int field %S" k)
-
-let str_field j k =
-  match Option.bind (Json.member k j) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field %S" k)
-
-let bool_field j k =
-  match Json.member k j with
-  | Some (Json.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "missing bool field %S" k)
-
 let ints_of_json k j =
   match Json.member k j with
   | Some (Json.Arr xs) ->
@@ -125,22 +80,19 @@ let to_json c =
       ("tests", Json.Num (float_of_int c.ck_tests));
       ("max_nodes", Json.Num (float_of_int c.ck_max_nodes));
       ("binning", Json.Bool c.ck_binning);
-      ("systems", Json.Arr (List.map (fun s -> Json.Str s) c.ck_systems));
-      ("faults", Json.Arr (List.map (fun s -> Json.Str s) c.ck_faults));
+      ("systems", Json.strings_to_json c.ck_systems);
+      ("faults", Json.strings_to_json c.ck_faults);
       ("applied", Json.Num (float_of_int c.ck_applied));
       ( "shard_next",
         Json.Arr (List.map (fun n -> Json.Num (float_of_int n)) c.ck_shard_next)
       );
       ("index_bytes", Json.Num (float_of_int c.ck_index_bytes));
-      ( "coverage",
-        Json.Obj (List.map (fun (s, p) -> (s, Json.Bool p)) c.ck_coverage) );
-      ("verdicts", counts_to_json c.ck_verdicts);
-      ("crashes", counts_to_json c.ck_crashes);
-      ("keys", Json.Arr (List.map (fun s -> Json.Str s) c.ck_keys));
-      ("triggered", counts_to_json c.ck_triggered);
-      ( "ops",
-        Json.Obj (List.map (fun (op, vs) -> (op, counts_to_json vs)) c.ck_ops)
-      );
+      ("coverage", Json.sites_to_json c.ck_coverage);
+      ("verdicts", Json.counts_to_json c.ck_verdicts);
+      ("crashes", Json.counts_to_json c.ck_crashes);
+      ("keys", Json.strings_to_json c.ck_keys);
+      ("triggered", Json.counts_to_json c.ck_triggered);
+      ("ops", Json.ops_to_json c.ck_ops);
       ("saved", Json.Num (float_of_int c.ck_saved));
       ("dups", Json.Num (float_of_int c.ck_dups));
       ("worker_crashes", Json.Num (float_of_int c.ck_worker_crashes));
@@ -150,65 +102,43 @@ let to_json c =
     ]
 
 let of_json j =
-  let* v = int_field j "v" in
+  let* v = Json.int_field j "v" in
   if v <> version then
     Error (Printf.sprintf "checkpoint version mismatch: got %d, want %d" v version)
   else
-    let* ck_kind = str_field j "kind" in
-    let* rs = str_field j "root_seed" in
+    let* ck_kind = Json.str_field j "kind" in
+    let* rs = Json.str_field j "root_seed" in
     let* ck_root_seed =
       match int_of_string_opt rs with
       | Some n -> Ok n
       | None -> Error ("bad root_seed " ^ rs)
     in
-    let* ck_shards = int_field j "shards" in
-    let* ck_tests = int_field j "tests" in
-    let* ck_max_nodes = int_field j "max_nodes" in
-    let* ck_binning = bool_field j "binning" in
-    let* ck_systems = strings_of_json "systems" j in
-    let* ck_faults = strings_of_json "faults" j in
-    let* ck_applied = int_field j "applied" in
+    let* ck_shards = Json.int_field j "shards" in
+    let* ck_tests = Json.int_field j "tests" in
+    let* ck_max_nodes = Json.int_field j "max_nodes" in
+    let* ck_binning = Json.bool_field j "binning" in
+    let* ck_systems = Json.strings_of_json "systems" j in
+    let* ck_faults = Json.strings_of_json "faults" j in
+    let* ck_applied = Json.int_field j "applied" in
     let* ck_shard_next = ints_of_json "shard_next" j in
-    let* ck_index_bytes = int_field j "index_bytes" in
+    let* ck_index_bytes = Json.int_field j "index_bytes" in
     let* ck_coverage =
+      (* checkpoints word a non-object coverage field their own way *)
       match Json.member "coverage" j with
-      | Some (Json.Obj kvs) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | (s, Json.Bool p) :: rest -> go ((s, p) :: acc) rest
-            | (s, _) :: _ -> Error (Printf.sprintf "site %S not a bool" s)
-          in
-          go [] kvs
+      | Some (Json.Obj _) | None -> Json.sites_of_json "coverage" j
       | Some _ -> Error "coverage is not an object"
-      | None -> Ok []
     in
-    let* ck_verdicts = counts_of_json "verdicts" j in
-    let* ck_crashes = counts_of_json "crashes" j in
-    let* ck_keys = strings_of_json "keys" j in
-    let* ck_triggered = counts_of_json "triggered" j in
-    let* ck_ops =
-      match Json.member "ops" j with
-      | Some (Json.Obj kvs) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | (op, v) :: rest ->
-                let* vs = counts_of_value v in
-                go ((op, vs) :: acc) rest
-          in
-          go [] kvs
-      | Some _ -> Error "ops field is not an object"
-      | None -> Ok []
-    in
-    let* ck_saved = int_field j "saved" in
-    let* ck_dups = int_field j "dups" in
-    let* ck_worker_crashes = int_field j "worker_crashes" in
-    let* ck_restarts = int_field j "restarts" in
-    let* ck_complete = bool_field j "complete" in
-    let* ck_at_ms =
-      match Option.bind (Json.member "at_ms" j) Json.to_float with
-      | Some f -> Ok f
-      | None -> Error "missing float field \"at_ms\""
-    in
+    let* ck_verdicts = Json.counts_of_json "verdicts" j in
+    let* ck_crashes = Json.counts_of_json "crashes" j in
+    let* ck_keys = Json.strings_of_json "keys" j in
+    let* ck_triggered = Json.counts_of_json "triggered" j in
+    let* ck_ops = Json.ops_of_json "ops" j in
+    let* ck_saved = Json.int_field j "saved" in
+    let* ck_dups = Json.int_field j "dups" in
+    let* ck_worker_crashes = Json.int_field j "worker_crashes" in
+    let* ck_restarts = Json.int_field j "restarts" in
+    let* ck_complete = Json.bool_field j "complete" in
+    let* ck_at_ms = Json.float_field j "at_ms" in
     Ok
       {
         ck_version = v;

@@ -915,11 +915,7 @@ let run ?(resume = false) (cfg : config) : (summary, string) result =
                               ("total", Json.Num (float_of_int (Cov.count !cov)));
                               ( "pass",
                                 Json.Num (float_of_int (Cov.count_pass !cov)) );
-                              ( "sites",
-                                Json.Obj
-                                  (List.map
-                                     (fun (s, p) -> (s, Json.Bool p))
-                                     (Cov.to_list !cov)) );
+                              ("sites", Json.sites_to_json (Cov.to_list !cov));
                             ])
                       ^ "\n");
                     if cfg.fc_dashboard_every_ms > 0. then regen_dashboard ();

@@ -23,6 +23,7 @@ module Graph = Nnsmith_ir.Graph
 module Pfuzz = Nnsmith_difftest.Pfuzz
 module Systems = Nnsmith_difftest.Systems
 module Harness = Nnsmith_difftest.Harness
+open Json.Syntax
 
 let version = 1
 
@@ -41,54 +42,6 @@ let abort_indices () =
   | Some s ->
       String.split_on_char ',' s
       |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
-
-let ( let* ) = Result.bind
-
-let int_field j k =
-  match Option.bind (Json.member k j) Json.to_int with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "missing int field %S" k)
-
-let str_field j k =
-  match Option.bind (Json.member k j) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field %S" k)
-
-let bool_field j k =
-  match Json.member k j with
-  | Some (Json.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "missing bool field %S" k)
-
-let strings_of_json k j =
-  match Json.member k j with
-  | Some (Json.Arr xs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Str s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "field %S: non-string element" k)
-      in
-      go [] xs
-  | Some _ -> Error (Printf.sprintf "field %S is not an array" k)
-  | None -> Ok []
-
-let counts_to_json kvs =
-  Json.Obj (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) kvs)
-
-let counts_of_value = function
-  | Json.Obj kvs ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (key, Json.Num n) :: rest -> go ((key, int_of_float n) :: acc) rest
-        | (key, _) :: _ ->
-            Error (Printf.sprintf "count field %S not a number" key)
-      in
-      go [] kvs
-  | _ -> Error "counts field is not an object"
-
-let counts_of_json k j =
-  match Json.member k j with
-  | Some v -> counts_of_value v
-  | None -> Ok []
 
 (* Exact int transport: string payload, immune to the %.12g number
    format (seeds are 62-bit SplitMix outputs). *)
@@ -131,26 +84,26 @@ let worker_config_to_string wc =
          ("root_seed", exact_int wc.wc_root_seed);
          ("max_nodes", Json.Num (float_of_int wc.wc_max_nodes));
          ("binning", Json.Bool wc.wc_binning);
-         ("systems", Json.Arr (List.map (fun s -> Json.Str s) wc.wc_systems));
-         ("faults", Json.Arr (List.map (fun s -> Json.Str s) wc.wc_faults));
+         ("systems", Json.strings_to_json wc.wc_systems);
+         ("faults", Json.strings_to_json wc.wc_faults);
        ])
 
 let worker_config_of_string s =
   let* j = Json.parse s in
-  let* v = int_field j "v" in
+  let* v = Json.int_field j "v" in
   if v <> version then
     Error (Printf.sprintf "fleet protocol version mismatch: got %d, want %d" v version)
   else
-    let* wc_kind = str_field j "kind" in
-    let* wc_worker = int_field j "worker" in
-    let* wc_shards = int_field j "shards" in
-    let* wc_start_index = int_field j "start_index" in
-    let* wc_tests = int_field j "tests" in
+    let* wc_kind = Json.str_field j "kind" in
+    let* wc_worker = Json.int_field j "worker" in
+    let* wc_shards = Json.int_field j "shards" in
+    let* wc_start_index = Json.int_field j "start_index" in
+    let* wc_tests = Json.int_field j "tests" in
     let* wc_root_seed = exact_int_field j "root_seed" in
-    let* wc_max_nodes = int_field j "max_nodes" in
-    let* wc_binning = bool_field j "binning" in
-    let* wc_systems = strings_of_json "systems" j in
-    let* wc_faults = strings_of_json "faults" j in
+    let* wc_max_nodes = Json.int_field j "max_nodes" in
+    let* wc_binning = Json.bool_field j "binning" in
+    let* wc_systems = Json.strings_of_json "systems" j in
+    let* wc_faults = Json.strings_of_json "faults" j in
     Ok
       {
         wc_kind;
@@ -191,24 +144,24 @@ let verdict_to_json = function
         ]
 
 let verdict_of_json j =
-  let* k = str_field j "k" in
+  let* k = Json.str_field j "k" in
   match k with
   | "pass" -> Ok Harness.Pass
   | "skipped" ->
-      let* m = str_field j "msg" in
+      let* m = Json.str_field j "msg" in
       Ok (Harness.Skipped m)
   | "crash" ->
-      let* m = str_field j "msg" in
+      let* m = Json.str_field j "msg" in
       Ok (Harness.Crash m)
   | "semantic" ->
-      let* kind = str_field j "kind" in
+      let* kind = Json.str_field j "kind" in
       let* sem_kind =
         match kind with
         | "optimization" -> Ok `Optimization
         | "frontend" -> Ok `Frontend
         | s -> Error ("bad sem_kind " ^ s)
       in
-      let* re = str_field j "rel_err" in
+      let* re = Json.str_field j "rel_err" in
       let* rel_err =
         match float_of_string_opt re with
         | Some f -> Ok f
@@ -223,30 +176,29 @@ let failure_to_json (f : Pfuzz.failure) =
       ("system", Json.Str f.Pfuzz.f_system.Systems.s_name);
       ("generator", Json.Str f.Pfuzz.f_generator);
       ("seed", exact_int f.Pfuzz.f_seed);
-      ( "export_bugs",
-        Json.Arr (List.map (fun s -> Json.Str s) f.Pfuzz.f_export_bugs) );
+      ("export_bugs", Json.strings_to_json f.Pfuzz.f_export_bugs);
       ("graph", Json.Str (Serial.to_string f.Pfuzz.f_graph));
       ("binding", Json.Str (Tser.encode_binding f.Pfuzz.f_binding));
       ("verdict", verdict_to_json f.Pfuzz.f_verdict);
     ]
 
 let failure_of_json j =
-  let* name = str_field j "system" in
+  let* name = Json.str_field j "system" in
   let* f_system =
     match system_of_name name with
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "unknown system %S" name)
   in
-  let* f_generator = str_field j "generator" in
+  let* f_generator = Json.str_field j "generator" in
   let* f_seed = exact_int_field j "seed" in
-  let* f_export_bugs = strings_of_json "export_bugs" j in
-  let* gs = str_field j "graph" in
+  let* f_export_bugs = Json.strings_of_json "export_bugs" j in
+  let* gs = Json.str_field j "graph" in
   let* f_graph =
     match Serial.of_string gs with
     | g -> Ok g
     | exception Serial.Parse_error m -> Error ("bad graph: " ^ m)
   in
-  let* bs = str_field j "binding" in
+  let* bs = Json.str_field j "binding" in
   let* f_binding =
     match Tser.parse_binding bs with
     | b -> Ok b
@@ -271,34 +223,20 @@ let failure_of_json j =
 let outcome_to_json (o : Pfuzz.outcome) =
   Json.Obj
     [
-      ("verdicts", counts_to_json o.Pfuzz.o_verdicts);
-      ("crashes", counts_to_json o.Pfuzz.o_crashes);
-      ("keys", Json.Arr (List.map (fun s -> Json.Str s) o.Pfuzz.o_keys));
-      ("triggered", counts_to_json o.Pfuzz.o_triggered);
-      ( "ops",
-        Json.Obj
-          (List.map (fun (op, vs) -> (op, counts_to_json vs)) o.Pfuzz.o_ops) );
+      ("verdicts", Json.counts_to_json o.Pfuzz.o_verdicts);
+      ("crashes", Json.counts_to_json o.Pfuzz.o_crashes);
+      ("keys", Json.strings_to_json o.Pfuzz.o_keys);
+      ("triggered", Json.counts_to_json o.Pfuzz.o_triggered);
+      ("ops", Json.ops_to_json o.Pfuzz.o_ops);
       ("failures", Json.Arr (List.map failure_to_json o.Pfuzz.o_failures));
     ]
 
 let outcome_of_json j =
-  let* o_verdicts = counts_of_json "verdicts" j in
-  let* o_crashes = counts_of_json "crashes" j in
-  let* o_keys = strings_of_json "keys" j in
-  let* o_triggered = counts_of_json "triggered" j in
-  let* o_ops =
-    match Json.member "ops" j with
-    | Some (Json.Obj kvs) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | (op, v) :: rest ->
-              let* vs = counts_of_value v in
-              go ((op, vs) :: acc) rest
-        in
-        go [] kvs
-    | Some _ -> Error "ops field is not an object"
-    | None -> Ok []
-  in
+  let* o_verdicts = Json.counts_of_json "verdicts" j in
+  let* o_crashes = Json.counts_of_json "crashes" j in
+  let* o_keys = Json.strings_of_json "keys" j in
+  let* o_triggered = Json.counts_of_json "triggered" j in
+  let* o_ops = Json.ops_of_json "ops" j in
   let* o_failures =
     match Json.member "failures" j with
     | Some (Json.Arr xs) ->
@@ -321,21 +259,6 @@ let outcome_of_json j =
       o_ops;
       o_failures;
     }
-
-let sites_to_json kvs =
-  Json.Obj (List.map (fun (site, p) -> (site, Json.Bool p)) kvs)
-
-let sites_of_json k j =
-  match Json.member k j with
-  | Some (Json.Obj kvs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (site, Json.Bool p) :: rest -> go ((site, p) :: acc) rest
-        | (site, _) :: _ -> Error (Printf.sprintf "site %S not a bool" site)
-      in
-      go [] kvs
-  | Some _ -> Error (Printf.sprintf "field %S is not an object" k)
-  | None -> Ok []
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)
@@ -371,7 +294,7 @@ let frame_to_json = function
           ("index", Json.Num (float_of_int o.fo_index));
           ("tests", Json.Num (float_of_int o.fo_tests));
           ("outcome", outcome_to_json o.fo_outcome);
-          ("cov_delta", sites_to_json o.fo_cov_delta);
+          ("cov_delta", Json.sites_to_json o.fo_cov_delta);
           ("cov_total", Json.Num (float_of_int o.fo_cov_total));
           ("cov_universe", Json.Num (float_of_int o.fo_cov_universe));
         ]
@@ -385,27 +308,27 @@ let frame_to_json = function
         ]
 
 let frame_of_json j =
-  let* v = int_field j "v" in
+  let* v = Json.int_field j "v" in
   if v <> version then
     Error (Printf.sprintf "fleet protocol version mismatch: got %d, want %d" v version)
   else
-    let* t = str_field j "t" in
+    let* t = Json.str_field j "t" in
     match t with
     | "hello" ->
-        let* worker = int_field j "worker" in
-        let* pid = int_field j "pid" in
+        let* worker = Json.int_field j "worker" in
+        let* pid = Json.int_field j "pid" in
         Ok (Hello { worker; pid })
     | "outcome" ->
-        let* fo_index = int_field j "index" in
-        let* fo_tests = int_field j "tests" in
+        let* fo_index = Json.int_field j "index" in
+        let* fo_tests = Json.int_field j "tests" in
         let* fo_outcome =
           match Json.member "outcome" j with
           | Some o -> outcome_of_json o
           | None -> Error "missing outcome"
         in
-        let* fo_cov_delta = sites_of_json "cov_delta" j in
-        let* fo_cov_total = int_field j "cov_total" in
-        let* fo_cov_universe = int_field j "cov_universe" in
+        let* fo_cov_delta = Json.sites_of_json "cov_delta" j in
+        let* fo_cov_total = Json.int_field j "cov_total" in
+        let* fo_cov_universe = Json.int_field j "cov_universe" in
         Ok
           (Outcome
              {
@@ -417,8 +340,8 @@ let frame_of_json j =
                fo_cov_universe;
              })
     | "shard_done" ->
-        let* tests = int_field j "tests" in
-        let* last_index = int_field j "last_index" in
+        let* tests = Json.int_field j "tests" in
+        let* last_index = Json.int_field j "last_index" in
         Ok (Shard_done { tests; last_index })
     | k -> Error (Printf.sprintf "unknown frame type %S" k)
 

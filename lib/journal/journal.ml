@@ -12,6 +12,7 @@
 
 module Json = Nnsmith_telemetry.Json
 module Tel = Nnsmith_telemetry.Telemetry
+open Json.Syntax
 
 (* ------------------------------------------------------------------ *)
 (* Event schema                                                        *)
@@ -108,20 +109,6 @@ let now_ms = Tel.now_ms
 (* JSON encode/decode (hand-rolled like the telemetry and corpus
    schemas; the "ev" discriminator comes first so journals grep well).  *)
 
-let counts_to_json kvs =
-  Json.Obj (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) kvs)
-
-let counts_of_json = function
-  | Some (Json.Obj kvs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (k, Json.Num n) :: rest -> go ((k, int_of_float n) :: acc) rest
-        | (k, _) :: _ -> Error (Printf.sprintf "count field %S not a number" k)
-      in
-      go [] kvs
-  | Some _ -> Error "counts field is not an object"
-  | None -> Ok []
-
 let budget_to_json = function
   | B_tests n -> Json.Obj [ ("tests", Json.Num (float_of_int n)) ]
   | B_time_ms ms -> Json.Obj [ ("time_ms", Json.Num ms) ]
@@ -144,29 +131,12 @@ let reducer_to_json r =
       ("ms", Json.Num r.rd_ms);
     ]
 
-let ( let* ) = Result.bind
-
-let int_field j k =
-  match Option.bind (Json.member k j) Json.to_int with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "missing int field %S" k)
-
-let float_field j k =
-  match Option.bind (Json.member k j) Json.to_float with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "missing float field %S" k)
-
-let str_field j k =
-  match Option.bind (Json.member k j) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field %S" k)
-
 let reducer_of_json j =
-  let* rd_attempts = int_field j "attempts" in
-  let* rd_accepted = int_field j "accepted" in
-  let* rd_initial = int_field j "initial_nodes" in
-  let* rd_final = int_field j "final_nodes" in
-  let* rd_ms = float_field j "ms" in
+  let* rd_attempts = Json.int_field j "attempts" in
+  let* rd_accepted = Json.int_field j "accepted" in
+  let* rd_initial = Json.int_field j "initial_nodes" in
+  let* rd_final = Json.int_field j "final_nodes" in
+  let* rd_ms = Json.float_field j "ms" in
   Ok { rd_attempts; rd_accepted; rd_initial; rd_final; rd_ms }
 
 let to_json = function
@@ -176,7 +146,7 @@ let to_json = function
           ("ev", Json.Str "start");
           ("at_ms", Json.Num s.s_at_ms);
           ("kind", Json.Str s.s_kind);
-          ("systems", Json.Arr (List.map (fun x -> Json.Str x) s.s_systems));
+          ("systems", Json.strings_to_json s.s_systems);
           ("generator", Json.Str s.s_generator);
           ("root_seed", Json.Num (float_of_int s.s_root_seed));
           ("jobs", Json.Num (float_of_int s.s_jobs));
@@ -190,7 +160,7 @@ let to_json = function
           ("seq", Json.Num (float_of_int h.h_seq));
           ("at_ms", Json.Num h.h_at_ms);
           ("tests", Json.Num (float_of_int h.h_tests));
-          ("verdicts", counts_to_json h.h_verdicts);
+          ("verdicts", Json.counts_to_json h.h_verdicts);
           ("cov_total", Json.Num (float_of_int h.h_cov_total));
           ("cov_pass", Json.Num (float_of_int h.h_cov_pass));
           ("cov_universe", Json.Num (float_of_int h.h_cov_universe));
@@ -226,9 +196,7 @@ let to_json = function
         [
           ("ev", Json.Str "op_stats");
           ("at_ms", Json.Num o.o_at_ms);
-          ( "ops",
-            Json.Obj
-              (List.map (fun (op, vs) -> (op, counts_to_json vs)) o.o_ops) );
+          ("ops", Json.ops_to_json o.o_ops);
         ]
   | Dropped d ->
       Json.Obj
@@ -273,7 +241,7 @@ let to_json = function
           ("at_ms", Json.Num f.f_at_ms);
           ("tests", Json.Num (float_of_int f.f_tests));
           ("tests_per_sec", Json.Num f.f_tests_per_sec);
-          ("verdicts", counts_to_json f.f_verdicts);
+          ("verdicts", Json.counts_to_json f.f_verdicts);
           ("failures", Json.Num (float_of_int f.f_failures));
           ("saved", Json.Num (float_of_int f.f_saved));
           ("dups", Json.Num (float_of_int f.f_dups));
@@ -282,28 +250,16 @@ let to_json = function
           ("dropped", Json.Num (float_of_int f.f_dropped));
         ]
 
-let strings_of_json k j =
-  match Json.member k j with
-  | Some (Json.Arr xs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Str s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "field %S: non-string element" k)
-      in
-      go [] xs
-  | Some _ -> Error (Printf.sprintf "field %S is not an array" k)
-  | None -> Ok []
-
 let of_json j : (event, string) result =
-  let* ev = str_field j "ev" in
-  let* at_ms = float_field j "at_ms" in
+  let* ev = Json.str_field j "ev" in
+  let* at_ms = Json.float_field j "at_ms" in
   match ev with
   | "start" ->
-      let* s_kind = str_field j "kind" in
-      let* s_systems = strings_of_json "systems" j in
-      let* s_generator = str_field j "generator" in
-      let* s_root_seed = int_field j "root_seed" in
-      let* s_jobs = int_field j "jobs" in
+      let* s_kind = Json.str_field j "kind" in
+      let* s_systems = Json.strings_of_json "systems" j in
+      let* s_generator = Json.str_field j "generator" in
+      let* s_root_seed = Json.int_field j "root_seed" in
+      let* s_jobs = Json.int_field j "jobs" in
       let* s_budget =
         match Json.member "budget" j with
         | Some b -> budget_of_json b
@@ -321,13 +277,13 @@ let of_json j : (event, string) result =
              s_budget;
            })
   | "heartbeat" ->
-      let* h_worker = int_field j "worker" in
-      let* h_seq = int_field j "seq" in
-      let* h_tests = int_field j "tests" in
-      let* h_verdicts = counts_of_json (Json.member "verdicts" j) in
-      let* h_cov_total = int_field j "cov_total" in
-      let* h_cov_pass = int_field j "cov_pass" in
-      let* h_cov_universe = int_field j "cov_universe" in
+      let* h_worker = Json.int_field j "worker" in
+      let* h_seq = Json.int_field j "seq" in
+      let* h_tests = Json.int_field j "tests" in
+      let* h_verdicts = Json.counts_of_json "verdicts" j in
+      let* h_cov_total = Json.int_field j "cov_total" in
+      let* h_cov_pass = Json.int_field j "cov_pass" in
+      let* h_cov_universe = Json.int_field j "cov_universe" in
       Ok
         (Heartbeat
            {
@@ -341,12 +297,12 @@ let of_json j : (event, string) result =
              h_cov_universe;
            })
   | "bug" ->
-      let* b_key = str_field j "dedup_key" in
-      let* b_system = str_field j "system" in
-      let* b_verdict = str_field j "verdict" in
-      let* b_case = str_field j "case" in
-      let* b_nodes = int_field j "nodes" in
-      let* b_count = int_field j "count" in
+      let* b_key = Json.str_field j "dedup_key" in
+      let* b_system = Json.str_field j "system" in
+      let* b_verdict = Json.str_field j "verdict" in
+      let* b_case = Json.str_field j "case" in
+      let* b_nodes = Json.int_field j "nodes" in
+      let* b_count = Json.int_field j "count" in
       let b_new =
         match Json.member "new" j with Some (Json.Bool b) -> b | _ -> true
       in
@@ -371,57 +327,45 @@ let of_json j : (event, string) result =
              b_reducer;
            })
   | "coverage" ->
-      let* c_tests = int_field j "tests" in
-      let* c_total = int_field j "cov_total" in
-      let* c_pass = int_field j "cov_pass" in
+      let* c_tests = Json.int_field j "tests" in
+      let* c_total = Json.int_field j "cov_total" in
+      let* c_pass = Json.int_field j "cov_pass" in
       Ok (Coverage { c_at_ms = at_ms; c_tests; c_total; c_pass })
   | "op_stats" ->
-      let* o_ops =
-        match Json.member "ops" j with
-        | Some (Json.Obj kvs) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | (op, v) :: rest ->
-                  let* vs = counts_of_json (Some v) in
-                  go ((op, vs) :: acc) rest
-            in
-            go [] kvs
-        | Some _ -> Error "ops field is not an object"
-        | None -> Ok []
-      in
+      let* o_ops = Json.ops_of_json "ops" j in
       Ok (Op_stats { o_at_ms = at_ms; o_ops })
   | "dropped" ->
-      let* d_count = int_field j "count" in
+      let* d_count = Json.int_field j "count" in
       Ok (Dropped { d_at_ms = at_ms; d_count })
   | "shard_done" ->
-      let* sd_worker = int_field j "worker" in
-      let* sd_tests = int_field j "tests" in
-      let* sd_last_index = int_field j "last_index" in
+      let* sd_worker = Json.int_field j "worker" in
+      let* sd_tests = Json.int_field j "tests" in
+      let* sd_last_index = Json.int_field j "last_index" in
       Ok (Shard_done { sd_at_ms = at_ms; sd_worker; sd_tests; sd_last_index })
   | "worker_crash" ->
-      let* wc_worker = int_field j "worker" in
-      let* wc_index = int_field j "index" in
-      let* wc_seed = int_field j "seed" in
-      let* wc_cause = str_field j "cause" in
-      let* wc_restarts = int_field j "restarts" in
+      let* wc_worker = Json.int_field j "worker" in
+      let* wc_index = Json.int_field j "index" in
+      let* wc_seed = Json.int_field j "seed" in
+      let* wc_cause = Json.str_field j "cause" in
+      let* wc_restarts = Json.int_field j "restarts" in
       Ok
         (Worker_crash
            { wc_at_ms = at_ms; wc_worker; wc_index; wc_seed; wc_cause; wc_restarts })
   | "resume" ->
-      let* rs_applied = int_field j "applied" in
-      let* rs_tests = int_field j "tests" in
-      let* rs_shards = int_field j "shards" in
+      let* rs_applied = Json.int_field j "applied" in
+      let* rs_tests = Json.int_field j "tests" in
+      let* rs_shards = Json.int_field j "shards" in
       Ok (Resume { rs_at_ms = at_ms; rs_applied; rs_tests; rs_shards })
   | "summary" ->
-      let* f_tests = int_field j "tests" in
-      let* f_tests_per_sec = float_field j "tests_per_sec" in
-      let* f_verdicts = counts_of_json (Json.member "verdicts" j) in
-      let* f_failures = int_field j "failures" in
-      let* f_saved = int_field j "saved" in
-      let* f_dups = int_field j "dups" in
-      let* f_cov_total = int_field j "cov_total" in
-      let* f_cov_pass = int_field j "cov_pass" in
-      let* f_dropped = int_field j "dropped" in
+      let* f_tests = Json.int_field j "tests" in
+      let* f_tests_per_sec = Json.float_field j "tests_per_sec" in
+      let* f_verdicts = Json.counts_of_json "verdicts" j in
+      let* f_failures = Json.int_field j "failures" in
+      let* f_saved = Json.int_field j "saved" in
+      let* f_dups = Json.int_field j "dups" in
+      let* f_cov_total = Json.int_field j "cov_total" in
+      let* f_cov_pass = Json.int_field j "cov_pass" in
+      let* f_dropped = Json.int_field j "dropped" in
       Ok
         (Summary
            {

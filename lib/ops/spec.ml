@@ -48,38 +48,6 @@ type template = {
 let instance ?(requires = []) ?(extra_inputs = []) op out_type =
   { op; requires; out_type; extra_inputs }
 
-(* ------------------------------------------------------------------ *)
-(* Compiled templates.
-
-   Algorithm 1 evaluates [accepts] for every sampled input combination of
-   every insertion attempt, but a template's answer depends only on the
-   (dtype, rank) signature — a tiny, heavily repeated key space.  A
-   compiled template memoizes those answers, so each (op, signature) pair
-   is decided once per generation instead of once per attempt.  Compile
-   per generation (the memo table is mutable and not shared across
-   domains); compilation itself is a few closure allocations. *)
-
-type compiled = {
-  c_base : template;
-  c_accepts : signature -> bool;  (** memoized [accepts] *)
-}
-
-let compile (t : template) : compiled =
-  let memo : (signature, bool) Hashtbl.t = Hashtbl.create 32 in
-  {
-    c_base = t;
-    c_accepts =
-      (fun sg ->
-        match Hashtbl.find_opt memo sg with
-        | Some b -> b
-        | None ->
-            let b = t.accepts sg in
-            Hashtbl.add memo sg b;
-            b);
-  }
-
-let compile_all = List.map compile
-
 (* Helpers shared by the template definitions. *)
 
 let pick rng xs =

@@ -49,9 +49,7 @@ val ( * ) : t -> t -> t
 val ( / ) : t -> t -> t
 val ( mod ) : t -> t -> t
 (** Smart constructors: fold constants and apply unit/zero laws eagerly, so
-    that expressions stay small during incremental generation.  Every term a
-    smart constructor builds is hash-consed (see {!intern}), so structurally
-    equal results are physically shared within a domain. *)
+    that expressions stay small during incremental generation. *)
 
 val neg : t -> t
 val min_ : t -> t -> t
@@ -78,38 +76,18 @@ val fmod : int -> int -> int
     ([fdiv (-7) 2 = -4], [cdiv (-7) 2 = -3], [fmod (-7) 2 = 1]), each with
     one hardware division.  Division by zero raises [Division_by_zero]. *)
 
-val intern : t -> t
-(** [intern e] returns the canonical (hash-consed) representative of [e] for
-    the current domain: structurally equal interned terms are physically
-    equal, making {!equal}/{!compare} O(1) on shared terms.  The intern
-    tables are domain-local — terms are never shared across domains, and
-    worker domains never contend — and bounded: past a fixed capacity they
-    are dropped wholesale and sharing restarts.  Smart constructors intern
-    automatically; call this only for terms built with raw constructors. *)
-
-val id : t -> int
-(** Unique id of [intern e] within the current domain (allocation order).
-    Interns [e] if it has not been seen yet. *)
-
-val hash : t -> int
-(** O(1) hash consistent with structural equality on a single domain
-    (equal to {!id} of the canonical representative). *)
-
 val hc_clear : unit -> unit
-(** Drop the current domain's intern tables and restart both the intern id
-    sequence and the global fresh-variable counter.  For deterministic
-    measurement harnesses only: back-to-back fixed-seed runs separated by a
-    call allocate identically (table growth and variable ids realign run to
-    run).  Callers must first clear every cache keyed by interned terms or
-    variable ids (solver caches, plan pools) — stale entries from before
-    the clear would alias fresh terms. *)
+(** Restart the process-global fresh-variable counter, so the next
+    {!fresh_var} mints id 1.  For deterministic measurement harnesses only:
+    back-to-back fixed-seed runs separated by a call mint the same variable
+    ids.  Callers must first clear every memo that holds variables (the
+    solver's, via [Solver.cache_clear]): a variable minted before the reset
+    would share its id with one minted after. *)
 
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
-(** [compare]/[equal]: structural comparison with a physical-equality fast
-    path — O(1) whenever both terms were built by smart constructors on the
-    same domain. *)
+(** [compare]/[equal]: structural comparison. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -92,16 +92,14 @@ let rec eval env = function
   | Or fs -> List.exists (eval env) fs
   | Not f -> not (eval env f)
 
-(* Expr subterms are hash-consed, so the structural comparison usually
-   short-circuits on physically shared atoms. *)
-let compare (a : t) (b : t) = if a == b then 0 else Stdlib.compare a b
-let equal a b = a == b || Int.equal (Stdlib.compare a b) 0
+let compare (a : t) b = Stdlib.compare a b
+let equal a b = Int.equal (compare a b) 0
 
 (* Stable normal form of a constraint set: conjunctions flattened,
    trivially-true members dropped, duplicates removed, members sorted
    structurally.  Any falsified member collapses the set to [ff].  Two
    constraint sets describing the same conjunction normalize to the same
-   list, which is what the solver's caches key on. *)
+   list, so a probe's result does not depend on its formulas' order. *)
 let normalize (fs : t list) : t list =
   let rec flat acc = function
     | [] -> Some acc

@@ -51,15 +51,15 @@ val eval : (Expr.var -> int) -> t -> bool
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-(** Structural comparison with a physical-equality fast path (hash-consed
-    {!Expr} subterms make the structural walk cheap). *)
+(** Structural comparison. *)
 
 val normalize : t list -> t list
 (** Stable normal form of a constraint set interpreted as a conjunction:
     nested [And]s flattened, [tt] members dropped, duplicates removed,
     members sorted structurally; any [ff] member collapses the whole set to
-    [\[ff\]].  Sets describing the same conjunction normalize identically —
-    the solver's caches key on this. *)
+    [\[ff\]].  Sets describing the same conjunction normalize identically,
+    so the solver's answer to a probe does not depend on the order of its
+    formulas. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

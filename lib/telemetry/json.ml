@@ -233,3 +233,98 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_float = function Num f -> Some f | _ -> None
 let to_int = function Num f -> Some (int_of_float f) | _ -> None
 let to_str = function Str s -> Some s | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Field readers and encoders shared by the journal, corpus and fleet
+   schemas.                                                            *)
+
+module Syntax = struct
+  let ( let* ) = Result.bind
+end
+
+open Syntax
+
+let int_field j k =
+  match Option.bind (member k j) to_int with
+  | Some n -> Ok n
+  | None -> Error (Printf.sprintf "missing int field %S" k)
+
+let float_field j k =
+  match Option.bind (member k j) to_float with
+  | Some f -> Ok f
+  | None -> Error (Printf.sprintf "missing float field %S" k)
+
+let str_field j k =
+  match Option.bind (member k j) to_str with
+  | Some s -> Ok s
+  | None -> Error (Printf.sprintf "missing string field %S" k)
+
+let bool_field j k =
+  match member k j with
+  | Some (Bool b) -> Ok b
+  | _ -> Error (Printf.sprintf "missing bool field %S" k)
+
+(* Decode each element in order, stopping at the first error. *)
+let map_result f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest ->
+        let* y = f x in
+        go (y :: acc) rest
+  in
+  go [] xs
+
+let strings_to_json xs = Arr (List.map (fun s -> Str s) xs)
+
+let strings_of_json k j =
+  match member k j with
+  | Some (Arr xs) ->
+      map_result
+        (function
+          | Str s -> Ok s
+          | _ -> Error (Printf.sprintf "field %S: non-string element" k))
+        xs
+  | Some _ -> Error (Printf.sprintf "field %S is not an array" k)
+  | None -> Ok []
+
+let counts_to_json kvs =
+  Obj (List.map (fun (k, n) -> (k, Num (float_of_int n))) kvs)
+
+let counts_of_value = function
+  | Obj kvs ->
+      map_result
+        (function
+          | k, Num n -> Ok (k, int_of_float n)
+          | k, _ -> Error (Printf.sprintf "count field %S not a number" k))
+        kvs
+  | _ -> Error "counts field is not an object"
+
+let counts_of_json k j =
+  match member k j with Some v -> counts_of_value v | None -> Ok []
+
+let ops_to_json ops =
+  Obj (List.map (fun (op, vs) -> (op, counts_to_json vs)) ops)
+
+let ops_of_json k j =
+  match member k j with
+  | Some (Obj kvs) ->
+      map_result
+        (fun (op, v) ->
+          let* vs = counts_of_value v in
+          Ok (op, vs))
+        kvs
+  | Some _ -> Error (Printf.sprintf "%s field is not an object" k)
+  | None -> Ok []
+
+let sites_to_json kvs = Obj (List.map (fun (site, p) -> (site, Bool p)) kvs)
+
+let sites_of_json k j =
+  match member k j with
+  | Some (Obj kvs) ->
+      map_result
+        (function
+          | site, Bool p -> Ok (site, p)
+          | site, _ -> Error (Printf.sprintf "site %S not a bool" site))
+        kvs
+  | Some _ -> Error (Printf.sprintf "field %S is not an object" k)
+  | None -> Ok []

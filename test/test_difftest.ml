@@ -206,7 +206,7 @@ let test_exporter_clip_i32_chain () =
       | _ -> Alcotest.fail "TRT must mis-compile or crash")
 
 (* ------------------------------------------------------------------ *)
-(* Operator-support probing and cross-checking                         *)
+(* Operator-support probing                                            *)
 
 let test_support_probing () =
   no_faults (fun () ->
@@ -227,19 +227,6 @@ let test_support_detects_rejection () =
       let tpl = Option.get (Nnsmith_ops.Registry.find "Conv2d") in
       check "conv2d probes fine" true
         (D.Support.template_supported D.Systems.lotus tpl))
-
-let test_cross_check () =
-  no_faults (fun () ->
-      let g, _ = relu_graph () in
-      let b = Runner.random_binding (rng ()) g in
-      check "compilers agree" true
-        (D.Harness.cross_check D.Systems.oxrt D.Systems.lotus g b = Some `Agree));
-  with_bug "oxrt.avgpool_include_pad" (fun () ->
-      let g, x = avgpool_graph () in
-      let b = [ (x, Nd.full_f Dtype.F32 [| 1; 1; 2; 2 |] 4.) ] in
-      match D.Harness.cross_check D.Systems.oxrt D.Systems.lotus g b with
-      | Some (`Disagree err) -> check "err measured" true (err > 0.)
-      | _ -> Alcotest.fail "cross-check should expose the kernel bug")
 
 (* ------------------------------------------------------------------ *)
 (* Opinst / campaigns / bughunt                                        *)
@@ -608,7 +595,6 @@ let () =
         [
           tc "probing finds full support" `Slow test_support_probing;
           tc "single-template probe" `Quick test_support_detects_rejection;
-          tc "cross check" `Quick test_cross_check;
         ] );
       ( "opinst",
         [

@@ -60,6 +60,19 @@ let test_vars () =
   check_int "distinct" 2 (List.length (E.vars E.(x + (y * x))));
   check_int "const" 0 (List.length (E.vars (E.int 42)))
 
+(* The fresh-variable counter is process-global, so this uses only
+   variables minted after the reset. *)
+let test_hc_clear_restarts_ids () =
+  ignore (E.fresh_var "before");
+  S.cache_clear ();
+  E.hc_clear ();
+  let a = E.fresh_var "a" in
+  let b = E.fresh_var "b" in
+  check_int "first id" 1 a.E.id;
+  check_int "second id" 2 b.E.id;
+  check "fresh mints a Var" true
+    (match E.fresh "c" with E.Var v -> v.E.id = 3 | _ -> false)
+
 (* The two-division definitions [Expr]'s one-division ones replace. *)
 let fdiv2 a b =
   let q = a / b and r = a mod b in
@@ -135,6 +148,25 @@ let test_formula_vars () =
   let f = F.and_ [ F.(x <= y); F.(y < E.int 5) ] in
   check_int "two vars" 2 (List.length (F.vars f));
   check_int "atoms" 2 (List.length (F.atoms f))
+
+(* Built twice from the same variables: equal, but no subterm shared. *)
+let test_formula_normalize () =
+  let x = E.fresh "x" and y = E.fresh "y" in
+  let le () = F.(E.(x * int 2) <= E.(y + int 1)) in
+  let a = le () and b = F.(y < E.int 5) and c = F.(x <> E.int 3) in
+  let same l1 l2 = List.equal F.equal l1 l2 in
+  let abc = F.normalize [ a; b; c ] in
+  check_int "three members" 3 (List.length abc);
+  check "nested And flattened" true
+    (same (F.normalize [ F.And [ a; F.And [ b; c ] ] ]) abc);
+  check "True dropped" true (same (F.normalize [ F.True; a; F.True ]) [ a ]);
+  check "False gives [ff]" true
+    (same (F.normalize [ a; F.And [ b; F.False ]; c ]) [ F.ff ]);
+  check "separately built duplicates merged" true
+    (a != le () && same (F.normalize [ a; le (); b; c; le () ]) abc);
+  List.iter
+    (fun perm -> check "input order" true (same (F.normalize perm) abc))
+    [ [ c; b; a ]; [ b; a; c ]; [ c; F.And [ a; b ] ]; [ F.And [ b; c ]; a ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Interval                                                            *)
@@ -1216,6 +1248,7 @@ let () =
           tc "floor division" `Quick test_floor_division;
           tc "eval" `Quick test_eval;
           tc "vars" `Quick test_vars;
+          tc "hc_clear restarts fresh ids" `Quick test_hc_clear_restarts_ids;
           QCheck_alcotest.to_alcotest qcheck_fdiv_fmod;
           QCheck_alcotest.to_alcotest qcheck_one_division;
         ] );
@@ -1224,6 +1257,7 @@ let () =
           tc "folding" `Quick test_formula_folding;
           tc "eval" `Quick test_formula_eval;
           tc "vars/atoms" `Quick test_formula_vars;
+          tc "normalize" `Quick test_formula_normalize;
         ] );
       ( "interval",
         [
