@@ -193,6 +193,13 @@ let compare_rows ~baseline ~current =
       if rel > alloc_tolerance then
         fail "allocation words: %.0f -> %.0f (%+.2f%%, tolerance %.0f%%)" a0
           a1 (pct rel) (pct alloc_tolerance)
+      else if rel < -.alloc_tolerance then
+        (* a fall never fails, but the gate keeps measuring growth from the
+           old level until the lower row is committed *)
+        note
+          "allocation words: %.0f -> %.0f (%+.2f%%, a fall past the %.0f%% \
+           tolerance: re-record this row)"
+          a0 a1 (pct rel) (pct alloc_tolerance)
       else
         note "allocation words: %.0f -> %.0f (%+.2f%%, within %.0f%%)" a0 a1
           (pct rel) (pct alloc_tolerance);

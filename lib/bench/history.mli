@@ -100,7 +100,9 @@ val regress : ?known:string list -> row list -> verdict list
     the last row recorded at an earlier commit, i.e. the committed one.
     Gate: work counters exactly equal; allocation words within
     {!alloc_tolerance} growth.  Wall-clock deltas and counter-set changes
-    (keys added/removed) are reported as notes.
+    (keys added/removed) are reported as notes, and so is a fall in
+    allocation past the tolerance, whose note asks for the row to be
+    re-recorded.
 
     Rows whose experiment is not in [known] (when given) are skipped with
     a warning — a renamed or retired experiment must not fail the gate

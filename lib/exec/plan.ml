@@ -363,46 +363,7 @@ let compile_kernel (op : int Op.t) (ins : (Dtype.t * Shape.t) array)
             Shape.broadcast (Array.sub sa 0 (ra - 2)) (Array.sub sb 0 (rb - 2))
           with
           | Some batch when Shape.equal (Array.append batch [| m; nn |]) os ->
-              (* [Linalg.matmul_into] recomputes the batch-broadcast offset
-                 per element; materialise those maps once (identity maps are
-                 skipped entirely) and accumulate over raw arrays in the same
-                 l-ascending order. *)
-              let nb = Shape.numel batch in
-              let abatch = Array.append batch [| m; k |] in
-              let bbatch = Array.append batch [| k; nn |] in
-              let reader src dsts len =
-                if Shape.equal src dsts then fun (x : Nd.farray) i -> fget x i
-                else
-                  let map =
-                    Array.init len (Nd.broadcast_offsets ~src ~dst:dsts)
-                  in
-                  fun (x : Nd.farray) i -> fget x (Array.unsafe_get map i)
-              in
-              let ga = reader sa abatch (nb * m * k) in
-              let gb = reader sb bbatch (nb * k * nn) in
-              let f64 = Dtype.equal od Dtype.F64 in
-              Some
-                (fun ib dst ->
-                  let a = Nd.float_data ib.(0)
-                  and b = Nd.float_data ib.(1)
-                  and o = Nd.float_data dst in
-                  for bi = 0 to nb - 1 do
-                    for i = 0 to m - 1 do
-                      let arow = ((bi * m) + i) * k in
-                      for j = 0 to nn - 1 do
-                        let acc = ref 0. in
-                        for l = 0 to k - 1 do
-                          acc :=
-                            !acc
-                            +. ga a (arow + l)
-                               *. gb b ((((bi * k) + l) * nn) + j)
-                        done;
-                        fset o
-                          ((((bi * m) + i) * nn) + j)
-                          (if f64 then !acc else Dtype.round_f32 !acc)
-                      done
-                    done
-                  done)
+              Some (fun ib dst -> Linalg.matmul_into ~dst ib.(0) ib.(1))
           | _ -> None
         end
   | Op.Conv2d { stride; padding; _ } ->
@@ -539,45 +500,12 @@ let compile_kernel (op : int Op.t) (ins : (Dtype.t * Shape.t) array)
           || not (Dtype.equal od d0)
         then None
         else
-          let out, spec =
+          let out, outer, widths =
             Transform.concat_spec ~axis:cat_axis
               (Array.to_list (Array.map snd ins))
           in
           if not (Shape.equal out os) then None
-          else begin
-            let part = Array.make n 0 and off = Array.make n 0 in
-            for i = 0 to n - 1 do
-              let pi, o = spec i in
-              part.(i) <- pi;
-              off.(i) <- o
-            done;
-            match d0 with
-            | Dtype.F32 | F64 ->
-                (* inputs share the output dtype, so their values are already
-                   normalised: a raw copy matches the [set_f] write *)
-                Some
-                  (fun ib dst ->
-                    let srcs = Array.map Nd.float_data ib in
-                    let o = Nd.float_data dst in
-                    for i = 0 to n - 1 do
-                      fset o i
-                        (fget
-                           (Array.unsafe_get srcs (Array.unsafe_get part i))
-                           (Array.unsafe_get off i))
-                    done)
-            | I32 | I64 ->
-                Some
-                  (fun ib dst ->
-                    for i = 0 to n - 1 do
-                      Nd.set_i dst i (Nd.to_int ib.(part.(i)) off.(i))
-                    done)
-            | Bool ->
-                Some
-                  (fun ib dst ->
-                    for i = 0 to n - 1 do
-                      Nd.set_b dst i (Nd.get_b ib.(part.(i)) off.(i))
-                    done)
-          end
+          else Some (fun ib dst -> Transform.concat_into ~outer ~widths ib ~dst)
       end
   | Op.Where ->
       arity 3;
@@ -634,24 +562,10 @@ let compile_kernel (op : int Op.t) (ins : (Dtype.t * Shape.t) array)
       end
   | Op.Tile reps ->
       arity 1;
-      let xs = snd ins.(0) in
-      if List.length reps <> Array.length xs then None
-      else begin
-        let out =
-          Array.of_list
-            (List.map2 (fun d r -> d * r) (Array.to_list xs) reps)
-        in
-        if (not (Shape.equal out os)) || not (Dtype.equal od (fst ins.(0)))
-        then None
-        else
-          let map =
-            Array.init (Shape.numel out) (fun out_i ->
-                let oidx = Shape.unravel out out_i in
-                let sidx = Array.mapi (fun k v -> v mod xs.(k)) oidx in
-                Shape.ravel xs sidx)
-          in
-          Some (gather_kernel od map ~fill:0.)
-      end
+      let out, map = Transform.tile_map (snd ins.(0)) reps in
+      if (not (Shape.equal out os)) || not (Dtype.equal od (fst ins.(0))) then
+        None
+      else Some (gather_kernel od map ~fill:0.)
 
 let compile_kernel op ins od os =
   (* any compile-time surprise means "use the interpreter for this node" —

@@ -313,12 +313,8 @@ let matmul ~(sa : Shape.t) ~(sb : Shape.t) =
   let nb = Shape.numel batch in
   (* offset of each batch entry's matrix inside an operand *)
   let bases src rows cols =
-    let o =
-      Nd.broadcast_offsets
-        ~src:(Array.append src [| rows; cols |])
-        ~dst:(Array.append batch [| rows; cols |])
-    in
-    Array.init nb (fun bi -> o (bi * rows * cols))
+    let o = reader (Nd.index_map ~src ~dst:batch) in
+    Array.init nb (fun bi -> o bi * rows * cols)
   in
   let abase = bases batch_a m k and bbase = bases batch_b k n in
   let ga2 (g : farray) (b : farray) (dst : farray) =
@@ -480,23 +476,30 @@ let scatter_add map =
      fset dst j (fget dst j +. fget gout i)
    done
 
+(* Each input element takes the cotangent of the output position that read
+   it, or +0.0 when none did. *)
 let slice ~axis ~start ~(xs : Shape.t) ~(os : Shape.t) =
+  let st = Shape.strides xs in
   let src = Array.make (Shape.numel xs) (-1) in
-  for i = 0 to Shape.numel os - 1 do
-    let idx = Shape.unravel os i in
-    idx.(axis) <- idx.(axis) + start;
-    src.(Shape.ravel xs idx) <- i
-  done;
+  Shape.iter_offsets os
+    (Array.mapi
+       (fun k d ->
+         let s = if k = axis then start else 0 in
+         Array.init d (fun c -> (c + s) * st.(k)))
+       os)
+    (fun i j -> src.(j) <- i);
   gather_from src
 
 let pad ~before ~(xs : Shape.t) ~(os : Shape.t) =
-  let before = Array.of_list before in
+  let before = Array.of_list before and st = Shape.strides os in
   gather_from
-    (Array.init (Shape.numel xs) (fun i ->
-         let gidx = Array.mapi (fun k v -> v + before.(k)) (Shape.unravel xs i) in
-         if Array.for_all2 (fun v d -> v >= 0 && v < d) gidx os then
-           Shape.ravel os gidx
-         else -1))
+    (Shape.offsets xs
+       (Array.mapi
+          (fun k d ->
+            Array.init d (fun c ->
+                let v = c + before.(k) in
+                if v >= 0 && v < os.(k) then v * st.(k) else -1))
+          xs))
 
 let concat ~axis (parts : Shape.t array) ~(os : Shape.t) =
   let r = Array.length os in
@@ -535,31 +538,27 @@ let where ~(cs : Shape.t) ~(ts : Shape.t) ~(fs : Shape.t) ~(os : Shape.t) =
       else fset gf (of_ i) (fget gf (of_ i) +. g)
     done
 
-(* Scatter-add back through the (clamped) runtime index. *)
+(* Scatter-add back through the (clamped) runtime index, over the
+   [outer x n_indices x inner] blocks of {!Transform.gather}. *)
 let gather ~axis ~(ds : Shape.t) ~(is : Shape.t) ~(os : Shape.t) =
-  let ri = Array.length is in
-  let st = Shape.strides ds in
-  let n = Shape.numel os in
-  let ioff = Array.make n 0 and dbase = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let oidx = Shape.unravel os i in
-    ioff.(i) <- Shape.ravel is (Array.sub oidx axis ri);
-    let base = ref 0 in
-    Array.iteri
-      (fun k s ->
-        if k < axis then base := !base + (oidx.(k) * s)
-        else if k > axis then base := !base + (oidx.(k + ri - 1) * s))
-      st;
-    dbase.(i) <- !base
-  done;
-  let dmax = ds.(axis) - 1 and ast = st.(axis) in
+  let r = Array.length ds in
+  let outer = Shape.numel (Array.sub ds 0 axis)
+  and inner = Shape.numel (Array.sub ds (axis + 1) (r - axis - 1))
+  and ni = Shape.numel is
+  and d = ds.(axis) in
+  if outer * ni * inner <> Shape.numel os then
+    invalid_arg "Vjp.gather: output shape mismatch";
   fun ~gout (ins : Nd.t array) _ (dsts : farray array) ->
     let idx = ins.(1) and gd = dsts.(0) in
     zero gd;
-    for i = 0 to n - 1 do
-      let j = max 0 (min dmax (Nd.to_int idx ioff.(i))) in
-      let off = dbase.(i) + (j * ast) in
-      fset gd off (fget gd off +. fget gout i)
+    for o = 0 to outer - 1 do
+      for q = 0 to ni - 1 do
+        let j = max 0 (min (d - 1) (Nd.to_int idx q)) in
+        let src = ((o * d) + j) * inner and at = ((o * ni) + q) * inner in
+        for e = 0 to inner - 1 do
+          fset gd (src + e) (fget gd (src + e) +. fget gout (at + e))
+        done
+      done
     done
 
 let compile ~proxy (op : int Op.t) ~(ins : (Dtype.t * Shape.t) array)
@@ -617,10 +616,6 @@ let compile ~proxy (op : int Op.t) ~(ins : (Dtype.t * Shape.t) array)
         | Some sum -> fun ~gout _ _ dsts -> sum gout dsts.(0))
   | Op.Gather { g_axis }, [| (_, ds); (_, is) |] when float 0 ->
       { grads = [| true; false |]; run = gather ~axis:g_axis ~ds ~is ~os }
-  | Op.Tile _, [| (_, xs) |] when float 0 ->
-      all
-        (scatter_add
-           (Array.init (Shape.numel os) (fun i ->
-                Shape.ravel xs
-                  (Array.mapi (fun k v -> v mod xs.(k)) (Shape.unravel os i)))))
+  | Op.Tile reps, [| (_, xs) |] when float 0 ->
+      all (scatter_add (snd (Transform.tile_map xs reps)))
   | _ -> none arity

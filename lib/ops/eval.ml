@@ -183,44 +183,6 @@ let eval (op : int Op.t) (ins : Nd.t list) : Nd.t =
   | Op.Where, [ c; t; f ] -> Nd.where c t f
   | Op.Expand target, [ x ] -> Nd.broadcast_to x (Array.of_list target)
   | Op.Gather { g_axis }, [ data; indices ] ->
-      let sd = Nd.shape data in
-      let rank = Array.length sd in
-      let si = Nd.shape indices in
-      let out_shape =
-        Array.concat [ Array.sub sd 0 g_axis; si; Array.sub sd (g_axis + 1) (rank - g_axis - 1) ]
-      in
-      let ri = Array.length si in
-      let read out_i =
-        let oidx = Nnsmith_tensor.Shape.unravel out_shape out_i in
-        let iidx = Array.sub oidx g_axis ri in
-        let raw = Nd.to_int indices (Nnsmith_tensor.Shape.ravel si iidx) in
-        (* clamp into range: validity never depends on runtime values *)
-        let j = max 0 (min (sd.(g_axis) - 1) raw) in
-        let didx =
-          Array.init rank (fun k ->
-              if k < g_axis then oidx.(k)
-              else if k = g_axis then j
-              else oidx.(k + ri - 1))
-        in
-        Nnsmith_tensor.Shape.ravel sd didx
-      in
-      (match Nd.dtype data with
-      | Dtype.F32 | F64 ->
-          Nd.init_f (Nd.dtype data) out_shape (fun i -> Nd.to_float data (read i))
-      | I32 | I64 ->
-          Nd.init_i (Nd.dtype data) out_shape (fun i -> Nd.to_int data (read i))
-      | Bool -> Nd.init_b out_shape (fun i -> Nd.get_b data (read i)))
-  | Op.Tile reps, [ x ] ->
-      let sx = Nd.shape x in
-      let out_shape = Array.of_list (List.map2 (fun d r -> d * r) (Array.to_list sx) reps) in
-      let read out_i =
-        let oidx = Nnsmith_tensor.Shape.unravel out_shape out_i in
-        let sidx = Array.mapi (fun k v -> v mod sx.(k)) oidx in
-        Nnsmith_tensor.Shape.ravel sx sidx
-      in
-      (match Nd.dtype x with
-      | Dtype.F32 | F64 ->
-          Nd.init_f (Nd.dtype x) out_shape (fun i -> Nd.to_float x (read i))
-      | I32 | I64 -> Nd.init_i (Nd.dtype x) out_shape (fun i -> Nd.to_int x (read i))
-      | Bool -> Nd.init_b out_shape (fun i -> Nd.get_b x (read i)))
+      Transform.gather ~axis:g_axis data indices
+  | Op.Tile reps, [ x ] -> Transform.tile x reps
   | _, _ -> fail "%s: wrong arity (%d inputs)" name (List.length ins)

@@ -3,8 +3,11 @@ let require_float name (t : Nd.t) =
     invalid_arg (Printf.sprintf "Linalg.%s: not a float tensor" name)
 
 (* Shared core: both operands rank >= 2, [dst] already has the broadcast
-   result shape.  The allocating [matmul] below delegates here after rank-1
-   promotion so both entry points compute identical bits. *)
+   result shape.  The allocating [matmul] below and the plan's kernel both
+   delegate here, so every entry point computes identical bits.  Only batch
+   dims broadcast, so one map per operand, over the batch, gives each
+   output matrix the offset of its operand matrices; each sum starts from
+   +0.0 and adds the products in ascending contraction order. *)
 let matmul_into ~dst a b =
   require_float "matmul" a;
   require_float "matmul" b;
@@ -23,28 +26,32 @@ let matmul_into ~dst a b =
     | Some s -> s
     | None -> invalid_arg "Linalg.matmul: batch dims do not broadcast"
   in
-  let out_shape = Array.append batch [| m; n |] in
-  let abatch_shape = Array.append batch [| m; k |] in
-  let bbatch_shape = Array.append batch [| k; n |] in
   let dtype = a.Nd.dtype in
   if not (Dtype.equal dtype (Nd.dtype dst)) then
     invalid_arg "Linalg.matmul_into: destination dtype mismatch";
-  if not (Shape.equal out_shape (Nd.shape dst)) then
+  if not (Shape.equal (Array.append batch [| m; n |]) (Nd.shape dst)) then
     invalid_arg "Linalg.matmul_into: destination shape mismatch";
-  let oa = Nd.broadcast_offsets ~src:sa ~dst:abatch_shape in
-  let ob = Nd.broadcast_offsets ~src:sb ~dst:bbatch_shape in
-  let nb = Shape.numel batch in
-  let out_data = Nd.float_data dst in
-  for bi = 0 to nb - 1 do
+  let ma = Nd.index_map ~src:batch_a ~dst:batch
+  and mb = Nd.index_map ~src:batch_b ~dst:batch in
+  let x = Nd.float_data a and y = Nd.float_data b and o = Nd.float_data dst in
+  let get : Nd.farray -> int -> float = Bigarray.Array1.unsafe_get in
+  if
+    Bigarray.Array1.dim x <> Shape.numel sa
+    || Bigarray.Array1.dim y <> Shape.numel sb
+    || Bigarray.Array1.dim o <> Shape.numel (Nd.shape dst)
+  then invalid_arg "Linalg.matmul_into: payload and shape disagree";
+  for bi = 0 to Shape.numel batch - 1 do
+    let abase = Nd.at ma bi * m * k and bbase = Nd.at mb bi * k * n in
     for i = 0 to m - 1 do
+      let arow = abase + (i * k) in
       for j = 0 to n - 1 do
         let acc = ref 0. in
         for l = 0 to k - 1 do
-          let av = Nd.to_float a (oa (((bi * m) + i) * k + l)) in
-          let bv = Nd.to_float b (ob (((bi * k) + l) * n + j)) in
-          acc := !acc +. (av *. bv)
+          acc := !acc +. (get x (arow + l) *. get y (bbase + (l * n) + j))
         done;
-        out_data.{(((bi * m) + i) * n) + j} <- Dtype.normalize_float dtype !acc
+        Bigarray.Array1.unsafe_set o
+          ((((bi * m) + i) * n) + j)
+          (Dtype.normalize_float dtype !acc)
       done
     done
   done

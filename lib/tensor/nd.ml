@@ -219,35 +219,25 @@ let map_b f t = init_b t.shape (fun i -> f (get_b t i))
 (* ------------------------------------------------------------------ *)
 (* Broadcasting.                                                       *)
 
-let broadcast_offsets ~src ~dst =
+(* One table per [dst] axis: the source offset of a coordinate on that
+   axis, 0 where the axis is broadcast (absent from [src] or of size 1). *)
+let broadcast_tables ~src ~dst =
   if not (Shape.can_broadcast_to ~src ~dst) then
     invalid_arg
-      (Fmt.str "Nd.broadcast_offsets: %a does not broadcast to %a" Shape.pp src
+      (Fmt.str "Nd.index_map: %a does not broadcast to %a" Shape.pp src
          Shape.pp dst);
   let rd = Shape.rank dst and rs = Shape.rank src in
-  let sstrides = Shape.strides src in
-  (* stride of each dst axis within src, 0 when broadcast *)
-  let bstrides = Array.make rd 0 in
-  for i = 0 to rd - 1 do
-    let j = i - (rd - rs) in
-    if j >= 0 && src.(j) > 1 then bstrides.(i) <- sstrides.(j)
-  done;
-  let dstrides = Shape.strides dst in
-  fun off ->
-    let rest = ref off and acc = ref 0 in
-    for i = 0 to rd - 1 do
-      let idx = !rest / dstrides.(i) in
-      rest := !rest mod dstrides.(i);
-      acc := !acc + (idx * bstrides.(i))
-    done;
-    !acc
+  let st = Shape.strides src in
+  Array.init rd (fun i ->
+      let j = i - (rd - rs) in
+      if j >= 0 && src.(j) > 1 then Array.init dst.(i) (fun c -> c * st.(j))
+      else Array.make dst.(i) 0)
 
 let index_map ~src ~dst =
   if Shape.equal src dst then None
-  else begin
-    let o = broadcast_offsets ~src ~dst in
-    Some (Array.init (Shape.numel dst) o)
-  end
+  else Some (Shape.offsets dst (broadcast_tables ~src ~dst))
+
+let at map i = match map with None -> i | Some m -> Array.unsafe_get m i
 
 let broadcast_shape2 a b =
   match Shape.broadcast a.shape b.shape with
@@ -259,11 +249,11 @@ let broadcast_shape2 a b =
 
 let map2_gen out_dtype read combine write a b =
   let out_shape = broadcast_shape2 a b in
-  let oa = broadcast_offsets ~src:a.shape ~dst:out_shape
-  and ob = broadcast_offsets ~src:b.shape ~dst:out_shape in
+  let oa = index_map ~src:a.shape ~dst:out_shape
+  and ob = index_map ~src:b.shape ~dst:out_shape in
   let out = create out_dtype out_shape in
   for i = 0 to Shape.numel out_shape - 1 do
-    write out i (combine (read a (oa i)) (read b (ob i)))
+    write out i (combine (read a (at oa i)) (read b (at ob i)))
   done;
   out
 
@@ -280,21 +270,25 @@ let where cond a b =
     | Some s -> s
     | None -> invalid_arg "Nd.where: shapes do not broadcast"
   in
-  let oc = broadcast_offsets ~src:cond.shape ~dst:out_shape
-  and oa = broadcast_offsets ~src:a.shape ~dst:out_shape
-  and ob = broadcast_offsets ~src:b.shape ~dst:out_shape in
+  let oc = index_map ~src:cond.shape ~dst:out_shape
+  and oa = index_map ~src:a.shape ~dst:out_shape
+  and ob = index_map ~src:b.shape ~dst:out_shape in
   let n = Shape.numel out_shape in
   match a.dtype with
   | F32 | F64 ->
       init_f a.dtype out_shape (fun i ->
-          if get_b cond (oc i) then to_float a (oa i) else to_float b (ob i))
+          if get_b cond (at oc i) then to_float a (at oa i)
+          else to_float b (at ob i))
   | I32 | I64 ->
       init_i a.dtype out_shape (fun i ->
-          if get_b cond (oc i) then to_int a (oa i) else to_int b (ob i))
+          if get_b cond (at oc i) then to_int a (at oa i)
+          else to_int b (at ob i))
   | Bool ->
       let out = create Dtype.Bool out_shape in
       for i = 0 to n - 1 do
-        set_b out i (if get_b cond (oc i) then get_b a (oa i) else get_b b (ob i))
+        set_b out i
+          (if get_b cond (at oc i) then get_b a (at oa i)
+           else get_b b (at ob i))
       done;
       out
 
@@ -308,11 +302,15 @@ let cast t target =
       | F _ | I _ -> init_b t.shape (fun i -> to_float t i <> 0.))
 
 let broadcast_to t dst =
-  let o = broadcast_offsets ~src:t.shape ~dst in
-  match t.dtype with
-  | F32 | F64 -> init_f t.dtype dst (fun i -> to_float t (o i))
-  | I32 | I64 -> init_i t.dtype dst (fun i -> to_int t (o i))
-  | Bool -> init_b dst (fun i -> get_b t (o i))
+  let tables = broadcast_tables ~src:t.shape ~dst in
+  let out = create t.dtype dst in
+  (match t.dtype with
+  | F32 | F64 ->
+      Shape.iter_offsets dst tables (fun i j -> set_f out i (to_float t j))
+  | I32 | I64 ->
+      Shape.iter_offsets dst tables (fun i j -> set_i out i (to_int t j))
+  | Bool -> Shape.iter_offsets dst tables (fun i j -> set_b out i (get_b t j)));
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Validity and comparison.                                            *)

@@ -100,15 +100,15 @@ val map_f : ?dtype:Dtype.t -> (float -> float) -> t -> t
 val map_i : ?dtype:Dtype.t -> (int -> int) -> t -> t
 val map_b : (bool -> bool) -> t -> t
 
-val broadcast_offsets : src:Shape.t -> dst:Shape.t -> (int -> int)
-(** [broadcast_offsets ~src ~dst] maps a linear index in [dst] to the linear
-    index of the broadcast source element in [src].
-    Raises [Invalid_argument] when [src] does not broadcast to [dst]. *)
-
 val index_map : src:Shape.t -> dst:Shape.t -> int array option
-(** Materialised broadcast index map: element [i] is the source offset feeding
-    destination position [i].  [None] when the shapes are equal (identity).
-    Raises [Invalid_argument] when [src] does not broadcast to [dst]. *)
+(** Materialised broadcast index map, walked by {!Shape.iter_offsets}:
+    element [i] is the source offset feeding destination position [i].
+    [None] when the shapes are equal (identity).  Raises [Invalid_argument]
+    when [src] does not broadcast to [dst]. *)
+
+val at : int array option -> int -> int
+(** [at map i]: entry [i] of an {!index_map} result, [i] itself for
+    [None]. *)
 
 val map2_f : Dtype.t -> (float -> float -> float) -> t -> t -> t
 (** Broadcasting binary op over float tensors; output has the broadcast

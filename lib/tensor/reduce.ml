@@ -15,10 +15,11 @@ let out_shape_of shape axes keepdims =
   end
 
 (* Precompiled reduction geometry: per-output-cell base offsets and
-   per-window-element offset deltas.  Built once (per execution plan, or per
-   call for the allocating entry points), then applied with a flat
-   double loop — the fold order over the window is identical to the original
-   unravel-per-element formulation, so results are bit-identical. *)
+   per-window-element offset deltas, each walked by the odometer over the
+   source's strided tables of the kept or the reduced axes.  Built once (per
+   execution plan, or per call for the allocating entry points), then
+   applied with a flat double loop that folds each window in ascending
+   order of its reduced coordinates. *)
 type plan = {
   rp_shape : Shape.t;
   rp_out_shape : Shape.t;
@@ -31,32 +32,22 @@ let plan ~axes ~keepdims shape =
   let axes = normalize_axes r axes in
   let out_shape = out_shape_of shape axes keepdims in
   let kept = List.filter (fun k -> not (List.mem k axes)) (List.init r Fun.id) in
-  let window = List.fold_left (fun acc a -> acc * shape.(a)) 1 axes in
-  let axes_arr = Array.of_list axes in
-  let kept_arr = Array.of_list kept in
-  let strides = Shape.strides shape in
-  (* shape of the iteration space over kept dims, used to decode out index *)
-  let kept_shape = Array.map (fun k -> shape.(k)) kept_arr in
-  let axes_shape = Array.map (fun a -> shape.(a)) axes_arr in
-  let bases =
-    Array.init (Shape.numel out_shape) (fun oi ->
-        let kidx = Shape.unravel kept_shape oi in
-        let base = ref 0 in
-        Array.iteri
-          (fun j k -> base := !base + (kidx.(j) * strides.(k)))
-          kept_arr;
-        !base)
+  let st = Shape.strided_tables shape in
+  let walk ks =
+    let ks = Array.of_list ks in
+    Shape.offsets
+      (Array.map (fun k -> shape.(k)) ks)
+      (Array.map (fun k -> st.(k)) ks)
   in
-  let woffs =
-    Array.init window (fun w ->
-        let widx = Shape.unravel axes_shape w in
-        let off = ref 0 in
-        Array.iteri (fun j a -> off := !off + (widx.(j) * strides.(a))) axes_arr;
-        !off)
-  in
-  { rp_shape = shape; rp_out_shape = out_shape; rp_bases = bases; rp_woffs = woffs }
+  {
+    rp_shape = shape;
+    rp_out_shape = out_shape;
+    rp_bases = walk kept;
+    rp_woffs = walk axes;
+  }
 
 let out_shape p = p.rp_out_shape
+let offsets p = (p.rp_bases, p.rp_woffs)
 
 let apply p (t : Nd.t) ~init_of ~combine_f ~finish_f ~dst =
   if not (Shape.equal p.rp_shape t.Nd.shape) then
@@ -182,19 +173,13 @@ let arg_extremum ~better ?(keepdims = false) ~axis (t : Nd.t) =
   require_numeric "arg" t;
   let r = Nd.rank t in
   if axis < 0 || axis >= r then invalid_arg "Reduce.arg: bad axis";
-  let shape = t.Nd.shape in
-  let out_shape = out_shape_of shape [ axis ] keepdims in
-  let kept = List.filter (fun k -> k <> axis) (List.init r Fun.id) in
-  let kept_arr = Array.of_list kept in
-  let kept_shape = Array.map (fun k -> shape.(k)) kept_arr in
-  let strides = Shape.strides shape in
-  Nd.init_i Dtype.I64 out_shape (fun oi ->
-      let kidx = Shape.unravel kept_shape oi in
-      let base = ref 0 in
-      Array.iteri (fun j k -> base := !base + (kidx.(j) * strides.(k))) kept_arr;
-      let best = ref 0 and best_v = ref (Nd.to_float t !base) in
-      for j = 1 to shape.(axis) - 1 do
-        let v = Nd.to_float t (!base + (j * strides.(axis))) in
+  let p = plan ~axes:[ axis ] ~keepdims t.Nd.shape in
+  let woffs = p.rp_woffs in
+  Nd.init_i Dtype.I64 p.rp_out_shape (fun oi ->
+      let base = p.rp_bases.(oi) in
+      let best = ref 0 and best_v = ref (Nd.to_float t base) in
+      for j = 1 to Array.length woffs - 1 do
+        let v = Nd.to_float t (base + woffs.(j)) in
         if (not (Float.is_nan !best_v)) && (Float.is_nan v || better v !best_v)
         then begin
           best := j;

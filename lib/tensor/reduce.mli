@@ -16,6 +16,10 @@ val plan : axes:int list -> keepdims:bool -> Shape.t -> plan
 
 val out_shape : plan -> Shape.t
 
+val offsets : plan -> int array * int array
+(** The plan's geometry: each output cell's base offset in the source, and
+    the offset deltas of its window's elements in folding order. *)
+
 val sum_into : plan -> Nd.t -> dst:Nd.t -> unit
 (** Destination-passing float reductions; the source must be a float tensor
     whose shape the plan was built for, and [dst] must have the plan's output

@@ -5,7 +5,7 @@ let rank = Array.length
 let numel s = Array.fold_left ( * ) 1 s
 let equal (a : t) b = a = b
 
-let compute_strides s =
+let strides s =
   let n = rank s in
   let st = Array.make n 1 in
   for i = n - 2 downto 0 do
@@ -13,46 +13,78 @@ let compute_strides s =
   done;
   st
 
-(* The evaluation kernels call [strides] once per element (ravel/unravel in
-   broadcasting, reduction and layout loops), always over the same handful
-   of shapes, so the result is memoized.  The cache is domain-local (no
-   synchronisation with concurrent fuzzing workers) and bounded; both the
-   key and the cached value are treated as immutable — callers only ever
-   read stride arrays. *)
-let cache : (t, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let cache_cap = 4096
-
-let strides s =
-  if rank s <= 1 then compute_strides s
-  else
-    let tbl = Domain.DLS.get cache in
-    match Hashtbl.find_opt tbl s with
-    | Some st -> st
-    | None ->
-        let st = compute_strides s in
-        if Hashtbl.length tbl >= cache_cap then Hashtbl.reset tbl;
-        Hashtbl.add tbl (Array.copy s) st;
-        st
-
 let ravel s idx =
-  let st = strides s in
   let off = ref 0 in
   for i = 0 to rank s - 1 do
-    off := !off + (idx.(i) * st.(i))
+    off := (!off * s.(i)) + idx.(i)
   done;
   !off
 
 let unravel s off =
-  let st = strides s in
-  let idx = Array.make (rank s) 0 in
+  let r = rank s in
+  let idx = Array.make r 0 in
   let rest = ref off in
-  for i = 0 to rank s - 1 do
-    idx.(i) <- !rest / st.(i);
-    rest := !rest mod st.(i)
+  for i = r - 1 downto 0 do
+    idx.(i) <- !rest mod s.(i);
+    rest := !rest / s.(i)
   done;
   idx
+
+(* The odometer.  [base.(k)] holds the summed entries of axes [0..k-1] at
+   the current coordinates (or -1 once one of them is a fill), so a step of
+   the innermost axis costs one table read and an add, and a carry into
+   axis [k] recomputes only the bases below it: amortised O(1) per
+   position. *)
+let iter_offsets s tables f =
+  let r = rank s in
+  if Array.length tables <> r then
+    invalid_arg "Shape.iter_offsets: rank mismatch";
+  Array.iteri
+    (fun k tab ->
+      if Array.length tab < s.(k) then
+        invalid_arg "Shape.iter_offsets: table shorter than its axis")
+    tables;
+  if r = 0 then f 0 0
+  else if numel s > 0 then begin
+    let idx = Array.make r 0 and base = Array.make r 0 in
+    let rebase k =
+      let b = base.(k - 1) and e = tables.(k - 1).(idx.(k - 1)) in
+      base.(k) <- (if b < 0 || e < 0 then -1 else b + e)
+    in
+    for k = 1 to r - 1 do
+      rebase k
+    done;
+    let inner = tables.(r - 1) and d = s.(r - 1) in
+    let pos = ref 0 and k = ref 0 in
+    while !k >= 0 do
+      let b = base.(r - 1) and p = !pos in
+      for c = 0 to d - 1 do
+        let e = Array.unsafe_get inner c in
+        f (p + c) (if b < 0 || e < 0 then -1 else b + e)
+      done;
+      pos := p + d;
+      k := r - 2;
+      while !k >= 0 && idx.(!k) = s.(!k) - 1 do
+        idx.(!k) <- 0;
+        decr k
+      done;
+      if !k >= 0 then begin
+        idx.(!k) <- idx.(!k) + 1;
+        for j = !k + 1 to r - 1 do
+          rebase j
+        done
+      end
+    done
+  end
+
+let offsets s tables =
+  let map = Array.make (numel s) 0 in
+  iter_offsets s tables (fun i off -> Array.unsafe_set map i off);
+  map
+
+let strided_tables s =
+  let st = strides s in
+  Array.mapi (fun k d -> Array.init d (fun c -> c * st.(k))) s
 
 let broadcast a b =
   let ra = rank a and rb = rank b in

@@ -1,45 +1,28 @@
-type source = Src of int | Fill
-
-(* Build a tensor of [out_shape] whose element at linear index [i] comes from
-   the source element [f i], or is the constant fill. *)
-let gather (src : Nd.t) out_shape ~fill f =
+(* [copier src ~fill dst i j] writes source element [j], or the fill where
+   [j] is -1, to position [i] of [dst] through [Nd.set_*], which normalise
+   as [Nd.init_*] do. *)
+let copier (src : Nd.t) ~fill dst =
   match src.Nd.dtype with
   | Dtype.F32 | F64 ->
-      Nd.init_f src.dtype out_shape (fun i ->
-          match f i with Src j -> Nd.to_float src j | Fill -> fill)
-  | I32 | I64 ->
-      Nd.init_i src.dtype out_shape (fun i ->
-          match f i with
-          | Src j -> Nd.to_int src j
-          | Fill -> int_of_float fill)
-  | Bool ->
-      Nd.init_b out_shape (fun i ->
-          match f i with Src j -> Nd.get_b src j | Fill -> fill <> 0.)
-
-(* Destination-passing gather over a materialised index map (entry [i] is the
-   source offset for output position [i], or -1 for the fill value).  Writes
-   through [Nd.set_*], so results are bit-identical to [gather]. *)
-let gather_into (src : Nd.t) ~map ~fill ~dst =
-  let n = Array.length map in
-  (match src.Nd.dtype with
-  | Dtype.F32 | F64 ->
-      for i = 0 to n - 1 do
-        let j = map.(i) in
-        Nd.set_f dst i (if j >= 0 then Nd.to_float src j else fill)
-      done
+      fun i j -> Nd.set_f dst i (if j >= 0 then Nd.to_float src j else fill)
   | I32 | I64 ->
       let ifill = int_of_float fill in
-      for i = 0 to n - 1 do
-        let j = map.(i) in
-        Nd.set_i dst i (if j >= 0 then Nd.to_int src j else ifill)
-      done
+      fun i j -> Nd.set_i dst i (if j >= 0 then Nd.to_int src j else ifill)
   | Bool ->
       let bfill = fill <> 0. in
-      for i = 0 to n - 1 do
-        let j = map.(i) in
-        Nd.set_b dst i (if j >= 0 then Nd.get_b src j else bfill)
-      done)
+      fun i j -> Nd.set_b dst i (if j >= 0 then Nd.get_b src j else bfill)
 
+(* A tensor of [out_shape] holding the source elements at the offsets of
+   [tables] under {!Shape.iter_offsets}. *)
+let remap (src : Nd.t) out_shape tables ~fill =
+  let dst = Nd.create src.Nd.dtype out_shape in
+  Shape.iter_offsets out_shape tables (copier src ~fill dst);
+  dst
+
+let gather_into src ~map ~fill ~dst = Array.iteri (copier src ~fill dst) map
+
+(* Stored values are already normalised for their dtype, so a raw copy
+   holds the bits [Nd.set_*] would write. *)
 let reshape t new_shape =
   if Shape.numel t.Nd.shape <> Shape.numel new_shape then
     invalid_arg
@@ -47,7 +30,7 @@ let reshape t new_shape =
          Shape.pp t.Nd.shape
          (Shape.numel t.Nd.shape)
          Shape.pp new_shape (Shape.numel new_shape));
-  gather t new_shape ~fill:0. (fun i -> Src i)
+  { (Nd.copy t) with Nd.shape = new_shape }
 
 let is_permutation perm =
   let n = Array.length perm in
@@ -61,29 +44,23 @@ let is_permutation perm =
       end)
     perm
 
-(* Shared index formula behind [transpose] and the plan-compiled map. *)
+(* Shared geometry behind [transpose] and the plan-compiled map: output axis
+   [k] walks source axis [perm.(k)]. *)
 let transpose_spec src_shape perm =
   let r = Array.length src_shape in
   if Array.length perm <> r || not (is_permutation perm) then
     invalid_arg "Transform.transpose: bad permutation";
   let out_shape = Array.map (fun p -> src_shape.(p)) perm in
-  let f i =
-    let oidx = Shape.unravel out_shape i in
-    let sidx = Array.make r 0 in
-    for k = 0 to r - 1 do
-      sidx.(perm.(k)) <- oidx.(k)
-    done;
-    Shape.ravel src_shape sidx
-  in
-  (out_shape, f)
+  let st = Shape.strided_tables src_shape in
+  (out_shape, Array.map (fun p -> st.(p)) perm)
 
 let transpose t perm =
-  let out_shape, f = transpose_spec t.Nd.shape perm in
-  gather t out_shape ~fill:0. (fun i -> Src (f i))
+  let out_shape, tables = transpose_spec t.Nd.shape perm in
+  remap t out_shape tables ~fill:0.
 
 let transpose_map src_shape perm =
-  let out_shape, f = transpose_spec src_shape perm in
-  (out_shape, Array.init (Shape.numel out_shape) f)
+  let out_shape, tables = transpose_spec src_shape perm in
+  (out_shape, Shape.offsets out_shape tables)
 
 let clamp_index d i =
   let i = if i < 0 then i + d else i in
@@ -103,20 +80,20 @@ let slice_spec src_shape ~starts ~stops ~steps =
   in
   if Array.exists (fun d -> d = 0) out_shape then
     invalid_arg "Transform.slice: empty result";
-  let f i =
-    let oidx = Shape.unravel out_shape i in
-    let sidx = Array.init r (fun k -> starts.(k) + (oidx.(k) * steps.(k))) in
-    Shape.ravel src_shape sidx
-  in
-  (out_shape, f)
+  let st = Shape.strides src_shape in
+  ( out_shape,
+    Array.mapi
+      (fun k d ->
+        Array.init d (fun c -> (starts.(k) + (c * steps.(k))) * st.(k)))
+      out_shape )
 
 let slice t ~starts ~stops ~steps =
-  let out_shape, f = slice_spec t.Nd.shape ~starts ~stops ~steps in
-  gather t out_shape ~fill:0. (fun i -> Src (f i))
+  let out_shape, tables = slice_spec t.Nd.shape ~starts ~stops ~steps in
+  remap t out_shape tables ~fill:0.
 
 let slice_map src_shape ~starts ~stops ~steps =
-  let out_shape, f = slice_spec src_shape ~starts ~stops ~steps in
-  (out_shape, Array.init (Shape.numel out_shape) f)
+  let out_shape, tables = slice_spec src_shape ~starts ~stops ~steps in
+  (out_shape, Shape.offsets out_shape tables)
 
 type pad_mode = Constant of float | Reflect | Replicate
 
@@ -129,8 +106,8 @@ let reflect_index d i =
     if j < d then j else period - j
   end
 
-(* Shared index formula behind [pad] and the plan-compiled map; [-1] marks a
-   fill position. *)
+(* Shared geometry behind [pad] and the plan-compiled map; a table entry of
+   [-1] marks a coordinate outside a constant pad's source. *)
 let pad_spec src_shape ~before ~after ~mode =
   let r = Array.length src_shape in
   if Array.length before <> r || Array.length after <> r then
@@ -149,36 +126,38 @@ let pad_spec src_shape ~before ~after ~mode =
         src_shape
   | Constant _ | Replicate -> ());
   let fill = match mode with Constant v -> v | Reflect | Replicate -> 0. in
-  let f i =
-    let oidx = Shape.unravel out_shape i in
-    let sidx = Array.make r 0 in
-    let inside = ref true in
-    for k = 0 to r - 1 do
-      let j = oidx.(k) - before.(k) in
-      let d = src_shape.(k) in
-      if j >= 0 && j < d then sidx.(k) <- j
-      else begin
-        match mode with
-        | Constant _ -> inside := false
-        | Reflect -> sidx.(k) <- reflect_index d j
-        | Replicate -> sidx.(k) <- max 0 (min (d - 1) j)
-      end
-    done;
-    if !inside then Shape.ravel src_shape sidx else -1
+  let st = Shape.strides src_shape in
+  let source d j =
+    if j >= 0 && j < d then j
+    else
+      match mode with
+      | Constant _ -> -1
+      | Reflect -> reflect_index d j
+      | Replicate -> max 0 (min (d - 1) j)
   in
-  (out_shape, fill, f)
+  let tables =
+    Array.mapi
+      (fun k od ->
+        Array.init od (fun c ->
+            match source src_shape.(k) (c - before.(k)) with
+            | -1 -> -1
+            | j -> j * st.(k)))
+      out_shape
+  in
+  (out_shape, fill, tables)
 
 let pad t ~before ~after ~mode =
-  let out_shape, fill, f = pad_spec t.Nd.shape ~before ~after ~mode in
-  gather t out_shape ~fill (fun i ->
-      match f i with -1 -> Fill | j -> Src j)
+  let out_shape, fill, tables = pad_spec t.Nd.shape ~before ~after ~mode in
+  remap t out_shape tables ~fill
 
 let pad_map src_shape ~before ~after ~mode =
-  let out_shape, fill, f = pad_spec src_shape ~before ~after ~mode in
-  (out_shape, Array.init (Shape.numel out_shape) f, fill)
+  let out_shape, fill, tables = pad_spec src_shape ~before ~after ~mode in
+  (out_shape, Shape.offsets out_shape tables, fill)
 
-(* Shared geometry behind [concat] and the plan-compiled map: maps an output
-   position to (part index, offset within that part). *)
+(* Shared geometry behind [concat] and the plan kernel.  The output is
+   [outer] blocks (the product of the dims before [axis]), each the parts'
+   blocks in order; a part's block is its axis dim times the product of the
+   dims after [axis] and starts at [o * width] in the part. *)
 let concat_spec ~axis shapes =
   match shapes with
   | [] -> invalid_arg "Transform.concat: empty list"
@@ -200,29 +179,33 @@ let concat_spec ~axis shapes =
       in
       let out_shape = Array.copy first in
       out_shape.(axis) <- axis_total;
-      let parts = Array.of_list shapes in
-      let offsets = Array.make (Array.length parts) 0 in
-      let running = ref 0 in
-      Array.iteri
-        (fun pi (s : Shape.t) ->
-          offsets.(pi) <- !running;
-          running := !running + s.(axis))
-        parts;
-      let locate j =
-        (* which part does axis index [j] fall into *)
-        let rec go pi =
-          if j < offsets.(pi) + parts.(pi).(axis) then pi else go (pi + 1)
-        in
-        go 0
+      let outer = Shape.numel (Array.sub first 0 axis)
+      and inner = Shape.numel (Array.sub first (axis + 1) (r - axis - 1)) in
+      let widths =
+        Array.of_list (List.map (fun (s : Shape.t) -> s.(axis) * inner) shapes)
       in
-      let f i =
-        let oidx = Shape.unravel out_shape i in
-        let pi = locate oidx.(axis) in
-        let sidx = Array.copy oidx in
-        sidx.(axis) <- oidx.(axis) - offsets.(pi);
-        (pi, Shape.ravel parts.(pi) sidx)
-      in
-      (out_shape, f)
+      (out_shape, outer, widths)
+
+(* Parts share [dst]'s dtype, so their values are already normalised: a raw
+   copy writes the bits [Nd.set_*] would. *)
+let concat_into ~outer ~widths (parts : Nd.t array) ~dst =
+  let at = ref 0 in
+  for o = 0 to outer - 1 do
+    for p = 0 to Array.length widths - 1 do
+      let w = widths.(p) in
+      let src = o * w and dst_at = !at in
+      (match (parts.(p).Nd.data, dst.Nd.data) with
+      | Nd.F x, Nd.F y ->
+          for e = 0 to w - 1 do
+            y.{dst_at + e} <- x.{src + e}
+          done
+      | Nd.I x, Nd.I y -> Array.blit x src y dst_at w
+      | Nd.B x, Nd.B y -> Array.blit x src y dst_at w
+      | (Nd.F _ | Nd.I _ | Nd.B _), _ ->
+          invalid_arg "Transform.concat: rank or dtype mismatch");
+      at := dst_at + w
+    done
+  done
 
 let concat ~axis ts =
   match ts with
@@ -235,18 +218,12 @@ let concat ~axis ts =
           if Nd.rank t <> Nd.rank first || t.Nd.dtype <> first.Nd.dtype then
             invalid_arg "Transform.concat: rank or dtype mismatch")
         ts;
-      let out_shape, f =
+      let out_shape, outer, widths =
         concat_spec ~axis (List.map (fun t -> t.Nd.shape) ts)
       in
-      let parts = Array.of_list ts in
-      let read_part read i =
-        let pi, off = f i in
-        read parts.(pi) off
-      in
-      (match first.Nd.dtype with
-      | F32 | F64 -> Nd.init_f first.Nd.dtype out_shape (read_part Nd.to_float)
-      | I32 | I64 -> Nd.init_i first.Nd.dtype out_shape (read_part Nd.to_int)
-      | Bool -> Nd.init_b out_shape (read_part Nd.get_b))
+      let dst = Nd.create first.Nd.dtype out_shape in
+      concat_into ~outer ~widths (Array.of_list ts) ~dst;
+      dst
 
 let squeeze t axes =
   let r = Nd.rank t in
@@ -291,3 +268,50 @@ let flatten t ~axis =
   reshape t [| !lead; !tail |]
 
 let expand t dst = Nd.broadcast_to t dst
+
+(* Shared geometry behind [tile] and the plan-compiled map: output axis [k]
+   walks source axis [k] [reps] times. *)
+let tile_spec src_shape reps =
+  let out_shape =
+    Array.of_list (List.map2 (fun d r -> d * r) (Array.to_list src_shape) reps)
+  in
+  let st = Shape.strides src_shape in
+  ( out_shape,
+    Array.mapi
+      (fun k d -> Array.init d (fun c -> c mod src_shape.(k) * st.(k)))
+      out_shape )
+
+let tile t reps =
+  let out_shape, tables = tile_spec t.Nd.shape reps in
+  remap t out_shape tables ~fill:0.
+
+let tile_map src_shape reps =
+  let out_shape, tables = tile_spec src_shape reps in
+  (out_shape, Shape.offsets out_shape tables)
+
+(* ONNX Gather with each index clamped into range.  The output is
+   [outer x n_indices x inner] over the data's [outer x d x inner], so the
+   element for (o, q, e) is data's (o, clamp index_q, e). *)
+let gather ~axis (data : Nd.t) (indices : Nd.t) =
+  let sd = data.Nd.shape and si = indices.Nd.shape in
+  let rank = Array.length sd in
+  let out_shape =
+    Array.concat
+      [ Array.sub sd 0 axis; si; Array.sub sd (axis + 1) (rank - axis - 1) ]
+  in
+  let outer = Shape.numel (Array.sub sd 0 axis)
+  and inner = Shape.numel (Array.sub sd (axis + 1) (rank - axis - 1))
+  and ni = Shape.numel si
+  and d = sd.(axis) in
+  let dst = Nd.create data.Nd.dtype out_shape in
+  let copy = copier data ~fill:0. dst in
+  for o = 0 to outer - 1 do
+    for q = 0 to ni - 1 do
+      let j = max 0 (min (d - 1) (Nd.to_int indices q)) in
+      let src = ((o * d) + j) * inner and at = ((o * ni) + q) * inner in
+      for e = 0 to inner - 1 do
+        copy (at + e) (src + e)
+      done
+    done
+  done;
+  dst

@@ -1,7 +1,10 @@
-(** Shape-changing tensor kernels: reshape, transpose, slice, pad, concat. *)
+(** Shape-changing tensor kernels: reshape, transpose, slice, pad, concat,
+    tile and gather.  Each movement kernel describes its index map as one
+    table per output axis and walks it with {!Shape.iter_offsets}. *)
 
 val reshape : Nd.t -> Shape.t -> Nd.t
-(** Element counts must match; raises [Invalid_argument] otherwise. *)
+(** A copy under the new shape.  Element counts must match; raises
+    [Invalid_argument] otherwise. *)
 
 val transpose : Nd.t -> int array -> Nd.t
 (** [transpose t perm]: [perm] must be a permutation of [0..rank-1]. *)
@@ -31,13 +34,24 @@ val flatten : Nd.t -> axis:int -> Nd.t
 val expand : Nd.t -> Shape.t -> Nd.t
 (** Alias of {!Nd.broadcast_to} with ONNX BroadcastTo semantics. *)
 
+val tile : Nd.t -> int list -> Nd.t
+(** ONNX Tile: axis [k] repeated [reps_k] times.  Raises [Invalid_argument]
+    when [reps] and the rank differ. *)
+
+val gather : axis:int -> Nd.t -> Nd.t -> Nd.t
+(** [gather ~axis data indices]: ONNX Gather along [axis], output shape
+    [data's dims before axis @ indices' dims @ data's dims after axis].
+    Each index (read with {!Nd.to_int}) is clamped into [0, d - 1], so the
+    result never depends on whether runtime values are in range. *)
+
 (** {2 Plan-compiled index maps}
 
-    Each [*_map] builder shares its index formula with the allocating kernel
-    above, returning the output shape plus a materialised per-output-position
-    source-offset array that {!gather_into} (or an execution plan) can replay
-    without recomputing any index arithmetic.  They raise the same
-    [Invalid_argument] errors as their allocating counterparts. *)
+    Each [*_map] builder shares its tables with the allocating kernel above
+    and returns the output shape plus the materialised
+    per-output-position source-offset array that {!gather_into} (or an
+    execution plan) can replay without recomputing any index arithmetic.
+    They raise the same [Invalid_argument] errors as their allocating
+    counterparts. *)
 
 val transpose_map : Shape.t -> int array -> Shape.t * int array
 
@@ -51,11 +65,19 @@ val pad_map :
 (** Map entries of [-1] mark fill positions; the returned float is the fill
     value. *)
 
-val concat_spec : axis:int -> Shape.t list -> Shape.t * (int -> int * int)
-(** Output shape plus a function from output position to
-    [(part index, offset within part)].  Validates rank/axis/non-axis dims
-    (but not dtypes — {!concat} checks those). *)
+val tile_map : Shape.t -> int list -> Shape.t * int array
+
+val concat_spec : axis:int -> Shape.t list -> Shape.t * int * int array
+(** [(out_shape, outer, widths)]: the output is [outer] blocks, each the
+    parts' blocks in order, and part [p]'s block [o] is its [widths.(p)]
+    elements from offset [o * widths.(p)].  Validates rank/axis/non-axis
+    dims (but not dtypes — {!concat} checks those). *)
+
+val concat_into :
+  outer:int -> widths:int array -> Nd.t array -> dst:Nd.t -> unit
+(** Destination-passing {!concat} over a {!concat_spec} geometry; the parts
+    must share [dst]'s dtype. *)
 
 val gather_into : Nd.t -> map:int array -> fill:float -> dst:Nd.t -> unit
 (** Destination-passing gather over a materialised map; entry [-1] writes the
-    fill value (converted per dtype exactly as the allocating [gather]). *)
+    fill value (converted per dtype as {!pad} converts it). *)

@@ -272,10 +272,31 @@ let test_regress_alloc_gate () =
   (match status_of [ base; worse (counters 10100.) ] "solver_cache" with
   | `Ok -> ()
   | _ -> Alcotest.fail "1% allocation growth rejected");
-  (* allocation shrinking is never a failure *)
-  match status_of [ base; worse (counters 5000.) ] "solver_cache" with
+  (* allocation shrinking is never a failure, but a fall past the
+     tolerance asks for a re-record instead of reading as within it *)
+  let notes_of rows =
+    (List.find
+       (fun v -> v.History.v_experiment = "solver_cache")
+       (History.regress rows))
+      .History.v_notes
+  in
+  let alloc_note rows =
+    List.find
+      (fun n -> String.starts_with ~prefix:"allocation words" n)
+      (notes_of rows)
+  in
+  (match status_of [ base; worse (counters 5000.) ] "solver_cache" with
   | `Ok -> ()
-  | _ -> Alcotest.fail "allocation improvement rejected"
+  | _ -> Alcotest.fail "allocation improvement rejected");
+  Alcotest.(check string)
+    "a 50% fall asks for a re-record"
+    "allocation words: 10000 -> 5000 (-50.00%, a fall past the 2% \
+     tolerance: re-record this row)"
+    (alloc_note [ base; worse (counters 5000.) ]);
+  Alcotest.(check string)
+    "a 1% fall is within the tolerance"
+    "allocation words: 10000 -> 9900 (-1.00%, within 2%)"
+    (alloc_note [ base; worse (counters 9900.) ])
 
 let test_regress_work_counter_gate () =
   let base =

@@ -34,6 +34,14 @@ module Ref_vjp = struct
 
   let sqrt2pi = Float.sqrt (2. *. Float.pi)
 
+  (* The per-element broadcast formula: the source offset that feeds
+     destination position [off]. *)
+  let broadcast_offsets ~(src : Shape.t) ~(dst : Shape.t) off =
+    let idx = Shape.unravel dst off in
+    let rd = Array.length dst and rs = Array.length src in
+    Shape.ravel src
+      (Array.init rs (fun j -> if src.(j) = 1 then 0 else idx.(j + rd - rs)))
+
   (* Sum a gradient down to a (possibly broadcast) source shape. *)
   let reduce_to (g : Nd.t) (target : Shape.t) : Nd.t =
     let g = ref g in
@@ -120,8 +128,8 @@ module Ref_vjp = struct
 
   let broadcast_binary_grads ~proxy b x y gout =
     let out_shape = Nd.shape gout in
-    let ox = Nd.broadcast_offsets ~src:(Nd.shape x) ~dst:out_shape
-    and oy = Nd.broadcast_offsets ~src:(Nd.shape y) ~dst:out_shape in
+    let ox = broadcast_offsets ~src:(Nd.shape x) ~dst:out_shape
+    and oy = broadcast_offsets ~src:(Nd.shape y) ~dst:out_shape in
     let gx = Nd.create Dtype.F64 (Nd.shape x)
     and gy = Nd.create Dtype.F64 (Nd.shape y) in
     for i = 0 to Nd.numel gout - 1 do
@@ -283,13 +291,13 @@ module Ref_vjp = struct
         Nd.map_f (fun v -> v /. float_of_int window) (Nd.broadcast_to g in_shape)
     | R_max | R_min ->
         let o = expand out in
-        let go = Nd.broadcast_offsets ~src:(Nd.shape o) ~dst:in_shape in
+        let go = broadcast_offsets ~src:(Nd.shape o) ~dst:in_shape in
         Nd.init_f Dtype.F64 in_shape (fun i ->
             if Nd.to_float x i = Nd.to_float o (go i) then Nd.to_float g (go i)
             else 0.)
     | R_prod ->
         let o = expand out in
-        let go = Nd.broadcast_offsets ~src:(Nd.shape o) ~dst:in_shape in
+        let go = broadcast_offsets ~src:(Nd.shape o) ~dst:in_shape in
         Nd.init_f Dtype.F64 in_shape (fun i ->
             let xi = Nd.to_float x i in
             if xi = 0. then 0.
@@ -424,9 +432,9 @@ module Ref_vjp = struct
     | Op.Where, [ c; t; f ] ->
         if Dtype.is_float (Nd.dtype t) then begin
           let out_shape = Nd.shape gout in
-          let oc = Nd.broadcast_offsets ~src:(Nd.shape c) ~dst:out_shape
-          and ot = Nd.broadcast_offsets ~src:(Nd.shape t) ~dst:out_shape
-          and of_ = Nd.broadcast_offsets ~src:(Nd.shape f) ~dst:out_shape in
+          let oc = broadcast_offsets ~src:(Nd.shape c) ~dst:out_shape
+          and ot = broadcast_offsets ~src:(Nd.shape t) ~dst:out_shape
+          and of_ = broadcast_offsets ~src:(Nd.shape f) ~dst:out_shape in
           let gt = Nd.create Dtype.F64 (Nd.shape t)
           and gf = Nd.create Dtype.F64 (Nd.shape f) in
           for i = 0 to Nd.numel gout - 1 do

@@ -571,6 +571,264 @@ let qcheck_conv2d_matches_full_sweep =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* The index engine against the per-element formulas                  *)
+
+(* Every map family the kernels walk with [Shape.iter_offsets], checked
+   against the per-element [unravel]/[ravel] formula it replaced, over
+   random shapes of rank 0-5 with dims 1-5.  The tensor-level checks read a
+   source whose element [j] holds [j], so an output's values are the
+   offsets it read. *)
+
+let offsets_of t =
+  Array.init (Nd.numel t) (fun i -> int_of_float (Nd.to_float t i))
+let iota shape = Nd.init_f Dtype.F64 shape float_of_int
+let identity_map n = Array.init n Fun.id
+
+let random_shape rng ~lo ~hi =
+  Array.init (lo + Random.State.int rng (hi - lo + 1)) (fun _ ->
+      1 + Random.State.int rng 5)
+
+let oracle_map out f =
+  Array.init (Shape.numel out) (fun i -> f (Shape.unravel out i))
+
+let odometer_property name gen =
+  QCheck.Test.make ~name:(name ^ " = unravel/ravel") ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> gen (Random.State.make [| seed |]))
+
+let qcheck_odometer_broadcast =
+  odometer_property "broadcast" (fun rng ->
+      let dst = random_shape rng ~lo:0 ~hi:5 in
+      (* keep a suffix of [dst], setting some of its axes to 1 *)
+      let rs = Random.State.int rng (Array.length dst + 1) in
+      let src =
+        Array.init rs (fun j ->
+            if Random.State.int rng 3 = 0 then 1
+            else dst.(j + Array.length dst - rs))
+      in
+      let rd = Array.length dst in
+      let expected =
+        oracle_map dst (fun idx ->
+            Shape.ravel src
+              (Array.init rs (fun j ->
+                   if src.(j) = 1 then 0 else idx.(j + rd - rs))))
+      in
+      let map =
+        match Nd.index_map ~src ~dst with
+        | None -> identity_map (Shape.numel dst)
+        | Some m -> m
+      in
+      map = expected && offsets_of (Nd.broadcast_to (iota src) dst) = expected)
+
+let qcheck_odometer_transpose =
+  odometer_property "transpose" (fun rng ->
+      let src = random_shape rng ~lo:0 ~hi:5 in
+      let r = Array.length src in
+      let perm = Array.init r Fun.id in
+      for i = r - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let tmp = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- tmp
+      done;
+      let out = Array.map (fun p -> src.(p)) perm in
+      let expected =
+        oracle_map out (fun oidx ->
+            let sidx = Array.make r 0 in
+            Array.iteri (fun k p -> sidx.(p) <- oidx.(k)) perm;
+            Shape.ravel src sidx)
+      in
+      let out', map = T.transpose_map src perm in
+      out' = out && map = expected
+      && offsets_of (T.transpose (iota src) perm) = expected)
+
+let qcheck_odometer_slice =
+  odometer_property "slice" (fun rng ->
+      let src = random_shape rng ~lo:0 ~hi:5 in
+      let r = Array.length src in
+      let bound d = Random.State.int rng ((2 * d) + 5) - d - 2 in
+      let starts = Array.map bound src and stops = Array.map bound src in
+      let steps = Array.init r (fun _ -> 1 + Random.State.int rng 3) in
+      let clamp d i = max 0 (min d (if i < 0 then i + d else i)) in
+      let lo = Array.mapi (fun k d -> clamp d starts.(k)) src
+      and hi = Array.mapi (fun k d -> clamp d stops.(k)) src in
+      let out =
+        Array.init r (fun k ->
+            let len = hi.(k) - lo.(k) in
+            if len <= 0 then 0 else 1 + ((len - 1) / steps.(k)))
+      in
+      match T.slice_map src ~starts ~stops ~steps with
+      | exception Invalid_argument _ -> Array.exists (fun d -> d = 0) out
+      | out', map ->
+          let expected =
+            oracle_map out (fun oidx ->
+                Shape.ravel src
+                  (Array.init r (fun k -> lo.(k) + (oidx.(k) * steps.(k)))))
+          in
+          out' = out && map = expected
+          && offsets_of (T.slice (iota src) ~starts ~stops ~steps) = expected)
+
+let qcheck_odometer_pad =
+  odometer_property "pad" (fun rng ->
+      let src = random_shape rng ~lo:0 ~hi:5 in
+      let r = Array.length src in
+      let mode, fill =
+        match Random.State.int rng 3 with
+        | 0 -> (T.Constant (-7.), -7.)
+        | 1 -> (T.Reflect, 0.)
+        | _ -> (T.Replicate, 0.)
+      in
+      let amount d = Random.State.int rng (d + 3) - (d - 1) in
+      let before = Array.map amount src and after = Array.map amount src in
+      let out = Array.init r (fun k -> src.(k) + before.(k) + after.(k)) in
+      let reflect d j =
+        if d = 1 then 0
+        else
+          let period = 2 * (d - 1) in
+          let j = ((j mod period) + period) mod period in
+          if j < d then j else period - j
+      in
+      match T.pad_map src ~before ~after ~mode with
+      | exception Invalid_argument _ ->
+          Array.exists (fun d -> d < 1) out
+          || mode = T.Reflect
+             && Array.exists Fun.id
+                  (Array.mapi (fun k d -> before.(k) >= d || after.(k) >= d) src)
+      | out', map, fill' ->
+          let expected =
+            oracle_map out (fun oidx ->
+                let inside = ref true in
+                let sidx =
+                  Array.init r (fun k ->
+                      let j = oidx.(k) - before.(k) and d = src.(k) in
+                      if j >= 0 && j < d then j
+                      else
+                        match mode with
+                        | T.Constant _ ->
+                            inside := false;
+                            0
+                        | T.Reflect -> reflect d j
+                        | T.Replicate -> max 0 (min (d - 1) j))
+                in
+                if !inside then Shape.ravel src sidx else -1)
+          in
+          let values =
+            Array.map
+              (fun j -> if j < 0 then int_of_float fill else j)
+              expected
+          in
+          out' = out && fill' = fill && map = expected
+          && offsets_of (T.pad (iota src) ~before ~after ~mode) = values)
+
+let qcheck_odometer_tile_concat =
+  odometer_property "tile and concat" (fun rng ->
+      let src = random_shape rng ~lo:0 ~hi:5 in
+      let r = Array.length src in
+      let reps = List.init r (fun _ -> 1 + Random.State.int rng 3) in
+      let out = Array.of_list (List.map2 ( * ) (Array.to_list src) reps) in
+      let tile_expected =
+        oracle_map out (fun oidx ->
+            Shape.ravel src (Array.mapi (fun k v -> v mod src.(k)) oidx))
+      in
+      let out', map = T.tile_map src reps in
+      let tile_ok =
+        out' = out && map = tile_expected
+        && offsets_of (T.tile (iota src) reps) = tile_expected
+      in
+      (* concat: part [p]'s element [j] holds [p * 10000 + j] *)
+      r = 0
+      ||
+      let axis = Random.State.int rng r in
+      let parts =
+        Array.init
+          (1 + Random.State.int rng 3)
+          (fun _ ->
+            let s = Array.copy src in
+            s.(axis) <- 1 + Random.State.int rng 5;
+            s)
+      in
+      let total = Array.fold_left (fun acc s -> acc + s.(axis)) 0 parts in
+      let cat = Array.copy src in
+      cat.(axis) <- total;
+      let cat_expected =
+        oracle_map cat (fun oidx ->
+            let rec locate p j =
+              let d = parts.(p).(axis) in
+              if j < d then (p, j) else locate (p + 1) (j - d)
+            in
+            let p, j = locate 0 oidx.(axis) in
+            let sidx = Array.copy oidx in
+            sidx.(axis) <- j;
+            (p * 10000) + Shape.ravel parts.(p) sidx)
+      in
+      let tensors =
+        Array.to_list
+          (Array.mapi
+             (fun p s ->
+               Nd.init_f Dtype.F64 s (fun j -> float_of_int ((p * 10000) + j)))
+             parts)
+      in
+      let c = T.concat ~axis tensors in
+      tile_ok && Nd.shape c = cat && offsets_of c = cat_expected)
+
+let qcheck_odometer_reduce =
+  odometer_property "reduce bases/windows" (fun rng ->
+      let shape = random_shape rng ~lo:0 ~hi:5 in
+      let r = Array.length shape in
+      let all = List.init r Fun.id in
+      let axes = List.filter (fun _ -> Random.State.bool rng) all in
+      let keepdims = Random.State.bool rng in
+      let reduced = if axes = [] then all else axes in
+      let kept = List.filter (fun k -> not (List.mem k reduced)) all in
+      let sub ks = Array.of_list (List.map (fun k -> shape.(k)) ks) in
+      (* a cell's base: its kept coordinates with every reduced one at 0;
+         a window offset: its reduced coordinates with every kept one at 0 *)
+      let place ks sub_idx =
+        let idx = Array.make r 0 in
+        List.iteri (fun j k -> idx.(k) <- sub_idx.(j)) ks;
+        Shape.ravel shape idx
+      in
+      let p = R.plan ~axes ~keepdims shape in
+      let bases, windows = R.offsets p in
+      let out =
+        if keepdims then
+          Array.mapi (fun k d -> if List.mem k reduced then 1 else d) shape
+        else sub kept
+      in
+      R.out_shape p = out
+      && bases = oracle_map (sub kept) (place kept)
+      && windows = oracle_map (sub reduced) (place reduced))
+
+let qcheck_odometer_gather =
+  odometer_property "gather" (fun rng ->
+      let sd = random_shape rng ~lo:1 ~hi:4 in
+      let si = random_shape rng ~lo:0 ~hi:2 in
+      let r = Array.length sd and ri = Array.length si in
+      let axis = Random.State.int rng r in
+      let d = sd.(axis) in
+      (* indices up to 3 outside [0, d) on either side *)
+      let indices =
+        Nd.init_i Dtype.I64 si (fun _ -> Random.State.int rng (d + 6) - 3)
+      in
+      let out =
+        Array.concat
+          [ Array.sub sd 0 axis; si; Array.sub sd (axis + 1) (r - axis - 1) ]
+      in
+      let expected =
+        oracle_map out (fun oidx ->
+            let iidx = Array.sub oidx axis ri in
+            let raw = Nd.to_int indices (Shape.ravel si iidx) in
+            let j = max 0 (min (d - 1) raw) in
+            Shape.ravel sd
+              (Array.init r (fun k ->
+                   if k < axis then oidx.(k)
+                   else if k = axis then j
+                   else oidx.(k + ri - 1))))
+      in
+      let g = T.gather ~axis (iota sd) indices in
+      Nd.shape g = out && offsets_of g = expected)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "tensor"
@@ -599,6 +857,17 @@ let () =
           tc "broadcast_to" `Quick test_nd_broadcast_to;
           tc "tser round-trip all dtypes" `Quick test_tser_roundtrip_all_dtypes;
         ] );
+      ( "odometer",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            qcheck_odometer_broadcast;
+            qcheck_odometer_transpose;
+            qcheck_odometer_slice;
+            qcheck_odometer_pad;
+            qcheck_odometer_tile_concat;
+            qcheck_odometer_reduce;
+            qcheck_odometer_gather;
+          ] );
       ( "transform",
         [
           tc "reshape" `Quick test_reshape;

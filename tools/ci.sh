@@ -40,7 +40,8 @@
 #                 (Unix.gettimeofday, Unix.time, Unix.times, Sys.time);
 #                 test-only solver hooks: under lib/, bin/, bench/ and
 #                 examples/, only lib/smt/solver.ml names a hook from the
-#                 Test-only section of lib/smt/solver.mli
+#                 Test-only section of lib/smt/solver.mli; one index
+#                 engine: no .ml there names Shape.unravel or Shape.ravel
 #   hygiene       no tracked _build/, CHANGES.md updated alongside HEAD
 #
 # Every stage is timed; a per-stage summary prints on exit (success or
@@ -346,6 +347,14 @@ hooks=$(grep -rlE --include='*.ml' \
   '\b(set_prescreen_enabled|prescreen_enabled|prescreen_unsat|propagate_for_test|eval_for_test|components_for_test)\b' \
   lib bin bench examples | grep -vx 'lib/smt/solver.ml')
 [ -z "$hooks" ] || err "test-only solver hook named outside lib/smt/solver.ml: $hooks"
+
+# One index engine: kernels walk index maps with Shape.iter_offsets, and
+# the per-element Shape.unravel/Shape.ravel formulas serve only the tests
+# as their oracle, so none may creep back into a kernel.
+decode=$(grep -rlE --include='*.ml' '\bShape\.(unravel|ravel)\b' \
+  lib bin bench examples)
+[ -z "$decode" ] \
+  || err "per-element Shape.unravel/Shape.ravel outside the tests: $decode"
 
 note "repo hygiene"
 if git ls-files | grep -q '^_build/'; then
